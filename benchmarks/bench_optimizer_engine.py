@@ -14,19 +14,13 @@ full-topology evaluations than the legacy path while producing
 bit-identical results, with cache hits reported across strategy
 restarts.
 
-The ``--compare-backends`` mode (E12, extended to four backends as E13,
-then to cross-request megabatching as E14) races the serial, thread,
-process and vector evaluation backends over an extended >= 100k-candidate
-catalog: distilled brute-force sweeps with the result cache off,
-asserting all backends agree bit-identically and — on machines with
->= 2 cores — that the process backend beats the GIL-bound thread backend
-wall-clock, plus (when numpy is installed) that the vector backend beats
-serial even on one core.  Without numpy the vector leg is *skipped* with
-a clear notice (a degraded-to-serial timing row would be noise, not
-signal).  The E14 megabatch leg then drives concurrent same-problem
-sweeps twice — each on its own vector engine, then all stacked through a
-:class:`~repro.optimizer.megabatch.MegabatchStacker` on one shared
-engine — asserting stacked results stay bit-identical.  Combine with
+The ``--compare-backends`` mode (E12, re-run as E13/E14) races the
+serial, process and vector evaluation backends over an extended >= 100k-
+candidate catalog: distilled brute-force sweeps with the result cache
+off, asserting all backends agree bit-identically and (when numpy is
+installed) that the vector backend beats serial even on one core.
+Without numpy the vector leg is *skipped* with a clear notice (a
+degraded-to-serial timing row would be noise, not signal).  Combine with
 ``--smoke`` for the fast CI variant (small catalog, equivalence checks
 only, no timing assertions); ``--json PATH`` writes the measured rows as
 a machine-readable artifact (see BENCH_E14.json).
@@ -36,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from datetime import datetime, timezone
 
@@ -213,11 +206,11 @@ def test_engine_avoids_full_topology_evaluations(emit):
 
 
 def test_parallel_chunked_evaluation_matches(emit):
-    """parallel=True produces the identical option table, in order."""
+    """The process backend produces the identical option table, in order."""
     problem = four_by_four_problem()
     sequential = brute_force_optimize(problem)
-    engine = EvaluationEngine(problem, parallel=True, chunk_size=32)
-    parallel = brute_force_optimize(problem, engine=engine)
+    with EvaluationEngine(problem, backend="process", chunk_size=32) as engine:
+        parallel = brute_force_optimize(problem, engine=engine)
     assert [option.tco.total for option in parallel.options] == [
         option.tco.total for option in sequential.options
     ]
@@ -239,119 +232,21 @@ def extended_catalog_problem(clusters: int = 9) -> OptimizationProblem:
     return random_problem(2024, clusters=clusters, choices_per_layer=3)
 
 
-def _distilled_sweep(engine: EvaluationEngine) -> OptimizationResult:
-    """One O(1)-memory brute-force sweep in the *streaming* shape.
-
-    ``from_stream`` over ``evaluate_all`` assembles every candidate's
-    option — the serving path's shape, and the one megabatch stacking
-    amortizes across requests.  The backend-comparison legs use
-    :meth:`EvaluationEngine.sweep` instead, which lets bulk-ranking
-    backends skip per-candidate assembly entirely.
-    """
-    return OptimizationResult.from_stream(
-        engine.evaluate_all(),
-        space_size=engine.space.size,
-        strategy="brute-force",
-        keep_options=False,
-    )
-
-
-def _megabatch_race(
-    problem, reference: OptimizationResult, threads: int, window: float
-) -> dict:
-    """E14 megabatch leg: concurrent same-problem sweeps, stacked vs not.
-
-    ``threads`` concurrent "requests" sweep the same vector-backed
-    problem twice: first each on its own engine (per-request vector
-    passes, the pre-megabatch serving shape), then all sharing ONE
-    engine whose block evaluation is stacked through a
-    :class:`MegabatchStacker` — the broker's megabatch serving shape.
-    Every sweep's distillation must match the serial reference
-    bit-identically; the returned dict carries both wall-clocks.
-    """
-    from repro.optimizer.megabatch import MegabatchConfig, MegabatchStacker
-
-    def run_concurrent(engine_for_thread) -> tuple[list, float]:
-        out: list = [None] * threads
-        workers = [
-            threading.Thread(
-                target=lambda i=i: out.__setitem__(
-                    i, _distilled_sweep(engine_for_thread(i))
-                )
-            )
-            for i in range(threads)
-        ]
-        start = time.perf_counter()
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        return out, time.perf_counter() - start
-
-    engines = [
-        EvaluationEngine(problem, cache=False, backend="vector", chunk_size=4096)
-        for _ in range(threads)
-    ]
-    try:
-        per_request, per_request_seconds = run_concurrent(
-            lambda i: engines[i]
-        )
-    finally:
-        for engine in engines:
-            engine.close()
-
-    shared = EvaluationEngine(
-        problem, cache=False, backend="vector", chunk_size=4096
-    )
-    stacker = MegabatchStacker(MegabatchConfig(window_seconds=window))
-    shared.enable_megabatch(stacker)
-    for _ in range(threads):
-        stacker.join(shared.uid)
-    try:
-        stacked, stacked_seconds = run_concurrent(lambda i: shared)
-    finally:
-        for _ in range(threads):
-            stacker.leave(shared.uid)
-        shared.disable_megabatch()
-        shared.close()
-
-    for result in (*per_request, *stacked):
-        assert result.evaluations == reference.evaluations
-        assert result.best.option_id == reference.best.option_id
-        assert result.best.tco.total == reference.best.tco.total
-
-    total = threads * reference.evaluations
-    return {
-        "threads": threads,
-        "window_seconds": window,
-        "per_request_seconds": per_request_seconds,
-        "per_request_candidates_per_s": total / per_request_seconds,
-        "megabatch_seconds": stacked_seconds,
-        "megabatch_candidates_per_s": total / stacked_seconds,
-        "speedup_over_per_request": per_request_seconds / stacked_seconds,
-        "stacker": stacker.stats.to_dict(),
-    }
-
-
 def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> int:
-    """E14 (extends E12/E13) — race the evaluation backends + megabatch.
+    """E14 (extends E12/E13) — race the evaluation backends.
 
     Distilled sweeps (``keep_options=False``) with per-engine result
     caches off, so every backend performs the full ``k^n`` recombination
     work and memory stays O(1).  Backends race through
     :meth:`EvaluationEngine.sweep`, so the vector leg uses the
     block-distilled ranking pass (argmin over whole blocks, winners-only
-    assembly) while serial/thread/process stream per candidate — each
+    assembly) while serial/process stream per candidate — each
     backend's best honest path.  Asserts all backends return the same
     evaluations count and a bit-identical best option; outside smoke
-    mode, also asserts the process backend beats the thread backend on
-    >= 2 cores and — with numpy installed — that the vector backend
+    mode, also asserts — with numpy installed — that the vector backend
     beats serial regardless of core count (it vectorizes the combine,
-    not the pool).  Without numpy the vector leg (and the megabatch leg,
-    which is vector-only) is skipped with a notice instead of timing a
-    silently degraded serial engine.  With numpy, the E14 megabatch leg
-    additionally races concurrent per-request vector sweeps against the
-    same load stacked through one shared engine.
+    not the pool).  Without numpy the vector leg is skipped with a
+    notice instead of timing a silently degraded serial engine.
     """
     from repro.optimizer.engine import _import_numpy
 
@@ -378,7 +273,7 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
             problem, cache=False, backend=backend, chunk_size=4096
         ) as engine:
             # Each backend's best honest path through one API call:
-            # sweep() is from_stream for serial/thread/process and the
+            # sweep() is from_stream for serial/process and the
             # block-distilled ranking pass for vector.
             result, seconds = _timed(
                 lambda e=engine: e.sweep(keep_options=False)
@@ -401,10 +296,10 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
         ), backend
 
     speedups = {
-        "process_over_thread": timings["thread"] / timings["process"],
+        "process_over_serial": timings["serial"] / timings["process"],
     }
     verdict = (
-        f"process/thread speedup {speedups['process_over_thread']:.2f}x"
+        f"process/serial speedup {speedups['process_over_serial']:.2f}x"
     )
     if has_numpy:
         speedups["vector_over_serial"] = (
@@ -418,34 +313,12 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
     if not has_numpy:
         verdict += " (vector leg skipped: numpy not installed)"
 
-    megabatch = None
-    if has_numpy:
-        megabatch = _megabatch_race(
-            problem,
-            reference,
-            threads=2 if smoke else 4,
-            window=0.005 if smoke else 0.02,
-        )
-        rows.append(
-            f"  megabatch x{megabatch['threads']} concurrent sweeps: "
-            f"per-request {megabatch['per_request_seconds']:.2f} s "
-            f"({megabatch['per_request_candidates_per_s']:,.0f} cand/s)  "
-            f"stacked {megabatch['megabatch_seconds']:.2f} s "
-            f"({megabatch['megabatch_candidates_per_s']:,.0f} cand/s)  "
-            f"speedup {megabatch['speedup_over_per_request']:.2f}x"
-        )
-
     emit(
         f"[E14] backend comparison, {reference.evaluations:,}-candidate "
         f"catalog ({'smoke' if smoke else 'extended'}):\n"
         + "\n".join(rows)
         + f"\n  {verdict}"
     )
-    if not smoke and cores >= 2:
-        assert timings["process"] < timings["thread"], (
-            "acceptance: ProcessBackend must beat ThreadBackend on "
-            f">= 2 cores; got {timings}"
-        )
     if not smoke and has_numpy:
         assert timings["vector"] < timings["serial"], (
             "acceptance: VectorBackend must beat SerialBackend when "
@@ -471,7 +344,6 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
             ],
             "skipped": skipped,
             "speedups": speedups,
-            "megabatch": megabatch,
         }
         _write_json(json_path, payload)
         emit(f"  wrote {json_path}")
@@ -517,9 +389,9 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--compare-backends", action="store_true",
-        help="race serial/thread/process/vector backends plus the "
-        "megabatch leg (E14); with --smoke, a small-catalog equivalence "
-        "check without timing assertions",
+        help="race the serial/process/vector backends (E14); with "
+        "--smoke, a small-catalog equivalence check without timing "
+        "assertions",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,

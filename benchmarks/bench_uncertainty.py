@@ -28,7 +28,8 @@ def _confidence_after(years: float, seed: int) -> tuple[float, str]:
     """(confidence best beats runner-up, best label) after observation."""
     broker = BrokerService((metalcloud(),))
     broker.observe_provider("metalcloud", years=years, seed=seed)
-    report = broker.recommend(three_tier_request(_CONTRACT))
+    with broker.session() as session:
+        report = session.recommend(three_tier_request(_CONTRACT))
     result = report.for_provider("metalcloud").result
 
     kb = broker.knowledge_base

@@ -15,9 +15,6 @@ module lifts that sharing across requests:
   generator that emits :class:`~repro.broker.envelope.ProgressEvent`s
   while distilling exhaustive sweeps without materializing option
   tables.
-
-``BrokerService.recommend`` remains as a deprecation-shimmed wrapper
-over a one-request session.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from repro.optimizer.engine import (
 )
 from repro.obs import clock
 from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
-from repro.optimizer.megabatch import MegabatchConfig, MegabatchStacker
 from repro.optimizer.result import OptimizationResult, ResultAccumulator
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
@@ -286,10 +282,10 @@ class _CacheEntry:
     closed entry is one an in-flight request still holds — that holder
     finishes the close via :meth:`EngineCache.finish`.
 
-    ``shared`` counts megabatching requests currently evaluating on the
-    engine *without* holding ``lock`` for the duration (they hold it
-    only to join/leave); exclusive users wait on ``cond`` (which wraps
-    ``lock``) until the count drains before rebinding the backend.
+    ``lock`` makes the engine single-consumer: every evaluation on it —
+    a whole search, or one streamed block — runs under the lock, so no
+    two threads ever evaluate on one engine at once and the engine
+    itself needs no lock of its own.
     """
 
     key: EngineKey
@@ -298,10 +294,6 @@ class _CacheEntry:
     unserved: bool = True
     evicted: bool = False
     closed: bool = False
-    shared: int = 0
-
-    def __post_init__(self) -> None:
-        self.cond = threading.Condition(self.lock)
 
 
 class EngineCache:
@@ -518,17 +510,6 @@ class BrokerSession:
     requests that do not pin one themselves (``request.backend``
     always wins).
 
-    ``megabatch`` opts the session into cross-request megabatching:
-    concurrent requests that resolve to the *same* cached engine and
-    the ``vector`` backend evaluate their candidate chunks in one
-    stacked numpy pass (see :mod:`repro.optimizer.megabatch`).  Pass
-    ``True`` for the default window/size bounds or a
-    :class:`~repro.optimizer.megabatch.MegabatchConfig` to tune them.
-    Results are byte-identical to unbatched serving; only per-request
-    ``engine_stats`` deltas become approximate when requests genuinely
-    overlap (they already are for interleaved cache hits — see
-    ``_request_stats``).
-
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
     ``cache_lookup``/``terms``/``evaluate``/``distill`` spans, async
@@ -546,7 +527,6 @@ class BrokerSession:
         max_finished_jobs: int = DEFAULT_MAX_FINISHED_JOBS,
         finished_job_ttl: float | None = None,
         backend: str | None = None,
-        megabatch: "bool | MegabatchConfig" = False,
         tracer: Tracer | None = None,
         job_id_start: int = 1,
         job_id_stride: int = 1,
@@ -582,18 +562,10 @@ class BrokerSession:
         self.max_finished_jobs = max_finished_jobs
         self.finished_job_ttl = finished_job_ttl
         self.backend = backend
-        if isinstance(megabatch, MegabatchConfig):
-            self.megabatch: MegabatchStacker | None = MegabatchStacker(megabatch)
-        elif megabatch:
-            self.megabatch = MegabatchStacker()
-        else:
-            self.megabatch = None
         # Tracing: None means disabled — every instrumentation point in
         # the session guards on a single `is not None` check, so the
         # untraced hot path is unchanged (see repro.obs).
         self.tracer = tracer
-        if self.megabatch is not None and tracer is not None:
-            self.megabatch.tracer = tracer
         self._jobs: "OrderedDict[str, BrokerJob]" = OrderedDict()
         self._futures: dict[str, Future] = {}
         self._executor: ThreadPoolExecutor | None = None
@@ -921,10 +893,6 @@ class BrokerSession:
             "jobs": dict(statuses),
             "jobs_evicted": evicted,
             "job_queue_depth": statuses[JOB_PENDING] + statuses[JOB_RUNNING],
-            "megabatch": (
-                None if self.megabatch is None
-                else self.megabatch.stats.snapshot().to_dict()
-            ),
         }
 
     # -- streaming ---------------------------------------------------------
@@ -1115,14 +1083,9 @@ class BrokerSession:
         """The concrete evaluation backend one request should run on.
 
         Precedence: the request's own ``backend``, then the session
-        default, then :func:`resolve_backend`'s environment/``parallel``
-        fallback.
+        default, then :func:`resolve_backend`'s environment fallback.
         """
-        return resolve_backend(
-            request.backend or self.backend,
-            parallel=request.parallel,
-            mode=request.engine,
-        )
+        return resolve_backend(request.backend or self.backend, mode=request.engine)
 
     def _cache_entry(
         self, request: RecommendationRequest, provider_name: str
@@ -1197,20 +1160,13 @@ class BrokerSession:
         engine = entry.engine
         optimize = _STRATEGY_FUNCTIONS[request.strategy]
         backend = self._request_backend(request)
-        if self.megabatch is not None and backend == "vector":
-            return self._megabatch_provider(request, name, entry, optimize)
         # A cache hit may serve the search from a different worker
-        # thread later; sequential engines are not thread-safe, so each
-        # entry's lock serializes use of its engine.  A warm engine is
-        # rebound to the request's backend in place — term and result
-        # caches survive the switch.
+        # thread later; engines are single-consumer, so each entry's
+        # lock serializes use of its engine.  A warm engine is rebound
+        # to the request's backend in place — term and result caches
+        # survive the switch.
         try:
             with entry.lock:
-                # Megabatching sharers evaluate without holding the
-                # lock; rebinding the backend under them would corrupt
-                # their pass, so exclusive use drains them first.
-                while entry.shared:
-                    entry.cond.wait()
                 engine.set_backend(backend)
                 before = engine.stats.snapshot()
                 with maybe_span(
@@ -1231,65 +1187,6 @@ class BrokerSession:
         finally:
             # If the entry was LRU-evicted while this request held it,
             # its deferred close falls to us.
-            self.engine_cache.finish(entry)
-        return ProviderRecommendation(
-            provider_name=name,
-            base_system=engine.problem.base_system,
-            result=result,
-            engine_stats=_request_stats(before, after, first_service),
-        )
-
-    def _megabatch_provider(
-        self, request: RecommendationRequest, name: str, entry, optimize
-    ) -> "ProviderRecommendation":
-        """Serve one vector-backed request as a megabatch *sharer*.
-
-        Sharers take the entry lock only to join and leave: the first
-        sharer in rebinds the engine to the vector backend and attaches
-        the session's stacker (upgrading the engine's cache lock), the
-        last one out detaches it and wakes any waiting exclusive user.
-        The evaluation itself runs outside the entry lock so concurrent
-        sharers reach the stacker together — that is the whole point.
-        Candidate results are deterministic and spliced per request, so
-        reports stay byte-identical to unshared serving; only the
-        ``engine_stats`` deltas are approximate under true overlap.
-        """
-        from repro.broker.service import ProviderRecommendation
-
-        engine = entry.engine
-        stacker = self.megabatch
-        with entry.lock:
-            if entry.shared == 0:
-                engine.set_backend("vector")
-                engine.enable_megabatch(stacker)
-            entry.shared += 1
-            # repro: lint-ok[REP002] MegabatchStacker.join registers a sharer; it never blocks
-            stacker.join(engine.uid)
-            before = engine.stats.snapshot()
-            first_service = entry.unserved
-            entry.unserved = False
-        try:
-            with maybe_span(
-                self.tracer,
-                "evaluate",
-                attrs={
-                    "provider": name,
-                    "strategy": request.strategy,
-                    "backend": "vector",
-                    "megabatch": "true",
-                },
-            ):
-                result: OptimizationResult = optimize(
-                    engine.problem, engine=engine
-                )
-            after = engine.stats.snapshot()
-        finally:
-            with entry.lock:
-                stacker.leave(engine.uid)
-                entry.shared -= 1
-                if entry.shared == 0:
-                    engine.disable_megabatch()
-                    entry.cond.notify_all()
             self.engine_cache.finish(entry)
         return ProviderRecommendation(
             provider_name=name,

@@ -192,7 +192,6 @@ def request_to_dict(request: RecommendationRequest) -> dict[str, Any]:
         "providers": list(request.providers) if request.providers else None,
         "strategy": request.strategy,
         "engine": request.engine,
-        "parallel": request.parallel,
         "backend": request.backend,
         "extended_catalog": request.extended_catalog,
         "metadata": dict(request.metadata),
@@ -208,7 +207,6 @@ def request_from_dict(payload: Mapping[str, Any]) -> RecommendationRequest:
         "providers",
         "strategy",
         "engine",
-        "parallel",
         "backend",
         "extended_catalog",
         "metadata",
@@ -224,7 +222,6 @@ def request_from_dict(payload: Mapping[str, Any]) -> RecommendationRequest:
         providers=tuple(providers) if providers else None,
         strategy=payload.get("strategy", "pruned"),
         engine=payload.get("engine", "incremental"),
-        parallel=bool(payload.get("parallel", False)),
         backend=payload.get("backend"),
         extended_catalog=bool(payload.get("extended_catalog", False)),
         metadata=dict(payload.get("metadata", {})),

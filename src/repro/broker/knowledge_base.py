@@ -95,26 +95,28 @@ class KnowledgeBase:
         """The broker's best current estimate for one component class.
 
         Raises :class:`InsufficientTelemetryError` when the store has no
-        exposure or fewer failures than the confidence threshold.
+        exposure or fewer failures than the confidence threshold.  Every
+        field comes from one read of the component's stats, so an
+        estimate never mixes two telemetry epochs.
         """
-        samples = self.telemetry.failure_count(provider, component_kind)
+        stats = self.telemetry.component_stats(provider, component_kind)
+        samples = 0 if stats is None else stats.failures
         if samples < self.min_failure_samples:
             raise InsufficientTelemetryError(
                 f"only {samples} failure observations for "
                 f"{component_kind!r} on {provider!r}; need at least "
                 f"{self.min_failure_samples} for a recommendation"
             )
+        stats.require_exposure(provider, component_kind)
         return ReliabilityEstimate(
             provider=provider,
             component_kind=component_kind,
-            down_probability=self.telemetry.down_probability(provider, component_kind),
-            failures_per_year=self.telemetry.failures_per_year(provider, component_kind),
-            failover_minutes=self.telemetry.failover_minutes(provider, component_kind),
-            exposure_years=self.telemetry.exposure_years(provider, component_kind),
+            down_probability=stats.down_probability(),
+            failures_per_year=stats.failures_per_year(),
+            failover_minutes=stats.failover_minutes(provider, component_kind),
+            exposure_years=stats.exposure_years(),
             failure_samples=samples,
-            failover_minutes_std=self.telemetry.failover_minutes_std(
-                provider, component_kind
-            ),
+            failover_minutes_std=stats.failover_minutes_std(),
         )
 
     def node_spec(

@@ -59,7 +59,6 @@ class RecommendationRequest:
     providers: tuple[str, ...] | None = None
     strategy: str = "pruned"
     engine: str = "incremental"
-    parallel: bool = False
     backend: str | None = None
     extended_catalog: bool = False
     metadata: dict = field(default_factory=dict)

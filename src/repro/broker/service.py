@@ -11,7 +11,6 @@ total monthly cost.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -260,7 +259,6 @@ class BrokerService:
         max_finished_jobs: int | None = None,
         finished_job_ttl: float | None = None,
         backend: str | None = None,
-        megabatch=False,
         tracer=None,
         job_id_start: int | None = None,
         job_id_stride: int | None = None,
@@ -273,10 +271,7 @@ class BrokerService:
         to the session's own defaults when ``None``; ``backend`` sets
         the session's default evaluation backend, ``finished_job_ttl``
         enables age-based eviction of finished (even never-retrieved)
-        jobs, and ``megabatch`` (bool or
-        :class:`~repro.optimizer.megabatch.MegabatchConfig`) stacks
-        concurrent same-engine vector requests into one numpy pass.
-        ``tracer`` (a :class:`repro.obs.Tracer`) enables per-phase span
+        jobs.  ``tracer`` (a :class:`repro.obs.Tracer`) enables per-phase span
         recording; ``None`` leaves tracing disabled at zero cost.
         ``job_id_start``/``job_id_stride`` mint job ids from an
         arithmetic progression so partitioned worker processes can issue
@@ -288,7 +283,6 @@ class BrokerService:
             "engine_cache": engine_cache,
             "finished_job_ttl": finished_job_ttl,
             "backend": backend,
-            "megabatch": megabatch,
             "tracer": tracer,
         }
         if cache_capacity is not None:
@@ -302,26 +296,6 @@ class BrokerService:
         if job_id_stride is not None:
             kwargs["job_id_stride"] = job_id_stride
         return BrokerSession(self, **kwargs)
-
-    def recommend(self, request: RecommendationRequest) -> RecommendationReport:
-        """Run the full brokered optimization for a request.
-
-        .. deprecated:: v2
-            Compatibility shim over a one-request
-            :class:`~repro.broker.api.BrokerSession`; call
-            :meth:`session` and use ``session.recommend(...)`` (or the
-            batched/streaming entry points) instead.  Results are
-            identical — but each shim call builds and discards a fresh
-            engine cache, forfeiting cross-request reuse.
-        """
-        warnings.warn(
-            "BrokerService.recommend() is deprecated; open a BrokerSession "
-            "via BrokerService.session() to reuse engines across requests",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self.session() as session:
-            return session.recommend(request)
 
 
 def _observation_sku(provider: CloudProvider, kind: ResourceKind) -> str:

@@ -34,12 +34,63 @@ SNAPSHOT_VERSION = 1
 
 @dataclass
 class _ComponentStats:
-    """Accumulated observations for one (provider, kind) pair."""
+    """Accumulated observations for one (provider, kind) pair.
+
+    The estimate methods read this object alone, so every figure derived
+    from one instance belongs to one epoch: :meth:`TelemetryStore.adopt`
+    swaps the whole dict, and stats it published are never mutated.
+    """
 
     exposure_minutes: float = 0.0
     down_minutes: float = 0.0
     failures: int = 0
     failover_samples: list[float] = field(default_factory=list)
+
+    def require_exposure(
+        self, provider: str, component_kind: str
+    ) -> "_ComponentStats":
+        """``self``, or :class:`InsufficientTelemetryError` if unexposed."""
+        if self.exposure_minutes <= 0.0:
+            raise _no_exposure(provider, component_kind)
+        return self
+
+    def exposure_years(self) -> float:
+        """Observed component-years."""
+        return self.exposure_minutes / MINUTES_PER_YEAR
+
+    def down_probability(self) -> float:
+        """``P̂``: observed fraction of exposure spent down."""
+        return min(self.down_minutes / self.exposure_minutes, 1.0)
+
+    def failures_per_year(self) -> float:
+        """``f̂``: observed failures per component-year."""
+        return self.failures / (self.exposure_minutes / MINUTES_PER_YEAR)
+
+    def failover_minutes(self, provider: str, component_kind: str) -> float:
+        """``t̂``: mean observed failover latency (needs one sample)."""
+        samples = self.failover_samples
+        if not samples:
+            raise InsufficientTelemetryError(
+                f"no failover observations for {component_kind!r} on "
+                f"{provider!r}; cannot estimate t"
+            )
+        return sum(samples) / len(samples)
+
+    def failover_minutes_std(self) -> float:
+        """Sample standard deviation of failover latencies (0 below 2)."""
+        samples = self.failover_samples
+        if len(samples) < 2:
+            return 0.0
+        mean = sum(samples) / len(samples)
+        variance = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
+        return variance**0.5
+
+
+def _no_exposure(provider: str, component_kind: str) -> InsufficientTelemetryError:
+    return InsufficientTelemetryError(
+        f"no exposure recorded for component {component_kind!r} on "
+        f"provider {provider!r}; register_exposure() first"
+    )
 
 
 class TelemetryStore:
@@ -215,59 +266,53 @@ class TelemetryStore:
         """All (provider, kind) pairs with any exposure or events."""
         return tuple(sorted(self._stats))
 
+    def component_stats(
+        self, provider: str, component_kind: str
+    ) -> _ComponentStats | None:
+        """One read of a pair's observations (``None`` when never seen).
+
+        Derive every figure of one estimate from the returned object: a
+        concurrent :meth:`adopt` between two separate accessor calls
+        would otherwise mix two epochs into one estimate.
+        """
+        return self._stats.get((provider, component_kind))
+
     def exposure_years(self, provider: str, component_kind: str) -> float:
         """Observed component-years for a pair (0 when never watched)."""
-        stats = self._stats.get((provider, component_kind))
-        if stats is None:
-            return 0.0
-        return stats.exposure_minutes / MINUTES_PER_YEAR
+        stats = self.component_stats(provider, component_kind)
+        return 0.0 if stats is None else stats.exposure_years()
 
     def down_probability(self, provider: str, component_kind: str) -> float:
         """``P̂``: observed fraction of exposure spent down."""
-        stats = self._require(provider, component_kind)
-        return min(stats.down_minutes / stats.exposure_minutes, 1.0)
+        return self._require(provider, component_kind).down_probability()
 
     def failures_per_year(self, provider: str, component_kind: str) -> float:
         """``f̂``: observed failures per component-year."""
-        stats = self._require(provider, component_kind)
-        return stats.failures / (stats.exposure_minutes / MINUTES_PER_YEAR)
+        return self._require(provider, component_kind).failures_per_year()
 
     def failover_minutes(self, provider: str, component_kind: str) -> float:
         """``t̂``: mean observed failover latency.
 
         Requires at least one failover observation.
         """
-        stats = self._require(provider, component_kind)
-        if not stats.failover_samples:
-            raise InsufficientTelemetryError(
-                f"no failover observations for {component_kind!r} on "
-                f"{provider!r}; cannot estimate t"
-            )
-        return sum(stats.failover_samples) / len(stats.failover_samples)
+        return self._require(provider, component_kind).failover_minutes(
+            provider, component_kind
+        )
 
     def failover_minutes_std(self, provider: str, component_kind: str) -> float:
         """Sample standard deviation of observed failover latencies.
 
         0 with fewer than two samples (no spread measurable yet).
         """
-        stats = self._require(provider, component_kind)
-        samples = stats.failover_samples
-        if len(samples) < 2:
-            return 0.0
-        mean = sum(samples) / len(samples)
-        variance = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-        return variance**0.5
+        return self._require(provider, component_kind).failover_minutes_std()
 
     def failure_count(self, provider: str, component_kind: str) -> int:
         """Raw failure count (useful as a sample-size indicator)."""
-        stats = self._stats.get((provider, component_kind))
+        stats = self.component_stats(provider, component_kind)
         return 0 if stats is None else stats.failures
 
     def _require(self, provider: str, component_kind: str) -> _ComponentStats:
-        stats = self._stats.get((provider, component_kind))
-        if stats is None or stats.exposure_minutes <= 0.0:
-            raise InsufficientTelemetryError(
-                f"no exposure recorded for component {component_kind!r} on "
-                f"provider {provider!r}; register_exposure() first"
-            )
-        return stats
+        stats = self.component_stats(provider, component_kind)
+        if stats is None:
+            raise _no_exposure(provider, component_kind)
+        return stats.require_exposure(provider, component_kind)

@@ -64,7 +64,7 @@ def brute_force_optimize(
     sweep holds O(1) options in memory; pass an explicit ``engine`` to
     trade memory for cross-search reuse.
 
-    An engine built here is closed before returning, so a thread/process
+    An engine built here is closed before returning, so a process
     evaluation backend (e.g. via ``REPRO_BACKEND``) never leaks its
     worker pool; a caller-supplied engine keeps its pool — closing it is
     the caller's call.

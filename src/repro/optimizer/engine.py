@@ -25,9 +25,6 @@ Batch evaluation (:meth:`EvaluationEngine.evaluate_many` and everything
 built on it) runs on a pluggable **evaluation backend**:
 
 - ``"serial"`` (default) evaluates inline on the calling thread;
-- ``"thread"`` cuts the stream into chunks fanned out over a
-  :class:`~concurrent.futures.ThreadPoolExecutor` (the chunking/ordering
-  harness; GIL-bound for this pure-Python float math);
 - ``"process"`` ships chunks to a
   :class:`~concurrent.futures.ProcessPoolExecutor` of long-lived
   workers.  Workers hold the pickled per-(cluster, technology) term
@@ -49,8 +46,8 @@ built on it) runs on a pluggable **evaluation backend**:
   numpy is an optional extra (``pip install .[vector]``); without it
   the backend degrades to serial evaluation with a RuntimeWarning.
 
-Worker pools are **not** owned by individual engines: thread/process
-backends lease ref-counted executors from a shared
+Worker pools are **not** owned by individual engines: the process
+backend leases ref-counted executors from a shared
 :class:`~repro.optimizer.pools.PoolRegistry` (by default the
 process-global one), so N live engines — including every engine a
 broker's cross-request cache retains — share one process pool whose
@@ -58,11 +55,15 @@ workers evaluate for all of them.  The last engine to close a leased
 pool shuts it down deterministically.
 
 Every backend yields results in submission order, making output
-deterministic regardless of parallelism.  The legacy ``parallel=True``
-flag is an alias for ``backend="thread"``; the ``REPRO_BACKEND``
+deterministic regardless of parallelism.  The ``REPRO_BACKEND``
 environment variable overrides the *default* backend (explicit
 ``backend=`` arguments always win), which is how CI smokes the process
 and vector paths across the whole suite.
+
+An engine has **one consumer at a time**.  The broker's engine cache
+serializes every evaluation on a cached engine through the entry's
+lock, and no backend calls back into the engine from another thread,
+so cache and stats mutations take no lock of their own.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ from repro.topology.system import SystemTopology
 ENGINE_MODES = ("incremental", "direct")
 
 #: Supported evaluation backends for batch entry points.
-ENGINE_BACKENDS = ("serial", "thread", "process", "vector")
+ENGINE_BACKENDS = ("serial", "process", "vector")
 
 #: Backends that evaluate from shipped/gathered term tables and therefore
 #: require ``mode="incremental"`` (direct mode builds full topologies).
@@ -139,14 +140,12 @@ def _import_numpy():
     return numpy
 
 
-def resolve_backend(
-    backend: str | None, *, parallel: bool = False, mode: str = "incremental"
-) -> str:
+def resolve_backend(backend: str | None, *, mode: str = "incremental") -> str:
     """Resolve a backend request to a concrete :data:`ENGINE_BACKENDS` name.
 
     ``None`` falls back to the :data:`BACKEND_ENV_VAR` environment
-    variable (empty string = unset), then to the legacy ``parallel``
-    flag (``True`` → ``"thread"``).  The env-var default never forces a
+    variable (empty string = unset), then to ``"serial"``.  The env-var
+    default never forces a
     term-table backend (:data:`TERM_TABLE_BACKENDS`) onto a
     ``mode="direct"`` engine — direct mode evaluates full topologies,
     which neither worker processes nor the vectorized combine can do
@@ -161,9 +160,7 @@ def resolve_backend(
             )
         if env in TERM_TABLE_BACKENDS and mode == "direct":
             env = None
-        backend = env if env is not None else (
-            "thread" if parallel else "serial"
-        )
+        backend = env if env is not None else "serial"
     if backend not in ENGINE_BACKENDS:
         raise OptimizerError(
             f"unknown evaluation backend {backend!r}; valid: {ENGINE_BACKENDS}"
@@ -398,169 +395,6 @@ class SerialBackend:
         """Nothing to release."""
 
 
-class _PooledBackend:
-    """The shared chunking/ordering harness behind thread/process backends.
-
-    The input stream is cut into ``engine.chunk_size`` blocks submitted
-    to an executor with a bounded in-flight window (the stream is never
-    drained eagerly, so huge candidate spaces stay O(window) in memory),
-    and chunk results are yielded strictly in submission order — the
-    output sequence is identical to serial evaluation.
-
-    The executor is **leased**, not owned: on first use the backend
-    acquires a ref-counted :class:`~repro.optimizer.pools.PoolHandle`
-    from the engine's :class:`~repro.optimizer.pools.PoolRegistry`, so
-    every engine asking the registry for the same (kind, width) shares
-    one pool of long-lived workers; :meth:`close` releases the lease and
-    the registry shuts the pool down when the last holder leaves.  A
-    worker failure surfaces as
-    :class:`~repro.errors.EngineBackendError` (or the original
-    :class:`~repro.errors.ReproError`) and *invalidates* the lease so
-    the next stream — from this engine or any sharing engine — starts
-    from a fresh pool instead of a broken one.
-    """
-
-    name = "pooled"
-
-    def __init__(self) -> None:
-        self._handle = None
-        self._degraded = False
-        self._pool_lock = threading.Lock()
-
-    @property
-    def _pool(self):
-        """The leased executor, or ``None`` (kept for introspection)."""
-        handle = self._handle
-        return None if handle is None else handle.pool
-
-    # Subclass hooks -------------------------------------------------------
-
-    def _default_workers(self) -> int:
-        raise NotImplementedError
-
-    def _on_acquire(self, engine: "EvaluationEngine") -> None:
-        """Post-lease setup (the process backend publishes its tables)."""
-
-    def _on_release(self) -> None:
-        """Pre-release teardown (the process backend retracts tables)."""
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        raise NotImplementedError
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        raise NotImplementedError
-
-    # Shared harness -------------------------------------------------------
-
-    def _ensure_pool(self, engine: "EvaluationEngine"):
-        with self._pool_lock:
-            if self._degraded:
-                return None
-            if self._handle is None:
-                workers = engine.max_workers or self._default_workers()
-                try:
-                    handle = engine.pool_registry.acquire(self.name, workers)
-                except (NotImplementedError, ImportError, OSError,
-                        PermissionError, ValueError) as exc:
-                    warnings.warn(
-                        f"{self.name} evaluation backend unavailable on this "
-                        f"platform ({exc}); degrading to serial evaluation",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    self._degraded = True
-                    return None
-                self._handle = handle
-                try:
-                    self._on_acquire(engine)
-                except BaseException:
-                    self._handle = None
-                    handle.release()
-                    raise
-            return self._handle.pool
-
-    def evaluate_stream(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-    ) -> Iterator[EvaluatedOption]:
-        pool = self._ensure_pool(engine)
-        if pool is None:
-            yield from SerialBackend().evaluate_stream(engine, enumerated)
-            return
-
-        def chunked() -> Iterator[list[tuple[int, tuple[int, ...]]]]:
-            block: list[tuple[int, tuple[int, ...]]] = []
-            for item in enumerated:
-                block.append(item)
-                if len(block) >= engine.chunk_size:
-                    yield block
-                    block = []
-            if block:
-                yield block
-
-        max_in_flight = 2 * getattr(pool, "_max_workers", 1)
-        pending: deque = deque()
-        for block in chunked():
-            pending.append(self._submit(engine, pool, block))
-            while len(pending) >= max_in_flight:
-                yield from self._collect(engine, pending.popleft())
-        while pending:
-            yield from self._collect(engine, pending.popleft())
-
-    def _worker_failure(self, exc: Exception) -> EngineBackendError:
-        """Wrap a pool failure and invalidate the lease for every holder."""
-        self._release_pool(invalidate=True)
-        return EngineBackendError(
-            f"{self.name} evaluation backend worker failed: "
-            f"{type(exc).__name__}: {exc}"
-        )
-
-    def _release_pool(self, *, invalidate: bool = False) -> None:
-        with self._pool_lock:
-            handle, self._handle = self._handle, None
-        if handle is not None:
-            # Retract before releasing: the registry's table channel
-            # lives only while process-pool leases are outstanding.
-            self._on_release()
-            handle.release(invalidate=invalidate)
-
-    def close(self) -> None:
-        """Release the pool lease; idempotent, re-acquired lazily.
-
-        The shared executor itself shuts down only when the last engine
-        leasing it closes.
-        """
-        self._release_pool()
-
-
-class ThreadBackend(_PooledBackend):
-    """Chunked evaluation on a thread pool (the legacy ``parallel=True``).
-
-    Workers call straight into :meth:`EvaluationEngine.evaluate`, so the
-    result cache and stats are shared under the engine's lock.  The
-    combine is pure-Python float math, so this buys little wall-clock
-    under the GIL — it exists as the chunking/ordering harness and for
-    workloads that release the GIL.
-    """
-
-    name = "thread"
-
-    def _default_workers(self) -> int:
-        return min(32, (os.cpu_count() or 1) + 4)
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        return pool.submit(engine._evaluate_chunk, block)
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        try:
-            return token.result()
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise self._worker_failure(exc) from exc
-
-
 def _plan_block(
     engine: "EvaluationEngine", block: list[tuple[int, tuple[int, ...]]]
 ) -> tuple[list, list]:
@@ -576,10 +410,9 @@ def _plan_block(
     if not engine.cache:
         # Cache off: every candidate is a miss and carries no cache key.
         # One stats bump for the whole chunk replaces per-candidate
-        # probe/lock round-trips — the difference is measurable at 100k+
-        # candidates per sweep.
-        with engine._lock:
-            engine.stats.candidate_evaluations += len(block)
+        # probes — the difference is measurable at 100k+ candidates per
+        # sweep.
+        engine.stats.candidate_evaluations += len(block)
         return [None] * len(block), [
             (option_id, indices, None) for option_id, indices in block
         ]
@@ -600,26 +433,24 @@ def _splice_payloads(
 ) -> list:
     """Fill a plan's placeholders with evaluated payloads, in order.
 
-    Options are assembled without the engine lock (payloads are this
-    chunk's private data), then stats and cache admissions land under
-    one lock acquisition per chunk instead of one per candidate.
+    Options are assembled first, then stats and cache admissions land
+    once per chunk instead of once per candidate.
     """
     build = engine._build_option
     if len(misses) == len(plan):
         # All-miss chunk — the norm for cache-off sweeps and cold
         # catalogs.  Skip the placeholder scan and build straight from
         # the miss list; with the cache off there is nothing to admit,
-        # so the chunk costs one lock acquisition and no side lists.
+        # so the chunk builds no side lists.
         plan[:] = [
             build(option_id, indices, names, *payload)
             for (option_id, indices, names), payload in zip(misses, payloads)
         ]
-        with engine._lock:
-            engine.stats.incremental_combines += len(plan)
-            if engine.cache:
-                results = engine._results
-                for (_, _, names), option in zip(misses, plan):
-                    results.setdefault(names, option)
+        engine.stats.incremental_combines += len(plan)
+        if engine.cache:
+            results = engine._results
+            for (_, _, names), option in zip(misses, plan):
+                results.setdefault(names, option)
         return plan
     filled = iter(zip(misses, payloads))
     admitted: list = []
@@ -633,12 +464,11 @@ def _splice_payloads(
             )
             plan[position] = option
             admitted.append((names, option))
-    with engine._lock:
-        engine.stats.incremental_combines += len(admitted)
-        if engine.cache:
-            results = engine._results
-            for names, option in admitted:
-                results.setdefault(names, option)
+    engine.stats.incremental_combines += len(admitted)
+    if engine.cache:
+        results = engine._results
+        for names, option in admitted:
+            results.setdefault(names, option)
     return plan
 
 
@@ -660,47 +490,135 @@ class _ProcessToken:
     traced: tuple | None = None
 
 
-class ProcessBackend(_PooledBackend):
+class ProcessBackend:
     """Chunked evaluation on a pool of long-lived worker processes.
+
+    The input stream is cut into ``engine.chunk_size`` blocks submitted
+    to the pool with a bounded in-flight window (the stream is never
+    drained eagerly, so huge candidate spaces stay O(window) in memory),
+    and chunk results are yielded strictly in submission order — the
+    output sequence is identical to serial evaluation.
 
     The parent resolves result-cache hits (and counts stats) at
     submission time; only cache misses travel to the workers, as bare
     ``(option_id, indices)`` pairs tagged with the engine's uid.  The
-    pool is leased from the shared registry — its workers may be serving
-    several engines at once — so on acquiring the lease the backend
-    *publishes* the engine's pickled term tables through the registry's
-    table channel, and workers fetch-and-cache them keyed by uid on
-    first sight.  Workers recombine those tables and return
-    ``(availability, tco, meets_sla)`` payloads; the parent splices them
-    back into submission order, wraps them into lazy-topology
-    :class:`EvaluatedOption`s and feeds the shared result cache — so a
-    process-backed engine's cache/stats behaviour is identical to the
-    serial engine's, and replayed streams are pure cache hits.
+    pool is **leased**, not owned: on first use the backend acquires a
+    ref-counted :class:`~repro.optimizer.pools.PoolHandle` from the
+    engine's :class:`~repro.optimizer.pools.PoolRegistry` — its workers
+    may be serving several engines at once — and *publishes* the
+    engine's pickled term tables through the registry's table channel;
+    workers fetch-and-cache them keyed by uid on first sight.
+    :meth:`close` retracts the tables and releases the lease, and the
+    registry shuts the pool down when the last holder leaves.
 
-    On platforms without working ``fork``/``spawn`` support the backend
+    Workers recombine those tables and return ``(availability, tco,
+    meets_sla)`` payloads; the parent splices them back into submission
+    order, wraps them into lazy-topology :class:`EvaluatedOption`s and
+    feeds the shared result cache — so a process-backed engine's
+    cache/stats behaviour is identical to the serial engine's, and
+    replayed streams are pure cache hits.
+
+    A worker failure surfaces as :class:`~repro.errors.EngineBackendError`
+    (or the original :class:`~repro.errors.ReproError`) and *invalidates*
+    the lease so the next stream — from this engine or any sharing
+    engine — starts from a fresh pool instead of a broken one.  On
+    platforms without working ``fork``/``spawn`` support the backend
     degrades to serial evaluation with a :class:`RuntimeWarning`.
     """
 
     name = "process"
 
     def __init__(self) -> None:
-        super().__init__()
+        self._handle = None
+        self._degraded = False
         self._published: tuple[PoolRegistry, int] | None = None
+        # Guards the lease against a close() racing the consumer (cache
+        # eviction and session teardown close from other threads).
+        self._pool_lock = threading.Lock()
 
-    def _default_workers(self) -> int:
-        return os.cpu_count() or 1
+    @property
+    def _pool(self):
+        """The leased executor, or ``None`` (kept for introspection)."""
+        handle = self._handle
+        return None if handle is None else handle.pool
 
-    def _on_acquire(self, engine: "EvaluationEngine") -> None:
-        engine.pool_registry.publish(
-            engine.uid, _ProcessPrecompute.from_engine(engine)
+    def _ensure_pool(self, engine: "EvaluationEngine"):
+        with self._pool_lock:
+            if self._degraded:
+                return None
+            if self._handle is None:
+                workers = engine.max_workers or os.cpu_count() or 1
+                try:
+                    handle = engine.pool_registry.acquire(self.name, workers)
+                except (NotImplementedError, ImportError, OSError,
+                        PermissionError, ValueError) as exc:
+                    warnings.warn(
+                        f"{self.name} evaluation backend unavailable on this "
+                        f"platform ({exc}); degrading to serial evaluation",
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    self._degraded = True
+                    return None
+                self._handle = handle
+                try:
+                    engine.pool_registry.publish(
+                        engine.uid, _ProcessPrecompute.from_engine(engine)
+                    )
+                except BaseException:
+                    self._handle = None
+                    handle.release()
+                    raise
+                self._published = (engine.pool_registry, engine.uid)
+            return self._handle.pool
+
+    def evaluate_stream(
+        self,
+        engine: "EvaluationEngine",
+        enumerated: Iterable[tuple[int, tuple[int, ...]]],
+    ) -> Iterator[EvaluatedOption]:
+        pool = self._ensure_pool(engine)
+        if pool is None:
+            yield from SerialBackend().evaluate_stream(engine, enumerated)
+            return
+        max_in_flight = 2 * getattr(pool, "_max_workers", 1)
+        pending: deque = deque()
+        chunk_size = engine.chunk_size
+        blocks = iter(enumerated)
+        while block := list(itertools.islice(blocks, chunk_size)):
+            pending.append(self._submit(engine, pool, block))
+            while len(pending) >= max_in_flight:
+                yield from self._collect(engine, pending.popleft())
+        while pending:
+            yield from self._collect(engine, pending.popleft())
+
+    def _worker_failure(self, exc: Exception) -> EngineBackendError:
+        """Wrap a pool failure and invalidate the lease for every holder."""
+        self._release_pool(invalidate=True)
+        return EngineBackendError(
+            f"{self.name} evaluation backend worker failed: "
+            f"{type(exc).__name__}: {exc}"
         )
-        self._published = (engine.pool_registry, engine.uid)
 
-    def _on_release(self) -> None:
-        published, self._published = self._published, None
-        if published is not None:
-            registry, uid = published
-            registry.retract(uid)
+    def _release_pool(self, *, invalidate: bool = False) -> None:
+        with self._pool_lock:
+            handle, self._handle = self._handle, None
+            published, self._published = self._published, None
+        if handle is not None:
+            # Retract before releasing: the registry's table channel
+            # lives only while process-pool leases are outstanding.
+            if published is not None:
+                registry, uid = published
+                registry.retract(uid)
+            handle.release(invalidate=invalidate)
+
+    def close(self) -> None:
+        """Release the pool lease; idempotent, re-acquired lazily.
+
+        The shared executor itself shuts down only when the last engine
+        leasing it closes.
+        """
+        self._release_pool()
 
     def _submit(self, engine: "EvaluationEngine", pool, block):
         plan, misses = _plan_block(engine, block)
@@ -862,20 +780,13 @@ class VectorBackend:
     def _evaluate_block(
         self, engine: "EvaluationEngine", np, tables, block
     ) -> list:
-        """Probe the cache per candidate, vector-evaluate the misses.
-
-        When the engine carries a megabatch stacker, the block's misses
-        are stacked with other concurrent requests on the same engine
-        and evaluated in one vector pass — byte-identical either way,
-        since every candidate's math is elementwise.
-        """
+        """Probe the cache per candidate, vector-evaluate the misses."""
         if not engine.cache:
             # Cache off: the whole block is fresh vector lanes, so skip
             # the placeholder plan and the per-miss bookkeeping tuples
             # entirely — stats, evaluation and assembly run straight off
             # the block.
-            with engine._lock:
-                engine.stats.candidate_evaluations += len(block)
+            engine.stats.candidate_evaluations += len(block)
             rows = [indices for _, indices in block]
             payloads = self._block_payloads(engine, np, tables, rows)
             build = engine._build_option
@@ -883,8 +794,7 @@ class VectorBackend:
                 build(option_id, indices, None, *payload)
                 for (option_id, indices), payload in zip(block, payloads)
             ]
-            with engine._lock:
-                engine.stats.incremental_combines += len(plan)
+            engine.stats.incremental_combines += len(plan)
             return plan
         plan, misses = _plan_block(engine, block)
         if misses:
@@ -894,9 +804,7 @@ class VectorBackend:
         return plan
 
     def _block_payloads(self, engine: "EvaluationEngine", np, tables, rows):
-        """Evaluate one block's index rows, stacked across requests when
-        the engine carries a megabatch stacker."""
-        stacker = engine.megabatch
+        """Evaluate one block's index rows in one vector pass."""
         tracer = engine.tracer
         if tracer is None:
             # Untraced hot path: one attribute load and this check per
@@ -905,22 +813,10 @@ class VectorBackend:
         else:
             span = tracer.child_span(
                 "backend_chunk",
-                attrs={
-                    "backend": "vector",
-                    "rows": str(len(rows)),
-                    "megabatch": "true" if stacker is not None else "false",
-                },
+                attrs={"backend": "vector", "rows": str(len(rows))},
             )
         try:
             with span:
-                if stacker is not None:
-                    return stacker.evaluate(
-                        engine.uid,
-                        lambda stacked: self._vector_payloads(
-                            engine, np, tables, stacked
-                        ),
-                        rows,
-                    )
                 return self._vector_payloads(engine, np, tables, rows)
         except ReproError:
             raise
@@ -1059,12 +955,11 @@ class VectorBackend:
         because paper-order enumeration ascends by option id).
 
         Falls back to the generic per-candidate fold when numpy is
-        missing, when the result cache is on (admissions need every
-        option), or when a megabatch stacker is attached (stacking
-        trades block-local ranking for cross-request amortization).
+        missing or when the result cache is on (admissions need every
+        option).
         """
         np = self._ensure_numpy()
-        if np is None or engine.cache or engine.megabatch is not None:
+        if np is None or engine.cache:
             add = accumulator.add
             for option in self.evaluate_stream(engine, enumerated):
                 add(option)
@@ -1077,8 +972,7 @@ class VectorBackend:
 
     def _distill_block(self, engine, np, tables, block, accumulator) -> None:
         """Rank one block's candidates and fold its winners."""
-        with engine._lock:
-            engine.stats.candidate_evaluations += len(block)
+        engine.stats.candidate_evaluations += len(block)
         rows = [indices for _, indices in block]
         try:
             (
@@ -1121,8 +1015,7 @@ class VectorBackend:
                 ),
                 bool(meets[i]),
             ))
-        with engine._lock:
-            engine.stats.incremental_combines += len(winners)
+        engine.stats.incremental_combines += len(winners)
         accumulator.fold_winners(winners, evaluated=len(block))
 
     def close(self) -> None:
@@ -1131,7 +1024,6 @@ class VectorBackend:
 
 _BACKEND_TYPES = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
     "vector": VectorBackend,
 }
@@ -1154,27 +1046,22 @@ class EvaluationEngine:
     cache:
         Memoize finished options keyed by ``ChoiceNames`` so repeated
         searches over the same problem never re-evaluate a candidate.
-        Cache and stats are guarded by a lock only for the thread
-        backend; otherwise all cache mutation happens on the consuming
-        thread and an engine must not have :meth:`evaluate` called from
-        multiple threads concurrently.
-    parallel:
-        Legacy alias: ``parallel=True`` defaults ``backend`` to
-        ``"thread"``.  After construction the flag reflects whether the
-        resolved backend is non-serial.
+        All cache mutation happens on the consuming thread, and an
+        engine must not have :meth:`evaluate` called from multiple
+        threads concurrently (the broker's engine cache serializes
+        through its entry locks).
     backend:
         Which of :data:`ENGINE_BACKENDS` drives :meth:`evaluate_many`
-        batches (``"serial"``, ``"thread"``, ``"process"`` or
-        ``"vector"``).  ``None`` resolves through
-        :func:`resolve_backend` (environment default, then the
-        ``parallel`` flag).  Rebind a live engine with
+        batches (``"serial"``, ``"process"`` or ``"vector"``).  ``None``
+        resolves through :func:`resolve_backend` (environment default,
+        then serial).  Rebind a live engine with
         :meth:`set_backend`; per-candidate :meth:`evaluate` calls always
         run in-process regardless of backend.
     max_workers / chunk_size:
-        Pool sizing knobs for the thread/process backends (the vector
-        backend uses ``chunk_size`` as its gather width).
+        Pool sizing knobs for the process backend (the vector backend
+        uses ``chunk_size`` as its gather width).
     pool_registry:
-        Where thread/process backends lease their executors.  ``None``
+        Where the process backend leases its executors.  ``None``
         (default) means the process-global
         :func:`~repro.optimizer.pools.default_registry`, so engines
         share pools automatically; pass a private
@@ -1185,7 +1072,6 @@ class EvaluationEngine:
     problem: OptimizationProblem
     mode: str = "incremental"
     cache: bool = True
-    parallel: bool = False
     max_workers: int | None = None
     chunk_size: int = 1024
     backend: str | None = None
@@ -1202,9 +1088,7 @@ class EvaluationEngine:
             raise OptimizerError(
                 f"chunk_size must be >= 1, got {self.chunk_size!r}"
             )
-        self.backend = resolve_backend(
-            self.backend, parallel=self.parallel, mode=self.mode
-        )
+        self.backend = resolve_backend(self.backend, mode=self.mode)
         if self.backend in TERM_TABLE_BACKENDS and self.mode == "direct":
             raise OptimizerError(
                 f"the {self.backend} backend requires mode='incremental': "
@@ -1215,10 +1099,6 @@ class EvaluationEngine:
             self.pool_registry = default_registry()
         #: Unique engine id — the worker-table key in shared pools.
         self.uid = next(_ENGINE_UIDS)
-        #: Cross-request stacker (see :mod:`repro.optimizer.megabatch`);
-        #: installed by :meth:`enable_megabatch`, consumed by the vector
-        #: backend's block evaluation.
-        self.megabatch = None
         #: Span recorder (see :mod:`repro.obs`); attached by the broker
         #: session when tracing is on.  ``None`` disables chunk spans —
         #: backends guard on a single `is not None` check per block.
@@ -1245,22 +1125,8 @@ class EvaluationEngine:
     # -- backend lifecycle -------------------------------------------------
 
     def _bind_backend(self, backend: str) -> None:
-        """Install ``backend``'s implementation, lock policy and flags.
-
-        Cache/stats mutations only need a real lock when the engine's
-        own thread pool calls back into :meth:`evaluate`, or when
-        megabatching lets concurrent broker requests share the engine;
-        the serial and process backends otherwise mutate only from the
-        consuming thread and skip the acquire/release round-trips on the
-        hot path.
-        """
+        """Install ``backend``'s implementation."""
         self.backend = backend
-        self.parallel = backend != "serial"
-        self._lock = (
-            threading.Lock()
-            if backend == "thread" or getattr(self, "megabatch", None) is not None
-            else contextlib.nullcontext()
-        )
         self._backend_impl = _BACKEND_TYPES[backend]()
 
     def set_backend(
@@ -1307,27 +1173,6 @@ class EvaluationEngine:
             # registry (executor widths are fixed at creation).
             self._backend_impl.close()
         return self
-
-    def enable_megabatch(self, stacker) -> None:
-        """Route vector block evaluation through ``stacker``.
-
-        Also upgrades the cache/stats lock to a real
-        :class:`threading.Lock`: megabatching exists precisely so that
-        *concurrent* requests can evaluate on one shared engine, so the
-        single-consumer locking exemption no longer applies.  Callers
-        must not enable/disable while an evaluation is in flight (the
-        broker serializes through its cache-entry discipline).
-        """
-        self.megabatch = stacker
-        if not isinstance(self._lock, contextlib.nullcontext):
-            return
-        self._lock = threading.Lock()
-
-    def disable_megabatch(self) -> None:
-        """Detach the stacker and restore the backend's lock policy."""
-        self.megabatch = None
-        if self.backend != "thread":
-            self._lock = contextlib.nullcontext()
 
     def close(self) -> None:
         """Release the backend's pool lease (caches stay warm).
@@ -1395,10 +1240,9 @@ class EvaluationEngine:
         else:
             option = self._combine(option_id, indices, names)
             counter = "incremental_combines"
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            if self.cache:
-                self._results.setdefault(names, option)
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if self.cache:
+            self._results.setdefault(names, option)
         return option
 
     def _cache_probe(
@@ -1414,39 +1258,12 @@ class EvaluationEngine:
         its workers.
         """
         names = self.space.choice_names(indices) if self.cache else None
-        with self._lock:
-            self.stats.candidate_evaluations += 1
-            cached = self._results.get(names) if self.cache else None
-            if cached is not None:
-                self.stats.cache_hits += 1
-        if cached is not None:
-            return names, cached.relabel(option_id)
-        return names, None
-
-    def _admit_worker_payload(
-        self,
-        option_id: int,
-        indices: tuple[int, ...],
-        names: ChoiceNames | None,
-        payload: tuple,
-    ) -> EvaluatedOption:
-        """Wrap a worker's flat payload into an option and feed the cache.
-
-        Both the topology and the availability report stay lazy: the
-        option carries factories over the parent's profiles and the
-        worker's float values, so worker round-trips never pickle — and
-        the parent never eagerly builds — per-candidate report objects.
-        """
-        breakdown, failover, contributions, tco_values, meets_sla = payload
-        option = self._build_option(
-            option_id, indices, names,
-            breakdown, failover, contributions, tco_values, meets_sla,
-        )
-        with self._lock:
-            self.stats.incremental_combines += 1
-            if self.cache:
-                self._results.setdefault(names, option)
-        return option
+        self.stats.candidate_evaluations += 1
+        cached = self._results.get(names) if self.cache else None
+        if cached is None:
+            return names, None
+        self.stats.cache_hits += 1
+        return names, cached.relabel(option_id)
 
     def _combine(
         self,
@@ -1572,7 +1389,7 @@ class EvaluationEngine:
         """Evaluate ``(option_id, indices)`` pairs, preserving order.
 
         Delegates to the engine's evaluation backend: serial engines
-        evaluate inline; the thread/process backends cut the stream into
+        evaluate inline; the process backend cuts the stream into
         ``chunk_size`` blocks fanned out over a shared leased worker
         pool with a bounded in-flight window (the input is *not* drained
         eagerly), so huge candidate streams stay O(window) in memory;
@@ -1588,11 +1405,6 @@ class EvaluationEngine:
         one candidate at a time.
         """
         return self._backend_impl.evaluate_stream(self, enumerated)
-
-    def _evaluate_chunk(
-        self, chunk: list[tuple[int, tuple[int, ...]]]
-    ) -> list[EvaluatedOption]:
-        return [self.evaluate(option_id, indices) for option_id, indices in chunk]
 
     def evaluate_all(self) -> Iterator[EvaluatedOption]:
         """Stream every candidate of the space in paper order."""

@@ -50,7 +50,7 @@ import pickle
 import secrets
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from repro.errors import OptimizerError
@@ -61,7 +61,7 @@ except ImportError:  # pragma: no cover
     _shared_memory = None
 
 #: Pool kinds the registry can build.
-POOL_KINDS = ("thread", "process")
+POOL_KINDS = ("process",)
 
 #: Table-channel implementations, in preference order.
 TERM_TABLE_CHANNELS = ("shm", "manager")
@@ -329,7 +329,7 @@ class PoolRegistry:
         """Lease the ``(kind, workers)`` executor, creating it if needed.
 
         Raises whatever the underlying executor (or the table-channel
-        manager) raises on platforms without thread/process support —
+        manager) raises on platforms without process support —
         callers degrade to serial evaluation on failure.
         """
         if kind not in POOL_KINDS:
@@ -351,9 +351,7 @@ class PoolRegistry:
                 return handle
             with self._lock:
                 manager_needed = (
-                    kind == "process"
-                    and self._table_backend == "manager"
-                    and self._manager is None
+                    self._table_backend == "manager" and self._manager is None
                 )
                 tables = self._tables
             manager = None
@@ -370,7 +368,11 @@ class PoolRegistry:
                     channel: tuple[str, object] = ("shm", self._token)
                 else:
                     channel = ("manager", tables)
-                pool = self._create(kind, workers, channel)
+                pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_pool_worker_init,
+                    initargs=channel,
+                )
             except BaseException:
                 if manager is not None:
                     manager.shutdown()
@@ -382,10 +384,9 @@ class PoolRegistry:
                 shared = _SharedPool(key=key, pool=pool, holders=1)
                 self._pools[key] = shared
                 self.stats.pools_created += 1
-                if kind == "process":
-                    self._process_holders += 1
-                    if self._table_backend == "shm":
-                        self._shm_channel_up = True
+                self._process_holders += 1
+                if self._table_backend == "shm":
+                    self._shm_channel_up = True
                 self.stats.acquires += 1
                 return PoolHandle(self, shared)
 
@@ -396,21 +397,9 @@ class PoolRegistry:
             if shared is None:
                 return None
             shared.holders += 1
-            if key[0] == "process":
-                self._process_holders += 1
+            self._process_holders += 1
             self.stats.acquires += 1
             return PoolHandle(self, shared)
-
-    def _create(self, kind: str, workers: int, channel):
-        if kind == "thread":
-            return ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="engine-eval"
-            )
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_worker_init,
-            initargs=channel,
-        )
 
     def _release(self, handle: PoolHandle, invalidate: bool) -> None:
         shutdown_pool = None
@@ -433,9 +422,8 @@ class PoolRegistry:
                 shared.closed = True
                 shutdown_pool = shared.pool
                 self.stats.pools_closed += 1
-            if shared.key[0] == "process":
-                self._process_holders -= 1
-                maybe_close_channel = self._process_holders <= 0
+            self._process_holders -= 1
+            maybe_close_channel = self._process_holders <= 0
         # Executor/manager/segment teardown can block; never do it under
         # the map lock.
         if shutdown_pool is not None:

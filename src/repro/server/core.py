@@ -302,9 +302,6 @@ class RequestCore:
         cache_capacity: int = 16,
         eval_backend: str | None = None,
         finished_job_ttl: float | None = None,
-        megabatch: bool = False,
-        megabatch_window: float | None = None,
-        megabatch_max_rows: int | None = None,
         trace: bool = False,
         trace_capacity: int = 256,
         profile_requests: bool = False,
@@ -324,30 +321,11 @@ class RequestCore:
         else:
             self.trace_store = None
             self.tracer = None
-        if megabatch:
-            from repro.optimizer.megabatch import MegabatchConfig
-
-            defaults = MegabatchConfig()
-            megabatch_arg: object = MegabatchConfig(
-                window_seconds=(
-                    defaults.window_seconds
-                    if megabatch_window is None
-                    else megabatch_window
-                ),
-                max_rows=(
-                    defaults.max_rows
-                    if megabatch_max_rows is None
-                    else megabatch_max_rows
-                ),
-            )
-        else:
-            megabatch_arg = False
         self.session = broker.session(
             cache_capacity=cache_capacity,
             max_workers=max_workers,
             backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
-            megabatch=megabatch_arg,
             tracer=self.tracer,
             job_id_start=job_id_start,
             job_id_stride=job_id_stride,

@@ -203,9 +203,6 @@ class WorkerSpec:
     cache_capacity: int = 16
     eval_backend: str | None = None
     finished_job_ttl: float | None = None
-    megabatch: bool = False
-    megabatch_window: float | None = None
-    megabatch_max_rows: int | None = None
     trace: bool = False
     trace_capacity: int = 256
     profile_requests: bool = False

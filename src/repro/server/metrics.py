@@ -38,10 +38,6 @@ SPAN_BUCKETS = (
 _METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 _LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
-#: Size buckets for the megabatch span-count histogram (requests per
-#: stacked vector pass — small powers of two, not latencies).
-MEGABATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: A rendered sample: (metric name, sorted label pairs) -> value.
 SampleKey = tuple[str, tuple[tuple[str, str], ...]]
 
@@ -484,8 +480,6 @@ class ServerMetrics(EdgeMetricsMixin):
     Worker-pool and term-table samples read the engines' shared
     :class:`~repro.optimizer.pools.PoolRegistry` (``pool_registry``,
     defaulting to the process-wide one) at scrape time.  When the
-    session megabatches, ``repro_megabatch_size`` observes every flushed
-    batch's span count through the stacker's observer hook.  When the
     server traces (``tracer`` given), ``repro_span_duration_seconds``
     observes every recorded span's duration, labelled by phase, through
     the tracer's observer hook.
@@ -619,15 +613,6 @@ class ServerMetrics(EdgeMetricsMixin):
         )
         self.term_table_bytes.set_function(self._pool_registry.term_table_bytes)
 
-        self.megabatch_size = reg.histogram(
-            "repro_megabatch_size",
-            "Requests stacked per megabatch vector pass.",
-            buckets=MEGABATCH_SIZE_BUCKETS,
-        )
-        stacker = getattr(session, "megabatch", None)
-        if stacker is not None:
-            stacker.observer = self._observe_megabatch
-
         self.span_duration = reg.histogram(
             "repro_span_duration_seconds",
             "Traced span durations, by phase (empty until tracing is on).",
@@ -643,10 +628,6 @@ class ServerMetrics(EdgeMetricsMixin):
                 idempotency_store=idempotency_store,
                 rate_limiter=rate_limiter,
             )
-
-    def _observe_megabatch(self, spans: int) -> None:
-        """Stacker observer hook: one sample per flushed batch."""
-        self.megabatch_size.observe(float(spans))
 
     def _observe_span(self, record) -> None:
         """Tracer observer hook: one sample per recorded span."""

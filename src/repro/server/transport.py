@@ -594,9 +594,6 @@ class BrokerServer(HttpEdge):
         cache_capacity: int = 16,
         eval_backend: str | None = None,
         finished_job_ttl: float | None = None,
-        megabatch: bool = False,
-        megabatch_window: float | None = None,
-        megabatch_max_rows: int | None = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_inflight: int = 32,
         grace: float = 5.0,
@@ -640,9 +637,6 @@ class BrokerServer(HttpEdge):
             cache_capacity=cache_capacity,
             eval_backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
-            megabatch=megabatch,
-            megabatch_window=megabatch_window,
-            megabatch_max_rows=megabatch_max_rows,
             trace=trace,
             trace_capacity=trace_capacity,
             profile_requests=profile_requests,

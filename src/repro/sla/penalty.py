@@ -122,10 +122,13 @@ class LinearPenalty(PenaltyClause):
         return self.rate_per_hour * slippage_hours
 
     def monthly_penalty_vector(self, slippage_hours):
-        _numpy()
+        np = _numpy()
         self._check_slippage_vector(slippage_hours)
-        # Elementwise float64 multiply is the exact scalar operation.
-        return self.rate_per_hour * slippage_hours
+        # Elementwise float64 multiply is the exact scalar operation.  It
+        # saturates to inf on overflow, like Python floats, so numpy's
+        # overflow warning is silenced rather than surfaced.
+        with np.errstate(over="ignore"):
+            return self.rate_per_hour * slippage_hours
 
     def describe(self) -> str:
         return f"${self.rate_per_hour:,.2f}/hour of slippage"
@@ -183,18 +186,21 @@ class TieredPenalty(PenaltyClause):
         remaining = np.array(slippage_hours, dtype=float)
         total = np.zeros(remaining.shape, dtype=float)
         alive = np.arange(remaining.size)
-        for width, rate in self.tiers:
-            if not alive.size:
-                break
-            lane_remaining = remaining[alive]
-            hours_in_tier = np.minimum(lane_remaining, width)
-            total[alive] += hours_in_tier * rate
-            lane_remaining = lane_remaining - hours_in_tier
-            remaining[alive] = lane_remaining
-            alive = alive[lane_remaining > 0.0]
-        if alive.size:
-            # Slippage beyond the last closed tier keeps the final rate.
-            total[alive] += remaining[alive] * self.tiers[-1][1]
+        # The multiply-accumulates saturate to inf on overflow, like the
+        # scalar loop's Python floats, so numpy's warning is silenced.
+        with np.errstate(over="ignore"):
+            for width, rate in self.tiers:
+                if not alive.size:
+                    break
+                lane_remaining = remaining[alive]
+                hours_in_tier = np.minimum(lane_remaining, width)
+                total[alive] += hours_in_tier * rate
+                lane_remaining = lane_remaining - hours_in_tier
+                remaining[alive] = lane_remaining
+                alive = alive[lane_remaining > 0.0]
+            if alive.size:
+                # Slippage beyond the last closed tier keeps the final rate.
+                total[alive] += remaining[alive] * self.tiers[-1][1]
         return total
 
     def describe(self) -> str:

@@ -99,7 +99,7 @@ class TestEnvelopeRoundTrip:
             providers=("metalcloud", "stratus"),
             strategy="brute-force",
             engine="incremental",
-            parallel=True,
+            backend="process",
             extended_catalog=True,
             metadata={"customer": "acme"},
         )
@@ -214,13 +214,13 @@ class TestEngineCacheUnit:
 
         def build() -> EvaluationEngine:
             return EvaluationEngine(
-                case_study_problem(), backend="thread",
+                case_study_problem(), backend="process",
                 max_workers=1, pool_registry=registry,
             )
 
         entry = cache.entry(self._key("a"), build)
         list(entry.engine.evaluate_all())
-        assert registry.active_pools() == (("thread", 1),)
+        assert registry.active_pools() == (("process", 1),)
         cache.clear()
         assert entry.closed
         assert registry.active_pools() == ()
@@ -268,18 +268,18 @@ class TestEvictionLifecycle:
 
         registry = PoolRegistry()
         cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry, "thread"))
+        entry_a = cache.entry(self._key("a"), self._build(registry))
         list(entry_a.engine.evaluate_all())
         # Simulate an in-flight request: the entry's lock is held while
         # another request's miss evicts this entry.
         assert entry_a.lock.acquire(blocking=False)
         try:
-            cache.entry(self._key("b"), self._build(registry, "thread"))
+            cache.entry(self._key("b"), self._build(registry))
             assert entry_a.evicted and not entry_a.closed
             assert cache.stats.deferred_engine_closes == 1
             assert cache.stats.evicted_engines_closed == 0
             # The engine keeps serving the in-flight request meanwhile.
-            assert registry.holders("thread", 1) == 1
+            assert registry.holders("process", 1) == 1
         finally:
             entry_a.lock.release()
         # The holder completes the close on its way out.
@@ -294,15 +294,15 @@ class TestEvictionLifecycle:
 
         registry = PoolRegistry()
         cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry, "thread"))
+        entry_a = cache.entry(self._key("a"), self._build(registry))
         list(entry_a.engine.evaluate_all())
-        cache.entry(self._key("b"), self._build(registry, "thread"))
+        cache.entry(self._key("b"), self._build(registry))
         assert entry_a.closed  # eviction closed it while unheld
         # A holder that resolved the entry before eviction revives the
         # closed engine just by evaluating on it (lazy re-acquire)...
         list(entry_a.engine.evaluate_all())
         assert entry_a.engine._backend_impl._pool is not None
-        assert registry.holders("thread", 1) == 1
+        assert registry.holders("process", 1) == 1
         # ...so its finish() must re-close, or the lease leaks forever.
         cache.finish(entry_a)
         assert entry_a.engine._backend_impl._pool is None
@@ -315,7 +315,7 @@ class TestEvictionLifecycle:
         self, observed_broker
     ):
         with observed_broker.session(
-            cache_capacity=1, backend="thread"
+            cache_capacity=1, backend="process"
         ) as session:
             first = three_tier_request(
                 Contract.linear(98.0, 100.0),
@@ -739,23 +739,13 @@ class TestJobRetention:
 
 
 class TestCompatibilityShim:
-    def test_recommend_warns_deprecation(self, observed_broker, contract):
-        with pytest.warns(DeprecationWarning, match="BrokerSession"):
-            observed_broker.recommend(three_tier_request(contract))
-
-    def test_shim_matches_session_results(self, observed_broker, contract):
-        request = three_tier_request(contract)
-        with pytest.warns(DeprecationWarning):
-            shimmed = observed_broker.recommend(request)
-        with observed_broker.session() as session:
-            direct = session.recommend(request)
-        assert shimmed.describe() == direct.describe()
+    """One-shot recommendation guarantees, served through a session."""
 
     def test_unobserved_broker_still_raises(self, contract):
         broker = BrokerService((metalcloud(),))
-        with pytest.warns(DeprecationWarning):
+        with broker.session() as session:
             with pytest.raises(InsufficientTelemetryError):
-                broker.recommend(three_tier_request(contract))
+                session.recommend(three_tier_request(contract))
 
 
 class TestBackendSwitch:
@@ -799,7 +789,7 @@ class TestBackendSwitch:
             stats = session.engine_cache.stats
             misses_cold, hits_cold = stats.misses, stats.hits
             terms_cold = session.engine_cache.cluster_term_computations()
-            for backend in ("thread", "process", "vector", "serial"):
+            for backend in ("process", "vector", "serial"):
                 switched = session.recommend(
                     dataclasses.replace(request, backend=backend)
                 )
@@ -818,7 +808,7 @@ class TestBackendSwitch:
                     assert [o.tco.total for o in cold_rec.result.options] == [
                         o.tco.total for o in warm_rec.result.options
                     ]
-            assert stats.hits == hits_cold + 4 * len(cold.recommendations)
+            assert stats.hits == hits_cold + 3 * len(cold.recommendations)
 
     def test_warm_switch_does_no_new_combines(self, observed_broker, contract):
         request = three_tier_request(
@@ -843,18 +833,18 @@ class TestBackendSwitch:
                 )
 
     def test_session_default_backend_applies(self, observed_broker, contract):
-        with observed_broker.session(backend="thread") as session:
+        with observed_broker.session(backend="process") as session:
             request = three_tier_request(contract, strategy="brute-force")
             session.recommend(request)
             assert all(
-                engine.backend == "thread"
+                engine.backend == "process"
                 for engine in session.engine_cache.engines()
             )
 
     def test_request_backend_beats_session_default(
         self, observed_broker, contract
     ):
-        with observed_broker.session(backend="thread") as session:
+        with observed_broker.session(backend="process") as session:
             request = three_tier_request(
                 contract, strategy="brute-force", backend="serial"
             )

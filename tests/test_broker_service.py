@@ -18,6 +18,12 @@ from repro.sla.contract import Contract
 from repro.topology.cluster import Layer
 
 
+def recommend(broker: BrokerService, request):
+    """Serve one request through a fresh broker session."""
+    with broker.session() as session:
+        return session.recommend(request)
+
+
 @pytest.fixture(scope="module")
 def observed_broker() -> BrokerService:
     """A broker that has watched all three providers for 5 synthetic years."""
@@ -106,22 +112,22 @@ class TestBrokerService:
     def test_unobserved_broker_cannot_recommend(self, contract):
         broker = BrokerService((metalcloud(),))
         with pytest.raises(InsufficientTelemetryError):
-            broker.recommend(three_tier_request(contract))
+            recommend(broker, three_tier_request(contract))
 
     def test_recommend_covers_all_providers(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+        report = recommend(observed_broker, three_tier_request(contract))
         names = {rec.provider_name for rec in report.recommendations}
         assert names == {"metalcloud", "stratus", "cumulus"}
 
     def test_provider_subset_respected(self, observed_broker, contract):
         request = three_tier_request(contract, providers=("stratus",))
-        report = observed_broker.recommend(request)
+        report = recommend(observed_broker, request)
         assert [rec.provider_name for rec in report.recommendations] == ["stratus"]
 
     def test_metalcloud_reproduces_paper_recommendation(self, observed_broker, contract):
         """With telemetry-estimated inputs the broker still lands on the
         paper's option #3 for the metalcloud (SoftLayer-like) provider."""
-        report = observed_broker.recommend(three_tier_request(contract))
+        report = recommend(observed_broker, three_tier_request(contract))
         metalcloud_best = report.for_provider("metalcloud").result.best
         assert metalcloud_best.clustered_components == ("storage",)
 
@@ -129,7 +135,7 @@ class TestBrokerService:
         by_strategy = {}
         for strategy in ("pruned", "brute-force", "branch-and-bound"):
             request = three_tier_request(contract, strategy=strategy)
-            report = observed_broker.recommend(request)
+            report = recommend(observed_broker, request)
             by_strategy[strategy] = report.for_provider("metalcloud").result.best.tco.total
         assert len({round(v, 6) for v in by_strategy.values()}) == 1
 
@@ -143,13 +149,13 @@ class TestBrokerService:
         assert node.down_probability == pytest.approx(truth, rel=0.25)
 
     def test_report_best_is_cheapest_total(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+        report = recommend(observed_broker, three_tier_request(contract))
         assert report.best.monthly_total == min(
             rec.monthly_total for rec in report.recommendations
         )
 
     def test_describe_ranks_providers(self, observed_broker, contract):
-        text = observed_broker.recommend(three_tier_request(contract)).describe()
+        text = recommend(observed_broker, three_tier_request(contract)).describe()
         assert "place on" in text
 
 
@@ -237,12 +243,12 @@ class TestSeedDeterminism:
         def run():
             broker = BrokerService(all_providers())
             broker.observe_all(years=1.0, seed=42)
-            return broker.recommend(three_tier_request(contract)).describe()
+            return recommend(broker, three_tier_request(contract)).describe()
 
         assert run() == run()
 
     def test_recommendation_reports_engine_stats(self, observed_broker, contract):
-        report = observed_broker.recommend(three_tier_request(contract))
+        report = recommend(observed_broker, three_tier_request(contract))
         for recommendation in report.recommendations:
             assert recommendation.engine_stats is not None
             assert recommendation.engine_stats.candidate_evaluations > 0

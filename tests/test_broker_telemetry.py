@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.broker.knowledge_base import KnowledgeBase
@@ -218,3 +221,48 @@ class TestKnowledgeBase:
         store.register_exposure("p", "vm", 1, 1000.0)
         text = KnowledgeBase(store).describe()
         assert "insufficient" in text
+
+    def test_estimate_never_mixes_two_adopted_epochs(self):
+        def epoch(years, failures, down, failovers):
+            store = TelemetryStore()
+            store.register_exposure("p", "vm", 1, years * MINUTES_PER_YEAR)
+            for _ in range(failures):
+                store.record_failure("p", "vm")
+            store.record_outage("p", "vm", down)
+            for sample in failovers:
+                store.record_failover("p", "vm", sample)
+            return store
+
+        # Every estimate field differs between the two epochs, and the
+        # long sample list widens the window between accessor reads.
+        old = epoch(1.0, 10, 100.0, [1.0, 2.0] * 200)
+        new = epoch(50.0, 500, 9000.0, [30.0, 45.0, 60.0] * 100)
+        serving = TelemetryStore()
+        serving.adopt(old)
+        kb = KnowledgeBase(serving)
+        epochs = (
+            KnowledgeBase(old).estimate("p", "vm"),
+            KnowledgeBase(new).estimate("p", "vm"),
+        )
+        stop = threading.Event()
+
+        def flip():
+            while not stop.is_set():
+                serving.adopt(new)
+                serving.adopt(old)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        flipper = threading.Thread(target=flip)
+        flipper.start()
+        try:
+            torn = [
+                estimate
+                for estimate in (kb.estimate("p", "vm") for _ in range(2000))
+                if estimate not in epochs
+            ]
+        finally:
+            stop.set()
+            flipper.join()
+            sys.setswitchinterval(interval)
+        assert torn == []

@@ -1,5 +1,4 @@
-"""Cross-backend equivalence: serial, thread, process and vector are one
-engine.
+"""Cross-backend equivalence: serial, process and vector are one engine.
 
 The backend contract is byte-level: for any problem, every backend must
 yield the *identical* ``EvaluatedOption`` stream in the identical order —
@@ -12,7 +11,7 @@ pool shutdown is clean and reversible, the process backend degrades to
 serial (with a warning) where worker processes cannot start, and the
 vector backend degrades the same way when numpy is not installed.
 
-Pool *ownership* is tested here too: thread/process executors are leased
+Pool *ownership* is tested here too: process executors are leased
 from a ref-counted :class:`~repro.optimizer.pools.PoolRegistry`, so N
 engines share one pool whose workers hold term tables for all of them,
 and the pool shuts down when the last holder closes.
@@ -160,7 +159,7 @@ class TestCrossBackendEquivalence:
 
     @pytest.mark.parametrize(
         "backend",
-        ["thread", "process", pytest.param("vector", marks=requires_numpy)],
+        ["process", pytest.param("vector", marks=requires_numpy)],
     )
     def test_from_stream_distillation_matches_serial(self, backend):
         problem = random_problem(5, clusters=4, choices_per_layer=3)
@@ -235,21 +234,11 @@ class TestBackendRebinding:
         for backend in NON_SERIAL + ("serial",):
             engine.set_backend(backend, chunk_size=4)
             assert engine.backend == backend
-            assert engine.parallel == (backend != "serial")
             assert stream_signature(engine.evaluate_all()) == expected
             # Rebinding never invalidates the caches: no new cluster
             # terms, no new combines — replays are pure hits.
             assert engine.stats.cluster_term_computations == terms
             assert engine.stats.incremental_combines == combines
-        engine.close()
-
-    def test_parallel_flag_is_thread_alias(self, monkeypatch):
-        # The env default (the CI smoke hook) outranks the legacy flag;
-        # clear it so the alias itself is what resolves.
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        engine = EvaluationEngine(case_study_problem(), parallel=True)
-        assert engine.backend == "thread"
-        assert engine.parallel is True
         engine.close()
 
     def test_unknown_backend_rejected(self):
@@ -272,7 +261,7 @@ class TestBackendRebinding:
     def test_set_backend_rejects_bad_chunk_size(self):
         engine = EvaluationEngine(case_study_problem())
         with pytest.raises(OptimizerError, match="chunk_size"):
-            engine.set_backend("thread", chunk_size=0)
+            engine.set_backend("process", chunk_size=0)
 
     def test_set_backend_resize_recreates_pool(self):
         problem = case_study_problem()
@@ -317,13 +306,12 @@ class TestEnvironmentDefault:
     def test_empty_env_var_means_unset(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
         assert resolve_backend(None) == "serial"
-        assert resolve_backend(None, parallel=True) == "thread"
 
 
 class TestFailureModes:
     @pytest.mark.parametrize(
         "backend",
-        ["thread", "process", pytest.param("vector", marks=requires_numpy)],
+        ["process", pytest.param("vector", marks=requires_numpy)],
     )
     def test_worker_failure_surfaces_structured_error(self, backend):
         # cache=False skips the parent-side ChoiceNames probe, so the
@@ -422,7 +410,7 @@ class TestFailureModes:
 
 
 class TestStrategiesAcrossBackends:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_shared_engine_serves_all_strategies(self, backend):
         from repro.optimizer.branch_bound import branch_and_bound_optimize
         from repro.optimizer.pruned import pruned_optimize
@@ -716,21 +704,6 @@ class TestPoolRegistry:
         assert registry.stats.pools_closed == 1
         assert not registry.has_table_channel()
 
-    def test_thread_engines_share_pools_too(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        with backend_engine(
-            problem_a, "thread", max_workers=2,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_a, backend_engine(
-            problem_b, "thread", max_workers=2,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_b:
-            list(engine_a.evaluate_all())
-            list(engine_b.evaluate_all())
-            assert registry.stats.pools_created == 1
-            assert engine_a._backend_impl._pool is engine_b._backend_impl._pool
-
     def test_resize_moves_the_engine_to_a_new_keyed_pool(self):
         registry = PoolRegistry()
         problem = random_problem(33, clusters=3, choices_per_layer=2)
@@ -786,9 +759,9 @@ class TestPoolRegistry:
 
     def test_unknown_pool_kind_rejected(self):
         with pytest.raises(OptimizerError, match="pool kind"):
-            PoolRegistry().acquire("fiber", 1)
+            PoolRegistry().acquire("thread", 1)
         with pytest.raises(OptimizerError, match="workers"):
-            PoolRegistry().acquire("thread", 0)
+            PoolRegistry().acquire("process", 0)
 
 
 class TestTermTableChannels:

@@ -19,14 +19,20 @@ from repro.sla.contract import Contract
 from repro.workloads.case_study import case_study_problem
 
 
+def recommend(broker: BrokerService, request):
+    """Serve one request through a fresh broker session."""
+    with broker.session() as session:
+        return session.recommend(request)
+
+
 class TestBrokerPipeline:
     def test_full_pipeline_reproduces_case_study(self):
         """Telemetry-driven recommendation on the SoftLayer-like provider
         lands on the same option as the calibrated ground-truth problem."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=23)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
+        report = recommend(
+            broker, three_tier_request(Contract.linear(98.0, 100.0))
         )
         brokered_best = report.for_provider("metalcloud").result.best
         ground_truth_best = brute_force_optimize(case_study_problem()).best
@@ -37,8 +43,8 @@ class TestBrokerPipeline:
         the discrete-event simulator."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=29)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
+        report = recommend(
+            broker, three_tier_request(Contract.linear(98.0, 100.0))
         )
         system = report.for_provider("metalcloud").result.best.system
         validation = validate_against_model(system, replications=40, seed=31)
@@ -49,8 +55,8 @@ class TestBrokerPipeline:
         the provider that recommended it."""
         broker = BrokerService((metalcloud(),))
         broker.observe_provider("metalcloud", years=8.0, seed=37)
-        report = broker.recommend(
-            three_tier_request(Contract.linear(98.0, 100.0))
+        report = recommend(
+            broker, three_tier_request(Contract.linear(98.0, 100.0))
         )
         best = report.for_provider("metalcloud").result.best
         provider = broker.provider("metalcloud")
@@ -69,8 +75,8 @@ class TestBrokerPipeline:
         broker.observe_all(years=5.0, seed=41)
         footprints = []
         for sla in (95.0, 98.0, 99.9):
-            report = broker.recommend(
-                three_tier_request(Contract.linear(sla, 400.0))
+            report = recommend(
+                broker, three_tier_request(Contract.linear(sla, 400.0))
             )
             best = report.for_provider("metalcloud").result.best
             footprints.append(len(best.clustered_components))
@@ -83,8 +89,8 @@ class TestBrokerPipeline:
         broker.observe_provider("metalcloud", years=6.0, seed=43)
         uptimes = []
         for rate in (10.0, 100.0, 1000.0, 10_000.0):
-            report = broker.recommend(
-                three_tier_request(Contract.linear(98.0, rate))
+            report = recommend(
+                broker, three_tier_request(Contract.linear(98.0, rate))
             )
             best = report.for_provider("metalcloud").result.best
             uptimes.append(best.tco.uptime_probability)

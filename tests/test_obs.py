@@ -137,7 +137,7 @@ class TestTracer:
         parent = SpanContext(trace_id=new_trace_id(), span_id=new_span_id())
         chosen = new_span_id()
         record = tracer.record(
-            "megabatch_block", parent=parent, start=0.0, end=1.0,
+            "backend_chunk", parent=parent, start=0.0, end=1.0,
             span_id=chosen,
         )
         assert record.span_id == chosen

@@ -4,7 +4,7 @@ The engine's contract is strong: for *every* candidate of *any* problem,
 the incremental recombination of cached per-cluster terms must equal the
 full-topology evaluation to within 1e-12 (in practice: bit-identical),
 for all three strategies, with the result cache on or off, and with
-parallel chunked evaluation.  These tests sweep randomized registries
+parallel chunked evaluation on the process backend.  These tests sweep randomized registries
 and topologies plus the calibrated case study.
 """
 
@@ -112,10 +112,10 @@ class TestEngineMatchesDirectEvaluation:
             random_problem(7, clusters=4, choices_per_layer=3),
         ):
             sequential = brute_force_optimize(problem)
-            parallel = brute_force_optimize(
-                problem,
-                engine=EvaluationEngine(problem, parallel=True, chunk_size=16),
-            )
+            with EvaluationEngine(
+                problem, backend="process", chunk_size=16
+            ) as engine:
+                parallel = brute_force_optimize(problem, engine=engine)
             assert len(parallel.options) == len(sequential.options)
             for direct, option in zip(sequential.options, parallel.options):
                 _assert_equivalent(direct, option)
@@ -144,10 +144,12 @@ class TestStrategiesThroughEngine:
     def test_parallel_strategies_on_random_problems(self):
         for seed in range(3):
             problem = random_problem(seed, clusters=4, choices_per_layer=2)
-            engine = EvaluationEngine(problem, parallel=True, chunk_size=8)
-            brute = brute_force_optimize(problem, engine=engine)
-            pruned = pruned_optimize(problem, engine=engine)
-            bnb = branch_and_bound_optimize(problem, engine=engine)
+            with EvaluationEngine(
+                problem, backend="process", chunk_size=8
+            ) as engine:
+                brute = brute_force_optimize(problem, engine=engine)
+                pruned = pruned_optimize(problem, engine=engine)
+                bnb = branch_and_bound_optimize(problem, engine=engine)
             assert abs(pruned.best.tco.total - brute.best.tco.total) <= TOL
             assert abs(bnb.best.tco.total - brute.best.tco.total) <= TOL
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.optimizer.megabatch import MegabatchStacker
 from repro.optimizer.pools import PoolRegistry
 from repro.server.metrics import (
     MetricsRegistry,
@@ -17,9 +16,6 @@ from repro.server.metrics import (
 class FakeSession:
     """Duck-typed stand-in for a BrokerSession's metrics surface."""
 
-    def __init__(self, megabatch=None):
-        self.megabatch = megabatch
-
     def metrics(self):
         return {
             "engine_cache": {"hits": 3, "misses": 1, "evictions": 0},
@@ -27,7 +23,6 @@ class FakeSession:
             "jobs": {"pending": 0, "running": 0, "done": 2, "failed": 0},
             "job_queue_depth": 0,
             "jobs_evicted": {"retrieved": 0, "ttl": 0},
-            "megabatch": None,
         }
 
 
@@ -177,7 +172,7 @@ class TestServerMetricsPoolSamples:
         samples = parse_prometheus_text(metrics.render())
         assert samples[("repro_pool_leases", ())] == 0
 
-        handle = registry.acquire("thread", 2)
+        handle = registry.acquire("process", 2)
         try:
             samples = parse_prometheus_text(metrics.render())
             assert samples[("repro_pool_leases", ())] == 1
@@ -216,24 +211,3 @@ class TestServerMetricsPoolSamples:
             registry.retract(7002)
         finally:
             handle.release()
-
-
-class TestServerMetricsMegabatchHistogram:
-    def test_stacker_observer_feeds_histogram(self):
-        stacker = MegabatchStacker()
-        metrics = ServerMetrics(FakeSession(megabatch=stacker))
-        assert stacker.observer == metrics._observe_megabatch
-
-        stacker.evaluate(1, lambda rows: rows, [10, 11])
-        stacker.evaluate(1, lambda rows: rows, [12])
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_megabatch_size_count", ())] == 2
-        assert samples[("repro_megabatch_size_sum", ())] == 2  # 1 span each
-        assert samples[("repro_megabatch_size_bucket", (("le", "1"),))] == 2
-
-    def test_without_megabatch_histogram_stays_empty(self):
-        metrics = ServerMetrics(FakeSession(megabatch=None))
-        samples = parse_prometheus_text(metrics.render())
-        assert ("repro_megabatch_size_count", ()) not in samples
-        # The family itself is still declared for scrapers.
-        assert "# TYPE repro_megabatch_size histogram" in metrics.render()

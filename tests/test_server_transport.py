@@ -132,6 +132,24 @@ class TestErrorPaths:
         envelope = ErrorEnvelope.from_json(body)
         assert "schema_version" in envelope.message
 
+    @pytest.mark.parametrize("route", ["/v2/recommend", "/v2/jobs"])
+    @pytest.mark.parametrize(
+        "retired", [{"backend": "thread"}, {"parallel": True}]
+    )
+    def test_retired_backend_fields_are_structured_400(
+        self, handle, route, retired
+    ):
+        # The thread backend and its parallel alias are gone from the
+        # wire; old clients get a validation error, never a 500 or hang.
+        payload = RecommendEnvelope(request()).to_dict()
+        payload["request"].update(retired)
+        wire = ServerClient(handle.host, handle.port, timeout=10.0)
+        status, body = wire.request_raw("POST", route, json.dumps(payload))
+        assert status == 400
+        envelope = ErrorEnvelope.from_json(body)
+        assert envelope.error == "validation-error"
+        assert next(iter(retired)) in envelope.message
+
     def test_unknown_provider_is_structured_404(self, client):
         bad = RecommendEnvelope(
             request(providers=("nimbus-9",)), request_id="bad-provider"

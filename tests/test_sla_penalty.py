@@ -298,6 +298,12 @@ class TestVectorByteIdentity:
         clause = TieredPenalty(((1.0, 10.0), (float("inf"), 100.0)))
         hours = np.array([0.0, 0.5, 1.0, 5.0, 1e308], dtype=float)
         assert not np.isnan(clause.monthly_penalty_vector(hours)).any()
+        # The last lane overflows to inf on both paths, silently.
+        self.assert_bit_identical(clause, hours.tolist())
+        assert clause.monthly_penalty(1e308) == float("inf")
+
+    def test_linear_overflow_saturates_like_scalar(self):
+        self.assert_bit_identical(LinearPenalty(100.0), [1.0, 1e308])
 
     @given(hours=slippage_arrays)
     def test_base_class_fallback_loops_scalar(self, hours):
