@@ -11,10 +11,15 @@ against a warm session re-serving it, verifies the acceptance criterion
 (zero new per-(cluster, technology) term computations on the warm path,
 bit-identical reports), and reports batched throughput over the
 ``recommend_many`` worker pool.
+
+E18 checks that a warm request's cost does not grow with observed
+telemetry history: key derivation reads memoized failover moments, so
+the median warm recommend after 20 years stays within 2x of 1 year.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.broker.api import EngineCache
@@ -93,8 +98,53 @@ def test_batched_throughput_matches_sequential(emit):
     )
 
 
+#: Warm recommends timed per history length in the flatness leg.
+FLATNESS_ROUNDS = 60
+
+
+def warm_latency_by_history(
+    years: tuple[float, ...], rounds: int = FLATNESS_ROUNDS, seed: int = 7
+) -> dict[float, float]:
+    """Median warm-recommend seconds per observed-history length.
+
+    One warm session per history length; the timed recommends
+    interleave across sessions round by round, so host drift lands on
+    every length alike.
+    """
+    request = three_tier_request(Contract.linear(98.0, 100.0))
+    sessions = {}
+    try:
+        for length in years:
+            session = observed_broker(years=length, seed=seed).session()
+            sessions[length] = session
+            session.recommend(request)
+        samples: dict[float, list[float]] = {length: [] for length in years}
+        for _ in range(rounds):
+            for length, session in sessions.items():
+                _, seconds = _timed(lambda: session.recommend(request))
+                samples[length].append(seconds)
+    finally:
+        for session in sessions.values():
+            session.close()
+    return {length: statistics.median(times) for length, times in samples.items()}
+
+
+def test_warm_latency_is_flat_in_history(emit):
+    """E18: warm recommends cost the same after 1, 5 or 20 years."""
+    medians = warm_latency_by_history((1.0, 5.0, 20.0))
+    assert medians[20.0] <= 2.0 * medians[1.0]
+    emit(
+        "[E18] warm recommend median by observed history:\n"
+        + "\n".join(
+            f"  {length:4.0f} y: {seconds * 1e3:6.2f} ms"
+            for length, seconds in medians.items()
+        )
+    )
+
+
 def _smoke() -> int:
-    """Fast CI guard: warm cache reuse + bit-identical batched reports."""
+    """Fast CI guard: warm cache reuse + bit-identical batched reports,
+    and warm latency flat in observed history (20 y within 2x of 1 y)."""
     broker = observed_broker(years=1.0, seed=7)
     request = three_tier_request(Contract.linear(98.0, 100.0))
     with broker.session() as session:
@@ -112,6 +162,14 @@ def _smoke() -> int:
         f"[smoke] cold {cold_seconds * 1e3:.1f} ms -> warm "
         f"{warm_seconds * 1e3:.1f} ms; {stats.describe()}"
     )
+    medians = warm_latency_by_history((1.0, 20.0))
+    ratio = medians[20.0] / medians[1.0]
+    print(
+        f"[smoke] warm median over {FLATNESS_ROUNDS} recommends: "
+        f"1 y {medians[1.0] * 1e3:.2f} ms, 20 y {medians[20.0] * 1e3:.2f} ms "
+        f"({ratio:.2f}x)"
+    )
+    assert ratio <= 2.0, f"warm latency grows with history: {ratio:.2f}x"
     return 0
 
 

@@ -512,9 +512,10 @@ class BrokerSession:
 
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
-    ``cache_lookup``/``terms``/``evaluate``/``distill`` spans, async
-    jobs get ``job``/``queue_wait`` spans re-parented to the submitter's
-    context.  ``None`` (the default) disables tracing at zero cost.
+    ``key``/``cache_lookup``/``terms``/``evaluate``/``distill`` spans,
+    async jobs get ``job``/``queue_wait`` spans re-parented to the
+    submitter's context.  ``None`` (the default) disables tracing at
+    zero cost.
     """
 
     def __init__(
@@ -1097,24 +1098,25 @@ class BrokerSession:
         provider.
         """
         provider = self.service.provider(provider_name)
-        base_system = self.service.materialize_topology(request, provider)
-        failover_estimates = {
-            requirement.component_kind: self.service.knowledge_base.estimate(
-                provider_name, requirement.component_kind
-            ).failover_minutes
-            for requirement in request.clusters
-        }
-        key = EngineKey.build(
-            provider_name,
-            base_system,
-            request.contract,
-            provider.rate_card,
-            failover_minutes=failover_estimates,
-            extended_catalog=request.extended_catalog,
-            engine_mode=request.engine,
-        )
-        backend = self._request_backend(request)
         tracer = self.tracer
+        with maybe_span(tracer, "key", attrs={"provider": provider_name}):
+            base_system = self.service.materialize_topology(request, provider)
+            failover_estimates = {
+                requirement.component_kind: self.service.knowledge_base.estimate(
+                    provider_name, requirement.component_kind
+                ).failover_minutes
+                for requirement in request.clusters
+            }
+            key = EngineKey.build(
+                provider_name,
+                base_system,
+                request.contract,
+                provider.rate_card,
+                failover_minutes=failover_estimates,
+                extended_catalog=request.extended_catalog,
+                engine_mode=request.engine,
+            )
+        backend = self._request_backend(request)
 
         def build_engine() -> EvaluationEngine:
             registry = registry_for_provider(

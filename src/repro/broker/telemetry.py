@@ -39,12 +39,26 @@ class _ComponentStats:
     The estimate methods read this object alone, so every figure derived
     from one instance belongs to one epoch: :meth:`TelemetryStore.adopt`
     swaps the whole dict, and stats it published are never mutated.
+
+    ``failover_samples`` is append-only: ``record_failover`` appends,
+    ``merge`` extends, and ``from_snapshot``/``copy`` build new lists.
+    Nothing reorders, replaces or removes a sample in place.  So the
+    list's identity plus its length names one exact prefix of samples,
+    and the failover mean and std are memoized under that pair: a warm
+    estimate costs O(1), not O(samples), and each adopted epoch pays
+    one O(n) recompute per component.  The memo records the count it
+    actually summed, so an append racing a reader can only make the
+    next read recompute, never leave a stale value behind.
     """
 
     exposure_minutes: float = 0.0
     down_minutes: float = 0.0
     failures: int = 0
     failover_samples: list[float] = field(default_factory=list)
+    #: ``(samples list, count, mean, std)`` of the last failover summary.
+    _failover_memo: tuple[list[float], int, float, float] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def require_exposure(
         self, provider: str, component_kind: str
@@ -68,22 +82,35 @@ class _ComponentStats:
 
     def failover_minutes(self, provider: str, component_kind: str) -> float:
         """``t̂``: mean observed failover latency (needs one sample)."""
-        samples = self.failover_samples
-        if not samples:
+        if not self.failover_samples:
             raise InsufficientTelemetryError(
                 f"no failover observations for {component_kind!r} on "
                 f"{provider!r}; cannot estimate t"
             )
-        return sum(samples) / len(samples)
+        return self._failover_moments()[0]
 
     def failover_minutes_std(self) -> float:
         """Sample standard deviation of failover latencies (0 below 2)."""
+        return self._failover_moments()[1]
+
+    def _failover_moments(self) -> tuple[float, float]:
+        """``(mean, sample std)`` of the failover samples, memoized.
+
+        Mean is ``nan`` with no samples; callers check emptiness first.
+        """
         samples = self.failover_samples
-        if len(samples) < 2:
-            return 0.0
-        mean = sum(samples) / len(samples)
-        variance = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-        return variance**0.5
+        count = len(samples)
+        memo = self._failover_memo
+        if memo is not None and memo[0] is samples and memo[1] == count:
+            return memo[2], memo[3]
+        summed = samples[:count]
+        mean = sum(summed) / count if count else float("nan")
+        std = 0.0
+        if count >= 2:
+            variance = sum((x - mean) ** 2 for x in summed) / (count - 1)
+            std = variance**0.5
+        self._failover_memo = (samples, count, mean, std)
+        return mean, std
 
 
 def _no_exposure(provider: str, component_kind: str) -> InsufficientTelemetryError:

@@ -239,7 +239,6 @@ class Tracer:
         *,
         parent: SpanContext | None = None,
         start: float | None = None,
-        span_id: str | None = None,
         attrs: dict[str, str] | None = None,
     ) -> Iterator[SpanRecord]:
         """Record a span around a code block and make it current.
@@ -260,7 +259,7 @@ class Tracer:
             parent_id = parent.span_id
         record = SpanRecord(
             trace_id=trace_id,
-            span_id=span_id if span_id is not None else new_span_id(),
+            span_id=new_span_id(),
             parent_id=parent_id,
             name=name,
             start=clock.perf_counter() if start is None else start,
@@ -295,7 +294,6 @@ class Tracer:
         parent: SpanContext,
         start: float,
         end: float,
-        span_id: str | None = None,
         attrs: dict[str, str] | None = None,
     ) -> SpanRecord:
         """Record a pre-timed span without entering a context.
@@ -306,7 +304,7 @@ class Tracer:
         """
         record = SpanRecord(
             trace_id=parent.trace_id,
-            span_id=span_id if span_id is not None else new_span_id(),
+            span_id=new_span_id(),
             parent_id=parent.span_id,
             name=name,
             start=start,

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.broker.knowledge_base import KnowledgeBase
+from repro.broker.knowledge_base import KnowledgeBase, ReliabilityEstimate
 from repro.broker.telemetry import TelemetryStore
 from repro.cloud.deployment import deploy_system
 from repro.cloud.faults import FaultInjector
@@ -266,3 +269,154 @@ class TestKnowledgeBase:
             flipper.join()
             sys.setswitchinterval(interval)
         assert torn == []
+
+
+#: Component classes the memo tests observe.
+MEMO_KEYS = (("p", "vm"), ("p", "volume"), ("q", "vm"))
+
+failover_samples = st.floats(min_value=0.0, max_value=120.0, allow_nan=False)
+
+memo_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("record"), st.sampled_from(MEMO_KEYS), failover_samples
+        ),
+        st.tuples(
+            st.just("merge"),
+            st.sampled_from(MEMO_KEYS),
+            st.lists(failover_samples, max_size=5),
+        ),
+        st.tuples(st.just("adopt"), st.sampled_from(MEMO_KEYS), failover_samples),
+        st.tuples(st.just("from_snapshot")),
+    ),
+    max_size=25,
+)
+
+
+def memo_store(keys=MEMO_KEYS, samples=(3.0, 4.5)) -> TelemetryStore:
+    """A store whose every key supports a full estimate."""
+    store = TelemetryStore()
+    for provider, kind in keys:
+        store.register_exposure(provider, kind, 2, MINUTES_PER_YEAR)
+        store.record_failure(provider, kind)
+        store.record_outage(provider, kind, 30.0)
+        for sample in samples:
+            store.record_failover(provider, kind, sample)
+    return store
+
+
+def estimate_bits(estimate: ReliabilityEstimate) -> tuple:
+    """Every field of an estimate, floats as ``float.hex``."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(estimate, f.name) for f in fields(estimate))
+    )
+
+
+def fresh_estimate_bits(store: TelemetryStore, provider: str, kind: str):
+    """The estimate a memo-free rebuild of ``store`` gives."""
+    fresh = TelemetryStore.from_snapshot(store.snapshot())
+    return estimate_bits(KnowledgeBase(fresh, 1).estimate(provider, kind))
+
+
+class CountingList(list):
+    """A sample list that counts iterations and slicings of itself."""
+
+    touches = 0
+
+    def __iter__(self):
+        self.touches += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        self.touches += 1
+        return super().__getitem__(index)
+
+
+class TestFailoverMemo:
+    @given(operations=memo_operations)
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_estimates_match_a_fresh_store(self, operations):
+        store = memo_store()
+        for operation in operations:
+            kind = operation[0]
+            if kind == "record":
+                store.record_failover(*operation[1], operation[2])
+            elif kind == "merge":
+                other = TelemetryStore()
+                for sample in operation[2]:
+                    other.record_failover(*operation[1], sample)
+                store.merge(other)
+            elif kind == "adopt":
+                successor = store.copy()
+                successor.record_failover(*operation[1], operation[2])
+                store.adopt(successor)
+            else:
+                store = TelemetryStore.from_snapshot(store.snapshot())
+            kb = KnowledgeBase(store, 1)
+            for key in MEMO_KEYS:
+                assert estimate_bits(kb.estimate(*key)) == fresh_estimate_bits(
+                    store, *key
+                )
+
+    def test_repeated_estimate_touches_no_samples(self):
+        store = memo_store(keys=[("p", "vm")], samples=[float(x) for x in range(50)])
+        stats = store.component_stats("p", "vm")
+        stats.failover_samples = CountingList(stats.failover_samples)
+        kb = KnowledgeBase(store, 1)
+        first = kb.estimate("p", "vm")
+        assert stats.failover_samples.touches == 1
+        for _ in range(5):
+            assert kb.estimate("p", "vm") == first
+        assert stats.failover_samples.touches == 1
+
+        store.record_failover("p", "vm", 99.0)
+        updated = kb.estimate("p", "vm")
+        assert stats.failover_samples.touches == 2
+        kb.estimate("p", "vm")
+        assert stats.failover_samples.touches == 2
+        assert estimate_bits(updated) == fresh_estimate_bits(store, "p", "vm")
+
+    def test_racing_appends_never_leave_a_stale_memo(self):
+        store = memo_store(keys=[("p", "vm")])
+        kb = KnowledgeBase(store, 1)
+        stop = threading.Event()
+
+        def write():
+            for index in range(3000):
+                store.record_failover("p", "vm", float(index % 97))
+
+        def read():
+            while not stop.is_set():
+                kb.estimate("p", "vm")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=write)
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        for thread in readers:
+            thread.start()
+        writer.start()
+        try:
+            writer.join()
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join()
+            sys.setswitchinterval(interval)
+
+        stats = store.component_stats("p", "vm")
+        samples, count, mean, std = stats._failover_memo
+        assert samples is stats.failover_samples
+        # The memo names the prefix it summed, whatever the interleaving.
+        prefix = TelemetryStore()
+        prefix.register_exposure("p", "vm", 1, 1.0)
+        for sample in samples[:count]:
+            prefix.record_failover("p", "vm", sample)
+        assert (mean.hex(), std.hex()) == (
+            prefix.failover_minutes("p", "vm").hex(),
+            prefix.failover_minutes_std("p", "vm").hex(),
+        )
+        assert estimate_bits(kb.estimate("p", "vm")) == fresh_estimate_bits(
+            store, "p", "vm"
+        )

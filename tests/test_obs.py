@@ -132,16 +132,6 @@ class TestTracer:
         assert record.duration == pytest.approx(0.5)
         assert store.get(parent.trace_id) == [record]
 
-    def test_record_with_chosen_span_id(self):
-        tracer = Tracer(TraceStore())
-        parent = SpanContext(trace_id=new_trace_id(), span_id=new_span_id())
-        chosen = new_span_id()
-        record = tracer.record(
-            "backend_chunk", parent=parent, start=0.0, end=1.0,
-            span_id=chosen,
-        )
-        assert record.span_id == chosen
-
     def test_activate_restore_moves_context_across_threads(self):
         import threading
 

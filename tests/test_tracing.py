@@ -141,6 +141,25 @@ class TestTracedRecommendPipeline:
         # was never recorded server-side), proving propagation.
         assert root.parent_id is not None
 
+    def test_warm_request_has_one_key_span_per_provider(self, traced_client):
+        traced_client.recommend(request())
+        traced_client.recommend(request())
+        spans = spans_by_name(
+            traced_client.trace_spans(traced_client.last_trace_id)
+        )
+        (root,) = spans["request"]
+        providers = sorted(provider.name for provider in all_providers())
+        assert len(providers) == 3
+        keys = {span.attrs["provider"]: span for span in spans["key"]}
+        assert len(spans["key"]) == len(keys)
+        assert sorted(keys) == providers
+        lookups = {
+            span.attrs["provider"]: span for span in spans["cache_lookup"]
+        }
+        for provider, key in keys.items():
+            assert key.parent_id == root.span_id
+            assert key.end <= lookups[provider].start
+
     def test_trace_listed_in_summaries(self, traced_client):
         traced_client.recommend(request())
         trace_id = traced_client.last_trace_id
