@@ -148,7 +148,7 @@ class EngineKey:
 
     The first four fields are the ISSUE-mandated key components;
     ``variant`` folds in the remaining inputs that change what an engine
-    *computes* (catalog width, failover estimates, evaluation mode).
+    *computes* (catalog width, failover estimates).
     The evaluation backend is deliberately **not** part of the key: it
     only changes where the float math runs, never its results, so a
     warm engine is rebound in place
@@ -173,7 +173,6 @@ class EngineKey:
         *,
         failover_minutes: Mapping[str, float],
         extended_catalog: bool,
-        engine_mode: str,
     ) -> "EngineKey":
         """Fingerprint every input that shapes an engine's caches."""
         return cls(
@@ -184,7 +183,6 @@ class EngineKey:
             variant=(
                 tuple(sorted(failover_minutes.items())),
                 extended_catalog,
-                engine_mode,
             ),
         )
 
@@ -208,9 +206,6 @@ def _request_stats(
         cache_hits=after.cache_hits - before.cache_hits,
         incremental_combines=(
             after.incremental_combines - before.incremental_combines
-        ),
-        topology_evaluations=(
-            after.topology_evaluations - before.topology_evaluations
         ),
         cluster_term_computations=(
             after.cluster_term_computations if first_service else 0
@@ -1086,7 +1081,7 @@ class BrokerSession:
         Precedence: the request's own ``backend``, then the session
         default, then :func:`resolve_backend`'s environment fallback.
         """
-        return resolve_backend(request.backend or self.backend, mode=request.engine)
+        return resolve_backend(request.backend or self.backend)
 
     def _cache_entry(
         self, request: RecommendationRequest, provider_name: str
@@ -1114,7 +1109,6 @@ class BrokerSession:
                 provider.rate_card,
                 failover_minutes=failover_estimates,
                 extended_catalog=request.extended_catalog,
-                engine_mode=request.engine,
             )
         backend = self._request_backend(request)
 
@@ -1134,9 +1128,7 @@ class BrokerSession:
             # lock, so this span nests inside cache_lookup — the n*k
             # cluster-term precompute is exactly a cache miss's cost.
             with maybe_span(tracer, "terms", attrs={"provider": provider_name}):
-                return EvaluationEngine(
-                    problem, mode=request.engine, backend=backend
-                )
+                return EvaluationEngine(problem, backend=backend)
 
         with maybe_span(
             tracer, "cache_lookup", attrs={"provider": provider_name}

@@ -55,6 +55,37 @@ def _check_keys(payload: Mapping[str, Any], allowed: set[str], what: str) -> Non
         )
 
 
+class _field:
+    """Report a malformed ``name`` field as a :class:`ValidationError`.
+
+    KeyError, TypeError and ValueError raised while parsing the field
+    become a ValidationError naming it, so a bad wire document is a 400
+    rather than a 500.  A ValidationError (itself a ValueError) passes
+    through unchanged: the innermost field that knew better wins.  A
+    plain class rather than ``contextlib.contextmanager``: it runs
+    several times per parsed request, and the generator version costs
+    more than twice as much.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if exc is None or isinstance(exc, ValidationError):
+            return
+        if isinstance(exc, KeyError):
+            raise ValidationError(
+                f"{self.name}: missing field {exc.args[0]!r}"
+            ) from exc
+        if isinstance(exc, (TypeError, ValueError)):
+            raise ValidationError(f"{self.name}: {exc}") from exc
+
+
 def _check_version(payload: Mapping[str, Any], what: str) -> None:
     version = payload.get("schema_version", ENVELOPE_SCHEMA_VERSION)
     if version != ENVELOPE_SCHEMA_VERSION:
@@ -172,10 +203,13 @@ def _cluster_requirement_from_dict(payload: Mapping[str, Any]) -> ClusterRequire
             f"unknown layer {payload['layer']!r}; expected one of "
             f"{[member.value for member in Layer]}"
         ) from exc
+    nodes = payload["nodes"]
+    if isinstance(nodes, bool) or not isinstance(nodes, int):
+        raise ValidationError(f"nodes must be an integer, got {nodes!r}")
     return ClusterRequirement(
         name=payload["name"],
         layer=layer,
-        nodes=int(payload["nodes"]),
+        nodes=nodes,
         sku=payload.get("sku"),
     )
 
@@ -191,7 +225,6 @@ def request_to_dict(request: RecommendationRequest) -> dict[str, Any]:
         "contract": contract_to_dict(request.contract),
         "providers": list(request.providers) if request.providers else None,
         "strategy": request.strategy,
-        "engine": request.engine,
         "backend": request.backend,
         "extended_catalog": request.extended_catalog,
         "metadata": dict(request.metadata),
@@ -206,25 +239,36 @@ def request_from_dict(payload: Mapping[str, Any]) -> RecommendationRequest:
         "contract",
         "providers",
         "strategy",
-        "engine",
         "backend",
         "extended_catalog",
         "metadata",
     }
     _check_keys(payload, allowed, "request")
-    providers = payload.get("providers")
+    with _field("clusters"):
+        clusters = tuple(
+            _cluster_requirement_from_dict(item) for item in payload["clusters"]
+        )
+    with _field("contract"):
+        contract = contract_from_dict(payload["contract"])
+    with _field("providers"):
+        providers = payload.get("providers")
+        providers = tuple(providers) if providers else None
+    with _field("metadata"):
+        metadata = dict(payload.get("metadata", {}))
+    extended_catalog = payload.get("extended_catalog", False)
+    if not isinstance(extended_catalog, bool):
+        raise ValidationError(
+            f"extended_catalog must be a boolean, got {extended_catalog!r}"
+        )
     return RecommendationRequest(
         system_name=payload["system_name"],
-        clusters=tuple(
-            _cluster_requirement_from_dict(item) for item in payload["clusters"]
-        ),
-        contract=contract_from_dict(payload["contract"]),
-        providers=tuple(providers) if providers else None,
+        clusters=clusters,
+        contract=contract,
+        providers=providers,
         strategy=payload.get("strategy", "pruned"),
-        engine=payload.get("engine", "incremental"),
         backend=payload.get("backend"),
-        extended_catalog=bool(payload.get("extended_catalog", False)),
-        metadata=dict(payload.get("metadata", {})),
+        extended_catalog=extended_catalog,
+        metadata=metadata,
     )
 
 
@@ -280,7 +324,12 @@ class RecommendEnvelope:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RecommendEnvelope":
-        """Deserialize; validates version, kind and key set."""
+        """Deserialize; validates version, kind, key set and field types."""
+        if not isinstance(payload, Mapping):
+            raise ValidationError(
+                f"recommend envelope must be a JSON object, "
+                f"got {type(payload).__name__}"
+            )
         _check_version(payload, "recommend envelope")
         _check_keys(
             payload,
@@ -299,8 +348,10 @@ class RecommendEnvelope:
             raise ValidationError(
                 f"expected kind 'recommend-request', got {kind!r}"
             )
+        with _field("request"):
+            request = request_from_dict(payload["request"])
         return cls(
-            request=request_from_dict(payload["request"]),
+            request=request,
             request_id=payload.get("request_id"),
             trace=payload.get("trace"),
             idempotency_key=payload.get("idempotency_key"),

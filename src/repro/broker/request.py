@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.optimizer.engine import (
-    ENGINE_BACKENDS,
-    ENGINE_MODES,
-    TERM_TABLE_BACKENDS,
-)
+from repro.optimizer.engine import ENGINE_BACKENDS
 from repro.sla.contract import Contract
 from repro.topology.cluster import COMPONENT_KIND_BY_LAYER, Layer
 
@@ -58,7 +54,6 @@ class RecommendationRequest:
     contract: Contract
     providers: tuple[str, ...] | None = None
     strategy: str = "pruned"
-    engine: str = "incremental"
     backend: str | None = None
     extended_catalog: bool = False
     metadata: dict = field(default_factory=dict)
@@ -75,22 +70,10 @@ class RecommendationRequest:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
             )
-        if self.engine not in ENGINE_MODES:
-            raise ValidationError(
-                f"unknown engine mode {self.engine!r}; valid: {ENGINE_MODES}"
-            )
         if self.backend is not None and self.backend not in ENGINE_BACKENDS:
             raise ValidationError(
                 f"unknown evaluation backend {self.backend!r}; "
                 f"valid: {ENGINE_BACKENDS}"
-            )
-        if self.backend in TERM_TABLE_BACKENDS and self.engine == "direct":
-            # Reject at the request boundary, like every other bad-shape
-            # combination — otherwise it surfaces only as a failed job.
-            raise ValidationError(
-                f"backend={self.backend!r} requires engine='incremental': "
-                "candidates are evaluated from per-cluster term tables, "
-                "which cannot drive the full-topology direct path"
             )
 
 

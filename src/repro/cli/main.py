@@ -51,7 +51,7 @@ from repro.broker.request import STRATEGIES, three_tier_request
 #: only imports the server stack for the ``serve``/``ingest`` commands
 #: (a drift test in tests/test_cli.py keeps the two in sync).
 INGEST_BACKENDS = ("thread", "process")
-from repro.optimizer.engine import ENGINE_BACKENDS, ENGINE_MODES
+from repro.optimizer.engine import ENGINE_BACKENDS
 from repro.broker.service import BrokerService
 from repro.cli.formatting import render_table
 from repro.cloud.providers import all_providers
@@ -131,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGIES,
         default="pruned",
         help="search strategy for the k^n enumeration",
-    )
-    recommend.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="incremental",
-        help="candidate evaluation mode: cached per-cluster combination "
-        "(default) or full-topology fallback",
     )
     recommend.add_argument(
         "--backend",
@@ -489,7 +482,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         compute_nodes=args.compute_nodes,
         extended_catalog=args.extended,
         strategy=args.strategy,
-        engine=args.engine,
         backend=args.backend,
     )
     with broker.session() as session:

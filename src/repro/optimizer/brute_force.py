@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.optimizer.engine import (
-    EvaluationEngine,
-    engine_for,
-    evaluate_candidate_direct,
-)
+from repro.availability.model import evaluate_availability
+from repro.cost.tco import compute_tco
+from repro.optimizer.engine import EvaluationEngine, engine_for
 from repro.optimizer.result import EvaluatedOption, OptimizationResult
 from repro.optimizer.space import CandidateSpace, OptimizationProblem
 
@@ -31,10 +29,23 @@ def evaluate_candidate(
 ) -> EvaluatedOption:
     """Instantiate and fully evaluate one candidate permutation.
 
-    The direct (non-cached, non-incremental) path; kept as the exact
-    reference the engine's incremental evaluation is verified against.
+    The reference (non-cached, non-incremental) path: build the whole
+    topology, run the availability model end to end, run the TCO model
+    end to end.  The engine's incremental evaluation is tested
+    bit-identical against it.
     """
-    return evaluate_candidate_direct(problem, space, option_id, indices)
+    system = space.instantiate(indices)
+    availability = evaluate_availability(system)
+    tco = compute_tco(system, problem.contract, problem.labor_rate)
+    return EvaluatedOption(
+        option_id=option_id,
+        choice_names=space.choice_names(indices),
+        system=system,
+        availability=availability,
+        tco=tco,
+        meets_sla=problem.contract.sla.is_met_by(availability.uptime_probability),
+        cluster_names=space.bare_system.cluster_names,
+    )
 
 
 def iter_brute_force(

@@ -10,16 +10,15 @@ structure instead: Eq. 1-5 factor into per-cluster terms, so the engine
    :class:`~repro.cost.tco.ClusterCostTerms` per (cluster, technology)
    pairing — ``n * k`` cluster-level computations per problem;
 2. evaluates each candidate by recombining the ``n`` cached factor sets
-   in O(n), bit-identical to the direct evaluation (the recombination
-   performs the same float operations in the same order);
+   in O(n), bit-identical to the full-topology evaluation (the
+   recombination performs the same float operations in the same order);
 3. memoizes finished :class:`EvaluatedOption`s keyed by their
    :data:`~repro.optimizer.space.ChoiceNames`, so searches restarted
    over the same problem (pruned after brute force, branch-and-bound
    re-runs, advisor what-if sweeps) never evaluate a candidate twice.
 
-The ``mode="direct"`` fallback routes evaluation through the legacy
-full-topology path (:func:`evaluate_candidate_direct`) — same results,
-useful for equivalence testing and as an escape hatch.
+The full-topology path survives only as the test and benchmark oracle,
+:func:`~repro.optimizer.brute_force.evaluate_candidate`.
 
 Batch evaluation (:meth:`EvaluationEngine.evaluate_many` and everything
 built on it) runs on a pluggable **evaluation backend**:
@@ -30,9 +29,10 @@ built on it) runs on a pluggable **evaluation backend**:
   workers.  Workers hold the pickled per-(cluster, technology) term
   tables of every engine they serve, keyed by engine uid and fetched
   once per (worker, engine) pairing through the pool registry's table
-  channel, so chunks carry only ``(option_id, indices)`` pairs — no
-  per-chunk re-pickling of the precomputes.  Workers recombine the same
-  cached :class:`~repro.availability.model.ClusterTerms` /
+  channel (one shared-memory segment per engine), so chunks carry only
+  ``(option_id, indices)`` pairs — no per-chunk re-pickling of the
+  precomputes.  Workers recombine the same cached
+  :class:`~repro.availability.model.ClusterTerms` /
   :class:`~repro.cost.tco.ClusterCostTerms` values with the same float
   operations in the same order as the in-process combine, so results
   are bit-identical;
@@ -83,7 +83,6 @@ from repro.availability.model import (
     ClusterTerms,
     availability_values_from_terms,
     cluster_availability_terms,
-    evaluate_availability,
 )
 from repro.cost.rates import LaborRate
 from repro.cost.tco import (
@@ -91,7 +90,6 @@ from repro.cost.tco import (
     TCOBreakdown,
     assemble_breakdown,
     cluster_cost_terms,
-    compute_tco,
     tco_values_from_terms,
 )
 from repro.errors import EngineBackendError, OptimizerError, ReproError
@@ -107,15 +105,8 @@ from repro.sla.contract import Contract
 from repro.topology.cluster import ClusterSpec
 from repro.topology.system import SystemTopology
 
-#: Supported evaluation modes.
-ENGINE_MODES = ("incremental", "direct")
-
 #: Supported evaluation backends for batch entry points.
 ENGINE_BACKENDS = ("serial", "process", "vector")
-
-#: Backends that evaluate from shipped/gathered term tables and therefore
-#: require ``mode="incremental"`` (direct mode builds full topologies).
-TERM_TABLE_BACKENDS = ("process", "vector")
 
 #: Environment variable naming the default backend (CI smoke hook).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -140,17 +131,11 @@ def _import_numpy():
     return numpy
 
 
-def resolve_backend(backend: str | None, *, mode: str = "incremental") -> str:
+def resolve_backend(backend: str | None) -> str:
     """Resolve a backend request to a concrete :data:`ENGINE_BACKENDS` name.
 
     ``None`` falls back to the :data:`BACKEND_ENV_VAR` environment
-    variable (empty string = unset), then to ``"serial"``.  The env-var
-    default never forces a
-    term-table backend (:data:`TERM_TABLE_BACKENDS`) onto a
-    ``mode="direct"`` engine — direct mode evaluates full topologies,
-    which neither worker processes nor the vectorized combine can do
-    from term tables — whereas an *explicit* such request with direct
-    mode is rejected at engine construction.
+    variable (empty string = unset), then to ``"serial"``.
     """
     if backend is None:
         env = os.environ.get(BACKEND_ENV_VAR) or None
@@ -158,41 +143,12 @@ def resolve_backend(backend: str | None, *, mode: str = "incremental") -> str:
             raise OptimizerError(
                 f"invalid {BACKEND_ENV_VAR}={env!r}; valid: {ENGINE_BACKENDS}"
             )
-        if env in TERM_TABLE_BACKENDS and mode == "direct":
-            env = None
         backend = env if env is not None else "serial"
     if backend not in ENGINE_BACKENDS:
         raise OptimizerError(
             f"unknown evaluation backend {backend!r}; valid: {ENGINE_BACKENDS}"
         )
     return backend
-
-
-def evaluate_candidate_direct(
-    problem: OptimizationProblem,
-    space: CandidateSpace,
-    option_id: int,
-    indices: tuple[int, ...],
-) -> EvaluatedOption:
-    """Instantiate and fully evaluate one candidate permutation.
-
-    This is the reference (pre-engine) evaluation path: build the whole
-    topology, run the availability model end to end, run the TCO model
-    end to end.  The engine's incremental path is tested bit-identical
-    against it.
-    """
-    system = space.instantiate(indices)
-    availability = evaluate_availability(system)
-    tco = compute_tco(system, problem.contract, problem.labor_rate)
-    return EvaluatedOption(
-        option_id=option_id,
-        choice_names=space.choice_names(indices),
-        system=system,
-        availability=availability,
-        tco=tco,
-        meets_sla=problem.contract.sla.is_met_by(availability.uptime_probability),
-        cluster_names=space.bare_system.cluster_names,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,20 +180,15 @@ class EngineStats:
         Requests answered from the ``ChoiceNames``-keyed result cache.
     incremental_combines:
         Cache misses answered by the O(n) term recombination.
-    topology_evaluations:
-        Cache misses answered by the legacy full-topology path (only in
-        ``mode="direct"``).  The whole point of the engine is keeping
-        this at zero.
     cluster_term_computations:
         Per-(cluster, technology) precomputations done at construction
         (``n * k`` — the only cluster-level availability math the
-        incremental mode ever runs).
+        engine ever runs).
     """
 
     candidate_evaluations: int = 0
     cache_hits: int = 0
     incremental_combines: int = 0
-    topology_evaluations: int = 0
     cluster_term_computations: int = 0
 
     @property
@@ -257,7 +208,6 @@ class EngineStats:
             "candidate_evaluations": self.candidate_evaluations,
             "cache_hits": self.cache_hits,
             "incremental_combines": self.incremental_combines,
-            "topology_evaluations": self.topology_evaluations,
             "cluster_term_computations": self.cluster_term_computations,
         }
 
@@ -266,8 +216,7 @@ class EngineStats:
         return (
             f"evaluations={self.candidate_evaluations} "
             f"(cache hits {self.cache_hits}, "
-            f"combines {self.incremental_combines}, "
-            f"full-topology {self.topology_evaluations}; "
+            f"combines {self.incremental_combines}; "
             f"{self.cluster_term_computations} cluster terms precomputed)"
         )
 
@@ -549,7 +498,7 @@ class ProcessBackend:
             if self._handle is None:
                 workers = engine.max_workers or os.cpu_count() or 1
                 try:
-                    handle = engine.pool_registry.acquire(self.name, workers)
+                    handle = engine.pool_registry.acquire(workers)
                 except (NotImplementedError, ImportError, OSError,
                         PermissionError, ValueError) as exc:
                     warnings.warn(
@@ -1039,10 +988,6 @@ class EvaluationEngine:
         The optimization problem this engine serves.  All cached results
         are valid only for this exact problem instance; strategies guard
         against accidental cross-problem reuse.
-    mode:
-        ``"incremental"`` (default) recombines cached per-cluster terms
-        in O(n); ``"direct"`` falls back to full-topology evaluation.
-        Both produce bit-identical options.
     cache:
         Memoize finished options keyed by ``ChoiceNames`` so repeated
         searches over the same problem never re-evaluate a candidate.
@@ -1070,7 +1015,6 @@ class EvaluationEngine:
     """
 
     problem: OptimizationProblem
-    mode: str = "incremental"
     cache: bool = True
     max_workers: int | None = None
     chunk_size: int = 1024
@@ -1080,21 +1024,11 @@ class EvaluationEngine:
     stats: EngineStats = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ENGINE_MODES:
-            raise OptimizerError(
-                f"unknown engine mode {self.mode!r}; valid: {ENGINE_MODES}"
-            )
         if self.chunk_size < 1:
             raise OptimizerError(
                 f"chunk_size must be >= 1, got {self.chunk_size!r}"
             )
-        self.backend = resolve_backend(self.backend, mode=self.mode)
-        if self.backend in TERM_TABLE_BACKENDS and self.mode == "direct":
-            raise OptimizerError(
-                f"the {self.backend} backend requires mode='incremental': "
-                "it evaluates candidates from per-cluster term tables and "
-                "cannot run the full-topology direct path"
-            )
+        self.backend = resolve_backend(self.backend)
         if self.pool_registry is None:
             self.pool_registry = default_registry()
         #: Unique engine id — the worker-table key in shared pools.
@@ -1148,12 +1082,7 @@ class EvaluationEngine:
         threads (the broker's engine cache) serialize through their
         entry locks.
         """
-        backend = resolve_backend(backend, mode=self.mode)
-        if backend in TERM_TABLE_BACKENDS and self.mode == "direct":
-            raise OptimizerError(
-                f"cannot rebind a mode='direct' engine to the {backend} "
-                "backend; direct evaluation needs the full topology"
-            )
+        backend = resolve_backend(backend)
         resized = False
         if max_workers is not None and max_workers != self.max_workers:
             self.max_workers = max_workers
@@ -1231,16 +1160,8 @@ class EvaluationEngine:
         names, cached = self._cache_probe(option_id, indices)
         if cached is not None:
             return cached
-
-        if self.mode == "direct":
-            option = evaluate_candidate_direct(
-                self.problem, self.space, option_id, indices
-            )
-            counter = "topology_evaluations"
-        else:
-            option = self._combine(option_id, indices, names)
-            counter = "incremental_combines"
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        option = self._combine(option_id, indices, names)
+        self.stats.incremental_combines += 1
         if self.cache:
             self._results.setdefault(names, option)
         return option

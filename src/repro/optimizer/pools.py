@@ -6,23 +6,19 @@ owned its evaluation pool outright: N cached engines meant N
 whenever an engine was dropped without ``close()``.  The
 :class:`PoolRegistry` inverts that ownership:
 
-- pools are keyed by ``(kind, workers)`` and **ref-counted** — every
-  engine backend acquires a :class:`PoolHandle` lease and the executor
-  is created on the first acquire and shut down deterministically when
-  the last holder releases;
+- pools are keyed by their width and **ref-counted** — every engine
+  backend acquires a :class:`PoolHandle` lease and the executor is
+  created on the first acquire and shut down deterministically when the
+  last holder releases;
 - worker processes are seeded once (via the pool initializer) with the
   registry's *table channel* and fetch each engine's pickled term
   tables on demand, caching them locally keyed by the engine's unique
-  id.  The channel has two implementations: the default ``"shm"``
-  backend publishes each engine's tables once into a named
+  id.  The channel publishes each engine's tables once into a named
   ``multiprocessing.shared_memory`` segment that workers attach
   read-only (no per-fetch IPC round trip, no serialization proxy
-  process), and the ``"manager"`` backend keeps the original
-  :class:`multiprocessing.managers.SyncManager` dict proxy for
-  platforms without ``shared_memory`` support.  One pool's workers
-  serve chunks for any number of engines concurrently, and a chunk
-  carries only ``(engine uid, (option_id, indices), ...)`` — never the
-  precomputes;
+  process).  One pool's workers serve chunks for any number of engines
+  concurrently, and a chunk carries only
+  ``(engine uid, (option_id, indices), ...)`` — never the precomputes;
 - a worker failure marks the pool *broken*: it leaves the registry map
   immediately (so the next acquire builds a fresh pool) and is shut
   down once its last holder releases.
@@ -44,7 +40,6 @@ process pool per width instead of spawning their own.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import secrets
@@ -52,50 +47,15 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import shared_memory
 
 from repro.errors import OptimizerError
-
-try:  # pragma: no cover - import guard exercised only where absent
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
-
-#: Pool kinds the registry can build.
-POOL_KINDS = ("process",)
-
-#: Table-channel implementations, in preference order.
-TERM_TABLE_CHANNELS = ("shm", "manager")
-
-#: Environment override for the table-channel backend.
-TABLE_CHANNEL_ENV_VAR = "REPRO_TERM_TABLES"
 
 #: Per-worker cap on locally cached engine term tables.  Tables are
 #: fetched from the registry's table channel on first use and kept in an
 #: LRU so a long-lived shared pool serving many short-lived engines does
 #: not accumulate every table it ever saw.
 WORKER_TABLE_LIMIT = 32
-
-
-def resolve_table_backend(requested: str | None = None) -> str:
-    """Pick the table-channel backend: explicit > env > auto.
-
-    ``"shm"`` degrades cleanly to ``"manager"`` when
-    ``multiprocessing.shared_memory`` is unavailable on the platform;
-    unknown names raise :class:`~repro.errors.OptimizerError`.
-    """
-    choice = requested
-    if choice is None:
-        choice = os.environ.get(TABLE_CHANNEL_ENV_VAR) or None
-    if choice is None:
-        return "shm" if _shared_memory is not None else "manager"
-    if choice not in TERM_TABLE_CHANNELS:
-        raise OptimizerError(
-            f"unknown table-channel backend {choice!r}; "
-            f"valid: {TERM_TABLE_CHANNELS}"
-        )
-    if choice == "shm" and _shared_memory is None:
-        return "manager"
-    return choice
 
 
 def _segment_name(token: str, uid: int) -> str:
@@ -116,19 +76,14 @@ def _segment_name(token: str, uid: int) -> str:
 # ``worker_payload`` — a local-cache hit in the steady state, one
 # channel fetch per (worker, engine) pairing at worst.
 
-_WORKER_CHANNEL = None
+_WORKER_TOKEN: str | None = None
 _WORKER_TABLES: "OrderedDict[int, object]" = OrderedDict()
 
 
-def _pool_worker_init(kind: str, channel) -> None:
-    """Install the registry's table channel in a new worker process.
-
-    ``kind`` is one of :data:`TERM_TABLE_CHANNELS`; ``channel`` is the
-    manager dict proxy (``"manager"``) or the registry's segment-name
-    token (``"shm"``).
-    """
-    global _WORKER_CHANNEL
-    _WORKER_CHANNEL = (kind, channel)
+def _pool_worker_init(token: str) -> None:
+    """Install the registry's segment-name token in a new worker process."""
+    global _WORKER_TOKEN
+    _WORKER_TOKEN = token
     _WORKER_TABLES.clear()
 
 
@@ -149,7 +104,7 @@ def _fetch_shm_payload(token: str, uid: int):
     cleared by the parent's ``unlink``.
     """
     try:
-        segment = _shared_memory.SharedMemory(name=_segment_name(token, uid))
+        segment = shared_memory.SharedMemory(name=_segment_name(token, uid))
     except FileNotFoundError:
         raise _missing_tables(uid) from None
     try:
@@ -163,28 +118,20 @@ def _fetch_shm_payload(token: str, uid: int):
 def worker_payload(uid: int):
     """Resolve one engine's published tables inside a worker process.
 
-    Local LRU first, then the registry's table channel (shared-memory
-    attach or manager round trip).  A missing uid means the engine
-    retracted its tables (closed) while chunks were still queued —
-    surfaced as a structured error rather than a ``KeyError`` /
+    Local LRU first, then a shared-memory attach.  A missing uid means
+    the engine retracted its tables (closed) while chunks were still
+    queued — surfaced as a structured error rather than a
     ``FileNotFoundError`` traceback pickled across the pool boundary.
     """
     tables = _WORKER_TABLES
     if uid in tables:
         tables.move_to_end(uid)
         return tables[uid]
-    if _WORKER_CHANNEL is None:
+    if _WORKER_TOKEN is None:
         raise OptimizerError(
             "pool worker was never initialized with a table channel"
         )
-    kind, channel = _WORKER_CHANNEL
-    if kind == "shm":
-        payload = _fetch_shm_payload(channel, uid)
-    else:
-        try:
-            payload = channel[uid]
-        except KeyError:
-            raise _missing_tables(uid) from None
+    payload = _fetch_shm_payload(_WORKER_TOKEN, uid)
     tables[uid] = payload
     while len(tables) > WORKER_TABLE_LIMIT:
         tables.popitem(last=False)
@@ -198,7 +145,7 @@ class PoolRegistryStats:
     """Lifecycle accounting for one :class:`PoolRegistry`.
 
     ``pools_created``/``pools_closed`` count real executors, not leases;
-    a healthy steady state creates one pool per (kind, width) however
+    a healthy steady state creates one pool per width however
     many engines share it.  ``tables_published``/``tables_retracted``
     count table-channel publications (one per engine process lease).
     """
@@ -232,7 +179,7 @@ class PoolRegistryStats:
 class _SharedPool:
     """One executor plus its lease bookkeeping."""
 
-    key: tuple[str, int]
+    workers: int
     pool: object
     holders: int = 0
     broken: bool = False
@@ -267,12 +214,8 @@ class PoolHandle:
         return self._shared.pool
 
     @property
-    def kind(self) -> str:
-        return self._shared.key[0]
-
-    @property
     def workers(self) -> int:
-        return self._shared.key[1]
+        return self._shared.workers
 
     def release(self, *, invalidate: bool = False) -> None:
         """Give the lease back; the last holder shuts the pool down.
@@ -293,31 +236,22 @@ class PoolRegistry:
     build private ones to isolate pool populations.  The registry also
     owns the *table channel* for process pools, through which engines
     publish their per-(cluster, technology) term tables to workers
-    exactly once, keyed by engine uid.  With the default ``"shm"``
-    backend each publication is one named shared-memory segment the
-    workers attach read-only; with ``"manager"`` it is an entry in a
-    manager-hosted dict.  Either way the channel comes up with the
-    first process-pool lease and goes down with the last, so an idle
-    registry holds no OS resources at all.
-
-    ``table_backend`` picks the channel explicitly (``"shm"`` or
-    ``"manager"``); ``None`` consults the ``REPRO_TERM_TABLES``
-    environment variable and falls back to ``"shm"`` where available.
+    exactly once, keyed by engine uid: each publication is one named
+    shared-memory segment the workers attach read-only.  The channel
+    comes up with the first process-pool lease and goes down with the
+    last, so an idle registry holds no OS resources at all.
     """
 
-    def __init__(self, table_backend: str | None = None) -> None:
+    def __init__(self) -> None:
         # ``_lock`` guards the maps/counters (fast, never held across
         # blocking work); ``_build_lock`` serializes the slow cold path
-        # (manager + executor construction, channel teardown) so that a
+        # (executor construction, channel teardown) so that a
         # multi-second process-pool spin-up never stalls unrelated
         # acquires and releases.
         self._lock = threading.Lock()
         self._build_lock = threading.Lock()
-        self._pools: dict[tuple[str, int], _SharedPool] = {}
-        self._table_backend = resolve_table_backend(table_backend)
+        self._pools: dict[int, _SharedPool] = {}
         self._token = f"{os.getpid():x}{secrets.token_hex(4)}"
-        self._manager = None
-        self._tables = None
         self._segments: dict[int, _ShmSegment] = {}
         self._shm_channel_up = False
         self._process_holders = 0
@@ -325,75 +259,48 @@ class PoolRegistry:
 
     # -- leases ------------------------------------------------------------
 
-    def acquire(self, kind: str, workers: int) -> PoolHandle:
-        """Lease the ``(kind, workers)`` executor, creating it if needed.
+    def acquire(self, workers: int) -> PoolHandle:
+        """Lease the ``workers``-wide executor, creating it if needed.
 
-        Raises whatever the underlying executor (or the table-channel
-        manager) raises on platforms without process support —
-        callers degrade to serial evaluation on failure.
+        Raises whatever the underlying executor raises on platforms
+        without process support — callers degrade to serial evaluation
+        on failure.
         """
-        if kind not in POOL_KINDS:
-            raise OptimizerError(
-                f"unknown pool kind {kind!r}; valid: {POOL_KINDS}"
-            )
         if workers < 1:
             raise OptimizerError(f"workers must be >= 1, got {workers!r}")
-        key = (kind, workers)
-        handle = self._lease_existing(key)
+        handle = self._lease_existing(workers)
         if handle is not None:
             return handle
         # Cold path: build outside the map lock.  The build lock keeps
         # concurrent builders from racing each other (and keeps channel
-        # teardown from yanking the table channel mid-build).
+        # teardown from unlinking segments mid-build).
         with self._build_lock:
-            handle = self._lease_existing(key)
+            handle = self._lease_existing(workers)
             if handle is not None:
                 return handle
-            with self._lock:
-                manager_needed = (
-                    self._table_backend == "manager" and self._manager is None
-                )
-                tables = self._tables
-            manager = None
-            if manager_needed:
-                manager = multiprocessing.Manager()
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_pool_worker_init,
+                initargs=(self._token,),
+            )
             try:
-                # Everything between starting the manager process and
-                # handing it to self._manager runs under this guard:
-                # manager.dict() is an RPC into the fresh process and
-                # can fail, which previously leaked the process.
-                if manager is not None:
-                    tables = manager.dict()
-                if self._table_backend == "shm":
-                    channel: tuple[str, object] = ("shm", self._token)
-                else:
-                    channel = ("manager", tables)
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_worker_init,
-                    initargs=channel,
-                )
+                shared = _SharedPool(workers=workers, pool=pool, holders=1)
+                handle = PoolHandle(self, shared)
             except BaseException:
-                if manager is not None:
-                    manager.shutdown()
+                pool.shutdown(wait=False)
                 raise
             with self._lock:
-                if manager is not None:
-                    self._manager = manager
-                    self._tables = tables
-                shared = _SharedPool(key=key, pool=pool, holders=1)
-                self._pools[key] = shared
+                self._pools[workers] = shared
                 self.stats.pools_created += 1
                 self._process_holders += 1
-                if self._table_backend == "shm":
-                    self._shm_channel_up = True
+                self._shm_channel_up = True
                 self.stats.acquires += 1
-                return PoolHandle(self, shared)
+            return handle
 
-    def _lease_existing(self, key: tuple[str, int]) -> PoolHandle | None:
+    def _lease_existing(self, workers: int) -> PoolHandle | None:
         """The fast path: bump an already-built pool's lease count."""
         with self._lock:
-            shared = self._pools.get(key)
+            shared = self._pools.get(workers)
             if shared is None:
                 return None
             shared.holders += 1
@@ -414,38 +321,31 @@ class PoolRegistry:
             if invalidate and not shared.broken:
                 shared.broken = True
                 self.stats.invalidations += 1
-            if self._pools.get(shared.key) is shared and (
+            if self._pools.get(shared.workers) is shared and (
                 shared.broken or shared.holders <= 0
             ):
-                del self._pools[shared.key]
+                del self._pools[shared.workers]
             if shared.holders <= 0 and not shared.closed:
                 shared.closed = True
                 shutdown_pool = shared.pool
                 self.stats.pools_closed += 1
             self._process_holders -= 1
             maybe_close_channel = self._process_holders <= 0
-        # Executor/manager/segment teardown can block; never do it under
+        # Executor/segment teardown can block; never do it under
         # the map lock.
         if shutdown_pool is not None:
             shutdown_pool.shutdown(wait=True)
         if maybe_close_channel:
-            # Serialize with builders: a cold-path acquire that already
-            # read the live table channel must finish (and re-raise the
-            # process holder count) before the channel may go down.
+            # Serialize with builders: a cold-path acquire must finish (and
+            # re-raise the process holder count) before the channel may
+            # go down.
             with self._build_lock:
-                manager = None
                 leftovers: tuple[_ShmSegment, ...] = ()
                 with self._lock:
-                    if self._process_holders <= 0:
-                        if self._manager is not None:
-                            manager, self._manager = self._manager, None
-                            self._tables = None
-                        if self._shm_channel_up:
-                            leftovers = tuple(self._segments.values())
-                            self._segments.clear()
-                            self._shm_channel_up = False
-                if manager is not None:
-                    manager.shutdown()
+                    if self._process_holders <= 0 and self._shm_channel_up:
+                        leftovers = tuple(self._segments.values())
+                        self._segments.clear()
+                        self._shm_channel_up = False
                 for entry in leftovers:
                     self._unlink_segment(entry)
 
@@ -469,18 +369,6 @@ class PoolRegistry:
         Re-publishing an already-published uid bumps its segment's
         ref count instead of re-serializing.
         """
-        if self._table_backend == "manager":
-            with self._lock:
-                tables = self._tables
-            if tables is None:
-                raise OptimizerError(
-                    "cannot publish worker tables without an active "
-                    "process pool"
-                )
-            tables[uid] = payload
-            with self._lock:
-                self.stats.tables_published += 1
-            return
         with self._lock:
             if not self._shm_channel_up:
                 raise OptimizerError(
@@ -496,7 +384,7 @@ class PoolRegistry:
         # segment is named after this registry's token so a concurrent
         # teardown/republish race cannot collide with another registry.
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        segment = _shared_memory.SharedMemory(
+        segment = shared_memory.SharedMemory(
             name=_segment_name(self._token, uid), create=True, size=len(data)
         )
         try:
@@ -529,13 +417,6 @@ class PoolRegistry:
 
     def retract(self, uid: int) -> None:
         """Withdraw ``uid``'s published tables (idempotent)."""
-        if self._table_backend == "manager":
-            with self._lock:
-                tables = self._tables
-            if tables is not None and tables.pop(uid, None) is not None:
-                with self._lock:
-                    self.stats.tables_retracted += 1
-            return
         unlink = None
         with self._lock:
             entry = self._segments.get(uid)
@@ -551,40 +432,30 @@ class PoolRegistry:
 
     # -- introspection -----------------------------------------------------
 
-    def active_pools(self) -> tuple[tuple[str, int], ...]:
-        """Keys of the live (non-broken, leased or leasable) pools."""
+    def active_pools(self) -> tuple[int, ...]:
+        """Widths of the live (non-broken, leased or leasable) pools."""
         with self._lock:
             return tuple(self._pools)
 
-    def holders(self, kind: str, workers: int) -> int:
-        """Current lease count on one keyed pool (0 if absent)."""
+    def holders(self, workers: int) -> int:
+        """Current lease count on one width's pool (0 if absent)."""
         with self._lock:
-            shared = self._pools.get((kind, workers))
+            shared = self._pools.get(workers)
             return 0 if shared is None else shared.holders
 
     def live_leases(self) -> int:
-        """Outstanding pool leases across every (kind, width)."""
+        """Outstanding pool leases across every width."""
         with self._lock:
             # repro: lint-ok[REP001] integer lease counters, order-free
             return sum(shared.holders for shared in self._pools.values())
 
-    def table_channel_backend(self) -> str:
-        """The resolved channel backend (``"shm"`` or ``"manager"``)."""
-        return self._table_backend
-
     def has_table_channel(self) -> bool:
         """Whether the table channel is currently up."""
         with self._lock:
-            if self._table_backend == "manager":
-                return self._tables is not None
             return self._shm_channel_up
 
     def term_table_bytes(self) -> int:
-        """Bytes currently pinned in shared-memory term tables.
-
-        The manager backend reports 0: its payloads live inside the
-        manager process, not in segments this registry can measure.
-        """
+        """Bytes currently pinned in shared-memory term tables."""
         with self._lock:
             # repro: lint-ok[REP001] integer byte sizes, order-free
             return sum(entry.size for entry in self._segments.values())
@@ -592,13 +463,7 @@ class PoolRegistry:
     def published_uids(self) -> tuple[int, ...]:
         """Engine uids currently published to workers (for tests)."""
         with self._lock:
-            if self._table_backend == "manager":
-                tables = self._tables
-            else:
-                return tuple(sorted(self._segments))
-        if tables is None:
-            return ()
-        return tuple(sorted(tables.keys()))
+            return tuple(sorted(self._segments))
 
     def __len__(self) -> int:
         with self._lock:

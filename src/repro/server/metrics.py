@@ -608,8 +608,7 @@ class ServerMetrics(EdgeMetricsMixin):
         self.pool_leases.set_function(self._pool_registry.live_leases)
         self.term_table_bytes = reg.gauge(
             "repro_term_table_bytes",
-            "Bytes pinned in shared-memory term-table segments "
-            "(0 under the manager-dict channel).",
+            "Bytes pinned in shared-memory term-table segments.",
         )
         self.term_table_bytes.set_function(self._pool_registry.term_table_bytes)
 

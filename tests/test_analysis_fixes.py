@@ -6,9 +6,6 @@ code (see DESIGN.md § Invariants & static analysis):
 * REP004 on ``PoolRegistry.publish``: an exception between creating the
   named SharedMemory segment and registering it leaked an OS-level shm
   file that outlived the process.
-* REP004 on ``PoolRegistry.acquire``: ``manager.dict()`` — an RPC into
-  the freshly-spawned manager process — ran outside the guard that
-  shuts the manager down on failure, leaking the manager process.
 * REP005 on ``ProgressEvent``: the streaming event serialized
   (``to_dict``) but could not be parsed back (no ``from_dict``), so
   clients could not round-trip the one wire type the SSE path emits
@@ -17,19 +14,11 @@ code (see DESIGN.md § Invariants & static analysis):
 
 from __future__ import annotations
 
-import multiprocessing
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.optimizer.pools import (
-    PoolRegistry,
-    _segment_name,
-    _shared_memory,
-)
-
-pytestmark = pytest.mark.skipif(
-    _shared_memory is None, reason="multiprocessing.shared_memory unavailable"
-)
+from repro.optimizer.pools import PoolRegistry, _segment_name
 
 
 class _ExplodingStats:
@@ -39,26 +28,10 @@ class _ExplodingStats:
         raise RuntimeError("stats backend down")
 
 
-class _FakeManager:
-    """A Manager whose first RPC (``dict()``) fails."""
-
-    instances: list["_FakeManager"] = []
-
-    def __init__(self):
-        self.shutdown_called = False
-        _FakeManager.instances.append(self)
-
-    def dict(self):
-        raise RuntimeError("manager RPC failed")
-
-    def shutdown(self):
-        self.shutdown_called = True
-
-
 class TestPublishLeak:
     def test_publish_failure_unlinks_fresh_segment(self):
         """REP004 regression: no shm leak when registration raises."""
-        registry = PoolRegistry(table_backend="shm")
+        registry = PoolRegistry()
         # White-box: bring the channel up without paying for a real
         # process pool, then make the registration step blow up.
         registry._shm_channel_up = True
@@ -70,13 +43,13 @@ class TestPublishLeak:
         # OS-level segment behind.
         assert uid not in registry._segments
         with pytest.raises(FileNotFoundError):
-            _shared_memory.SharedMemory(
+            shared_memory.SharedMemory(
                 name=_segment_name(registry._token, uid)
             )
 
     def test_publish_retract_still_round_trips(self):
         """The happy path is untouched by the error-path fix."""
-        registry = PoolRegistry(table_backend="shm")
+        registry = PoolRegistry()
         registry._shm_channel_up = True
         uid = 7
         registry.publish(uid, {"terms": (1.0,)})
@@ -85,23 +58,6 @@ class TestPublishLeak:
         registry.retract(uid)
         assert uid not in registry._segments
         with pytest.raises(FileNotFoundError):
-            _shared_memory.SharedMemory(
+            shared_memory.SharedMemory(
                 name=_segment_name(registry._token, uid)
             )
-
-
-class TestAcquireManagerLeak:
-    def test_failed_manager_rpc_shuts_manager_down(self, monkeypatch):
-        """REP004 regression: the manager process never outlives a
-        failed acquire, even when the failure is the table-dict RPC
-        rather than pool construction."""
-        _FakeManager.instances.clear()
-        monkeypatch.setattr(multiprocessing, "Manager", _FakeManager)
-        registry = PoolRegistry(table_backend="manager")
-        with pytest.raises(RuntimeError, match="manager RPC failed"):
-            registry.acquire("process", 1)
-        assert len(_FakeManager.instances) == 1
-        assert _FakeManager.instances[0].shutdown_called
-        # Nothing half-built may linger: no pools, no table channel.
-        assert registry.active_pools() == ()
-        assert not registry.has_table_channel()

@@ -372,7 +372,7 @@ class TestREP004ResourceLifecycle:
         code = (
             "class Backend:\n"
             "    def ensure(self, registry):\n"
-            "        self._handle = registry.acquire('process', 2)\n"
+            "        self._handle = registry.acquire(2)\n"
         )
         report = lint_snippet(tmp_path, code, ResourceLifecycleRule)
         assert rule_ids(report) == ["REP004"]
@@ -382,7 +382,7 @@ class TestREP004ResourceLifecycle:
         code = (
             "class Backend:\n"
             "    def ensure(self, registry):\n"
-            "        self._handle = registry.acquire('process', 2)\n"
+            "        self._handle = registry.acquire(2)\n"
             "    def close(self):\n"
             "        self._handle.release()\n"
         )

@@ -252,4 +252,7 @@ class TestSeedDeterminism:
         for recommendation in report.recommendations:
             assert recommendation.engine_stats is not None
             assert recommendation.engine_stats.candidate_evaluations > 0
-            assert recommendation.engine_stats.topology_evaluations == 0
+            stats = recommendation.engine_stats
+            assert stats.cache_hits + stats.incremental_combines == (
+                stats.candidate_evaluations
+            )

@@ -50,6 +50,12 @@ class TestParser:
         ):
             assert parser.parse_args(args).command == args[0]
 
+    def test_recommend_has_no_engine_flag(self, capsys):
+        # Incremental recombination is the only evaluation path.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["recommend", "--engine", "direct"])
+        assert "--engine" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "bogus"])

@@ -33,7 +33,6 @@ from repro.optimizer.brute_force import brute_force_optimize
 from repro.optimizer.engine import (
     BACKEND_ENV_VAR,
     ENGINE_BACKENDS,
-    TERM_TABLE_BACKENDS,
     EvaluationEngine,
     ProcessBackend,
     VectorBackend,
@@ -248,16 +247,6 @@ class TestBackendRebinding:
         with pytest.raises(OptimizerError, match="backend"):
             engine.set_backend("quantum")
 
-    @pytest.mark.parametrize("backend", TERM_TABLE_BACKENDS)
-    def test_term_table_backends_require_incremental_mode(self, backend):
-        with pytest.raises(OptimizerError, match="incremental"):
-            EvaluationEngine(
-                case_study_problem(), mode="direct", backend=backend
-            )
-        engine = EvaluationEngine(case_study_problem(), mode="direct")
-        with pytest.raises(OptimizerError, match="direct"):
-            engine.set_backend(backend)
-
     def test_set_backend_rejects_bad_chunk_size(self):
         engine = EvaluationEngine(case_study_problem())
         with pytest.raises(OptimizerError, match="chunk_size"):
@@ -288,14 +277,6 @@ class TestEnvironmentDefault:
     def test_explicit_backend_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         engine = EvaluationEngine(case_study_problem(), backend="serial")
-        assert engine.backend == "serial"
-
-    @pytest.mark.parametrize("backend", TERM_TABLE_BACKENDS)
-    def test_env_term_table_backends_never_forced_onto_direct_mode(
-        self, monkeypatch, backend
-    ):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        engine = EvaluationEngine(case_study_problem(), mode="direct")
         assert engine.backend == "serial"
 
     def test_invalid_env_var_rejected(self, monkeypatch):
@@ -406,7 +387,7 @@ class TestFailureModes:
         with pytest.warns(RuntimeWarning):
             list(engine.evaluate_all())
         assert engine.stats.incremental_combines == engine.space.size
-        assert engine.stats.topology_evaluations == 0
+        assert engine.stats.candidate_evaluations == engine.space.size
 
 
 class TestStrategiesAcrossBackends:
@@ -424,7 +405,10 @@ class TestStrategiesAcrossBackends:
         assert brute.best.tco.total == reference.best.tco.total
         assert pruned.best.tco.total == reference.best.tco.total
         assert bnb.best.tco.total == reference.best.tco.total
-        assert engine.stats.topology_evaluations == 0
+        stats = engine.stats
+        assert stats.cache_hits + stats.incremental_combines == (
+            stats.candidate_evaluations
+        )
 
 
 class TestDistilledSweep:
@@ -574,7 +558,10 @@ class TestVectorBackend:
         # Degradation is sticky (no warning spam, no import retry storm).
         assert stream_signature(engine.evaluate_all()) == reference
         assert engine._backend_impl._degraded is True
-        assert engine.stats.topology_evaluations == 0
+        stats = engine.stats
+        assert stats.cache_hits + stats.incremental_combines == (
+            stats.candidate_evaluations
+        )
 
     @requires_numpy
     def test_replay_is_pure_cache_hits(self):
@@ -675,7 +662,7 @@ class TestPoolRegistry:
             assert stream_signature(engine_b.evaluate_all()) == expected_b
             assert registry.stats.pools_created == 1
             assert engine_a._backend_impl._pool is engine_b._backend_impl._pool
-            assert registry.holders("process", 1) == 2
+            assert registry.holders(1) == 2
             assert set(registry.published_uids()) == {
                 engine_a.uid, engine_b.uid,
             }
@@ -695,7 +682,7 @@ class TestPoolRegistry:
         list(engine_b.evaluate_all())
         engine_a.close()
         # One holder left: the executor (and table channel) stay up.
-        assert registry.active_pools() == (("process", 1),)
+        assert registry.active_pools() == (1,)
         assert registry.stats.pools_closed == 0
         assert registry.has_table_channel()
         assert registry.published_uids() == (engine_b.uid,)
@@ -712,14 +699,14 @@ class TestPoolRegistry:
             pool_registry=registry, chunk_size=8,
         ) as engine:
             list(engine.evaluate_all())
-            assert registry.active_pools() == (("process", 1),)
+            assert registry.active_pools() == (1,)
             engine.set_backend("process", max_workers=2)
             # The old lease is released immediately; the new width is
             # acquired lazily by the next stream.
             assert engine._backend_impl._pool is None
             assert registry.active_pools() == ()
             list(engine.evaluate_all())
-            assert registry.active_pools() == (("process", 2),)
+            assert registry.active_pools() == (2,)
             assert engine.stats.cache_hits >= engine.space.size
 
     def test_worker_failure_invalidates_only_the_broken_pool(self):
@@ -758,55 +745,29 @@ class TestPoolRegistry:
         assert engine.pool_registry is pools_module.default_registry()
 
     def test_unknown_pool_kind_rejected(self):
-        with pytest.raises(OptimizerError, match="pool kind"):
-            PoolRegistry().acquire("thread", 1)
+        # Pools are keyed by width alone; an empty pool is the one
+        # key the registry refuses.
         with pytest.raises(OptimizerError, match="workers"):
-            PoolRegistry().acquire("process", 0)
+            PoolRegistry().acquire(0)
 
 
 class TestTermTableChannels:
-    """The worker-table channel: shm segments vs. the manager dict."""
+    """The worker-table channel: one shared-memory segment per engine."""
 
-    HAS_SHM = pools_module._shared_memory is not None
-
-    def channels(self):
-        return ("shm", "manager") if self.HAS_SHM else ("manager",)
-
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(pools_module.TABLE_CHANNEL_ENV_VAR, "manager")
-        assert pools_module.resolve_table_backend("manager") == "manager"
-        monkeypatch.delenv(pools_module.TABLE_CHANNEL_ENV_VAR)
-        assert pools_module.resolve_table_backend("manager") == "manager"
-
-    def test_resolve_unknown_rejected(self):
-        with pytest.raises(OptimizerError, match="table-channel"):
-            pools_module.resolve_table_backend("carrier-pigeon")
-
-    def test_shm_degrades_to_manager_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(pools_module, "_shared_memory", None)
-        assert pools_module.resolve_table_backend("shm") == "manager"
-        registry = PoolRegistry(table_backend="shm")
-        assert registry.table_channel_backend() == "manager"
-
-    def test_process_streams_bit_identical_on_both_channels(self):
+    def test_process_streams_bit_identical_over_shm(self):
         problem = random_problem(34, clusters=3, choices_per_layer=2)
         expected = stream_signature(
             EvaluationEngine(problem).evaluate_all()
         )
-        for channel in self.channels():
-            registry = PoolRegistry(table_backend=channel)
-            with backend_engine(
-                problem, "process", max_workers=1,
-                pool_registry=registry, chunk_size=8,
-            ) as engine:
-                assert stream_signature(engine.evaluate_all()) == expected, (
-                    channel
-                )
+        with backend_engine(
+            problem, "process", max_workers=1,
+            pool_registry=PoolRegistry(), chunk_size=8,
+        ) as engine:
+            assert stream_signature(engine.evaluate_all()) == expected
 
-    @pytest.mark.skipif(not HAS_SHM, reason="shared_memory unavailable")
     def test_shm_segments_are_refcounted_and_unlinked(self):
-        registry = PoolRegistry(table_backend="shm")
-        handle = registry.acquire("process", 1)
+        registry = PoolRegistry()
+        handle = registry.acquire(1)
         try:
             registry.publish(9101, {"table": list(range(32))})
             registry.publish(9101, {"table": list(range(32))})  # refcount 2
@@ -824,10 +785,29 @@ class TestTermTableChannels:
             handle.release()
         assert not registry.has_table_channel()
 
-    @pytest.mark.skipif(not HAS_SHM, reason="shared_memory unavailable")
+    def test_retired_channel_env_var_is_ignored(self, monkeypatch):
+        # shm is the only channel: the old selector variable changes
+        # nothing, and tables still land in a shared-memory segment.
+        monkeypatch.setenv("REPRO_TERM_TABLES", "manager")
+        registry = PoolRegistry()
+        handle = registry.acquire(1)
+        try:
+            registry.publish(9103, {"table": [1.0, 2.0]})
+            assert registry.term_table_bytes() > 0
+            registry.retract(9103)
+        finally:
+            handle.release()
+
+    def test_registry_has_no_channel_or_kind_knobs(self):
+        with pytest.raises(TypeError, match="table_backend"):
+            PoolRegistry(table_backend="shm")
+        # Pools are keyed by width alone: acquire takes only workers.
+        with pytest.raises(TypeError):
+            PoolRegistry().acquire("process", 1)
+
     def test_channel_teardown_reclaims_leftover_segments(self):
-        registry = PoolRegistry(table_backend="shm")
-        handle = registry.acquire("process", 1)
+        registry = PoolRegistry()
+        handle = registry.acquire(1)
         registry.publish(9102, {"table": [1.0, 2.0, 3.0]})
         assert registry.term_table_bytes() > 0
         # Releasing the last pool lease tears the channel down even
@@ -842,4 +822,3 @@ def test_backend_constants_are_consistent():
     assert set(ENGINE_BACKENDS) == set(engine_module._BACKEND_TYPES)
     assert ProcessBackend.name == "process"
     assert VectorBackend.name == "vector"
-    assert set(TERM_TABLE_BACKENDS) <= set(ENGINE_BACKENDS)

@@ -163,10 +163,3 @@ class TestLazySystem:
         assert relabelled.option_id == 99
         assert not relabelled.system_is_materialized
         assert relabelled.tco is first.tco
-
-    def test_direct_mode_options_are_materialized(self, paper_problem):
-        from repro.optimizer.engine import EvaluationEngine
-
-        engine = EvaluationEngine(paper_problem, mode="direct")
-        option = engine.evaluate(1, (0, 0, 0))
-        assert option.system_is_materialized

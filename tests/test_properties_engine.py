@@ -92,20 +92,6 @@ class TestEngineMatchesDirectEvaluation:
                 direct = evaluate_candidate(problem, space, option_id, indices)
                 _assert_equivalent(direct, engine.evaluate(option_id, indices))
 
-    def test_direct_mode_equivalent(self):
-        problem = random_problem(99, clusters=3, choices_per_layer=2)
-        incremental = EvaluationEngine(problem)
-        direct = EvaluationEngine(problem, mode="direct")
-        for option_id, indices in enumerate(
-            incremental.space.candidates_in_paper_order(), start=1
-        ):
-            _assert_equivalent(
-                direct.evaluate(option_id, indices),
-                incremental.evaluate(option_id, indices),
-            )
-        assert direct.stats.topology_evaluations > 0
-        assert incremental.stats.topology_evaluations == 0
-
     def test_parallel_equivalent(self):
         for problem in (
             case_study_problem(),
@@ -210,8 +196,27 @@ class TestEngineCache:
             )
 
     def test_engine_rejects_unknown_mode(self):
-        with pytest.raises(OptimizerError, match="mode"):
+        # Incremental recombination is the only evaluation path, so
+        # mode= is not a parameter.
+        with pytest.raises(TypeError, match="mode"):
             EvaluationEngine(case_study_problem(), mode="quantum")
+
+    def test_every_evaluation_is_a_hit_or_a_combine(self):
+        # No full-topology path remains, so the stats carry no counter
+        # for one and every evaluation is accounted for by the two
+        # incremental outcomes.
+        engine = EvaluationEngine(case_study_problem())
+        list(engine.evaluate_all())
+        list(engine.evaluate_all())
+        stats = engine.stats.to_dict()
+        assert set(stats) == {
+            "candidate_evaluations", "cache_hits",
+            "incremental_combines", "cluster_term_computations",
+        }
+        assert stats["cache_hits"] + stats["incremental_combines"] == (
+            stats["candidate_evaluations"]
+        )
+        assert stats["cache_hits"] == engine.space.size
 
 
 class TestStreamingResult:

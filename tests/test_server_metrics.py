@@ -172,7 +172,7 @@ class TestServerMetricsPoolSamples:
         samples = parse_prometheus_text(metrics.render())
         assert samples[("repro_pool_leases", ())] == 0
 
-        handle = registry.acquire("process", 2)
+        handle = registry.acquire(2)
         try:
             samples = parse_prometheus_text(metrics.render())
             assert samples[("repro_pool_leases", ())] == 1
@@ -182,12 +182,10 @@ class TestServerMetricsPoolSamples:
         assert samples[("repro_pool_leases", ())] == 0
 
     def test_term_table_bytes_track_shm_segments(self):
-        registry = PoolRegistry(table_backend="shm")
+        registry = PoolRegistry()
         metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        if registry.table_channel_backend() != "shm":
-            pytest.skip("shared_memory unavailable; channel degraded")
 
-        handle = registry.acquire("process", 2)
+        handle = registry.acquire(2)
         try:
             samples = parse_prometheus_text(metrics.render())
             assert samples[("repro_term_table_bytes", ())] == 0
@@ -197,17 +195,5 @@ class TestServerMetricsPoolSamples:
             registry.retract(7001)
             samples = parse_prometheus_text(metrics.render())
             assert samples[("repro_term_table_bytes", ())] == 0
-        finally:
-            handle.release()
-
-    def test_manager_channel_reports_zero_bytes(self):
-        registry = PoolRegistry(table_backend="manager")
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        handle = registry.acquire("process", 2)
-        try:
-            registry.publish(7002, {"payload": [1.0, 2.0]})
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-            registry.retract(7002)
         finally:
             handle.release()

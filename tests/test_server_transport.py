@@ -48,6 +48,10 @@ inprocess_only = pytest.mark.skipif(
 )
 
 
+#: Marks a request field the malformed-input cases remove.
+_DELETE = object()
+
+
 def observed_broker() -> BrokerService:
     broker = BrokerService(all_providers())
     broker.observe_all(years=OBSERVE_YEARS, seed=SEED)
@@ -134,13 +138,20 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("route", ["/v2/recommend", "/v2/jobs"])
     @pytest.mark.parametrize(
-        "retired", [{"backend": "thread"}, {"parallel": True}]
+        "retired",
+        [
+            {"backend": "thread"},
+            {"parallel": True},
+            {"engine": "direct"},
+            {"engine": "incremental"},
+        ],
     )
     def test_retired_backend_fields_are_structured_400(
         self, handle, route, retired
     ):
-        # The thread backend and its parallel alias are gone from the
-        # wire; old clients get a validation error, never a 500 or hang.
+        # The thread backend, its parallel alias and the engine mode
+        # are gone from the wire; old clients get a validation error,
+        # never a 500 or hang.
         payload = RecommendEnvelope(request()).to_dict()
         payload["request"].update(retired)
         wire = ServerClient(handle.host, handle.port, timeout=10.0)
@@ -149,6 +160,55 @@ class TestErrorPaths:
         envelope = ErrorEnvelope.from_json(body)
         assert envelope.error == "validation-error"
         assert next(iter(retired)) in envelope.message
+
+    @pytest.mark.parametrize("route", ["/v2/recommend", "/v2/jobs"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            pytest.param(("clusters", 0, "nodes"), "abc", "nodes", id="nodes-str"),
+            pytest.param(("clusters", 0, "nodes"), None, "nodes", id="nodes-null"),
+            pytest.param(("clusters", 0, "nodes"), 2.9, "nodes", id="nodes-float"),
+            pytest.param(("clusters", 0, "nodes"), True, "nodes", id="nodes-bool"),
+            pytest.param(("clusters", 0, "name"), _DELETE, "name", id="no-name"),
+            pytest.param(("contract",), _DELETE, "contract", id="no-contract"),
+            pytest.param(
+                ("contract", "sla_percent"), "x", "contract", id="sla-str"
+            ),
+            pytest.param(("clusters",), 5, "clusters", id="clusters-int"),
+            pytest.param(("providers",), 5, "providers", id="providers-int"),
+            pytest.param(("metadata",), [1], "metadata", id="metadata-list"),
+            pytest.param(
+                ("extended_catalog",), "no", "extended_catalog",
+                id="extended-str",
+            ),
+        ],
+    )
+    def test_malformed_request_fields_are_structured_400(
+        self, handle, route, path, value, field
+    ):
+        # Every malformed field is a 400 naming it: never a 500 with a
+        # server-side traceback, never a silent coercion.
+        payload = RecommendEnvelope(request()).to_dict()
+        target = payload["request"]
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        wire = ServerClient(handle.host, handle.port, timeout=10.0)
+        status, body = wire.request_raw("POST", route, json.dumps(payload))
+        assert status == 400, body
+        envelope = ErrorEnvelope.from_json(body)
+        assert envelope.error == "validation-error"
+        assert field in envelope.message
+
+    def test_non_object_envelope_is_structured_400(self, client):
+        status, body = client.request_raw("POST", "/v2/recommend", "[]")
+        assert status == 400
+        envelope = ErrorEnvelope.from_json(body)
+        assert envelope.error == "validation-error"
+        assert "JSON object" in envelope.message
 
     def test_unknown_provider_is_structured_404(self, client):
         bad = RecommendEnvelope(
