@@ -15,9 +15,9 @@ bit-identical results, with cache hits reported across strategy
 restarts.
 
 The ``--compare-backends`` mode (E12, re-run as E13/E14) races the
-serial, process and vector evaluation backends over an extended >= 100k-
-candidate catalog: distilled brute-force sweeps with the result cache
-off, asserting all backends agree bit-identically and (when numpy is
+serial and vector evaluation backends over an extended >= 100k-candidate
+catalog: distilled brute-force sweeps with the result cache off,
+asserting all backends agree bit-identically and (when numpy is
 installed) that the vector backend beats serial even on one core.
 Without numpy the vector leg is *skipped* with a clear notice (a
 degraded-to-serial timing row would be noise, not signal).  Combine with
@@ -32,6 +32,8 @@ import json
 import os
 import time
 from datetime import datetime, timezone
+
+import pytest
 
 from repro.catalog.hypervisor import HypervisorHA
 from repro.catalog.os_cluster import OSCluster
@@ -208,16 +210,20 @@ def test_engine_avoids_full_topology_work(emit):
 
 
 def test_parallel_chunked_evaluation_matches(emit):
-    """The process backend produces the identical option table, in order."""
+    """The vector backend produces the identical option table, in order."""
+    from repro.optimizer.engine import _import_numpy
+
+    if _import_numpy() is None:
+        pytest.skip("numpy not installed (the [vector] extra)")
     problem = four_by_four_problem()
     sequential = brute_force_optimize(problem)
-    with EvaluationEngine(problem, backend="process", chunk_size=32) as engine:
-        parallel = brute_force_optimize(problem, engine=engine)
-    assert [option.tco.total for option in parallel.options] == [
+    engine = EvaluationEngine(problem, backend="vector", chunk_size=32)
+    chunked = brute_force_optimize(problem, engine=engine)
+    assert [option.tco.total for option in chunked.options] == [
         option.tco.total for option in sequential.options
     ]
     emit(
-        "[E9] parallel chunked evaluation: 256/256 options bit-identical "
+        "[E9] chunked vector evaluation: 256/256 options bit-identical "
         "to sequential order"
     )
 
@@ -227,7 +233,7 @@ def extended_catalog_problem(clusters: int = 9) -> OptimizationProblem:
 
     Nine clusters at the generator's maximum of three technologies per
     layer (plus ``none``) give ``4^9 = 262,144`` candidates — past the
-    100k bar the process-backend acceptance criterion sets, and deep
+    100k bar the backend acceptance criteria set, and deep
     enough (n=9, within the paper's n<=10 bound) that the O(n^2)
     failover recombination dominates per-candidate cost.
     """
@@ -242,8 +248,8 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
     work and memory stays O(1).  Backends race through
     :meth:`EvaluationEngine.sweep`, so the vector leg uses the
     block-distilled ranking pass (argmin over whole blocks, winners-only
-    assembly) while serial/process stream per candidate — each
-    backend's best honest path.  Asserts all backends return the same
+    assembly) while serial streams per candidate — each backend's best
+    honest path.  Asserts all backends return the same
     evaluations count and a bit-identical best option; outside smoke
     mode, also asserts — with numpy installed — that the vector backend
     beats serial regardless of core count (it vectorizes the combine,
@@ -271,15 +277,13 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
                 "pip install .[vector])"
             )
             continue
-        with EvaluationEngine(
+        engine = EvaluationEngine(
             problem, cache=False, backend=backend, chunk_size=4096
-        ) as engine:
-            # Each backend's best honest path through one API call:
-            # sweep() is from_stream for serial/process and the
-            # block-distilled ranking pass for vector.
-            result, seconds = _timed(
-                lambda e=engine: e.sweep(keep_options=False)
-            )
+        )
+        # Each backend's best honest path through one API call: sweep()
+        # is from_stream for serial and the block-distilled ranking pass
+        # for vector.
+        result, seconds = _timed(lambda: engine.sweep(keep_options=False))
         timings[backend] = seconds
         results[backend] = result
         rows.append(
@@ -297,23 +301,19 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
             reference.best.availability.uptime_probability
         ), backend
 
-    speedups = {
-        "process_over_serial": timings["serial"] / timings["process"],
-    }
-    verdict = (
-        f"process/serial speedup {speedups['process_over_serial']:.2f}x"
-    )
+    speedups = {}
     if has_numpy:
         speedups["vector_over_serial"] = (
             timings["serial"] / timings["vector"]
         )
-        verdict += (
-            f", vector/serial speedup "
-            f"{speedups['vector_over_serial']:.2f}x"
+        verdict = (
+            f"vector/serial speedup "
+            f"{speedups['vector_over_serial']:.2f}x on {cores} core(s)"
         )
-    verdict += f" on {cores} core(s)"
-    if not has_numpy:
-        verdict += " (vector leg skipped: numpy not installed)"
+    else:
+        verdict = (
+            f"on {cores} core(s) (vector leg skipped: numpy not installed)"
+        )
 
     emit(
         f"[E14] backend comparison, {reference.evaluations:,}-candidate "
@@ -367,11 +367,11 @@ def test_backend_comparison_smoke(emit):
 def _smoke() -> int:
     """Fast CI guard: engine correctness + zero full-topology evals."""
     problem = four_by_four_problem()
-    with EvaluationEngine(problem) as engine:
-        result, seconds = _timed(
-            lambda: brute_force_optimize(problem, engine=engine)
-        )
-        pruned_optimize(problem, engine=engine)
+    engine = EvaluationEngine(problem)
+    result, seconds = _timed(
+        lambda: brute_force_optimize(problem, engine=engine)
+    )
+    pruned_optimize(problem, engine=engine)
     stats = engine.stats
     assert stats.cache_hits + stats.incremental_combines == (
         stats.candidate_evaluations
@@ -396,7 +396,7 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--compare-backends", action="store_true",
-        help="race the serial/process/vector backends (E14); with "
+        help="race the serial/vector backends (E14); with "
         "--smoke, a small-catalog equivalence check without timing "
         "assertions",
     )

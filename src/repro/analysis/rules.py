@@ -210,7 +210,7 @@ class LockDisciplineRule(Rule):
                 hint=(
                     "collect the resource under the lock and "
                     "close/join/shutdown it after releasing (see "
-                    "PoolRegistry._release), or rename the lock if it is "
+                    "ShardedIngestor.close), or rename the lock if it is "
                     "a slow-path lock that may legitimately block "
                     "(e.g. _build_lock)"
                 ),
@@ -531,7 +531,7 @@ class RegistryParityRule(Rule):
     title = "backend/clause registry parity"
     paths = ("optimizer/engine.py", "sla/*")
 
-    _BACKEND_SURFACE = ("evaluate_stream", "close")
+    _BACKEND_SURFACE = ("evaluate_stream",)
     _SCALAR_FALLBACK_MARKER = "repro: scalar-fallback"
 
     def finish(self, tree: ast.Module, ctx: LintContext) -> None:
@@ -602,8 +602,8 @@ class RegistryParityRule(Rule):
                     f"backend {backend!r} ({class_name}) is missing the "
                     f"Backend protocol surface: {missing}",
                     hint=(
-                        "implement evaluate_stream(engine, enumerated), "
-                        "close() and a name class attribute"
+                        "implement evaluate_stream(engine, enumerated) "
+                        "and a name class attribute"
                     ),
                 )
 

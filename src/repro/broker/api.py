@@ -215,20 +215,11 @@ def _request_stats(
 
 @dataclass
 class EngineCacheStats:
-    """Hit/miss/eviction accounting for one :class:`EngineCache`.
-
-    ``evicted_engines_closed`` counts evicted engines whose worker-pool
-    lease was actually released (eviction alone only drops the map
-    entry); ``deferred_engine_closes`` counts evictions whose close had
-    to wait for an in-flight request still holding the entry — the
-    holder completes the close through :meth:`EngineCache.finish`.
-    """
+    """Hit/miss/eviction accounting for one :class:`EngineCache`."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    evicted_engines_closed: int = 0
-    deferred_engine_closes: int = 0
 
     @property
     def requests(self) -> int:
@@ -248,8 +239,6 @@ class EngineCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "evicted_engines_closed": self.evicted_engines_closed,
-            "deferred_engine_closes": self.deferred_engine_closes,
         }
 
     def describe(self) -> str:
@@ -271,12 +260,6 @@ class _CacheEntry:
     by this engine completes — per-request stat deltas attribute the
     construction-time cluster-term precompute to that request.
 
-    ``evicted`` flips (under the cache's global lock) when LRU eviction
-    drops the entry from the map; ``closed`` records that the engine's
-    worker-pool lease was released afterwards.  An evicted-but-not-yet-
-    closed entry is one an in-flight request still holds — that holder
-    finishes the close via :meth:`EngineCache.finish`.
-
     ``lock`` makes the engine single-consumer: every evaluation on it —
     a whole search, or one streamed block — runs under the lock, so no
     two threads ever evaluate on one engine at once and the engine
@@ -287,8 +270,6 @@ class _CacheEntry:
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
-    evicted: bool = False
-    closed: bool = False
 
 
 class EngineCache:
@@ -317,13 +298,10 @@ class EngineCache:
         distinct keys build concurrently while racing requests for the
         *same* key still share one build.
 
-        LRU eviction closes the dropped engines *outside* the global
-        lock (pool shutdown can block): an engine's worker-pool lease
-        would otherwise leak until interpreter exit.  If an in-flight
-        request still holds an evicted entry, the close is deferred to
-        that holder (:meth:`finish`).
+        LRU eviction only drops map entries: an in-flight request still
+        holding an evicted entry finishes on its engine, which is freed
+        with the last reference.
         """
-        evicted: list[_CacheEntry] = []
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -334,12 +312,8 @@ class EngineCache:
                 entry = _CacheEntry(key=key)
                 self._entries[key] = entry
                 while len(self._entries) > self.capacity:
-                    _, dropped = self._entries.popitem(last=False)
-                    dropped.evicted = True
-                    evicted.append(dropped)
+                    self._entries.popitem(last=False)
                     self.stats.evictions += 1
-        for dropped in evicted:
-            self._close_evicted(dropped, count_deferred=True)
         if entry.engine is None:
             with entry.lock:
                 if entry.engine is None:
@@ -352,47 +326,6 @@ class EngineCache:
                                 del self._entries[key]
                         raise
         return entry
-
-    def _close_evicted(
-        self, entry: _CacheEntry, *, count_deferred: bool = False
-    ) -> None:
-        """Release an evicted entry's engine without blocking.
-
-        Runs outside the global lock.  The entry's own lock is taken
-        non-blockingly: if an in-flight request holds it, the close is
-        deferred — the holder calls :meth:`finish` once done.  The
-        engine is closed even when ``entry.closed`` is already set: a
-        holder that resolved the entry before eviction may have revived
-        the closed engine (a closed engine lazily re-acquires its pool),
-        so every finish re-closes; ``EvaluationEngine.close`` is
-        idempotent and only the first close is counted.
-        """
-        if not entry.lock.acquire(blocking=False):
-            if count_deferred and not entry.closed:
-                with self._lock:
-                    self.stats.deferred_engine_closes += 1
-            return
-        try:
-            if entry.engine is not None:
-                entry.engine.close()
-            first_close, entry.closed = not entry.closed, True
-        finally:
-            entry.lock.release()
-        if first_close:
-            with self._lock:
-                self.stats.evicted_engines_closed += 1
-
-    def finish(self, entry: _CacheEntry) -> None:
-        """Complete (or repeat) an eviction close after using an entry.
-
-        Sessions call this (outside the entry's lock) whenever they are
-        done serving a request from a cached engine; it is a no-op
-        unless the entry was evicted.  Re-closing matters: an in-flight
-        holder revives a closed engine's pool lease just by evaluating
-        on it, so the *last* user out must always shut the lease down.
-        """
-        if entry.evicted:
-            self._close_evicted(entry)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -426,19 +359,9 @@ class EngineCache:
         )
 
     def clear(self) -> None:
-        """Drop every cached engine (stats are retained).
-
-        Dropped engines are closed like LRU evictions — non-blockingly,
-        deferring to in-flight holders — so clearing a cache of
-        process-backed engines does not leak their pool leases.
-        """
+        """Drop every cached engine (stats are retained)."""
         with self._lock:
-            dropped = tuple(self._entries.values())
             self._entries.clear()
-            for entry in dropped:
-                entry.evicted = True
-        for entry in dropped:
-            self._close_evicted(entry, count_deferred=True)
 
 
 @dataclass
@@ -503,7 +426,8 @@ class BrokerSession:
 
     ``backend`` sets the session's default evaluation backend for
     requests that do not pin one themselves (``request.backend``
-    always wins).
+    always wins).  ``None`` reads ``REPRO_BACKEND`` once, here, so a
+    bad value fails construction instead of every request.
 
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
@@ -545,19 +469,15 @@ class BrokerSession:
             raise BrokerError(
                 f"finished_job_ttl must be > 0, got {finished_job_ttl!r}"
             )
-        if backend is not None:
-            # Fail fast on typos; None stays None (per-request resolution).
-            resolve_backend(backend)
         self.service = service
         # Explicit None check: an empty EngineCache is falsy (__len__).
         self.engine_cache = (
             engine_cache if engine_cache is not None else EngineCache(cache_capacity)
         )
-        self._owns_cache = engine_cache is None
         self.max_workers = max_workers
         self.max_finished_jobs = max_finished_jobs
         self.finished_job_ttl = finished_job_ttl
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         # Tracing: None means disabled — every instrumentation point in
         # the session guards on a single `is not None` check, so the
         # untraced hot path is unchanged (see repro.obs).
@@ -588,23 +508,13 @@ class BrokerSession:
         self.close()
 
     def close(self) -> None:
-        """Shut the worker pool down; in-flight jobs run to completion.
-
-        When the session built its own engine cache, the cached engines'
-        evaluation-backend pools are shut down too (after the job pool
-        drains, so no in-flight request loses its workers).  A shared
-        cache passed in by the caller is left untouched — other
-        sessions may still be serving from it.
-        """
+        """Shut the worker pool down; in-flight jobs run to completion."""
         with self._lock:
             self._closed = True
             executor = self._executor
             self._executor = None
         if executor is not None:
             executor.shutdown(wait=True)
-        if self._owns_cache:
-            for engine in self.engine_cache.engines():
-                engine.close()
 
     # -- synchronous API ---------------------------------------------------
 
@@ -1016,53 +926,46 @@ class BrokerSession:
         candidates = enumerate(engine.space.candidates_in_paper_order(), start=1)
         # No backend rebind here: streaming interleaves progress events
         # with evaluation, so candidates go through engine.evaluate()
-        # one at a time — always in-process, whatever the backend.
-        # Rebinding would only churn a warm engine's worker pool.
-        try:
+        # one at a time, whatever the backend.
+        with entry.lock:
+            before = engine.stats.snapshot()
+        exhausted = False
+        while not exhausted:
             with entry.lock:
-                before = engine.stats.snapshot()
-            exhausted = False
-            while not exhausted:
-                with entry.lock:
-                    for _ in range(progress_every):
-                        item = next(candidates, None)
-                        if item is None:
-                            exhausted = True
-                            break
-                        option_id, indices = item
-                        accumulator.add(engine.evaluate(option_id, indices))
-                if not exhausted:
-                    yield ProgressEvent(
-                        "progress",
-                        request_id=request_id,
-                        provider=name,
-                        detail={
-                            "evaluated": accumulator.count,
-                            "space_size": engine.space.size,
-                        },
-                    )
-            with entry.lock:
-                after = engine.stats.snapshot()
-                first_service = entry.unserved
-                entry.unserved = False
-            if trace_ctx is not None:
-                # Pre-timed: a span context manager must not straddle
-                # yields — an abandoned generator would never close it.
-                tracer.record(
-                    "distill",
-                    parent=trace_ctx,
-                    start=distill_started,
-                    end=clock.perf_counter(),
-                    attrs={
-                        "provider": name,
-                        "evaluated": str(accumulator.count),
+                for _ in range(progress_every):
+                    item = next(candidates, None)
+                    if item is None:
+                        exhausted = True
+                        break
+                    option_id, indices = item
+                    accumulator.add(engine.evaluate(option_id, indices))
+            if not exhausted:
+                yield ProgressEvent(
+                    "progress",
+                    request_id=request_id,
+                    provider=name,
+                    detail={
+                        "evaluated": accumulator.count,
+                        "space_size": engine.space.size,
                     },
                 )
-        finally:
-            # Runs when the sweep completes *and* when a partially
-            # consumed stream generator is abandoned — either way a
-            # deferred eviction close falls to the last holder.
-            self.engine_cache.finish(entry)
+        with entry.lock:
+            after = engine.stats.snapshot()
+            first_service = entry.unserved
+            entry.unserved = False
+        if trace_ctx is not None:
+            # Pre-timed: a span context manager must not straddle
+            # yields — an abandoned generator would never close it.
+            tracer.record(
+                "distill",
+                parent=trace_ctx,
+                start=distill_started,
+                end=clock.perf_counter(),
+                attrs={
+                    "provider": name,
+                    "evaluated": str(accumulator.count),
+                },
+            )
         yield ProviderRecommendation(
             provider_name=name,
             base_system=engine.problem.base_system,
@@ -1079,9 +982,9 @@ class BrokerSession:
         """The concrete evaluation backend one request should run on.
 
         Precedence: the request's own ``backend``, then the session
-        default, then :func:`resolve_backend`'s environment fallback.
+        default (resolved once, at construction).
         """
-        return resolve_backend(request.backend or self.backend)
+        return request.backend or self.backend
 
     def _cache_entry(
         self, request: RecommendationRequest, provider_name: str
@@ -1159,29 +1062,24 @@ class BrokerSession:
         # lock serializes use of its engine.  A warm engine is rebound
         # to the request's backend in place — term and result caches
         # survive the switch.
-        try:
-            with entry.lock:
-                engine.set_backend(backend)
-                before = engine.stats.snapshot()
-                with maybe_span(
-                    self.tracer,
-                    "evaluate",
-                    attrs={
-                        "provider": name,
-                        "strategy": request.strategy,
-                        "backend": backend,
-                    },
-                ):
-                    result: OptimizationResult = optimize(
-                        engine.problem, engine=engine
-                    )
-                after = engine.stats.snapshot()
-                first_service = entry.unserved
-                entry.unserved = False
-        finally:
-            # If the entry was LRU-evicted while this request held it,
-            # its deferred close falls to us.
-            self.engine_cache.finish(entry)
+        with entry.lock:
+            engine.set_backend(backend)
+            before = engine.stats.snapshot()
+            with maybe_span(
+                self.tracer,
+                "evaluate",
+                attrs={
+                    "provider": name,
+                    "strategy": request.strategy,
+                    "backend": backend,
+                },
+            ):
+                result: OptimizationResult = optimize(
+                    engine.problem, engine=engine
+                )
+            after = engine.stats.snapshot()
+            first_service = entry.unserved
+            entry.unserved = False
         return ProviderRecommendation(
             provider_name=name,
             base_system=engine.problem.base_system,

@@ -136,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=ENGINE_BACKENDS,
         default=None,
-        help="evaluation backend for exhaustive sweeps: serial (default), "
-        "process (true multi-core) or vector (numpy-vectorized combine; needs the [vector] extra, degrades to "
-        "serial without it).  Applies to --strategy brute-force — pruned "
-        "and branch-and-bound searches are inherently sequential.  "
+        help="evaluation backend for exhaustive sweeps: serial (default) "
+        "or vector (numpy-vectorized combine; needs the [vector] extra, "
+        "degrades to serial without it).  Applies to --strategy "
+        "brute-force — pruned and branch-and-bound searches are "
+        "inherently sequential.  "
         "Defaults honour $REPRO_BACKEND.",
     )
     recommend.add_argument("--seed", type=int, default=None, help="RNG seed")
@@ -436,21 +437,21 @@ def _cmd_case_study() -> int:
     from repro.optimizer.engine import EvaluationEngine
 
     problem = case_study_problem()
-    with EvaluationEngine(problem) as engine:
-        result = brute_force_optimize(problem, engine=engine)
-        print(render_option_table(result, title="Case study (Figures 3-9):"))
-        print()
-        print(render_summary(result, result.option(AS_IS_OPTION_ID)))
-        print()
-        pruned = pruned_optimize(problem, engine=engine)
-        skipped = [f"#{i}" for i in range(1, 9) if not any(
-            option.option_id == i for option in pruned.options
-        )]
-        print(
-            f"Pruned search: {pruned.evaluations}/{pruned.space_size} "
-            f"evaluated, clipped {', '.join(skipped) or 'none'} (§III-C)"
-        )
-        print(f"Evaluation engine: {engine.stats.describe()}")
+    engine = EvaluationEngine(problem)
+    result = brute_force_optimize(problem, engine=engine)
+    print(render_option_table(result, title="Case study (Figures 3-9):"))
+    print()
+    print(render_summary(result, result.option(AS_IS_OPTION_ID)))
+    print()
+    pruned = pruned_optimize(problem, engine=engine)
+    skipped = [f"#{i}" for i in range(1, 9) if not any(
+        option.option_id == i for option in pruned.options
+    )]
+    print(
+        f"Pruned search: {pruned.evaluations}/{pruned.space_size} "
+        f"evaluated, clipped {', '.join(skipped) or 'none'} (§III-C)"
+    )
+    print(f"Evaluation engine: {engine.stats.describe()}")
     return 0
 
 

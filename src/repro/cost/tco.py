@@ -131,9 +131,9 @@ def tco_values_from_terms(
 
     Returns the breakdown's six fields in declaration order, so
     ``TCOBreakdown(*values)`` reconstructs it exactly.  Split out so
-    evaluation-backend workers can ship plain floats across the process
-    boundary; :func:`tco_from_terms` composes the two, keeping every
-    path bit-identical.
+    the engine can assemble options from plain floats;
+    :func:`tco_from_terms` composes the two, keeping every path
+    bit-identical.
     """
     slippage_hours = contract.expected_slippage_hours(uptime_probability)
     penalty = contract.penalty.monthly_penalty(slippage_hours)

@@ -52,12 +52,12 @@ class OptimizerError(ReproError):
 
 
 class EngineBackendError(OptimizerError):
-    """An evaluation backend's worker pool failed mid-stream.
+    """An evaluation backend failed mid-stream.
 
-    Raised by the engine's thread/process backends when a worker dies or
-    raises a non-library exception while evaluating a chunk — callers
-    (and the server's error mapper) see one structured engine error
-    instead of a hung pool or a raw concurrent.futures traceback.
+    Raised by the engine's vector backend when evaluating a chunk
+    raises a non-library exception — callers (and the server's error
+    mapper) see one structured engine error instead of a raw numpy
+    traceback.
     """
 
 

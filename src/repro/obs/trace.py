@@ -10,10 +10,11 @@ recovered from ``parent_id`` at render time:
 - :class:`Tracer` records spans against a per-instance
   :class:`contextvars.ContextVar`, so the "current span" follows each
   request even when many requests interleave on one server.  Context
-  vars do **not** cross executor threads or process pools — callers
-  that hop threads re-activate explicitly (:meth:`Tracer.activate`),
-  and process workers ship durations back in chunk payloads which the
-  parent re-parents on splice (:meth:`Tracer.record`).
+  vars do **not** cross executor threads or processes — callers that
+  hop threads re-activate explicitly (:meth:`Tracer.activate`), and a
+  request that crossed the gateway's dispatch link carries ingress
+  timestamps the worker records as pre-timed spans
+  (:meth:`Tracer.record`).
 - :class:`TraceStore` is a bounded ring buffer keyed by trace id:
   adding the N+1st trace evicts the least-recently-touched one, so a
   long-lived server holds a sliding window of recent requests.
@@ -299,8 +300,8 @@ class Tracer:
         """Record a pre-timed span without entering a context.
 
         Used where the timing happened elsewhere: ``parse`` (measured
-        before the root span opens), ``queue_wait`` (submit→run gap),
-        and worker spans spliced back from process-pool chunks.
+        before the root span opens), ``queue_wait`` (submit→run gap)
+        and the gateway → worker ``dispatch`` hop.
         """
         record = SpanRecord(
             trace_id=parent.trace_id,

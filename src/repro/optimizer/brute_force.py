@@ -74,23 +74,12 @@ def brute_force_optimize(
     case the default engine is built with its result cache off so the
     sweep holds O(1) options in memory; pass an explicit ``engine`` to
     trade memory for cross-search reuse.
-
-    An engine built here is closed before returning, so a process
-    evaluation backend (e.g. via ``REPRO_BACKEND``) never leaks its
-    worker pool; a caller-supplied engine keeps its pool — closing it is
-    the caller's call.
     """
-    owns_engine = engine is None
-    if owns_engine:
+    if engine is None:
         engine = EvaluationEngine(problem, cache=keep_options)
     else:
         engine = engine_for(problem, engine)
-    try:
-        # EvaluationEngine.sweep lets bulk-ranking backends distill
-        # whole blocks at once; with keep_options=True (or any other
-        # backend) it is exactly the from_stream path this function
-        # always used.
-        return engine.sweep(keep_options=keep_options)
-    finally:
-        if owns_engine:
-            engine.close()
+    # EvaluationEngine.sweep lets bulk-ranking backends distill whole
+    # blocks at once; with keep_options=True (or the serial backend) it
+    # is exactly the from_stream path.
+    return engine.sweep(keep_options=keep_options)

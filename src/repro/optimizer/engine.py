@@ -24,41 +24,23 @@ Batch evaluation (:meth:`EvaluationEngine.evaluate_many` and everything
 built on it) runs on a pluggable **evaluation backend**:
 
 - ``"serial"`` (default) evaluates inline on the calling thread;
-- ``"process"`` ships chunks to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` of long-lived
-  workers.  Workers hold the pickled per-(cluster, technology) term
-  tables of every engine they serve, keyed by engine uid and fetched
-  once per (worker, engine) pairing through the pool registry's table
-  channel (one shared-memory segment per engine), so chunks carry only
-  ``(option_id, indices)`` pairs — no per-chunk re-pickling of the
-  precomputes.  Workers recombine the same cached
-  :class:`~repro.availability.model.ClusterTerms` /
-  :class:`~repro.cost.tco.ClusterCostTerms` values with the same float
-  operations in the same order as the in-process combine, so results
-  are bit-identical;
 - ``"vector"`` gathers each chunk's candidate index tuples into
   per-cluster column arrays and runs the Eq. 1-5 math with **numpy**
   vectorized across the candidate axis, looping over the small cluster
   axis in exactly the order the scalar combine uses.  float64
   elementwise operations are IEEE-correctly-rounded like Python floats
   and every accumulation is explicit (never ``np.sum``'s pairwise
-  reassociation), so vector results are bit-identical to serial too.
+  reassociation), so vector results are bit-identical to serial.
   numpy is an optional extra (``pip install .[vector]``); without it
   the backend degrades to serial evaluation with a RuntimeWarning.
 
-Worker pools are **not** owned by individual engines: the process
-backend leases ref-counted executors from a shared
-:class:`~repro.optimizer.pools.PoolRegistry` (by default the
-process-global one), so N live engines — including every engine a
-broker's cross-request cache retains — share one process pool whose
-workers evaluate for all of them.  The last engine to close a leased
-pool shuts it down deterministically.
+Both backends evaluate in-process and hold no OS resources, so an
+engine needs no closing: dropping the last reference frees it.
 
 Every backend yields results in submission order, making output
-deterministic regardless of parallelism.  The ``REPRO_BACKEND``
-environment variable overrides the *default* backend (explicit
-``backend=`` arguments always win), which is how CI smokes the process
-and vector paths across the whole suite.
+deterministic.  The ``REPRO_BACKEND`` environment variable overrides
+the *default* backend (explicit ``backend=`` arguments always win),
+which is how CI smokes the vector path across the whole suite.
 
 An engine has **one consumer at a time**.  The broker's engine cache
 serializes every evaluation on a cached engine through the entry's
@@ -71,9 +53,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import threading
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -84,7 +64,6 @@ from repro.availability.model import (
     availability_values_from_terms,
     cluster_availability_terms,
 )
-from repro.cost.rates import LaborRate
 from repro.cost.tco import (
     ClusterCostTerms,
     TCOBreakdown,
@@ -93,28 +72,20 @@ from repro.cost.tco import (
     tco_values_from_terms,
 )
 from repro.errors import EngineBackendError, OptimizerError, ReproError
-from repro.obs import clock
-from repro.optimizer.pools import PoolRegistry, default_registry, worker_payload
 from repro.optimizer.result import EvaluatedOption, assemble_option
 from repro.optimizer.space import (
     CandidateSpace,
     ChoiceNames,
     OptimizationProblem,
 )
-from repro.sla.contract import Contract
 from repro.topology.cluster import ClusterSpec
 from repro.topology.system import SystemTopology
 
 #: Supported evaluation backends for batch entry points.
-ENGINE_BACKENDS = ("serial", "process", "vector")
+ENGINE_BACKENDS = ("serial", "vector")
 
 #: Environment variable naming the default backend (CI smoke hook).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Monotonic engine ids — keys for worker-held term tables in shared
-#: pools.  Never reused, so a stale worker cache entry can never alias a
-#: younger engine's tables.
-_ENGINE_UIDS = itertools.count(1)
 
 #: Shared no-op context manager for untraced backend chunks.
 #: nullcontext is reusable and reentrant, so one instance serves every
@@ -223,110 +194,6 @@ class EngineStats:
 
 # -- evaluation backends ----------------------------------------------------
 
-@dataclass(frozen=True)
-class _ProcessPrecompute:
-    """The picklable slice of an engine a worker process needs.
-
-    Shipped to each worker exactly once via the pool initializer;
-    afterwards chunks carry only ``(option_id, indices)`` pairs.  The
-    tables hold the same :class:`ClusterTerms` / :class:`ClusterCostTerms`
-    instances the parent's profiles hold (floats pickle exactly), and
-    :meth:`evaluate` performs the same operations in the same order as
-    :meth:`EvaluationEngine._combine`, so worker results are
-    bit-identical to in-process evaluation.
-    """
-
-    system_name: str
-    cluster_names: tuple[str, ...]
-    availability_terms: tuple[tuple[ClusterTerms, ...], ...]
-    cost_terms: tuple[tuple[ClusterCostTerms, ...], ...]
-    contract: Contract
-    labor_rate: LaborRate
-
-    @classmethod
-    def from_engine(cls, engine: "EvaluationEngine") -> "_ProcessPrecompute":
-        bare = engine.space.bare_system
-        return cls(
-            system_name=bare.name,
-            cluster_names=bare.cluster_names,
-            availability_terms=tuple(
-                tuple(profile.availability for profile in row)
-                for row in engine.profiles
-            ),
-            cost_terms=tuple(
-                tuple(profile.cost for profile in row)
-                for row in engine.profiles
-            ),
-            contract=engine.problem.contract,
-            labor_rate=engine.problem.labor_rate,
-        )
-
-    def evaluate(self, indices: tuple[int, ...]) -> tuple:
-        """One candidate's evaluation as a flat float payload.
-
-        Runs the *shared* Eq. 1-5 value helpers
-        (:func:`availability_values_from_terms`,
-        :func:`tco_values_from_terms`) — the same functions the
-        in-process combine uses, in the same order, so every float is
-        bit-identical — and returns
-        ``(breakdown, failover, contributions, tco_values, meets_sla)``
-        as plain tuples.  Pickling nested (slotted) dataclasses costs a
-        state dict per object; flat primitive tuples keep the per-
-        candidate IPC cost an order of magnitude lower, which is what
-        lets the process backend win wall-clock.  The parent rebuilds
-        report objects lazily from the exact same values.
-        """
-        if len(indices) != len(self.availability_terms):
-            raise OptimizerError(
-                f"expected {len(self.availability_terms)} choice indices, "
-                f"got {len(indices)}"
-            )
-        breakdown, failover, contributions = availability_values_from_terms(
-            tuple(
-                self.availability_terms[i][choice]
-                for i, choice in enumerate(indices)
-            )
-        )
-        uptime = 1.0 - (breakdown + failover)
-        tco_values = tco_values_from_terms(
-            tuple(self.cost_terms[i][choice] for i, choice in enumerate(indices)),
-            uptime,
-            self.contract,
-            self.labor_rate,
-        )
-        return (
-            breakdown,
-            failover,
-            tuple(contributions),
-            tco_values,
-            self.contract.sla.is_met_by(uptime),
-        )
-
-
-def _process_worker_chunk(
-    uid: int, chunk: list[tuple[int, tuple[int, ...]]], traced: bool = False
-):
-    """Evaluate one chunk of cache misses inside a worker process.
-
-    Workers in a shared pool serve many engines; ``uid`` selects which
-    engine's published term tables to recombine (fetched through the
-    pool registry's table channel on first sight, locally cached after).
-
-    With ``traced`` the return value becomes ``(payloads, seconds,
-    pid)`` — the worker ships its compute *duration*, never timestamps,
-    because ``perf_counter`` zero points are not comparable across
-    processes; the parent re-anchors it when splicing the chunk span.
-    The untraced call shape (and its pickled bytes) is unchanged, so
-    tracing-off behaviour is byte-identical to before.
-    """
-    state = worker_payload(uid)
-    if not traced:
-        return [state.evaluate(indices) for _, indices in chunk]
-    started = clock.perf_counter()
-    payloads = [state.evaluate(indices) for _, indices in chunk]
-    return payloads, clock.perf_counter() - started, os.getpid()
-
-
 class SerialBackend:
     """Inline evaluation on the calling thread (the default)."""
 
@@ -340,9 +207,6 @@ class SerialBackend:
         for option_id, indices in enumerated:
             yield engine.evaluate(option_id, indices)
 
-    def close(self) -> None:
-        """Nothing to release."""
-
 
 def _plan_block(
     engine: "EvaluationEngine", block: list[tuple[int, tuple[int, ...]]]
@@ -352,9 +216,8 @@ def _plan_block(
     Returns ``(plan, misses)``: ``plan`` holds the chunk's options with
     ``None`` placeholders where an evaluated payload must be spliced in;
     ``misses`` carries the ``(option_id, indices, names)`` bookkeeping
-    for those placeholders, in the same order they must be evaluated.
-    Shared by the process backend (misses travel to pool workers) and
-    the vector backend (misses are gathered into numpy columns).
+    for those placeholders, in the same order they must be evaluated;
+    the vector backend gathers those misses into numpy columns.
     """
     if not engine.cache:
         # Cache off: every candidate is a miss and carries no cache key.
@@ -421,217 +284,6 @@ def _splice_payloads(
     return plan
 
 
-@dataclass
-class _ProcessToken:
-    """One submitted chunk: cache hits resolved in-parent, misses in-pool.
-
-    ``plan``/``misses`` come from :func:`_plan_block`; ``future`` is the
-    pool-side evaluation of the misses (``None`` for all-hit chunks).
-    ``traced`` is ``(tracer, parent context, submit perf_counter)``
-    when the chunk was submitted inside an active span — contextvars do
-    not cross the pool, so the parent context rides the token and the
-    chunk span is recorded at collect time.
-    """
-
-    plan: list
-    misses: list
-    future: object | None
-    traced: tuple | None = None
-
-
-class ProcessBackend:
-    """Chunked evaluation on a pool of long-lived worker processes.
-
-    The input stream is cut into ``engine.chunk_size`` blocks submitted
-    to the pool with a bounded in-flight window (the stream is never
-    drained eagerly, so huge candidate spaces stay O(window) in memory),
-    and chunk results are yielded strictly in submission order — the
-    output sequence is identical to serial evaluation.
-
-    The parent resolves result-cache hits (and counts stats) at
-    submission time; only cache misses travel to the workers, as bare
-    ``(option_id, indices)`` pairs tagged with the engine's uid.  The
-    pool is **leased**, not owned: on first use the backend acquires a
-    ref-counted :class:`~repro.optimizer.pools.PoolHandle` from the
-    engine's :class:`~repro.optimizer.pools.PoolRegistry` — its workers
-    may be serving several engines at once — and *publishes* the
-    engine's pickled term tables through the registry's table channel;
-    workers fetch-and-cache them keyed by uid on first sight.
-    :meth:`close` retracts the tables and releases the lease, and the
-    registry shuts the pool down when the last holder leaves.
-
-    Workers recombine those tables and return ``(availability, tco,
-    meets_sla)`` payloads; the parent splices them back into submission
-    order, wraps them into lazy-topology :class:`EvaluatedOption`s and
-    feeds the shared result cache — so a process-backed engine's
-    cache/stats behaviour is identical to the serial engine's, and
-    replayed streams are pure cache hits.
-
-    A worker failure surfaces as :class:`~repro.errors.EngineBackendError`
-    (or the original :class:`~repro.errors.ReproError`) and *invalidates*
-    the lease so the next stream — from this engine or any sharing
-    engine — starts from a fresh pool instead of a broken one.  On
-    platforms without working ``fork``/``spawn`` support the backend
-    degrades to serial evaluation with a :class:`RuntimeWarning`.
-    """
-
-    name = "process"
-
-    def __init__(self) -> None:
-        self._handle = None
-        self._degraded = False
-        self._published: tuple[PoolRegistry, int] | None = None
-        # Guards the lease against a close() racing the consumer (cache
-        # eviction and session teardown close from other threads).
-        self._pool_lock = threading.Lock()
-
-    @property
-    def _pool(self):
-        """The leased executor, or ``None`` (kept for introspection)."""
-        handle = self._handle
-        return None if handle is None else handle.pool
-
-    def _ensure_pool(self, engine: "EvaluationEngine"):
-        with self._pool_lock:
-            if self._degraded:
-                return None
-            if self._handle is None:
-                workers = engine.max_workers or os.cpu_count() or 1
-                try:
-                    handle = engine.pool_registry.acquire(workers)
-                except (NotImplementedError, ImportError, OSError,
-                        PermissionError, ValueError) as exc:
-                    warnings.warn(
-                        f"{self.name} evaluation backend unavailable on this "
-                        f"platform ({exc}); degrading to serial evaluation",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    self._degraded = True
-                    return None
-                self._handle = handle
-                try:
-                    engine.pool_registry.publish(
-                        engine.uid, _ProcessPrecompute.from_engine(engine)
-                    )
-                except BaseException:
-                    self._handle = None
-                    handle.release()
-                    raise
-                self._published = (engine.pool_registry, engine.uid)
-            return self._handle.pool
-
-    def evaluate_stream(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-    ) -> Iterator[EvaluatedOption]:
-        pool = self._ensure_pool(engine)
-        if pool is None:
-            yield from SerialBackend().evaluate_stream(engine, enumerated)
-            return
-        max_in_flight = 2 * getattr(pool, "_max_workers", 1)
-        pending: deque = deque()
-        chunk_size = engine.chunk_size
-        blocks = iter(enumerated)
-        while block := list(itertools.islice(blocks, chunk_size)):
-            pending.append(self._submit(engine, pool, block))
-            while len(pending) >= max_in_flight:
-                yield from self._collect(engine, pending.popleft())
-        while pending:
-            yield from self._collect(engine, pending.popleft())
-
-    def _worker_failure(self, exc: Exception) -> EngineBackendError:
-        """Wrap a pool failure and invalidate the lease for every holder."""
-        self._release_pool(invalidate=True)
-        return EngineBackendError(
-            f"{self.name} evaluation backend worker failed: "
-            f"{type(exc).__name__}: {exc}"
-        )
-
-    def _release_pool(self, *, invalidate: bool = False) -> None:
-        with self._pool_lock:
-            handle, self._handle = self._handle, None
-            published, self._published = self._published, None
-        if handle is not None:
-            # Retract before releasing: the registry's table channel
-            # lives only while process-pool leases are outstanding.
-            if published is not None:
-                registry, uid = published
-                registry.retract(uid)
-            handle.release(invalidate=invalidate)
-
-    def close(self) -> None:
-        """Release the pool lease; idempotent, re-acquired lazily.
-
-        The shared executor itself shuts down only when the last engine
-        leasing it closes.
-        """
-        self._release_pool()
-
-    def _submit(self, engine: "EvaluationEngine", pool, block):
-        plan, misses = _plan_block(engine, block)
-        future = None
-        traced = None
-        if misses:
-            rows = [(option_id, indices) for option_id, indices, _ in misses]
-            tracer = engine.tracer
-            ctx = tracer.current() if tracer is not None else None
-            if ctx is None:
-                future = pool.submit(_process_worker_chunk, engine.uid, rows)
-            else:
-                future = pool.submit(
-                    _process_worker_chunk, engine.uid, rows, True
-                )
-                traced = (tracer, ctx, clock.perf_counter())
-        return _ProcessToken(
-            plan=plan, misses=misses, future=future, traced=traced
-        )
-
-    def _collect(self, engine: "EvaluationEngine", token) -> list[EvaluatedOption]:
-        if token.future is None:
-            return token.plan
-        try:
-            payloads = token.future.result()
-        except ReproError:
-            # Library errors pickled back from the worker keep their type.
-            raise
-        except Exception as exc:
-            raise self._worker_failure(exc) from exc
-        if token.traced is not None:
-            payloads = self._record_chunk_spans(token, payloads)
-        return _splice_payloads(engine, token.plan, token.misses, payloads)
-
-    @staticmethod
-    def _record_chunk_spans(token: _ProcessToken, result) -> list:
-        """Re-parent a traced chunk's worker timing onto the span tree.
-
-        The chunk span covers submit→collect in the parent's clock; the
-        worker's compute duration is anchored backwards from the collect
-        time (clamped into the chunk window — worker and parent
-        ``perf_counter`` readings are not directly comparable), so the
-        nested worker span stays monotonic inside its parent.
-        """
-        payloads, worker_seconds, worker_pid = result
-        tracer, ctx, submitted = token.traced
-        collected = clock.perf_counter()
-        chunk = tracer.record(
-            "backend_chunk",
-            parent=ctx,
-            start=submitted,
-            end=collected,
-            attrs={"backend": "process", "rows": str(len(token.misses))},
-        )
-        tracer.record(
-            "worker_evaluate",
-            parent=chunk.context,
-            start=max(submitted, collected - worker_seconds),
-            end=collected,
-            attrs={"worker_pid": str(worker_pid)},
-        )
-        return payloads
-
-
 class VectorBackend:
     """Numpy-vectorized combine over candidate index arrays (in-process).
 
@@ -647,15 +299,15 @@ class VectorBackend:
     (slippage, penalty, labor cost, SLA check) is vectorized end-to-end
     through the clauses' ``*_vector`` methods, which replay the scalar
     op order exactly — no per-candidate Python call survives in the
-    combine.  Results are wrapped through the engine's
-    worker-payload path, so cache and stats behaviour matches the
-    process backend (and replays are pure hits).
+    combine.  Results are spliced back through the engine's result
+    cache, so cache and stats behaviour matches serial evaluation (and
+    replays are pure hits).
 
     numpy is an optional extra (``pip install .[vector]``).  When it is
     missing, evaluation degrades to serial with a
-    :class:`RuntimeWarning` — same contract as a pooled backend on a
-    platform without worker support.  No pool is involved; the backend
-    holds only per-engine column tables built once from the profiles.
+    :class:`RuntimeWarning`.  A backend instance belongs to one engine
+    and holds only that engine's column tables, built once from the
+    profiles.
     """
 
     name = "vector"
@@ -664,7 +316,6 @@ class VectorBackend:
         self._degraded = False
         self._numpy = None
         self._tables = None
-        self._tables_uid: int | None = None
 
     def _ensure_numpy(self):
         if self._degraded:
@@ -685,7 +336,7 @@ class VectorBackend:
         return self._numpy
 
     def _column_tables(self, engine: "EvaluationEngine", np):
-        """Per-cluster per-choice value columns, built once per engine.
+        """Per-cluster per-choice value columns, built once per backend.
 
         Row ``i`` holds six float64 arrays over cluster ``i``'s choices:
         availability up/active-up/failover-rate and cost infra/labor-
@@ -693,7 +344,7 @@ class VectorBackend:
         and fancy-indexed gathers preserve bits, so the tables introduce
         no rounding of their own.
         """
-        if self._tables is None or self._tables_uid != engine.uid:
+        if self._tables is None:
             self._tables = tuple(
                 (
                     np.array([p.availability.up_probability for p in row]),
@@ -705,7 +356,6 @@ class VectorBackend:
                 )
                 for row in engine.profiles
             )
-            self._tables_uid = engine.uid
         return self._tables
 
     def evaluate_stream(
@@ -842,7 +492,7 @@ class VectorBackend:
         )
 
     def _vector_payloads(self, engine, np, tables, index_rows):
-        """Flat worker-style payloads for a block of cache misses."""
+        """Flat per-candidate payloads for a block of cache misses."""
         if not index_rows:
             return []
         (
@@ -967,13 +617,9 @@ class VectorBackend:
         engine.stats.incremental_combines += len(winners)
         accumulator.fold_winners(winners, evaluated=len(block))
 
-    def close(self) -> None:
-        """Nothing pooled to release; column tables die with the backend."""
-
 
 _BACKEND_TYPES = {
     "serial": SerialBackend,
-    "process": ProcessBackend,
     "vector": VectorBackend,
 }
 
@@ -997,29 +643,19 @@ class EvaluationEngine:
         through its entry locks).
     backend:
         Which of :data:`ENGINE_BACKENDS` drives :meth:`evaluate_many`
-        batches (``"serial"``, ``"process"`` or ``"vector"``).  ``None``
-        resolves through :func:`resolve_backend` (environment default,
-        then serial).  Rebind a live engine with
-        :meth:`set_backend`; per-candidate :meth:`evaluate` calls always
-        run in-process regardless of backend.
-    max_workers / chunk_size:
-        Pool sizing knobs for the process backend (the vector backend
-        uses ``chunk_size`` as its gather width).
-    pool_registry:
-        Where the process backend leases its executors.  ``None``
-        (default) means the process-global
-        :func:`~repro.optimizer.pools.default_registry`, so engines
-        share pools automatically; pass a private
-        :class:`~repro.optimizer.pools.PoolRegistry` to isolate a pool
-        population.
+        batches (``"serial"`` or ``"vector"``).  ``None`` resolves
+        through :func:`resolve_backend` (environment default, then
+        serial).  Rebind a live engine with :meth:`set_backend`;
+        per-candidate :meth:`evaluate` calls always run unbatched
+        regardless of backend.
+    chunk_size:
+        The vector backend's gather width (candidates per numpy block).
     """
 
     problem: OptimizationProblem
     cache: bool = True
-    max_workers: int | None = None
     chunk_size: int = 1024
     backend: str | None = None
-    pool_registry: PoolRegistry | None = None
     space: CandidateSpace = field(init=False)
     stats: EngineStats = field(init=False)
 
@@ -1029,10 +665,6 @@ class EvaluationEngine:
                 f"chunk_size must be >= 1, got {self.chunk_size!r}"
             )
         self.backend = resolve_backend(self.backend)
-        if self.pool_registry is None:
-            self.pool_registry = default_registry()
-        #: Unique engine id — the worker-table key in shared pools.
-        self.uid = next(_ENGINE_UIDS)
         #: Span recorder (see :mod:`repro.obs`); attached by the broker
         #: session when tracing is on.  ``None`` disables chunk spans —
         #: backends guard on a single `is not None` check per block.
@@ -1056,67 +688,27 @@ class EvaluationEngine:
             tuple(profile.name for profile in row) for row in self._profiles
         )
 
-    # -- backend lifecycle -------------------------------------------------
+    # -- backend binding ---------------------------------------------------
 
     def _bind_backend(self, backend: str) -> None:
         """Install ``backend``'s implementation."""
         self.backend = backend
         self._backend_impl = _BACKEND_TYPES[backend]()
 
-    def set_backend(
-        self,
-        backend: str | None,
-        *,
-        max_workers: int | None = None,
-        chunk_size: int | None = None,
-    ) -> "EvaluationEngine":
+    def set_backend(self, backend: str | None) -> "EvaluationEngine":
         """Rebind this engine to a different evaluation backend in place.
 
         The per-(cluster, technology) term tables, the ``ChoiceNames``
         result cache and the stats all survive the switch — rebinding a
-        warm cached engine costs zero cluster-term computations.  The
-        previous backend's pool lease is released first (the shared
-        executor itself lives on while other engines hold it), so no
-        in-flight chunk can observe the swap.  Not safe to call
-        concurrently with evaluation; callers sharing engines across
-        threads (the broker's engine cache) serialize through their
-        entry locks.
+        warm cached engine costs zero cluster-term computations.  Not
+        safe to call concurrently with evaluation; callers sharing
+        engines across threads (the broker's engine cache) serialize
+        through their entry locks.
         """
         backend = resolve_backend(backend)
-        resized = False
-        if max_workers is not None and max_workers != self.max_workers:
-            self.max_workers = max_workers
-            resized = True
-        if chunk_size is not None:
-            if chunk_size < 1:
-                raise OptimizerError(
-                    f"chunk_size must be >= 1, got {chunk_size!r}"
-                )
-            self.chunk_size = chunk_size
         if backend != self.backend:
-            self._backend_impl.close()
             self._bind_backend(backend)
-        elif resized:
-            # Same backend, new width: release the lease so the next
-            # stream acquires a pool of the requested size from the
-            # registry (executor widths are fixed at creation).
-            self._backend_impl.close()
         return self
-
-    def close(self) -> None:
-        """Release the backend's pool lease (caches stay warm).
-
-        Idempotent; a closed engine remains usable — the next batch
-        evaluation lazily re-acquires a pool.  The shared executor shuts
-        down when its last leasing engine closes.
-        """
-        self._backend_impl.close()
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _precompute_profiles(self) -> tuple[tuple[ChoiceProfile, ...], ...]:
         """Apply and factor every (cluster, technology) pairing once."""
@@ -1174,9 +766,9 @@ class EvaluationEngine:
         Returns ``(names, option)`` where ``option`` is the relabelled
         cache hit or ``None`` on a miss; ``names`` is the cache key the
         eventual result should be admitted under (``None`` when the
-        cache is off).  Shared by :meth:`evaluate` and the process
-        backend, which probes in the parent before shipping misses to
-        its workers.
+        cache is off).  Shared by :meth:`evaluate` and the vector
+        backend, which probes per candidate before gathering the misses
+        into numpy columns.
         """
         names = self.space.choice_names(indices) if self.cache else None
         self.stats.candidate_evaluations += 1
@@ -1310,15 +902,12 @@ class EvaluationEngine:
         """Evaluate ``(option_id, indices)`` pairs, preserving order.
 
         Delegates to the engine's evaluation backend: serial engines
-        evaluate inline; the process backend cuts the stream into
-        ``chunk_size`` blocks fanned out over a shared leased worker
-        pool with a bounded in-flight window (the input is *not* drained
-        eagerly), so huge candidate streams stay O(window) in memory;
-        the vector backend gathers ``chunk_size`` blocks into numpy
-        column arrays evaluated in-process.  Chunks are yielded in
-        submission order in every backend, so downstream consumers
+        evaluate inline; the vector backend gathers ``chunk_size``
+        blocks into numpy column arrays (the input is *not* drained
+        eagerly, so huge candidate streams stay O(chunk) in memory).
+        Both yield in submission order, so downstream consumers
         (streaming results, option tables) see identical —
-        bit-identical — sequences regardless of parallelism.
+        bit-identical — sequences regardless of backend.
 
         Only the batch entry points fan out; the pruned and
         branch-and-bound searches are inherently sequential (each

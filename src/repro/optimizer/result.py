@@ -32,8 +32,7 @@ class _LazyField:
     so distilled/streamed sweeps that never look at a topology skip its
     construction (and validation) entirely; ``availability`` stays lazy
     so sweeps that only rank by TCO never build the per-cluster report
-    objects — which is also what keeps the process evaluation backend's
-    parent-side cost per candidate flat.
+    objects.
     """
 
     __slots__ = ("field_name", "expected_type")

@@ -54,6 +54,7 @@ from repro.broker.envelope import ENVELOPE_SCHEMA_VERSION, ErrorEnvelope
 from repro.broker.service import BrokerService
 from repro.errors import BrokerError, ValidationError
 from repro.obs import clock
+from repro.optimizer.engine import resolve_backend
 from repro.server.core import (
     _PROMETHEUS,
     _error_handler,
@@ -191,6 +192,8 @@ class GatewayServer(HttpEdge):
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers!r}")
+        # The same check BrokerSession makes, before any worker spawns.
+        resolve_backend(eval_backend)
         if not trace:
             if slow_request_threshold is not None:
                 raise ValidationError(
@@ -269,12 +272,60 @@ class GatewayServer(HttpEdge):
             self._procs[index] = await loop.run_in_executor(
                 None, self._spawn_process, index, 0
             )
-        waits = [event.wait() for event in self._ready]
+        await self._await_fleet()
+        logger.info(
+            "gateway fleet up: %d workers on dispatch port %d",
+            self.workers,
+            self._dispatch_port,
+        )
+
+    async def _await_fleet(self) -> None:
+        """Wait for every worker to connect; fail as soon as one exits.
+
+        Each worker's process sentinel is watched beside its ready
+        event, so a worker that dies during startup (a bad ingest
+        backend, ``shards=0``) is reported with its exit code at once
+        rather than after ``spawn_timeout``.
+        """
+        loop = asyncio.get_running_loop()
+        exited: asyncio.Future = loop.create_future()
+
+        def on_exit(index: int) -> None:
+            if not exited.done() and not self._ready[index].is_set():
+                exited.set_result(index)
+
+        sentinels = {
+            index: process.sentinel for index, process in self._procs.items()
+        }
+        for index, sentinel in sentinels.items():
+            loop.add_reader(sentinel, on_exit, index)
+
+        async def all_ready() -> None:
+            for event in self._ready:
+                await event.wait()
+
+        ready = asyncio.ensure_future(all_ready())
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*waits), timeout=self._spawn_timeout
+            await asyncio.wait(
+                (ready, exited),
+                timeout=self._spawn_timeout,
+                return_when=asyncio.FIRST_COMPLETED,
             )
-        except asyncio.TimeoutError:
+        finally:
+            for sentinel in sentinels.values():
+                loop.remove_reader(sentinel)
+            ready.cancel()
+        if exited.done():
+            index = exited.result()
+            process = self._procs[index]
+            # The sentinel fires as the child exits; join reaps it so
+            # the exit code is final.
+            await loop.run_in_executor(None, process.join, 5.0)
+            raise BrokerError(
+                f"worker {index} exited during startup "
+                f"(exitcode {process.exitcode})"
+            )
+        if not ready.done():
             missing = [
                 index
                 for index, event in enumerate(self._ready)
@@ -283,12 +334,7 @@ class GatewayServer(HttpEdge):
             raise BrokerError(
                 f"workers {missing} did not connect within "
                 f"{self._spawn_timeout:.0f}s"
-            ) from None
-        logger.info(
-            "gateway fleet up: %d workers on dispatch port %d",
-            self.workers,
-            self._dispatch_port,
-        )
+            )
 
     def _spawn_process(self, index: int, epoch: int):
         """Start one worker (blocking; runs on the executor).
@@ -307,7 +353,7 @@ class GatewayServer(HttpEdge):
             **self._worker_kwargs,
         )
         ctx = multiprocessing.get_context("spawn")
-        # daemon=False: worker sessions may run the process eval
+        # daemon=False: workers may run the process ingest shard
         # backend, and daemonic processes cannot have children.  The
         # worker self-exits on dispatch-link EOF instead.
         process = ctx.Process(

@@ -477,12 +477,9 @@ class ServerMetrics(EdgeMetricsMixin):
     both up front and the per-sample callbacks read from the snapshot,
     so scrape cost stays flat however many samples a subsystem exports.
 
-    Worker-pool and term-table samples read the engines' shared
-    :class:`~repro.optimizer.pools.PoolRegistry` (``pool_registry``,
-    defaulting to the process-wide one) at scrape time.  When the
-    server traces (``tracer`` given), ``repro_span_duration_seconds``
-    observes every recorded span's duration, labelled by phase, through
-    the tracer's observer hook.
+    When the server traces (``tracer`` given),
+    ``repro_span_duration_seconds`` observes every recorded span's
+    duration, labelled by phase, through the tracer's observer hook.
 
     ``edge=False`` (used by gateway worker processes) skips the
     HTTP-edge families entirely: auth, rate limiting and idempotency
@@ -494,19 +491,13 @@ class ServerMetrics(EdgeMetricsMixin):
         self,
         session,
         ingestor=None,
-        pool_registry=None,
         tracer=None,
         idempotency_store=None,
         rate_limiter=None,
         edge: bool = True,
     ) -> None:
-        from repro.optimizer.pools import default_registry
-
         self._session = session
         self._ingestor = ingestor
-        self._pool_registry = (
-            pool_registry if pool_registry is not None else default_registry()
-        )
         self._session_snapshot: dict = {}
         self._ingest_snapshot: dict = {}
         self.registry = MetricsRegistry()
@@ -600,17 +591,6 @@ class ServerMetrics(EdgeMetricsMixin):
             self.ingest_merges.set_function(
                 lambda: self._ingest_snapshot["merges"]
             )
-
-        self.pool_leases = reg.gauge(
-            "repro_pool_leases",
-            "Outstanding worker-pool leases across evaluation engines.",
-        )
-        self.pool_leases.set_function(self._pool_registry.live_leases)
-        self.term_table_bytes = reg.gauge(
-            "repro_term_table_bytes",
-            "Bytes pinned in shared-memory term-table segments.",
-        )
-        self.term_table_bytes.set_function(self._pool_registry.term_table_bytes)
 
         self.span_duration = reg.histogram(
             "repro_span_duration_seconds",

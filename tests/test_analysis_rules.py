@@ -355,8 +355,8 @@ class TestREP004ResourceLifecycle:
         assert report.findings == ()
 
     def test_enclosing_with_lock_is_not_protection(self, tmp_path):
-        # The regression shape of PoolRegistry.acquire: a with-block
-        # around the window does not clean up what the body creates.
+        # A with-block around the creation window does not clean up
+        # what the body creates.
         code = (
             "import multiprocessing\n"
             "def build(self):\n"
@@ -814,4 +814,4 @@ class TestSelfCheck:
 
     def test_suppressions_in_src_are_all_justified_and_used(self):
         report = run_lint([SRC])
-        assert report.suppressions_used >= 4
+        assert report.suppressions_used >= 2

@@ -37,6 +37,7 @@ from repro.cloud.providers import all_providers, metalcloud
 from repro.errors import (
     BrokerError,
     InsufficientTelemetryError,
+    OptimizerError,
     ReproError,
     ValidationError,
 )
@@ -98,7 +99,7 @@ class TestEnvelopeRoundTrip:
             compute_nodes=4,
             providers=("metalcloud", "stratus"),
             strategy="brute-force",
-            backend="process",
+            backend="vector",
             extended_catalog=True,
             metadata={"customer": "acme"},
         )
@@ -253,28 +254,9 @@ class TestEngineCacheUnit:
         assert len(cache) == 0
         assert cache.stats.misses == 1
 
-    def test_clear_closes_dropped_engine_pools(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=2)
-
-        def build() -> EvaluationEngine:
-            return EvaluationEngine(
-                case_study_problem(), backend="process",
-                max_workers=1, pool_registry=registry,
-            )
-
-        entry = cache.entry(self._key("a"), build)
-        list(entry.engine.evaluate_all())
-        assert registry.active_pools() == (1,)
-        cache.clear()
-        assert entry.closed
-        assert registry.active_pools() == ()
-
 
 class TestEvictionLifecycle:
-    """LRU eviction must release engines' worker pools, not leak them."""
+    """LRU eviction only drops map entries; holders keep their engines."""
 
     @staticmethod
     def _key(tag: str) -> EngineKey:
@@ -284,86 +266,24 @@ class TestEvictionLifecycle:
         )
 
     @staticmethod
-    def _build(registry, backend: str = "process"):
-        def build() -> EvaluationEngine:
-            return EvaluationEngine(
-                case_study_problem(), backend=backend,
-                max_workers=1, pool_registry=registry, chunk_size=4,
-            )
-        return build
+    def _build() -> EvaluationEngine:
+        return EvaluationEngine(case_study_problem())
 
-    def test_eviction_closes_the_evicted_engines_pool(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
+    def test_eviction_leaves_an_in_flight_holder_serving(self):
         cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry))
-        list(entry_a.engine.evaluate_all())  # spin the worker pool up
-        assert registry.holders(1) == 1
-        # Inserting a second key evicts (and must close) the first.
-        cache.entry(self._key("b"), self._build(registry))
-        assert entry_a.evicted and entry_a.closed
-        assert cache.stats.evictions == 1
-        assert cache.stats.evicted_engines_closed == 1
-        assert cache.stats.deferred_engine_closes == 0
-        assert entry_a.engine._backend_impl._pool is None
-        assert registry.active_pools() == ()  # last holder released
-        cache.clear()
-
-    def test_eviction_defers_close_to_in_flight_holder(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry))
-        list(entry_a.engine.evaluate_all())
+        entry_a = cache.entry(self._key("a"), self._build)
+        expected = len(list(entry_a.engine.evaluate_all()))
         # Simulate an in-flight request: the entry's lock is held while
         # another request's miss evicts this entry.
-        assert entry_a.lock.acquire(blocking=False)
-        try:
-            cache.entry(self._key("b"), self._build(registry))
-            assert entry_a.evicted and not entry_a.closed
-            assert cache.stats.deferred_engine_closes == 1
-            assert cache.stats.evicted_engines_closed == 0
-            # The engine keeps serving the in-flight request meanwhile.
-            assert registry.holders(1) == 1
-        finally:
-            entry_a.lock.release()
-        # The holder completes the close on its way out.
-        cache.finish(entry_a)
-        assert entry_a.closed
-        assert cache.stats.evicted_engines_closed == 1
-        assert entry_a.engine._backend_impl._pool is None
-        cache.clear()
+        with entry_a.lock:
+            cache.entry(self._key("b"), self._build)
+            assert self._key("a") not in cache
+            assert cache.stats.evictions == 1
+            # The holder's engine still serves, from its warm cache.
+            assert len(list(entry_a.engine.evaluate_all())) == expected
 
-    def test_finish_recloses_an_engine_revived_after_eviction(self):
-        from repro.optimizer.pools import PoolRegistry
-
-        registry = PoolRegistry()
-        cache = EngineCache(capacity=1)
-        entry_a = cache.entry(self._key("a"), self._build(registry))
-        list(entry_a.engine.evaluate_all())
-        cache.entry(self._key("b"), self._build(registry))
-        assert entry_a.closed  # eviction closed it while unheld
-        # A holder that resolved the entry before eviction revives the
-        # closed engine just by evaluating on it (lazy re-acquire)...
-        list(entry_a.engine.evaluate_all())
-        assert entry_a.engine._backend_impl._pool is not None
-        assert registry.holders(1) == 1
-        # ...so its finish() must re-close, or the lease leaks forever.
-        cache.finish(entry_a)
-        assert entry_a.engine._backend_impl._pool is None
-        assert registry.active_pools() == ()
-        # The first close was already counted; re-closes are not.
-        assert cache.stats.evicted_engines_closed == 1
-        cache.clear()
-
-    def test_session_eviction_closes_engines_between_requests(
-        self, observed_broker
-    ):
-        with observed_broker.session(
-            cache_capacity=1, backend="process"
-        ) as session:
+    def test_session_eviction_between_requests(self, observed_broker):
+        with observed_broker.session(cache_capacity=1) as session:
             first = three_tier_request(
                 Contract.linear(98.0, 100.0),
                 strategy="brute-force",
@@ -375,15 +295,12 @@ class TestEvictionLifecycle:
                 providers=("metalcloud",),
             )
             session.recommend(first)
-            survivor = session.engine_cache.engines()
-            assert len(survivor) == 1
+            assert len(session.engine_cache.engines()) == 1
             session.recommend(second)
             stats = session.engine_cache.stats
             assert stats.evictions == 1
-            assert stats.evicted_engines_closed == 1
-            # The evicted engine's pool lease is gone; the survivor's
-            # engine still serves warm repeats.
-            assert survivor[0]._backend_impl._pool is None
+            assert len(session.engine_cache.engines()) == 1
+            # The surviving engine still serves warm repeats.
             repeat = session.recommend(second)
             assert repeat.recommendations
 
@@ -393,8 +310,6 @@ class TestEvictionLifecycle:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "evicted_engines_closed": 0,
-            "deferred_engine_closes": 0,
         }
         assert "hit rate" in stats.describe()
 
@@ -713,8 +628,6 @@ class TestSessionMetrics:
             "hits",
             "misses",
             "evictions",
-            "evicted_engines_closed",
-            "deferred_engine_closes",
         }
         assert metrics["engine_cache"]["misses"] >= 3  # one engine/provider
         assert metrics["engine_cache"]["hits"] >= 3  # warm repeat
@@ -809,15 +722,16 @@ class TestBackendSwitch:
 
     def test_backend_travels_in_request_envelopes(self, contract):
         request = three_tier_request(
-            contract, strategy="brute-force", backend="process"
+            contract, strategy="brute-force", backend="vector"
         )
         assert request_from_dict(request_to_dict(request)) == request
         envelope = RecommendEnvelope(request=request)
         assert RecommendEnvelope.from_json(envelope.to_json()) == envelope
 
-    def test_invalid_backend_rejected_at_request(self, contract):
+    @pytest.mark.parametrize("backend", ["quantum", "process"])
+    def test_invalid_backend_rejected_at_request(self, contract, backend):
         with pytest.raises(ValidationError, match="backend"):
-            three_tier_request(contract, backend="quantum")
+            three_tier_request(contract, backend=backend)
 
     def test_warm_cache_survives_backend_switch(self, observed_broker, contract):
         """Acceptance: serving the same request on a different backend is
@@ -830,7 +744,7 @@ class TestBackendSwitch:
             stats = session.engine_cache.stats
             misses_cold, hits_cold = stats.misses, stats.hits
             terms_cold = session.engine_cache.cluster_term_computations()
-            for backend in ("process", "vector", "serial"):
+            for backend in ("vector", "serial"):
                 switched = session.recommend(
                     dataclasses.replace(request, backend=backend)
                 )
@@ -849,7 +763,7 @@ class TestBackendSwitch:
                     assert [o.tco.total for o in cold_rec.result.options] == [
                         o.tco.total for o in warm_rec.result.options
                     ]
-            assert stats.hits == hits_cold + 3 * len(cold.recommendations)
+            assert stats.hits == hits_cold + 2 * len(cold.recommendations)
 
     def test_warm_switch_does_no_new_combines(self, observed_broker, contract):
         request = three_tier_request(
@@ -862,7 +776,7 @@ class TestBackendSwitch:
                 for engine in session.engine_cache.engines()
             }
             warm = session.recommend(
-                dataclasses.replace(request, backend="process")
+                dataclasses.replace(request, backend="vector")
             ).for_provider("metalcloud")
             assert warm.engine_stats.cluster_term_computations == 0
             assert warm.engine_stats.incremental_combines == 0
@@ -874,18 +788,18 @@ class TestBackendSwitch:
                 )
 
     def test_session_default_backend_applies(self, observed_broker, contract):
-        with observed_broker.session(backend="process") as session:
+        with observed_broker.session(backend="vector") as session:
             request = three_tier_request(contract, strategy="brute-force")
             session.recommend(request)
             assert all(
-                engine.backend == "process"
+                engine.backend == "vector"
                 for engine in session.engine_cache.engines()
             )
 
     def test_request_backend_beats_session_default(
         self, observed_broker, contract
     ):
-        with observed_broker.session(backend="process") as session:
+        with observed_broker.session(backend="vector") as session:
             request = three_tier_request(
                 contract, strategy="brute-force", backend="serial"
             )
@@ -895,9 +809,33 @@ class TestBackendSwitch:
                 for engine in session.engine_cache.engines()
             )
 
-    def test_session_rejects_unknown_backend(self, observed_broker):
+    @pytest.mark.parametrize("backend", ["quantum", "process"])
+    def test_session_rejects_unknown_backend(self, observed_broker, backend):
         with pytest.raises(ReproError, match="backend"):
-            observed_broker.session(backend="quantum")
+            observed_broker.session(backend=backend)
+
+    def test_bad_env_backend_fails_at_session_construction(
+        self, observed_broker, monkeypatch
+    ):
+        # The default is resolved once, so a misconfigured deployment
+        # fails here instead of as a client error on every request.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
+            observed_broker.session()
+
+    def test_env_backend_is_read_once_per_session(
+        self, observed_broker, contract, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        with observed_broker.session() as session:
+            monkeypatch.setenv("REPRO_BACKEND", "serial")
+            session.recommend(
+                three_tier_request(contract, strategy="brute-force")
+            )
+            assert all(
+                engine.backend == "vector"
+                for engine in session.engine_cache.engines()
+            )
 
 
 class TestTtlEviction:

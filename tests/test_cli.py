@@ -56,6 +56,13 @@ class TestParser:
             build_parser().parse_args(["recommend", "--engine", "direct"])
         assert "--engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["recommend", "serve"])
+    def test_process_eval_backend_is_a_parser_error(self, command, capsys):
+        # serial and vector are the only evaluation backends.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--backend", "process"])
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "bogus"])
@@ -68,6 +75,11 @@ class TestCommands:
         assert "savings vs as-is" in out
         assert "62" in out
         assert "clipped #8" in out
+
+    def test_bad_env_backend_is_a_clean_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert main(["case-study"]) == 1
+        assert "REPRO_BACKEND" in capsys.readouterr().err
 
     def test_evaluate_topology_file(self, capsys, topology_file):
         assert main(["evaluate", str(topology_file)]) == 0

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: serial, process and vector are one engine.
+"""Cross-backend equivalence: serial and vector are one engine.
 
 The backend contract is byte-level: for any problem, every backend must
 yield the *identical* ``EvaluatedOption`` stream in the identical order —
@@ -6,15 +6,9 @@ same ids, same choice names, bit-identical availability and TCO floats —
 including replayed (cache-hit) streams and ``from_stream`` distillation.
 These tests sweep the paper's named workload scenarios plus
 hypothesis-randomized catalogs/contracts, and pin down the failure
-modes: a worker that dies mid-chunk surfaces a structured engine error,
-pool shutdown is clean and reversible, the process backend degrades to
-serial (with a warning) where worker processes cannot start, and the
-vector backend degrades the same way when numpy is not installed.
-
-Pool *ownership* is tested here too: process executors are leased
-from a ref-counted :class:`~repro.optimizer.pools.PoolRegistry`, so N
-engines share one pool whose workers hold term tables for all of them,
-and the pool shuts down when the last holder closes.
+modes: a chunk that fails mid-stream surfaces a structured engine
+error without wedging the engine, and the vector backend degrades to
+serial (with a warning) when numpy is not installed.
 """
 
 from __future__ import annotations
@@ -26,19 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import EngineBackendError, OptimizerError
+from repro.errors import OptimizerError
 from repro.optimizer import engine as engine_module
-from repro.optimizer import pools as pools_module
 from repro.optimizer.brute_force import brute_force_optimize
 from repro.optimizer.engine import (
     BACKEND_ENV_VAR,
     ENGINE_BACKENDS,
     EvaluationEngine,
-    ProcessBackend,
     VectorBackend,
     resolve_backend,
 )
-from repro.optimizer.pools import PoolRegistry
 from repro.optimizer.result import OptimizationResult
 from repro.sla.contract import Contract
 from repro.sla.penalty import (
@@ -64,11 +55,7 @@ requires_numpy = pytest.mark.skipif(
 #: Non-serial backends whose streams must match serial byte-for-byte.
 #: Without numpy the vector backend degrades (warning) — the degrade
 #: path has its own tests, so equivalence sweeps skip it there.
-NON_SERIAL = tuple(
-    backend
-    for backend in ENGINE_BACKENDS
-    if backend != "serial" and (backend != "vector" or HAS_NUMPY)
-)
+NON_SERIAL = ("vector",) if HAS_NUMPY else ()
 
 #: Named workload scenarios for the acceptance criterion (>= 3).
 WORKLOAD_PROBLEMS = [
@@ -116,11 +103,11 @@ class TestCrossBackendEquivalence:
         )
         expected = stream_signature(reference)
         for backend in NON_SERIAL:
-            with backend_engine(problem, backend, chunk_size=16) as engine:
-                assert stream_signature(engine.evaluate_all()) == expected, (
-                    label,
-                    backend,
-                )
+            engine = backend_engine(problem, backend, chunk_size=16)
+            assert stream_signature(engine.evaluate_all()) == expected, (
+                label,
+                backend,
+            )
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -138,40 +125,26 @@ class TestCrossBackendEquivalence:
             backend_engine(problem, "serial").evaluate_all()
         )
         for backend in NON_SERIAL:
-            with backend_engine(problem, backend, chunk_size=7) as engine:
-                first = stream_signature(engine.evaluate_all())
-                replay = stream_signature(engine.evaluate_all())
+            engine = backend_engine(problem, backend, chunk_size=7)
+            first = stream_signature(engine.evaluate_all())
+            replay = stream_signature(engine.evaluate_all())
             assert first == expected, backend
             # The replay is served from the ChoiceNames result cache
             # (relabelled hits) and must still be byte-identical.
             assert replay == expected, backend
             assert engine.stats.cache_hits >= engine.space.size
 
-    def test_cache_hit_replay_is_pure_hits_on_process_backend(self):
-        problem = random_problem(17, clusters=4, choices_per_layer=2)
-        with backend_engine(problem, "process", chunk_size=8) as engine:
-            list(engine.evaluate_all())
-            combines = engine.stats.incremental_combines
-            list(engine.evaluate_all())
-            assert engine.stats.incremental_combines == combines
-            assert engine.stats.cache_hits == engine.space.size
-
-    @pytest.mark.parametrize(
-        "backend",
-        ["process", pytest.param("vector", marks=requires_numpy)],
-    )
-    def test_from_stream_distillation_matches_serial(self, backend):
+    @requires_numpy
+    def test_from_stream_distillation_matches_serial(self):
         problem = random_problem(5, clusters=4, choices_per_layer=3)
         full = brute_force_optimize(problem)
-        with backend_engine(
-            problem, backend, cache=False, chunk_size=32
-        ) as engine:
-            distilled = OptimizationResult.from_stream(
-                engine.evaluate_all(),
-                space_size=engine.space.size,
-                strategy="brute-force",
-                keep_options=False,
-            )
+        engine = backend_engine(problem, "vector", cache=False, chunk_size=32)
+        distilled = OptimizationResult.from_stream(
+            engine.evaluate_all(),
+            space_size=engine.space.size,
+            strategy="brute-force",
+            keep_options=False,
+        )
         assert distilled.evaluations == full.evaluations
         assert distilled.best.option_id == full.best.option_id
         assert distilled.best.tco.total == full.best.tco.total
@@ -183,8 +156,8 @@ class TestCrossBackendEquivalence:
     def test_options_stay_lazy_across_backends(self):
         problem = case_study_problem()
         for backend in ALL_BACKENDS:
-            with backend_engine(problem, backend) as engine:
-                options = list(engine.evaluate_all())
+            engine = backend_engine(problem, backend)
+            options = list(engine.evaluate_all())
             assert all(
                 not option.system_is_materialized for option in options
             ), backend
@@ -217,28 +190,27 @@ class TestCrossBackendEquivalence:
             backend_engine(problem, "serial").evaluate_all()
         )
         for backend in NON_SERIAL:
-            with backend_engine(problem, backend, chunk_size=16) as engine:
-                assert stream_signature(engine.evaluate_all()) == expected, (
-                    backend
-                )
+            engine = backend_engine(problem, backend, chunk_size=16)
+            assert stream_signature(engine.evaluate_all()) == expected, (
+                backend
+            )
 
 
 class TestBackendRebinding:
     def test_set_backend_keeps_term_and_result_caches(self):
         problem = random_problem(11, clusters=3, choices_per_layer=2)
-        engine = EvaluationEngine(problem)
+        engine = EvaluationEngine(problem, chunk_size=4)
         expected = stream_signature(engine.evaluate_all())
         terms = engine.stats.cluster_term_computations
         combines = engine.stats.incremental_combines
         for backend in NON_SERIAL + ("serial",):
-            engine.set_backend(backend, chunk_size=4)
+            engine.set_backend(backend)
             assert engine.backend == backend
             assert stream_signature(engine.evaluate_all()) == expected
             # Rebinding never invalidates the caches: no new cluster
             # terms, no new combines — replays are pure hits.
             assert engine.stats.cluster_term_computations == terms
             assert engine.stats.incremental_combines == combines
-        engine.close()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(OptimizerError, match="backend"):
@@ -247,35 +219,43 @@ class TestBackendRebinding:
         with pytest.raises(OptimizerError, match="backend"):
             engine.set_backend("quantum")
 
-    def test_set_backend_rejects_bad_chunk_size(self):
-        engine = EvaluationEngine(case_study_problem())
+    def test_engine_rejects_bad_chunk_size(self):
         with pytest.raises(OptimizerError, match="chunk_size"):
-            engine.set_backend("process", chunk_size=0)
+            EvaluationEngine(case_study_problem(), chunk_size=0)
 
-    def test_set_backend_resize_recreates_pool(self):
-        problem = case_study_problem()
-        with backend_engine(problem, "process", max_workers=1) as engine:
-            list(engine.evaluate_all())
-            old_pool = engine._backend_impl._pool
-            assert old_pool is not None
-            engine.set_backend("process", max_workers=2)
-            # The live pool is dropped so the next stream honours the
-            # new width; caches survive untouched.
-            assert engine._backend_impl._pool is None
-            assert engine.max_workers == 2
-            list(engine.evaluate_all())
-            assert engine.stats.cache_hits >= engine.space.size
+    def test_engine_has_no_close_lifecycle(self):
+        # Both backends hold no OS resources, so there is nothing to
+        # release: an engine is neither closable nor a context manager.
+        engine = EvaluationEngine(case_study_problem())
+        assert not hasattr(engine, "close")
+        with pytest.raises((TypeError, AttributeError)):
+            with engine:
+                pass
+
+    @pytest.mark.parametrize("knob", ["max_workers", "chunk_size"])
+    def test_set_backend_takes_no_pool_knobs(self, knob):
+        engine = EvaluationEngine(case_study_problem())
+        with pytest.raises(TypeError, match=knob):
+            engine.set_backend("vector", **{knob: 2})
+
+    @pytest.mark.parametrize(
+        "knob, value", [("max_workers", 2), ("pool_registry", None)]
+    )
+    def test_engine_takes_no_pool_knobs(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            EvaluationEngine(case_study_problem(), **{knob: value})
 
 
 class TestEnvironmentDefault:
+    @requires_numpy
     def test_env_var_sets_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem())
-        assert engine.backend == "process"
-        engine.close()
+        assert engine.backend == "vector"
 
+    @requires_numpy
     def test_explicit_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem(), backend="serial")
         assert engine.backend == "serial"
 
@@ -288,120 +268,39 @@ class TestEnvironmentDefault:
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
         assert resolve_backend(None) == "serial"
 
+    def test_retired_process_backend_rejected(self, monkeypatch):
+        with pytest.raises(OptimizerError, match="'process'"):
+            EvaluationEngine(case_study_problem(), backend="process")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
+        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
+            EvaluationEngine(case_study_problem())
+
 
 class TestFailureModes:
-    @pytest.mark.parametrize(
-        "backend",
-        ["process", pytest.param("vector", marks=requires_numpy)],
-    )
-    def test_worker_failure_surfaces_structured_error(self, backend):
-        # cache=False skips the parent-side ChoiceNames probe, so the
-        # out-of-range index reaches the worker and blows up mid-chunk.
+    @requires_numpy
+    def test_chunk_failure_surfaces_structured_error(self):
+        # cache=False skips the per-candidate ChoiceNames probe, so the
+        # out-of-range index reaches the numpy gather mid-chunk.
         problem = case_study_problem()
-        with backend_engine(problem, backend, cache=False) as engine:
-            with pytest.raises(OptimizerError):
-                list(engine.evaluate_many([(1, (99, 99, 99))]))
-            # The pool is not wedged: the next stream works.
-            options = list(engine.evaluate_all())
-            assert len(options) == engine.space.size
-
-    def test_process_worker_crash_wraps_into_backend_error(self):
-        # An unpicklable-result / dead-worker class of failure: kill the
-        # chunk function itself so the future carries a non-library
-        # error, which must come back as EngineBackendError.
-        problem = case_study_problem()
-        engine = backend_engine(problem, "process", cache=False)
-        try:
-            original = engine_module._process_worker_chunk
-            engine_module._process_worker_chunk = None  # unpicklable call
-            with pytest.raises((EngineBackendError, OptimizerError)):
-                list(engine.evaluate_all())
-        finally:
-            engine_module._process_worker_chunk = original
-            engine.close()
-
-    def test_engine_close_is_clean_and_idempotent(self):
-        problem = case_study_problem()
-        engine = backend_engine(problem, "process", chunk_size=2)
-        list(engine.evaluate_all())
-        backend = engine._backend_impl
-        assert backend._pool is not None
-        engine.close()
-        assert backend._pool is None
-        engine.close()  # idempotent
-        # A closed engine lazily recreates its pool on next use.
-        assert len(list(engine.evaluate_all())) == engine.space.size
-        engine.close()
-        assert backend._pool is None
-
-    def test_session_close_shuts_down_cached_engine_pools(self):
-        from repro.broker.service import BrokerService
-        from repro.cloud.providers import metalcloud
-        from repro.broker.request import three_tier_request
-        from repro.sla.contract import Contract
-
-        broker = BrokerService([metalcloud()])
-        broker.observe_all(years=3.0, seed=5)
-        session = broker.session(backend="process")
-        request = three_tier_request(
-            Contract.linear(98.0, 100.0), strategy="brute-force"
-        )
-        session.recommend(request)
-        engines = session.engine_cache.engines()
-        assert engines and all(
-            engine.backend == "process" for engine in engines
-        )
-        session.close()
-        assert all(
-            engine._backend_impl._pool is None for engine in engines
-        )
-
-    def test_process_backend_degrades_to_serial_with_warning(self, monkeypatch):
-        problem = case_study_problem()
-        reference = stream_signature(
-            EvaluationEngine(problem).evaluate_all()
-        )
-
-        def unavailable(*args, **kwargs):
-            raise NotImplementedError("no process support on this platform")
-
-        monkeypatch.setattr(
-            pools_module.PoolRegistry, "acquire", unavailable
-        )
-        engine = backend_engine(problem, "process")
-        with pytest.warns(RuntimeWarning, match="degrading to serial"):
-            options = list(engine.evaluate_all())
-        assert stream_signature(options) == reference
-        # Degradation is sticky (no warning spam, no retry storm).
-        assert stream_signature(engine.evaluate_all()) == reference
-        assert engine._backend_impl._degraded is True
-
-    def test_degraded_backend_still_counts_stats(self, monkeypatch):
-        problem = case_study_problem()
-
-        def unavailable(*args, **kwargs):
-            raise OSError("fork failed")
-
-        monkeypatch.setattr(pools_module.PoolRegistry, "acquire", unavailable)
-        engine = backend_engine(problem, "process")
-        with pytest.warns(RuntimeWarning):
-            list(engine.evaluate_all())
-        assert engine.stats.incremental_combines == engine.space.size
-        assert engine.stats.candidate_evaluations == engine.space.size
-
+        engine = backend_engine(problem, "vector", cache=False)
+        with pytest.raises(OptimizerError):
+            list(engine.evaluate_many([(1, (99, 99, 99))]))
+        # The engine is not wedged: the next stream works.
+        options = list(engine.evaluate_all())
+        assert len(options) == engine.space.size
 
 class TestStrategiesAcrossBackends:
-    @pytest.mark.parametrize("backend", ["process"])
-    def test_shared_engine_serves_all_strategies(self, backend):
+    @requires_numpy
+    def test_shared_engine_serves_all_strategies(self):
         from repro.optimizer.branch_bound import branch_and_bound_optimize
         from repro.optimizer.pruned import pruned_optimize
 
         problem = random_problem(3, clusters=4, choices_per_layer=2)
         reference = brute_force_optimize(problem)
-        with backend_engine(problem, backend, chunk_size=8) as engine:
-            brute = brute_force_optimize(problem, engine=engine)
-            pruned = pruned_optimize(problem, engine=engine)
-            bnb = branch_and_bound_optimize(problem, engine=engine)
+        engine = backend_engine(problem, "vector", chunk_size=8)
+        brute = brute_force_optimize(problem, engine=engine)
+        pruned = pruned_optimize(problem, engine=engine)
+        bnb = branch_and_bound_optimize(problem, engine=engine)
         assert brute.best.tco.total == reference.best.tco.total
         assert pruned.best.tco.total == reference.best.tco.total
         assert bnb.best.tco.total == reference.best.tco.total
@@ -434,12 +333,11 @@ class TestDistilledSweep:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_sweep_matches_serial_distillation(self, backend):
         problem = random_problem(47, clusters=4, choices_per_layer=3)
-        with backend_engine(problem, "serial", cache=False) as engine:
-            reference = engine.sweep(keep_options=False)
-        with backend_engine(
-            problem, backend, cache=False, chunk_size=16
-        ) as engine:
-            result = engine.sweep(keep_options=False)
+        reference = backend_engine(problem, "serial", cache=False).sweep(
+            keep_options=False
+        )
+        engine = backend_engine(problem, backend, cache=False, chunk_size=16)
+        result = engine.sweep(keep_options=False)
         assert result.evaluations == reference.evaluations
         assert result.space_size == reference.space_size
         assert stream_signature(result.options) == stream_signature(
@@ -456,12 +354,11 @@ class TestDistilledSweep:
         problem = self._with_clause(
             random_problem(48, clusters=3, choices_per_layer=3), clause
         )
-        with backend_engine(problem, "serial", cache=False) as engine:
-            reference = engine.sweep(keep_options=False)
-        with backend_engine(
-            problem, "vector", cache=False, chunk_size=8
-        ) as engine:
-            distilled = engine.sweep(keep_options=False)
+        reference = backend_engine(problem, "serial", cache=False).sweep(
+            keep_options=False
+        )
+        engine = backend_engine(problem, "vector", cache=False, chunk_size=8)
+        distilled = engine.sweep(keep_options=False)
         assert stream_signature(distilled.options) == stream_signature(
             reference.options
         )
@@ -471,12 +368,11 @@ class TestDistilledSweep:
     @settings(max_examples=20, deadline=None)
     def test_distill_matches_scalar_fold_on_random_catalogs(self, seed):
         problem = random_problem(seed, clusters=3, choices_per_layer=3)
-        with backend_engine(problem, "serial", cache=False) as engine:
-            reference = engine.sweep(keep_options=False)
-        with backend_engine(
-            problem, "vector", cache=False, chunk_size=16
-        ) as engine:
-            distilled = engine.sweep(keep_options=False)
+        reference = backend_engine(problem, "serial", cache=False).sweep(
+            keep_options=False
+        )
+        engine = backend_engine(problem, "vector", cache=False, chunk_size=16)
+        distilled = engine.sweep(keep_options=False)
         assert distilled.evaluations == reference.evaluations
         assert stream_signature(distilled.options) == stream_signature(
             reference.options
@@ -486,8 +382,8 @@ class TestDistilledSweep:
     def test_sweep_with_tables_matches_from_stream(self):
         problem = random_problem(49, clusters=3, choices_per_layer=3)
         reference = brute_force_optimize(problem)
-        with backend_engine(problem, "vector", chunk_size=16) as engine:
-            table = engine.sweep(keep_options=True)
+        engine = backend_engine(problem, "vector", chunk_size=16)
+        table = engine.sweep(keep_options=True)
         assert stream_signature(table.options) == stream_signature(
             reference.options
         )
@@ -495,12 +391,10 @@ class TestDistilledSweep:
     @requires_numpy
     def test_distill_with_cache_on_falls_back_and_admits(self):
         problem = random_problem(50, clusters=3, choices_per_layer=2)
-        with backend_engine(
-            problem, "vector", cache=True, chunk_size=16
-        ) as engine:
-            first = engine.sweep(keep_options=False)
-            hits_before = engine.stats.cache_hits
-            replay = engine.sweep(keep_options=False)
+        engine = backend_engine(problem, "vector", cache=True, chunk_size=16)
+        first = engine.sweep(keep_options=False)
+        hits_before = engine.stats.cache_hits
+        replay = engine.sweep(keep_options=False)
         assert stream_signature(first.options) == stream_signature(
             replay.options
         )
@@ -511,12 +405,10 @@ class TestDistilledSweep:
     @requires_numpy
     def test_distill_counts_full_space_in_stats(self):
         problem = random_problem(51, clusters=3, choices_per_layer=3)
-        with backend_engine(
-            problem, "vector", cache=False, chunk_size=16
-        ) as engine:
-            result = engine.sweep(keep_options=False)
-            evaluated = engine.stats.candidate_evaluations
-            combined = engine.stats.incremental_combines
+        engine = backend_engine(problem, "vector", cache=False, chunk_size=16)
+        result = engine.sweep(keep_options=False)
+        evaluated = engine.stats.candidate_evaluations
+        combined = engine.stats.incremental_combines
         assert result.evaluations == engine.space.size
         assert evaluated == engine.space.size
         # Winners-only assembly: far fewer options built than evaluated.
@@ -526,10 +418,10 @@ class TestDistilledSweep:
     def test_brute_force_optimize_routes_distilled(self):
         problem = random_problem(52, clusters=3, choices_per_layer=3)
         serial_result = brute_force_optimize(problem, keep_options=False)
-        with backend_engine(problem, "vector", cache=False) as engine:
-            vector_result = brute_force_optimize(
-                problem, engine=engine, keep_options=False
-            )
+        engine = backend_engine(problem, "vector", cache=False)
+        vector_result = brute_force_optimize(
+            problem, engine=engine, keep_options=False
+        )
         assert stream_signature(vector_result.options) == stream_signature(
             serial_result.options
         )
@@ -566,19 +458,19 @@ class TestVectorBackend:
     @requires_numpy
     def test_replay_is_pure_cache_hits(self):
         problem = random_problem(17, clusters=4, choices_per_layer=2)
-        with backend_engine(problem, "vector", chunk_size=8) as engine:
-            list(engine.evaluate_all())
-            combines = engine.stats.incremental_combines
-            list(engine.evaluate_all())
-            assert engine.stats.incremental_combines == combines
-            assert engine.stats.cache_hits == engine.space.size
+        engine = backend_engine(problem, "vector", chunk_size=8)
+        list(engine.evaluate_all())
+        combines = engine.stats.incremental_combines
+        list(engine.evaluate_all())
+        assert engine.stats.incremental_combines == combines
+        assert engine.stats.cache_hits == engine.space.size
 
     @requires_numpy
     def test_wrong_arity_indices_rejected(self):
         problem = case_study_problem()
-        with backend_engine(problem, "vector", cache=False) as engine:
-            with pytest.raises(OptimizerError, match="choice indices"):
-                list(engine.evaluate_many([(1, (0,))]))
+        engine = backend_engine(problem, "vector", cache=False)
+        with pytest.raises(OptimizerError, match="choice indices"):
+            list(engine.evaluate_many([(1, (0,))]))
 
     @requires_numpy
     def test_int_valued_costs_stay_bit_identical(self):
@@ -613,16 +505,16 @@ class TestVectorBackend:
         expected = stream_signature(
             EvaluationEngine(problem, backend="serial").evaluate_all()
         )
-        with backend_engine(problem, "vector", chunk_size=2) as engine:
-            assert stream_signature(engine.evaluate_all()) == expected
+        engine = backend_engine(problem, "vector", chunk_size=2)
+        assert stream_signature(engine.evaluate_all()) == expected
 
     @requires_numpy
     def test_payload_floats_are_plain_floats(self):
         # Options must pickle identically to serial ones, so no numpy
         # scalar may leak into availability/TCO fields.
         problem = case_study_problem()
-        with backend_engine(problem, "vector", chunk_size=4) as engine:
-            option = next(iter(engine.evaluate_all()))
+        engine = backend_engine(problem, "vector", chunk_size=4)
+        option = next(iter(engine.evaluate_all()))
         assert type(option.tco.total) is float
         assert type(option.availability.breakdown_probability) is float
         assert all(
@@ -631,194 +523,12 @@ class TestVectorBackend:
         )
 
 
-class TestPoolRegistry:
-    """Ref-counted pool sharing: N engines, one executor, clean shutdown."""
-
-    def _problems(self):
-        return (
-            random_problem(31, clusters=3, choices_per_layer=2),
-            random_problem(32, clusters=3, choices_per_layer=2),
-        )
-
-    def test_two_process_engines_share_exactly_one_pool(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        with backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_a, backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine_b:
-            expected_a = stream_signature(
-                EvaluationEngine(problem_a).evaluate_all()
-            )
-            expected_b = stream_signature(
-                EvaluationEngine(problem_b).evaluate_all()
-            )
-            # Interleaved streams: the same workers recombine both
-            # engines' term tables, keyed by engine uid.
-            assert stream_signature(engine_a.evaluate_all()) == expected_a
-            assert stream_signature(engine_b.evaluate_all()) == expected_b
-            assert registry.stats.pools_created == 1
-            assert engine_a._backend_impl._pool is engine_b._backend_impl._pool
-            assert registry.holders(1) == 2
-            assert set(registry.published_uids()) == {
-                engine_a.uid, engine_b.uid,
-            }
-
-    def test_last_close_shuts_the_shared_pool_down(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        engine_a = backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        engine_b = backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        list(engine_a.evaluate_all())
-        list(engine_b.evaluate_all())
-        engine_a.close()
-        # One holder left: the executor (and table channel) stay up.
-        assert registry.active_pools() == (1,)
-        assert registry.stats.pools_closed == 0
-        assert registry.has_table_channel()
-        assert registry.published_uids() == (engine_b.uid,)
-        engine_b.close()
-        assert registry.active_pools() == ()
-        assert registry.stats.pools_closed == 1
-        assert not registry.has_table_channel()
-
-    def test_resize_moves_the_engine_to_a_new_keyed_pool(self):
-        registry = PoolRegistry()
-        problem = random_problem(33, clusters=3, choices_per_layer=2)
-        with backend_engine(
-            problem, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        ) as engine:
-            list(engine.evaluate_all())
-            assert registry.active_pools() == (1,)
-            engine.set_backend("process", max_workers=2)
-            # The old lease is released immediately; the new width is
-            # acquired lazily by the next stream.
-            assert engine._backend_impl._pool is None
-            assert registry.active_pools() == ()
-            list(engine.evaluate_all())
-            assert registry.active_pools() == (2,)
-            assert engine.stats.cache_hits >= engine.space.size
-
-    def test_worker_failure_invalidates_only_the_broken_pool(self):
-        registry = PoolRegistry()
-        problem_a, problem_b = self._problems()
-        engine_a = backend_engine(
-            problem_a, "process", max_workers=1,
-            pool_registry=registry, cache=False, chunk_size=8,
-        )
-        engine_b = backend_engine(
-            problem_b, "process", max_workers=1,
-            pool_registry=registry, chunk_size=8,
-        )
-        try:
-            list(engine_a.evaluate_all())
-            original = engine_module._process_worker_chunk
-            engine_module._process_worker_chunk = None  # unpicklable call
-            try:
-                with pytest.raises((EngineBackendError, OptimizerError)):
-                    list(engine_a.evaluate_all())
-            finally:
-                engine_module._process_worker_chunk = original
-            assert registry.stats.invalidations == 1
-            # The sharing engine simply triggers a fresh pool.
-            assert stream_signature(engine_b.evaluate_all()) == (
-                stream_signature(EvaluationEngine(problem_b).evaluate_all())
-            )
-            assert registry.stats.pools_created == 2
-        finally:
-            engine_a.close()
-            engine_b.close()
-        assert registry.active_pools() == ()
-
-    def test_engines_default_to_the_process_global_registry(self):
-        engine = EvaluationEngine(case_study_problem())
-        assert engine.pool_registry is pools_module.default_registry()
-
-    def test_unknown_pool_kind_rejected(self):
-        # Pools are keyed by width alone; an empty pool is the one
-        # key the registry refuses.
-        with pytest.raises(OptimizerError, match="workers"):
-            PoolRegistry().acquire(0)
-
-
-class TestTermTableChannels:
-    """The worker-table channel: one shared-memory segment per engine."""
-
-    def test_process_streams_bit_identical_over_shm(self):
-        problem = random_problem(34, clusters=3, choices_per_layer=2)
-        expected = stream_signature(
-            EvaluationEngine(problem).evaluate_all()
-        )
-        with backend_engine(
-            problem, "process", max_workers=1,
-            pool_registry=PoolRegistry(), chunk_size=8,
-        ) as engine:
-            assert stream_signature(engine.evaluate_all()) == expected
-
-    def test_shm_segments_are_refcounted_and_unlinked(self):
-        registry = PoolRegistry()
-        handle = registry.acquire(1)
-        try:
-            registry.publish(9101, {"table": list(range(32))})
-            registry.publish(9101, {"table": list(range(32))})  # refcount 2
-            assert registry.published_uids() == (9101,)
-            assert registry.term_table_bytes() > 0
-            assert registry.stats.tables_published == 2
-            registry.retract(9101)
-            # Still referenced by the second publisher: segment survives.
-            assert registry.published_uids() == (9101,)
-            registry.retract(9101)
-            assert registry.published_uids() == ()
-            assert registry.term_table_bytes() == 0
-            assert registry.stats.tables_retracted == 2
-        finally:
-            handle.release()
-        assert not registry.has_table_channel()
-
-    def test_retired_channel_env_var_is_ignored(self, monkeypatch):
-        # shm is the only channel: the old selector variable changes
-        # nothing, and tables still land in a shared-memory segment.
-        monkeypatch.setenv("REPRO_TERM_TABLES", "manager")
-        registry = PoolRegistry()
-        handle = registry.acquire(1)
-        try:
-            registry.publish(9103, {"table": [1.0, 2.0]})
-            assert registry.term_table_bytes() > 0
-            registry.retract(9103)
-        finally:
-            handle.release()
-
-    def test_registry_has_no_channel_or_kind_knobs(self):
-        with pytest.raises(TypeError, match="table_backend"):
-            PoolRegistry(table_backend="shm")
-        # Pools are keyed by width alone: acquire takes only workers.
-        with pytest.raises(TypeError):
-            PoolRegistry().acquire("process", 1)
-
-    def test_channel_teardown_reclaims_leftover_segments(self):
-        registry = PoolRegistry()
-        handle = registry.acquire(1)
-        registry.publish(9102, {"table": [1.0, 2.0, 3.0]})
-        assert registry.term_table_bytes() > 0
-        # Releasing the last pool lease tears the channel down even
-        # though the publisher never retracted (engine closed while
-        # its tables were still up).
-        handle.release()
-        assert registry.term_table_bytes() == 0
-        assert not registry.has_table_channel()
-
-
 def test_backend_constants_are_consistent():
+    assert ENGINE_BACKENDS == ("serial", "vector")
     assert set(ENGINE_BACKENDS) == set(engine_module._BACKEND_TYPES)
-    assert ProcessBackend.name == "process"
     assert VectorBackend.name == "vector"
+
+
+def test_pool_registry_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        import repro.optimizer.pools  # noqa: F401

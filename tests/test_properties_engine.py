@@ -4,8 +4,8 @@ The engine's contract is strong: for *every* candidate of *any* problem,
 the incremental recombination of cached per-cluster terms must equal the
 full-topology evaluation to within 1e-12 (in practice: bit-identical),
 for all three strategies, with the result cache on or off, and with
-parallel chunked evaluation on the process backend.  These tests sweep randomized registries
-and topologies plus the calibrated case study.
+chunked evaluation on the vector backend.  These tests sweep
+randomized registries and topologies plus the calibrated case study.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import OptimizerError
+from repro.optimizer import engine as engine_module
 from repro.optimizer.advisor import advise_upgrades
 from repro.optimizer.branch_bound import branch_and_bound_optimize
 from repro.optimizer.brute_force import (
@@ -27,6 +28,11 @@ from repro.workloads.case_study import case_study_problem
 from repro.workloads.generators import random_problem
 
 TOL = 1e-12
+
+requires_numpy = pytest.mark.skipif(
+    engine_module._import_numpy() is None,
+    reason="numpy not installed (the [vector] extra)",
+)
 
 #: (seed, clusters, choices_per_layer) grid for the randomized sweeps.
 RANDOM_GRID = [
@@ -92,16 +98,15 @@ class TestEngineMatchesDirectEvaluation:
                 direct = evaluate_candidate(problem, space, option_id, indices)
                 _assert_equivalent(direct, engine.evaluate(option_id, indices))
 
+    @requires_numpy
     def test_parallel_equivalent(self):
         for problem in (
             case_study_problem(),
             random_problem(7, clusters=4, choices_per_layer=3),
         ):
             sequential = brute_force_optimize(problem)
-            with EvaluationEngine(
-                problem, backend="process", chunk_size=16
-            ) as engine:
-                parallel = brute_force_optimize(problem, engine=engine)
+            engine = EvaluationEngine(problem, backend="vector", chunk_size=16)
+            parallel = brute_force_optimize(problem, engine=engine)
             assert len(parallel.options) == len(sequential.options)
             for direct, option in zip(sequential.options, parallel.options):
                 _assert_equivalent(direct, option)
@@ -127,15 +132,14 @@ class TestStrategiesThroughEngine:
             assert abs(result.best.tco.total - brute.best.tco.total) <= TOL
             assert result.best.choice_names == brute.best.choice_names
 
+    @requires_numpy
     def test_parallel_strategies_on_random_problems(self):
         for seed in range(3):
             problem = random_problem(seed, clusters=4, choices_per_layer=2)
-            with EvaluationEngine(
-                problem, backend="process", chunk_size=8
-            ) as engine:
-                brute = brute_force_optimize(problem, engine=engine)
-                pruned = pruned_optimize(problem, engine=engine)
-                bnb = branch_and_bound_optimize(problem, engine=engine)
+            engine = EvaluationEngine(problem, backend="vector", chunk_size=8)
+            brute = brute_force_optimize(problem, engine=engine)
+            pruned = pruned_optimize(problem, engine=engine)
+            bnb = branch_and_bound_optimize(problem, engine=engine)
             assert abs(pruned.best.tco.total - brute.best.tco.total) <= TOL
             assert abs(bnb.best.tco.total - brute.best.tco.total) <= TOL
 

@@ -24,7 +24,7 @@ from repro.broker.envelope import RecommendEnvelope
 from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
-from repro.errors import ValidationError
+from repro.errors import BrokerError, OptimizerError, ValidationError
 from repro.server import (
     IDEMPOTENCY_KEY_HEADER,
     ServerClient,
@@ -370,6 +370,39 @@ class TestModeSelection:
     def test_gateway_requires_at_least_one_worker(self):
         with pytest.raises(ValidationError, match="workers"):
             GatewayServer(observed_broker(), workers=0)
+
+    def test_bad_eval_backend_fails_before_any_spawn(self, monkeypatch):
+        broker = observed_broker()
+        with pytest.raises(OptimizerError, match="bogus"):
+            GatewayServer(broker, workers=1, eval_backend="bogus")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
+            GatewayServer(broker, workers=1)
+
+
+# -- startup failure ---------------------------------------------------------
+
+class TestWorkerStartupFailure:
+    @pytest.mark.parametrize(
+        "kwargs", [{"shards": 0}, {"ingest_backend": "bogus"}]
+    )
+    def test_worker_exit_during_startup_is_reported_at_once(self, kwargs):
+        server = GatewayServer(observed_broker(), workers=1, **kwargs)
+
+        async def start_then_stop():
+            try:
+                await server.start()
+            finally:
+                await server.stop()
+
+        started = time.monotonic()
+        with pytest.raises(BrokerError, match=r"worker 0 exited .*exitcode 1"):
+            asyncio.run(start_then_stop())
+        # Well under the 120 s spawn_timeout a silent wait would take.
+        assert time.monotonic() - started < 30.0
+        assert all(
+            not process.is_alive() for process in server._procs.values()
+        )
 
 
 # -- worker death and respawn ------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.optimizer.pools import PoolRegistry
 from repro.server.metrics import (
     MetricsRegistry,
     ServerMetrics,
@@ -165,35 +164,12 @@ class TestServerMetricsSpanHistogram:
         )
 
 
-class TestServerMetricsPoolSamples:
-    def test_pool_leases_track_registry(self):
-        registry = PoolRegistry()
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_pool_leases", ())] == 0
+class TestServerMetricsNoPoolSamples:
+    def test_render_exports_no_pool_or_term_table_gauges(self):
+        text = ServerMetrics(FakeSession()).render()
+        assert "repro_pool_leases" not in text
+        assert "repro_term_table_bytes" not in text
 
-        handle = registry.acquire(2)
-        try:
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_pool_leases", ())] == 1
-        finally:
-            handle.release()
-        samples = parse_prometheus_text(metrics.render())
-        assert samples[("repro_pool_leases", ())] == 0
-
-    def test_term_table_bytes_track_shm_segments(self):
-        registry = PoolRegistry()
-        metrics = ServerMetrics(FakeSession(), pool_registry=registry)
-
-        handle = registry.acquire(2)
-        try:
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-            registry.publish(7001, {"payload": list(range(64))})
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] > 0
-            registry.retract(7001)
-            samples = parse_prometheus_text(metrics.render())
-            assert samples[("repro_term_table_bytes", ())] == 0
-        finally:
-            handle.release()
+    def test_pool_registry_argument_is_gone(self):
+        with pytest.raises(TypeError, match="pool_registry"):
+            ServerMetrics(FakeSession(), pool_registry=None)

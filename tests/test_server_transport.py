@@ -26,6 +26,7 @@ from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
 from repro.errors import (
     InsufficientTelemetryError,
+    OptimizerError,
     UnknownNameError,
     ValidationError,
 )
@@ -144,13 +145,14 @@ class TestErrorPaths:
             {"parallel": True},
             {"engine": "direct"},
             {"engine": "incremental"},
+            {"backend": "process"},
         ],
     )
     def test_retired_backend_fields_are_structured_400(
         self, handle, route, retired
     ):
-        # The thread backend, its parallel alias and the engine mode
-        # are gone from the wire; old clients get a validation error,
+        # The thread and process backends, the parallel alias and the
+        # engine mode are gone from the wire; old clients get a validation error,
         # never a 500 or hang.
         payload = RecommendEnvelope(request()).to_dict()
         payload["request"].update(retired)
@@ -488,6 +490,15 @@ class TestGracefulShutdown:
         handle = start_in_thread(observed_broker())
         handle.close()
         handle.close()
+
+
+class TestStartupConfiguration:
+    def test_bad_env_backend_fails_before_serving(self, monkeypatch):
+        # Resolved once at construction: a misconfigured deployment
+        # never binds, rather than answering every recommend with 400.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
+            start_in_thread(observed_broker())
 
 
 class _ProcessThenDropServer:
