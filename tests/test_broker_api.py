@@ -254,6 +254,16 @@ class TestEngineCacheUnit:
         assert len(cache) == 0
         assert cache.stats.misses == 1
 
+    def test_clear_leaves_held_engines_serving(self):
+        # Engines hold no OS resources: dropping them closes nothing,
+        # and a holder has no finish step to run afterwards.
+        cache = EngineCache(capacity=2)
+        held = cache.entry(self._key("a"), self._engine)
+        cache.clear()
+        assert not hasattr(cache, "finish")
+        options = list(held.engine.evaluate_all())
+        assert len(options) == held.engine.space.size
+
 
 class TestEvictionLifecycle:
     """LRU eviction only drops map entries; holders keep their engines."""

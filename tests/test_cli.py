@@ -81,6 +81,26 @@ class TestCommands:
         assert main(["case-study"]) == 1
         assert "REPRO_BACKEND" in capsys.readouterr().err
 
+    def test_recommend_bad_env_backend_is_a_clean_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert main(["recommend", "--observe-years", "0.1"]) == 1
+        assert "REPRO_BACKEND" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "1"])
+    def test_serve_bad_env_backend_fails_before_binding(
+        self, capsys, monkeypatch, workers
+    ):
+        # Both the in-process server and the gateway resolve the
+        # backend at construction, before any socket or worker exists.
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert main([
+            "serve", "--workers", workers, "--port", "0",
+            "--observe-years", "0.1",
+        ]) == 1
+        assert "REPRO_BACKEND" in capsys.readouterr().err
+
     def test_evaluate_topology_file(self, capsys, topology_file):
         assert main(["evaluate", str(topology_file)]) == 0
         out = capsys.readouterr().out

@@ -232,6 +232,10 @@ class TestBackendRebinding:
             with engine:
                 pass
 
+    @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
+    def test_backends_have_nothing_to_close(self, backend):
+        assert not hasattr(engine_module._BACKEND_TYPES[backend], "close")
+
     @pytest.mark.parametrize("knob", ["max_workers", "chunk_size"])
     def test_set_backend_takes_no_pool_knobs(self, knob):
         engine = EvaluationEngine(case_study_problem())

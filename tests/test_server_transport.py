@@ -500,6 +500,20 @@ class TestStartupConfiguration:
         with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
             start_in_thread(observed_broker())
 
+    def test_retired_eval_backend_fails_before_serving(self):
+        with pytest.raises(OptimizerError, match="'process'"):
+            start_in_thread(observed_broker(), eval_backend="process")
+
+    def test_env_change_after_start_leaves_requests_served(
+        self, monkeypatch
+    ):
+        # The session read REPRO_BACKEND when it was built; a later
+        # change to the environment is not the client's fault.
+        with start_in_thread(observed_broker()) as twin:
+            monkeypatch.setenv("REPRO_BACKEND", "bogus")
+            report = ServerClient(twin.host, twin.port).recommend(request())
+        assert report.best.best.meets_sla
+
 
 class _ProcessThenDropServer:
     """A raw-socket server that processes every request but answers only
