@@ -2,8 +2,9 @@
 
 PR 1's engine removed re-evaluation *within* a request; the v2
 :class:`~repro.broker.api.BrokerSession` removes it *across* requests:
-engines are cached by (provider, base-system signature, contract,
-rate-card fingerprint), so a repeated request skips the n*k per-cluster
+engines are cached by (provider, base system, contract, rate card) —
+digests of their serializations when E10 was measured, the values
+themselves since E19 — so a repeated request skips the n*k per-cluster
 precompute and answers every candidate from the result cache.
 
 This bench measures a cold session serving a request for the first time

@@ -5,10 +5,11 @@ requests against the same observed telemetry and rate cards.  PR 1 gave
 every strategy a shared per-request :class:`EvaluationEngine`; this
 module lifts that sharing across requests:
 
-- :class:`EngineCache` keys engines by (provider, base-system signature,
-  contract, rate-card fingerprint, catalog variant) with LRU eviction,
-  so repeated and similar requests reuse the per-(cluster, technology)
-  term caches instead of recomputing them;
+- :class:`EngineCache` keys engines by the values of their inputs
+  (provider, materialized base system, contract, rate card, catalog
+  variant) with LRU eviction, so repeated and similar requests reuse
+  the per-(cluster, technology) term caches instead of recomputing
+  them, and a repeated request replays its memoized recommendation;
 - :class:`BrokerSession` is the v2 facade: synchronous ``recommend``,
   batched ``recommend_many`` over a bounded worker pool, an async
   ``submit`` / ``poll`` / ``result`` job lifecycle, and a ``stream``
@@ -19,8 +20,6 @@ module lifts that sharing across requests:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -31,7 +30,6 @@ from repro.broker.envelope import (
     ProgressEvent,
     RecommendEnvelope,
     ReportEnvelope,
-    contract_to_dict,
 )
 from repro.broker.ratecard import registry_for_provider
 from repro.broker.request import RecommendationRequest
@@ -54,7 +52,6 @@ from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
 from repro.optimizer.result import OptimizationResult, ResultAccumulator
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
-from repro.topology.serialization import system_to_json
 from repro.topology.system import SystemTopology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -80,10 +77,6 @@ JOB_DONE = "done"
 JOB_FAILED = "failed"
 
 
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _trace_context(envelope: RecommendEnvelope) -> SpanContext | None:
     """The envelope's traceparent as a context; invalid values discarded.
 
@@ -99,56 +92,52 @@ def _trace_context(envelope: RecommendEnvelope) -> SpanContext | None:
         return None
 
 
-def system_signature(system: SystemTopology) -> str:
-    """Content hash of a topology's canonical JSON serialization.
+def _contract_key(contract: Contract) -> object:
+    """The contract itself, or its ``repr`` if a clause is unhashable.
 
-    Two materialized base systems share a signature exactly when every
-    cluster, node estimate and price agrees — so fresher telemetry (new
-    ``P̂/f̂`` estimates) changes the signature and misses the cache
-    instead of serving stale engines.
-    """
-    return _digest(system_to_json(system, indent=0))
-
-
-def contract_fingerprint(contract: Contract) -> str:
-    """Content hash of a contract's wire serialization.
-
-    Custom :class:`~repro.sla.penalty.PenaltyClause` subclasses have no
-    wire form; they fall back to the clause's ``repr`` (dataclass reprs
-    carry every field), so extending the penalty ABC keeps working —
-    such contracts just cannot travel in envelopes.
+    Built-in clauses are frozen dataclasses, so a contract compares by
+    value.  A custom :class:`~repro.sla.penalty.PenaltyClause` that is
+    a mutable dataclass has no hash; its ``repr`` (dataclass reprs carry
+    every field) keys it instead, so extending the penalty ABC keeps
+    working.
     """
     try:
-        return _digest(json.dumps(contract_to_dict(contract), sort_keys=True))
-    except ValidationError:
-        return _digest(repr(contract))
+        hash(contract)
+    except TypeError:
+        return repr(contract)
+    return contract
 
 
-def rate_card_fingerprint(card: RateCard) -> str:
-    """Content hash of everything a rate card prices.
+def _rate_card_key(card: RateCard) -> tuple:
+    """Everything a rate card prices, as a hashable tuple of values.
 
-    Covers SKU catalogs (reprs carry every field), HA add-on prices,
+    Covers SKU catalogs (frozen dataclasses), HA add-on prices,
     labor-hour norms and the labor rate — the full set of inputs the
-    technology registry and TCO model read from the card.
+    technology registry and TCO model read from the card.  The two
+    price dicts are read on every request: they can change in place.
     """
-    payload = (
-        tuple(repr(sku) for sku in card.instance_types),
-        tuple(repr(sku) for sku in card.volume_types),
-        tuple(repr(sku) for sku in card.gateway_types),
+    return (
+        tuple(card.instance_types),
+        tuple(card.volume_types),
+        tuple(card.gateway_types),
         tuple(sorted(card.ha_addons.items())),
         tuple(sorted(card.ha_labor_hours.items())),
         card.labor_rate_per_hour,
     )
-    return _digest(repr(payload))
 
 
 @dataclass(frozen=True)
 class EngineKey:
-    """Identity of one cached engine.
+    """Identity of one cached engine: the inputs themselves, by value.
 
-    The first four fields are the ISSUE-mandated key components;
-    ``variant`` folds in the remaining inputs that change what an engine
-    *computes* (catalog width, failover estimates).
+    ``base_system`` is the materialized topology; its ``==`` and hash
+    cover exactly the fields ``system_to_json`` writes (node estimates
+    and prices included, cluster ``metadata`` excluded), so fresher
+    telemetry changes the key and misses the cache instead of serving
+    stale engines.  ``contract`` and ``rate_card`` are value keys too
+    (see :func:`_contract_key` and :func:`_rate_card_key`); ``variant``
+    folds in the remaining inputs that change what an engine
+    *computes* (failover estimates, catalog width).
     The evaluation backend is deliberately **not** part of the key: it
     only changes where the float math runs, never its results, so a
     warm engine is rebound in place
@@ -158,9 +147,9 @@ class EngineKey:
     """
 
     provider: str
-    base_system: str
-    contract: str
-    rate_card: str
+    base_system: SystemTopology
+    contract: object
+    rate_card: tuple
     variant: tuple
 
     @classmethod
@@ -174,12 +163,12 @@ class EngineKey:
         failover_minutes: Mapping[str, float],
         extended_catalog: bool,
     ) -> "EngineKey":
-        """Fingerprint every input that shapes an engine's caches."""
+        """Key every input that shapes an engine's caches."""
         return cls(
             provider=provider_name,
-            base_system=system_signature(base_system),
-            contract=contract_fingerprint(contract),
-            rate_card=rate_card_fingerprint(rate_card),
+            base_system=base_system,
+            contract=_contract_key(contract),
+            rate_card=_rate_card_key(rate_card),
             variant=(
                 tuple(sorted(failover_minutes.items())),
                 extended_catalog,
@@ -215,11 +204,16 @@ def _request_stats(
 
 @dataclass
 class EngineCacheStats:
-    """Hit/miss/eviction accounting for one :class:`EngineCache`."""
+    """Hit/miss/eviction accounting for one :class:`EngineCache`.
+
+    ``replays`` counts the hits answered from an entry's replay memo
+    (see :class:`_CacheEntry`) without touching the engine.
+    """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    replays: int = 0
 
     @property
     def requests(self) -> int:
@@ -239,6 +233,7 @@ class EngineCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "replays": self.replays,
         }
 
     def describe(self) -> str:
@@ -246,7 +241,7 @@ class EngineCacheStats:
         return (
             f"engine cache: {self.hits} hits / {self.misses} misses "
             f"({self.hit_rate * 100:.0f}% hit rate, "
-            f"{self.evictions} evictions)"
+            f"{self.evictions} evictions, {self.replays} replays)"
         )
 
 
@@ -264,12 +259,23 @@ class _CacheEntry:
     a whole search, or one streamed block — runs under the lock, so no
     two threads ever evaluate on one engine at once and the engine
     itself needs no lock of its own.
+
+    ``replays`` memoizes finished recommendations per (strategy,
+    backend), stored only from a *pure replay*: not the first service,
+    no incremental combines, and every candidate a result-cache hit.
+    Strategies are deterministic and the engine's result cache only
+    grows, so every later replay would rebuild exactly that
+    recommendation, ``engine_stats`` included — a memo hit returns it
+    without searching.  The memo lives and dies with its entry.
     """
 
     key: EngineKey
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
+    replays: dict[tuple[str, str], "ProviderRecommendation"] = field(
+        default_factory=dict
+    )
 
 
 class EngineCache:
@@ -326,6 +332,11 @@ class EngineCache:
                                 del self._entries[key]
                         raise
         return entry
+
+    def count_replay(self) -> None:
+        """Record one hit answered from an entry's replay memo."""
+        with self._lock:
+            self.stats.replays += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -998,12 +1009,17 @@ class BrokerSession:
         provider = self.service.provider(provider_name)
         tracer = self.tracer
         with maybe_span(tracer, "key", attrs={"provider": provider_name}):
-            base_system = self.service.materialize_topology(request, provider)
+            # One estimate per kind feeds P̂/f̂ (the topology) and t̂ (the
+            # variant), so the key never mixes two telemetry epochs.
+            estimates = self.service.reliability_estimates(
+                request, provider_name
+            )
+            base_system = self.service.materialize_topology(
+                request, provider, estimates
+            )
             failover_estimates = {
-                requirement.component_kind: self.service.knowledge_base.estimate(
-                    provider_name, requirement.component_kind
-                ).failover_minutes
-                for requirement in request.clusters
+                kind: estimate.failover_minutes
+                for kind, estimate in estimates.items()
             }
             key = EngineKey.build(
                 provider_name,
@@ -1055,34 +1071,47 @@ class BrokerSession:
 
         entry = self._cache_entry(request, name)
         engine = entry.engine
-        optimize = _STRATEGY_FUNCTIONS[request.strategy]
         backend = self._request_backend(request)
+        memo_key = (request.strategy, backend)
+        attrs = {
+            "provider": name,
+            "strategy": request.strategy,
+            "backend": backend,
+        }
         # A cache hit may serve the search from a different worker
         # thread later; engines are single-consumer, so each entry's
         # lock serializes use of its engine.  A warm engine is rebound
         # to the request's backend in place — term and result caches
         # survive the switch.
         with entry.lock:
+            memoized = entry.replays.get(memo_key)
+            if memoized is not None:
+                with maybe_span(
+                    self.tracer, "evaluate", attrs={**attrs, "memo": "hit"}
+                ):
+                    self.engine_cache.count_replay()
+                return memoized
+            optimize = _STRATEGY_FUNCTIONS[request.strategy]
             engine.set_backend(backend)
             before = engine.stats.snapshot()
-            with maybe_span(
-                self.tracer,
-                "evaluate",
-                attrs={
-                    "provider": name,
-                    "strategy": request.strategy,
-                    "backend": backend,
-                },
-            ):
+            with maybe_span(self.tracer, "evaluate", attrs=attrs):
                 result: OptimizationResult = optimize(
                     engine.problem, engine=engine
                 )
             after = engine.stats.snapshot()
             first_service = entry.unserved
             entry.unserved = False
-        return ProviderRecommendation(
-            provider_name=name,
-            base_system=engine.problem.base_system,
-            result=result,
-            engine_stats=_request_stats(before, after, first_service),
-        )
+            stats = _request_stats(before, after, first_service)
+            recommendation = ProviderRecommendation(
+                provider_name=name,
+                base_system=engine.problem.base_system,
+                result=result,
+                engine_stats=stats,
+            )
+            if (
+                not first_service
+                and stats.incremental_combines == 0
+                and stats.cache_hits == stats.candidate_evaluations
+            ):
+                entry.replays[memo_key] = recommendation
+        return recommendation

@@ -59,6 +59,15 @@ class ReliabilityEstimate:
             return 0.0
         return self.failover_minutes_std / self.failure_samples**0.5
 
+    def node_spec(self, monthly_cost: float) -> NodeSpec:
+        """A topology node carrying this estimate's ``P̂`` and ``f̂``."""
+        return NodeSpec(
+            kind=self.component_kind,
+            down_probability=self.down_probability,
+            failures_per_year=self.failures_per_year,
+            monthly_cost=monthly_cost,
+        )
+
     def input_uncertainty(self):
         """This estimate as a per-cluster input-uncertainty record."""
         from repro.availability.uncertainty import ClusterInputUncertainty
@@ -117,21 +126,6 @@ class KnowledgeBase:
             exposure_years=stats.exposure_years(),
             failure_samples=samples,
             failover_minutes_std=stats.failover_minutes_std(),
-        )
-
-    def node_spec(
-        self,
-        provider: str,
-        component_kind: str,
-        monthly_cost: float,
-    ) -> NodeSpec:
-        """Materialize a topology node from the broker's estimates."""
-        estimate = self.estimate(provider, component_kind)
-        return NodeSpec(
-            kind=component_kind,
-            down_probability=estimate.down_probability,
-            failures_per_year=estimate.failures_per_year,
-            monthly_cost=monthly_cost,
         )
 
     def describe(self) -> str:

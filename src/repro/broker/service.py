@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
-from repro.broker.knowledge_base import KnowledgeBase
+from repro.broker.knowledge_base import KnowledgeBase, ReliabilityEstimate
 from repro.broker.request import ClusterRequirement, RecommendationRequest
 from repro.broker.telemetry import TelemetryStore
 from repro.cloud.deployment import default_sku
@@ -226,22 +226,44 @@ class BrokerService:
                 )
             ) from exc
 
+    def reliability_estimates(
+        self, request: RecommendationRequest, provider_name: str
+    ) -> dict[str, ReliabilityEstimate]:
+        """One estimate per component kind the request names.
+
+        Each kind is read once, in cluster order, so the first cluster
+        lacking telemetry names the error.  Deriving ``P̂``, ``f̂`` and
+        ``t̂`` from this one dict keeps a request on one telemetry epoch
+        even if a flush adopts a new store mid-request.
+        """
+        estimates: dict[str, ReliabilityEstimate] = {}
+        for requirement in request.clusters:
+            kind = requirement.component_kind
+            if kind not in estimates:
+                estimates[kind] = self.knowledge_base.estimate(provider_name, kind)
+        return estimates
+
     def materialize_topology(
-        self, request: RecommendationRequest, provider: CloudProvider
+        self,
+        request: RecommendationRequest,
+        provider: CloudProvider,
+        estimates: Mapping[str, ReliabilityEstimate] | None = None,
     ) -> SystemTopology:
         """Fill a request's requirements with estimates and prices.
 
         Node reliability comes from the knowledge base (never from the
         provider's ground truth — the broker only knows what it has
         observed); node prices come from the provider's catalog.
+        ``estimates`` (from :meth:`reliability_estimates`) pins the
+        epoch the nodes are built from; ``None`` reads it now.
         """
+        if estimates is None:
+            estimates = self.reliability_estimates(request, provider.name)
         builder = TopologyBuilder(request.system_name)
         for requirement in request.clusters:
             sku_name = requirement.sku or default_sku(provider, requirement.layer)
             monthly_cost = _sku_price(provider, requirement, sku_name)
-            node = self.knowledge_base.node_spec(
-                provider.name, requirement.component_kind, monthly_cost
-            )
+            node = estimates[requirement.component_kind].node_spec(monthly_cost)
             builder.add_cluster(
                 name=requirement.name,
                 layer=requirement.layer,

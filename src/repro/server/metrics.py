@@ -518,6 +518,11 @@ class ServerMetrics(EdgeMetricsMixin):
             "repro_engine_cache_evictions_total", "Engines evicted (LRU)."
         )
         self.cache_evictions.set_function(cache_stat("evictions"))
+        self.cache_replays = reg.counter(
+            "repro_engine_replays_total",
+            "Engine cache hits answered from the replay memo (no search).",
+        )
+        self.cache_replays.set_function(cache_stat("replays"))
         self.engines_cached = reg.gauge(
             "repro_engines_cached", "Engines currently held by the cache."
         )

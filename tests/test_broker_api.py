@@ -11,9 +11,6 @@ from repro.broker.api import (
     BrokerSession,
     EngineCache,
     EngineKey,
-    contract_fingerprint,
-    rate_card_fingerprint,
-    system_signature,
 )
 from repro.broker.envelope import (
     EVENT_KINDS,
@@ -320,8 +317,10 @@ class TestEvictionLifecycle:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
+            "replays": 0,
         }
         assert "hit rate" in stats.describe()
+        assert "0 replays" in stats.describe()
 
 
 class TestEngineKeying:
@@ -376,18 +375,234 @@ class TestEngineKeying:
         assert shared.stats.misses == 1
         assert shared.stats.hits == 1
 
-    def test_fingerprints_are_stable_hex(self, observed_broker, contract):
+    @staticmethod
+    def _key(base, contract, card, failover=None) -> EngineKey:
+        return EngineKey.build(
+            "metalcloud",
+            base,
+            contract,
+            card,
+            failover_minutes=failover or {"vm": 4.0},
+            extended_catalog=False,
+        )
+
+    def test_key_holds_values(self, observed_broker, contract):
+        provider = observed_broker.provider("metalcloud")
+        request = three_tier_request(contract)
+        base = observed_broker.materialize_topology(request, provider)
+        key = self._key(base, contract, provider.rate_card)
+        # The inputs themselves, not digests of their serializations.
+        assert key.base_system is base
+        assert key.contract is contract
+        assert provider.rate_card.instance_types[0] in key.rate_card[0]
+        # Rebuilt from the same data, the key is equal and hashes alike.
+        again = self._key(
+            observed_broker.materialize_topology(request, provider),
+            Contract.linear(98.0, 100.0),
+            provider.rate_card,
+        )
+        assert again == key and hash(again) == hash(key)
+        assert {key: "engine"}[again] == "engine"
+
+    def test_key_ignores_cluster_metadata(self, observed_broker, contract):
         provider = observed_broker.provider("metalcloud")
         base = observed_broker.materialize_topology(
             three_tier_request(contract), provider
         )
-        for fingerprint in (
-            system_signature(base),
-            contract_fingerprint(contract),
-            rate_card_fingerprint(provider.rate_card),
-        ):
-            assert len(fingerprint) == 64
-            int(fingerprint, 16)  # hex digest
+        tagged = base.replace_cluster(
+            "compute",
+            dataclasses.replace(
+                base.cluster("compute"), metadata={"owner": "ops"}
+            ),
+        )
+        assert self._key(tagged, contract, provider.rate_card) == self._key(
+            base, contract, provider.rate_card
+        )
+
+    def test_every_serialized_topology_field_changes_key(
+        self, observed_broker, contract
+    ):
+        """Key strictness: a topology differing in any one field that
+        ``system_to_json`` writes is a different key."""
+        from repro.topology.cluster import Layer
+        from repro.topology.serialization import (
+            cluster_to_dict,
+            node_to_dict,
+            system_to_dict,
+        )
+
+        provider = observed_broker.provider("metalcloud")
+        card = provider.rate_card
+        base = observed_broker.materialize_topology(
+            three_tier_request(contract), provider
+        )
+        compute = base.cluster("compute")
+        node_changes = {
+            "kind": "vm-large",
+            "down_probability": compute.node.down_probability * 1.5,
+            "failures_per_year": compute.node.failures_per_year + 1.0,
+            "monthly_cost": compute.node.monthly_cost + 1.0,
+        }
+        cluster_changes = {
+            "name": "compute-2",
+            "layer": Layer.OTHER,
+            "total_nodes": compute.total_nodes + 1,
+            "ha_technology": "custom",
+            "monthly_ha_infra_cost": 10.0,
+            "monthly_ha_labor_hours": 2.0,
+        }
+        # The vocabulary below covers every serialized field, so a new
+        # field added to the wire form must be added here too.
+        assert set(node_to_dict(compute.node)) == set(node_changes)
+        assert set(cluster_to_dict(compute)) == set(cluster_changes) | {
+            "node",
+            "standby_tolerance",
+            "failover_minutes",
+        }
+        assert set(system_to_dict(base)) == {"schema_version", "name", "clusters"}
+
+        variants = [dataclasses.replace(base, name="other-system")]
+        for field_name, value in node_changes.items():
+            node = dataclasses.replace(compute.node, **{field_name: value})
+            variants.append(
+                base.replace_cluster(
+                    "compute", dataclasses.replace(compute, node=node)
+                )
+            )
+        for field_name, value in cluster_changes.items():
+            variants.append(
+                base.replace_cluster(
+                    "compute",
+                    dataclasses.replace(compute, **{field_name: value}),
+                )
+            )
+        # K-hat and t only make sense together (t must be 0 without HA).
+        with_ha = dataclasses.replace(
+            compute,
+            total_nodes=compute.total_nodes + 1,
+            standby_tolerance=1,
+            failover_minutes=3.0,
+        )
+        variants.append(base.replace_cluster("compute", with_ha))
+        variants.append(
+            base.replace_cluster(
+                "compute", dataclasses.replace(with_ha, standby_tolerance=2)
+            )
+        )
+        variants.append(
+            base.replace_cluster(
+                "compute", dataclasses.replace(with_ha, failover_minutes=4.0)
+            )
+        )
+        variants.append(
+            dataclasses.replace(base, clusters=tuple(reversed(base.clusters)))
+        )
+        cached = {self._key(base, contract, card): "base"}
+        keys = [self._key(variant, contract, card) for variant in variants]
+        for variant, key in zip(variants, keys):
+            assert key not in cached, variant
+        assert len(set(keys)) == len(keys)
+        # Contract, rate card and failover estimates are keyed too.
+        assert self._key(base, Contract.linear(98.5, 100.0), card) not in cached
+        assert self._key(base, Contract.linear(98.0, 101.0), card) not in cached
+        cheaper = dataclasses.replace(card, labor_rate_per_hour=1.0)
+        assert self._key(base, contract, cheaper) not in cached
+        assert self._key(base, contract, card, {"vm": 4.5}) not in cached
+
+    def test_rate_card_mutated_in_place_changes_key(
+        self, observed_broker, contract
+    ):
+        provider = observed_broker.provider("metalcloud")
+        base = observed_broker.materialize_topology(
+            three_tier_request(contract), provider
+        )
+        card = dataclasses.replace(
+            provider.rate_card, ha_addons=dict(provider.rate_card.ha_addons)
+        )
+        before = self._key(base, contract, card)
+        card.ha_addons["raid-controller"] = 1234.0
+        assert self._key(base, contract, card) != before
+
+    def test_unhashable_custom_clause_keys_by_repr(self, observed_broker):
+        import dataclasses as dc
+
+        from repro.sla.penalty import PenaltyClause
+        from repro.sla.sla import UptimeSLA
+
+        @dc.dataclass  # eq without frozen: instances are unhashable
+        class MutablePenalty(PenaltyClause):
+            rate: float
+
+            def monthly_penalty(self, slippage_hours: float) -> float:
+                self._check_slippage(slippage_hours)
+                return self.rate * slippage_hours
+
+            def describe(self) -> str:
+                return f"${self.rate:,.2f}/h"
+
+        mutable = Contract(sla=UptimeSLA(98.0), penalty=MutablePenalty(7.0))
+        request = three_tier_request(mutable, providers=("metalcloud",))
+        with observed_broker.session() as session:
+            first = session.recommend(request)
+            second = session.recommend(request)
+            (key,) = session.engine_cache.keys()
+            assert key.contract == repr(mutable)
+            assert session.engine_cache.stats.hits == 1
+            assert first.describe() == second.describe()
+
+    def test_key_and_engine_read_one_telemetry_epoch(self, contract):
+        """A flush adopting a new store mid-derivation must not give the
+        engine P-hat/f-hat of one epoch and t-hat of the next."""
+        broker = BrokerService((metalcloud(),))
+        broker.observe_provider("metalcloud", years=2.0, seed=5)
+        newer = BrokerService((metalcloud(),))
+        newer.observe_provider("metalcloud", years=2.0, seed=6)
+        kinds = ("vm", "volume", "gateway")
+        epochs = [
+            {kind: source.knowledge_base.estimate("metalcloud", kind)
+             for kind in kinds}
+            for source in (broker, newer)
+        ]
+        for kind in kinds:
+            old, new = epochs[0][kind], epochs[1][kind]
+            assert old.down_probability != new.down_probability
+            assert old.failover_minutes != new.failover_minutes
+
+        materialize = broker.materialize_topology
+        adopted = []
+
+        def racing_materialize(*args, **kwargs):
+            topology = materialize(*args, **kwargs)
+            if not adopted:  # a flush lands right after the topology
+                broker.telemetry.adopt(newer.telemetry)
+                adopted.append(True)
+            return topology
+
+        broker.materialize_topology = racing_materialize
+        with broker.session() as session:
+            session.recommend(
+                three_tier_request(contract, providers=("metalcloud",))
+            )
+            (key,) = session.engine_cache.keys()
+            (engine,) = session.engine_cache.engines()
+        assert adopted
+        base = engine.problem.base_system
+        failover = dict(key.variant[0])
+        matches = [
+            all(
+                base.cluster(name).node.down_probability
+                == epoch[kind].down_probability
+                and failover[kind] == epoch[kind].failover_minutes
+                for name, kind in (
+                    ("compute", "vm"),
+                    ("storage", "volume"),
+                    ("network", "gateway"),
+                )
+            )
+            for epoch in epochs
+        ]
+        assert matches.count(True) == 1, matches
+        assert key.base_system == base
 
 
 class TestWarmSession:
@@ -638,6 +853,7 @@ class TestSessionMetrics:
             "hits",
             "misses",
             "evictions",
+            "replays",
         }
         assert metrics["engine_cache"]["misses"] >= 3  # one engine/provider
         assert metrics["engine_cache"]["hits"] >= 3  # warm repeat

@@ -209,7 +209,8 @@ class TestKnowledgeBase:
 
     def test_node_spec_materialization(self):
         provider, store = self.make_populated_store()
-        node = KnowledgeBase(store).node_spec(provider.name, "vm", monthly_cost=200.0)
+        estimate = KnowledgeBase(store).estimate(provider.name, "vm")
+        node = estimate.node_spec(monthly_cost=200.0)
         assert node.kind == "vm"
         assert node.monthly_cost == 200.0
         assert 0.0 < node.down_probability < 0.01

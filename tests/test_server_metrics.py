@@ -17,7 +17,9 @@ class FakeSession:
 
     def metrics(self):
         return {
-            "engine_cache": {"hits": 3, "misses": 1, "evictions": 0},
+            "engine_cache": {
+                "hits": 3, "misses": 1, "evictions": 0, "replays": 2,
+            },
             "engines_cached": 1,
             "jobs": {"pending": 0, "running": 0, "done": 2, "failed": 0},
             "job_queue_depth": 0,

@@ -97,6 +97,15 @@ class TestEndToEnd:
         after = client.metrics()[("repro_engine_cache_hits_total", ())]
         assert after >= before + 3  # one hit per provider
 
+    def test_repeated_requests_replay_from_the_memo(self, client):
+        before = client.metrics()[("repro_engine_replays_total", ())]
+        # Six repeats: even spread over two gateway workers, each worker
+        # serves one request three times, and the third replays the memo.
+        for _ in range(6):
+            client.recommend(request())
+        after = client.metrics()[("repro_engine_replays_total", ())]
+        assert after >= before + 3  # one memo hit per provider
+
     def test_health_lists_providers(self, client):
         payload = client.health()
         assert payload["status"] == "ok"
@@ -447,6 +456,7 @@ class TestMetricsEndpoint:
         assert ("repro_engine_cache_hits_total", ()) in samples
         assert ("repro_engine_cache_misses_total", ()) in samples
         assert ("repro_engine_cache_evictions_total", ()) in samples
+        assert ("repro_engine_replays_total", ()) in samples
         for shard in range(4):
             key = ("repro_ingest_events_total", (("shard", str(shard)),))
             assert key in samples
