@@ -454,8 +454,12 @@ def run_lint(
     ``rules`` is a sequence of :class:`Rule` *classes* (instantiated
     fresh per file); ``None`` uses the registered default pack.  Files
     that fail to parse produce an :data:`INTEGRITY_RULE_ID` finding
-    rather than aborting the run.
+    rather than aborting the run; a path that does not exist raises
+    :class:`~repro.errors.ValidationError`, so a mistyped path is never
+    a clean run over zero files.
     """
+    from repro.errors import ValidationError
+
     if rules is None:
         from repro.analysis.rules import DEFAULT_RULES
 
@@ -465,8 +469,6 @@ def run_lint(
         known = {rule_class.rule_id for rule_class in rules}
         unknown = set(config.select) - known - {INTEGRITY_RULE_ID}
         if unknown:
-            from repro.errors import ValidationError
-
             raise ValidationError(
                 f"unknown lint rule id(s) {sorted(unknown)}; "
                 f"known: {sorted(known | {INTEGRITY_RULE_ID})}"
@@ -481,6 +483,9 @@ def run_lint(
     files_checked = 0
     suppressions_used = 0
     path_list = list(paths)
+    missing = [str(raw) for raw in path_list if not Path(raw).exists()]
+    if missing:
+        raise ValidationError(f"no such file or directory: {missing}")
     roots = [Path(raw) for raw in path_list if Path(raw).is_dir()]
     root = roots[0] if roots else None
     for path in iter_python_files(path_list):

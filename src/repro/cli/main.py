@@ -46,11 +46,6 @@ from pathlib import Path
 
 from repro.broker.reports import render_option_table, render_summary
 from repro.broker.request import STRATEGIES, three_tier_request
-
-#: Mirrors ``repro.server.ingest.INGEST_BACKENDS`` — inlined so the CLI
-#: only imports the server stack for the ``serve``/``ingest`` commands
-#: (a drift test in tests/test_cli.py keeps the two in sync).
-INGEST_BACKENDS = ("thread", "process")
 from repro.optimizer.engine import ENGINE_BACKENDS
 from repro.broker.service import BrokerService
 from repro.cli.formatting import render_table
@@ -266,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="telemetry ingestion shard workers",
     )
     serve.add_argument(
-        "--ingest-backend", choices=INGEST_BACKENDS, default="thread",
-        help="shard worker backend (process adds parse parallelism)",
-    )
-    serve.add_argument(
         "--merge-interval", type=float, default=0.5,
         help="seconds between telemetry snapshot merges",
     )
@@ -369,10 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--shards", type=int, default=4, help="shard workers (local mode)"
-    )
-    ingest.add_argument(
-        "--backend", choices=INGEST_BACKENDS, default="thread",
-        help="shard worker backend (local mode)",
     )
     ingest.add_argument(
         "--url", default=None,
@@ -658,7 +645,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         shards=args.shards,
-        ingest_backend=args.ingest_backend,
         merge_interval=args.merge_interval,
         max_workers=args.max_workers,
         cache_capacity=args.cache_capacity,
@@ -745,9 +731,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         )
         return 0
     store = TelemetryStore()
-    with ShardedIngestor(
-        store, num_shards=args.shards, backend=args.backend
-    ) as ingestor:
+    with ShardedIngestor(store, num_shards=args.shards) as ingestor:
         routed = ingestor.submit_jsonl(text)
         ingestor.flush()
         per_shard = ", ".join(
@@ -757,7 +741,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         rejected = sum(stats.rejected for stats in ingestor.shard_stats())
     print(
         f"ingested {routed - rejected}/{routed} record(s) over "
-        f"{args.shards} {args.backend} shard(s) ({per_shard}; "
+        f"{args.shards} shard(s) ({per_shard}; "
         f"{rejected} rejected)"
     )
     print(KnowledgeBase(store, min_failure_samples=1).describe())
@@ -889,6 +873,13 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError(f"unhandled command {args.command!r}")
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # A missing or unreadable input file; other OS errors (a refused
+        # connection, say) carry no filename and keep their traceback.
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

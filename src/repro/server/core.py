@@ -296,7 +296,6 @@ class RequestCore:
         broker: BrokerService,
         *,
         shards: int = 4,
-        ingest_backend: str = "thread",
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
@@ -333,7 +332,6 @@ class RequestCore:
         self.ingestor = ShardedIngestor(
             broker.telemetry,
             num_shards=shards,
-            backend=ingest_backend,
             merge_interval=merge_interval,
         )
         self.metrics = ServerMetrics(

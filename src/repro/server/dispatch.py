@@ -197,7 +197,6 @@ class WorkerSpec:
     token: str
     broker: BrokerService
     shards: int = 4
-    ingest_backend: str = "thread"
     merge_interval: float | None = 0.5
     max_workers: int = 4
     cache_capacity: int = 16

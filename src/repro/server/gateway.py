@@ -170,7 +170,6 @@ class GatewayServer(HttpEdge):
         host: str = "127.0.0.1",
         port: int = 0,
         shards: int = 4,
-        ingest_backend: str = "thread",
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
@@ -224,7 +223,6 @@ class GatewayServer(HttpEdge):
         self._spawn_timeout = spawn_timeout
         self._worker_kwargs = dict(
             shards=shards,
-            ingest_backend=ingest_backend,
             merge_interval=merge_interval,
             max_workers=max_workers,
             cache_capacity=cache_capacity,
@@ -353,9 +351,9 @@ class GatewayServer(HttpEdge):
             **self._worker_kwargs,
         )
         ctx = multiprocessing.get_context("spawn")
-        # daemon=False: workers may run the process ingest shard
-        # backend, and daemonic processes cannot have children.  The
-        # worker self-exits on dispatch-link EOF instead.
+        # daemon=False: the worker exits on its own when the dispatch
+        # link reaches EOF, after its final ingest flush; a daemonic
+        # child would be terminated at interpreter exit instead.
         process = ctx.Process(
             target=worker_main,
             args=(spec,),

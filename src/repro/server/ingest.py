@@ -10,7 +10,7 @@ write path off the read path:
   component_kind)`` across N shard workers, each owning a *private*
   store that nothing else touches;
 - estimate queries keep reading the broker's serving store, which the
-  pipeline refreshes by merging shard snapshots and publishing the
+  pipeline refreshes by merging shard stores and publishing the
   result with a single atomic reference swap
   (:meth:`TelemetryStore.adopt`) — readers never block on ingestion and
   never observe a half-merged state.
@@ -20,17 +20,14 @@ record for one component class flows through exactly one shard in
 submission order, so a drained pipeline reproduces single-store
 ingestion **bit-for-bit** (asserted in ``tests/test_server_ingest.py``).
 
-Two backends share one worker loop: ``thread`` (default — cheap,
-in-process, ideal for isolating the serving store) and ``process``
-(``multiprocessing`` — true parallelism for the parse-heavy JSONL path,
-since workers decode their own lines; see
-``benchmarks/bench_server_throughput.py`` for the scaling sweep).
+Each shard is a daemon thread with its own command queue.  At a flush
+it hands its private store to the router and starts a fresh one, so
+the merge reads the shard's accumulation directly, with no copy.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import queue
 import threading
 import zlib
@@ -40,9 +37,6 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.broker.telemetry import TelemetryStore
 from repro.cloud.events import ResourceEvent, ResourceEventKind
 from repro.errors import BrokerError, ValidationError
-
-#: Supported shard-worker backends.
-INGEST_BACKENDS = ("thread", "process")
 
 #: Wire kinds of one telemetry record line.
 RECORD_KINDS = ("exposure", "failure", "repair", "failover")
@@ -209,7 +203,7 @@ def _route_line(line: str, num_shards: int, number: int) -> int:
     return shard_index(provider, kind, num_shards)
 
 
-# -- the shared worker loop -------------------------------------------------
+# -- the shard worker loop --------------------------------------------------
 
 def _apply_payload(store: TelemetryStore, payload: Mapping[str, Any]) -> None:
     """Apply one wire-form record dict to a store."""
@@ -225,17 +219,17 @@ def _apply_payload(store: TelemetryStore, payload: Mapping[str, Any]) -> None:
         store.ingest((record,))
 
 
-def _shard_worker(in_queue, out_queue) -> None:
+def _shard_worker(in_queue: queue.Queue, out_queue: queue.Queue) -> None:
     """One shard's loop: drain commands, own a private store.
 
-    Identical code runs as a thread target and as a child-process
-    target; only the queue implementations differ.  Commands:
+    Commands:
 
     - ``("lines", [str, ...])`` — parse and apply raw JSONL lines;
     - ``("payloads", [dict, ...])`` — apply pre-parsed record dicts;
-    - ``("flush", seq)`` — emit ``(seq, ingested, rejected, snapshot)``
-      for everything since the last flush and reset the private store
-      (the echoed sequence number lets the router discard-merge late
+    - ``("flush", seq)`` — emit ``(seq, ingested, rejected, store)``
+      for everything since the last flush and start a fresh private
+      store; the worker never touches the handed-over one again (the
+      echoed sequence number lets the router discard-merge late
       replies from flushes that timed out);
     - ``("stop", None)`` — exit the loop.
 
@@ -251,7 +245,7 @@ def _shard_worker(in_queue, out_queue) -> None:
         if command == "stop":
             break
         if command == "flush":
-            out_queue.put((payload, ingested, rejected, store.snapshot()))
+            out_queue.put((payload, ingested, rejected, store))
             store = TelemetryStore()
             ingested = 0
             rejected = 0
@@ -267,8 +261,8 @@ def _shard_worker(in_queue, out_queue) -> None:
                 rejected += 1
 
 
-class _ThreadShard:
-    """A shard worker hosted on a daemon thread (queue.Queue transport)."""
+class _Shard:
+    """A shard worker hosted on a daemon thread."""
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -286,28 +280,6 @@ class _ThreadShard:
         self._thread.join(timeout)
 
 
-class _ProcessShard:
-    """A shard worker hosted on a child process (multiprocessing queues)."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        # Spawn, never fork (REP008): the server that builds shards is
-        # already threaded, and forked children inherit mid-flight locks.
-        context = multiprocessing.get_context("spawn")
-        self.in_queue = context.Queue()
-        self.out_queue = context.Queue()
-        self._process = context.Process(
-            target=_shard_worker,
-            args=(self.in_queue, self.out_queue),
-            name=f"ingest-shard-{index}",
-            daemon=True,
-        )
-        self._process.start()
-
-    def join(self, timeout: float) -> None:
-        self._process.join(timeout)
-
-
 @dataclass
 class ShardStats:
     """Counters for one shard, as of the last flush."""
@@ -322,7 +294,7 @@ class ShardedIngestor:
 
     ``submit``/``submit_jsonl`` enqueue records onto shard workers and
     return immediately; ``flush`` drains every shard and publishes the
-    merged state into the serving store via the lock-free snapshot swap
+    merged state into the serving store via the lock-free reference swap
     described in the module docstring.  Pass ``merge_interval`` to run
     that merge on a timer (the server does), or call :meth:`flush`
     explicitly for deterministic tests.
@@ -337,26 +309,16 @@ class ShardedIngestor:
         serving_store: TelemetryStore,
         num_shards: int = 4,
         *,
-        backend: str = "thread",
         merge_interval: float | None = None,
-        batch_size: int = 2048,
         flush_timeout: float = 60.0,
     ) -> None:
         if num_shards < 1:
             raise ValidationError(
                 f"num_shards must be >= 1, got {num_shards!r}"
             )
-        if batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be >= 1, got {batch_size!r}"
-            )
         if flush_timeout <= 0.0:
             raise ValidationError(
                 f"flush_timeout must be > 0, got {flush_timeout!r}"
-            )
-        if backend not in INGEST_BACKENDS:
-            raise ValidationError(
-                f"unknown ingest backend {backend!r}; valid: {INGEST_BACKENDS}"
             )
         if merge_interval is not None and merge_interval <= 0.0:
             raise ValidationError(
@@ -364,11 +326,8 @@ class ShardedIngestor:
             )
         self.serving_store = serving_store
         self.num_shards = num_shards
-        self.backend = backend
-        self.batch_size = batch_size
         self.flush_timeout = flush_timeout
-        shard_type = _ThreadShard if backend == "thread" else _ProcessShard
-        self._shards = [shard_type(index) for index in range(num_shards)]
+        self._shards = [_Shard(index) for index in range(num_shards)]
         self._stats = [ShardStats() for _ in range(num_shards)]
         self._merges = 0
         self._flush_seq = 0
@@ -458,13 +417,7 @@ class ShardedIngestor:
             if self._closed:
                 raise ValidationError("ingestor is closed; no further records")
             for index, batch in batches.items():
-                # Chunked hand-off so workers start on the head of a
-                # large submission while the tail is still in transit
-                # (matters for the process backend, where each chunk is
-                # pickled through a pipe).
-                for start in range(0, len(batch), self.batch_size):
-                    chunk = batch[start:start + self.batch_size]
-                    self._shards[index].in_queue.put((command, chunk))
+                self._shards[index].in_queue.put((command, batch))
                 self._stats[index].submitted += len(batch)
         return sum(len(batch) for batch in batches.values())
 
@@ -502,7 +455,7 @@ class ShardedIngestor:
             answered = False
             while not answered:
                 try:
-                    reply_seq, ingested, rejected, snapshot = (
+                    reply_seq, ingested, rejected, delta = (
                         shard.out_queue.get(timeout=self.flush_timeout)
                     )
                 except queue.Empty:
@@ -511,8 +464,8 @@ class ShardedIngestor:
                 stats.ingested += ingested
                 stats.rejected += rejected
                 total += ingested
-                if snapshot["components"]:
-                    deltas.append(TelemetryStore.from_snapshot(snapshot))
+                if delta.observed_components():
+                    deltas.append(delta)
                 # A stale sequence is a late reply from a flush that
                 # timed out: its delta is kept above (never lost), and
                 # we keep waiting for the current answer.
@@ -552,18 +505,8 @@ class ShardedIngestor:
     # -- observability -----------------------------------------------------
 
     def pending(self) -> tuple[int, ...]:
-        """Approximate queued-command depth per shard.
-
-        -1 where the platform cannot answer (``multiprocessing`` queues
-        raise ``NotImplementedError`` from ``qsize()`` on macOS).
-        """
-        depths = []
-        for shard in self._shards:
-            try:
-                depths.append(shard.in_queue.qsize())
-            except NotImplementedError:
-                depths.append(-1)
-        return tuple(depths)
+        """Approximate queued-command depth per shard."""
+        return tuple(shard.in_queue.qsize() for shard in self._shards)
 
     def shard_stats(self) -> tuple[ShardStats, ...]:
         """Per-shard counters (records *ingested* lag until a flush)."""
@@ -575,14 +518,13 @@ class ShardedIngestor:
 
     @property
     def merges(self) -> int:
-        """How many snapshot merges have been published."""
+        """How many merges have been published."""
         return self._merges
 
     def metrics(self) -> dict[str, object]:
         """JSON-safe counters, shaped for the ``/metrics`` exporter."""
         stats = self.shard_stats()
         return {
-            "backend": self.backend,
             "num_shards": self.num_shards,
             "merges": self.merges,
             "shards": [

@@ -588,7 +588,6 @@ class BrokerServer(HttpEdge):
         host: str = "127.0.0.1",
         port: int = 0,
         shards: int = 4,
-        ingest_backend: str = "thread",
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
@@ -631,7 +630,6 @@ class BrokerServer(HttpEdge):
         self.core = RequestCore(
             broker,
             shards=shards,
-            ingest_backend=ingest_backend,
             merge_interval=merge_interval,
             max_workers=max_workers,
             cache_capacity=cache_capacity,

@@ -56,7 +56,6 @@ async def _serve_partition(spec: WorkerSpec) -> None:
     core = RequestCore(
         spec.broker,
         shards=spec.shards,
-        ingest_backend=spec.ingest_backend,
         merge_interval=spec.merge_interval,
         max_workers=spec.max_workers,
         cache_capacity=spec.cache_capacity,

@@ -77,6 +77,12 @@ class TestDriver:
         assert "cannot be linted" in report.findings[0].message
         assert report.exit_code == 1
 
+    def test_missing_path_rejected(self, tmp_path):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        missing = tmp_path / "no-such-dir"
+        with pytest.raises(ValidationError, match="no-such-dir"):
+            run_lint([tmp_path, missing])
+
     def test_clean_tree_exits_zero(self, tmp_path):
         (tmp_path / "ok.py").write_text("def f():\n    return 1\n")
         report = run_lint([tmp_path])
@@ -795,6 +801,13 @@ class TestCliLint:
         (tmp_path / "ok.py").write_text("x = 1\n")
         assert main(["lint", str(tmp_path), "--rules", "REP999"]) == 1
         assert "unknown lint rule" in capsys.readouterr().err
+
+    def test_lint_missing_path_is_cli_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert main(["lint", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert "0 finding(s)" not in captured.out
+        assert str(missing) in captured.err
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

@@ -211,20 +211,51 @@ class TestCommands:
         assert main(["ingest", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_cli_backend_choices_match_server(self):
-        from repro.cli.main import INGEST_BACKENDS as cli_backends
-        from repro.server.ingest import INGEST_BACKENDS as server_backends
-
-        assert cli_backends == server_backends
-
     def test_serve_parser_accepts_server_knobs(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--shards", "2", "--ingest-backend",
-             "process", "--merge-interval", "0.2"]
+            ["serve", "--port", "0", "--shards", "2", "--merge-interval", "0.2"]
         )
         assert args.command == "serve"
         assert args.shards == 2
-        assert args.ingest_backend == "process"
+        assert args.merge_interval == 0.2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--ingest-backend", "thread"],
+            ["ingest", "trace.jsonl", "--backend", "thread"],
+        ],
+    )
+    def test_ingest_backend_flags_are_parser_errors(self, argv, capsys):
+        # Shards are threads; there is no ingest backend to choose.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "{path}"],
+            ["simulate", "{path}"],
+            ["importance", "{path}"],
+            ["batch", "{path}"],
+            ["ingest", "{path}"],
+            ["trace", "--file", "{path}"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing.json", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unreadable_input_file_is_clean_error(
+        self, argv, target, reason, tmp_path, capsys
+    ):
+        path = (tmp_path / target).resolve()
+        argv = [arg.format(path=path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {reason}\n"
+        assert "Traceback" not in err
 
     def test_pareto_lists_frontier(self, capsys):
         assert main(["pareto"]) == 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -238,6 +239,33 @@ class TestByteIdentity:
             method, path, body
         )
 
+    def test_fleet_matches_in_process_over_distinct_contracts(self):
+        """Eight contracts spread over a two-worker fleet: every report,
+        cold and warm, has the in-process server's bytes."""
+        envelopes = [
+            RecommendEnvelope(
+                request(penalty=100.0 + 25.0 * index),
+                request_id=f"bi-contract-{index}",
+            )
+            for index in range(8)
+        ]
+        assert {
+            partition_for(routing_key(envelope.to_json().encode()), 2)
+            for envelope in envelopes
+        } == {0, 1}
+        reports = []
+        for workers in (0, 2):
+            # Room for all 24 engines in one cache, so a warm pass hits
+            # in both modes and engine_stats agree too.
+            with start_in_thread(
+                observed_broker(), workers=workers, shards=2, cache_capacity=32
+            ) as handle:
+                client = ServerClient(handle.host, handle.port)
+                reports.append(
+                    [client.recommend(e).to_json() for e in envelopes * 2]
+                )
+        assert reports[0] == reports[1]
+
     def test_job_lifecycle_is_identical(self, twin_handles):
         direct, gated = twin_handles
         a = ServerClient(direct.host, direct.port)
@@ -379,15 +407,29 @@ class TestModeSelection:
         with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
             GatewayServer(broker, workers=1)
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_ingest_backend_is_not_a_server_knob(self, workers):
+        # Ingest shards are threads; the knob is gone, and passing it
+        # fails in the caller before any worker process starts.
+        before = len(multiprocessing.active_children())
+        with pytest.raises(TypeError, match="ingest_backend"):
+            # close() only runs, and the test fails cleanly, if the
+            # knob were still accepted.
+            start_in_thread(
+                observed_broker(), workers=workers, ingest_backend="thread"
+            ).close()
+        with pytest.raises(TypeError, match="ingest_backend"):
+            GatewayServer(observed_broker(), workers=1, ingest_backend="thread")
+        assert len(multiprocessing.active_children()) == before
+
 
 # -- startup failure ---------------------------------------------------------
 
 class TestWorkerStartupFailure:
-    @pytest.mark.parametrize(
-        "kwargs", [{"shards": 0}, {"ingest_backend": "bogus"}]
-    )
-    def test_worker_exit_during_startup_is_reported_at_once(self, kwargs):
-        server = GatewayServer(observed_broker(), workers=1, **kwargs)
+    def test_worker_exit_during_startup_is_reported_at_once(self):
+        # shards=0 passes the gateway's checks but fails the worker's
+        # ShardedIngestor, so the worker exits during startup.
+        server = GatewayServer(observed_broker(), workers=1, shards=0)
 
         async def start_then_stop():
             try:

@@ -99,6 +99,39 @@ class _Clock:
 
 # -- idempotency store (unit) ------------------------------------------------
 
+# -- hardened vs open serving ------------------------------------------------
+
+def test_hardened_reports_equal_open_and_every_key_is_stored():
+    """Auth, a non-binding rate limit and keyed replay change no byte of
+    a recommendation, and the replay table holds one entry per keyed
+    request."""
+    token = "equal-token"
+    envelopes = [
+        RecommendEnvelope(
+            request(penalty=100.0 + 25.0 * index), request_id=f"eq-{index}"
+        )
+        for index in range(4)
+    ] * 2
+    with start_in_thread(observed_broker()) as open_handle:
+        open_client = ServerClient(
+            open_handle.host, open_handle.port, idempotency=False
+        )
+        expected = [open_client.recommend(e).to_json() for e in envelopes]
+        assert len(open_handle.server.idempotency) == 0
+    with start_in_thread(
+        observed_broker(),
+        auth_token=token,
+        rate_limit=1e6,
+        idempotency_capacity=4 * len(envelopes),
+    ) as hardened:
+        client = ServerClient(
+            hardened.host, hardened.port, auth_token=token, idempotency=True
+        )
+        actual = [client.recommend(e).to_json() for e in envelopes]
+        assert len(hardened.server.idempotency) == len(envelopes)
+    assert actual == expected
+
+
 def _stored(n: int = 0) -> StoredResponse:
     return StoredResponse(200, "application/json", b'{"n": %d}' % n)
 

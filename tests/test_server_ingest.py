@@ -3,7 +3,7 @@
 The load-bearing guarantee: because records partition on the store's own
 accumulation key, a drained sharded pipeline must reproduce single-store
 ingestion bit-for-bit — same ``P̂``, ``f̂`` and ``t̂`` for every component
-class, at any shard count, on both backends.
+class, at any shard count.
 """
 
 from __future__ import annotations
@@ -168,15 +168,6 @@ class TestShardedIngestion:
             ingestor.flush()
         assert_estimates_identical(serving, reference)
 
-    def test_process_backend_equals_single_store(self, trace, reference):
-        serving = TelemetryStore()
-        with ShardedIngestor(
-            serving, num_shards=4, backend="process"
-        ) as ingestor:
-            ingestor.submit(trace)
-            ingestor.flush()
-        assert_estimates_identical(serving, reference)
-
     def test_multiple_submissions_and_flushes(self, trace, reference):
         """Incremental merges land; estimates agree to float rounding."""
         serving = TelemetryStore()
@@ -254,6 +245,7 @@ class TestShardedIngestion:
             ingestor.flush()
             metrics = ingestor.metrics()
         assert metrics["num_shards"] == 3
+        assert "backend" not in metrics
         assert metrics["merges"] == 1
         assert len(metrics["shards"]) == 3
         assert sum(entry["ingested"] for entry in metrics["shards"]) == len(trace)
@@ -284,7 +276,7 @@ class TestShardedIngestion:
         with ShardedIngestor(serving, num_shards=1) as ingestor:
             late = TelemetryStore()
             late.register_exposure("p", "vm", 1, 100.0)
-            ingestor._shards[0].out_queue.put((0, 1, 0, late.snapshot()))
+            ingestor._shards[0].out_queue.put((0, 1, 0, late))
             ingestor.submit([ExposureRecord("p", "vm", 1, 100.0)])
             merged = ingestor.flush()
             assert merged == 2  # the late delta plus the current one
@@ -296,10 +288,36 @@ class TestShardedIngestion:
         store = TelemetryStore()
         with pytest.raises(ValidationError, match="num_shards"):
             ShardedIngestor(store, num_shards=0)
-        with pytest.raises(ValidationError, match="backend"):
-            ShardedIngestor(store, backend="fiber")
         with pytest.raises(ValidationError, match="merge_interval"):
             ShardedIngestor(store, merge_interval=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"backend": "thread"}, {"batch_size": 2048}]
+    )
+    def test_removed_knobs_are_type_errors(self, kwargs):
+        # Shards are threads and take a whole batch per command.
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            ShardedIngestor(TelemetryStore(), **kwargs)
+
+    def test_flush_hands_over_the_shard_store(self):
+        # A flush reply carries the shard's private store itself, and
+        # the shard records into a fresh one from then on.
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=1) as ingestor:
+            shard = ingestor._shards[0]
+            ingestor.submit([ExposureRecord("p", "vm", 1, 100.0)])
+            shard.in_queue.put(("flush", 0))
+            _, ingested, _, first = shard.out_queue.get(timeout=10.0)
+            ingestor.submit([ExposureRecord("p", "vm", 1, 50.0)])
+            shard.in_queue.put(("flush", 0))
+            _, _, _, second = shard.out_queue.get(timeout=10.0)
+        assert ingested == 1
+        assert first.exposure_years("p", "vm") == pytest.approx(
+            100.0 / MINUTES_PER_YEAR
+        )
+        assert second.exposure_years("p", "vm") == pytest.approx(
+            50.0 / MINUTES_PER_YEAR
+        )
 
 
 # -- merge associativity properties -----------------------------------------

@@ -13,6 +13,7 @@ import json
 import os
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -63,6 +64,15 @@ def request(sla: float = 98.0, penalty: float = 100.0, **kwargs):
     return three_tier_request(Contract.linear(sla, penalty), **kwargs)
 
 
+def without_engine_stats(report) -> dict:
+    """A report's JSON minus the per-request cache counters, which
+    record whether this request found its engines warm."""
+    payload = json.loads(report.to_json())
+    for entry in payload["providers"]:
+        del entry["engine_stats"]
+    return payload
+
+
 @pytest.fixture(scope="module")
 def handle():
     with start_in_thread(observed_broker(), shards=4) as server_handle:
@@ -83,6 +93,25 @@ class TestEndToEnd:
         with start_in_thread(observed_broker()) as twin:
             wire = ServerClient(twin.host, twin.port).recommend(envelope)
         assert wire.to_json() == expected
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_concurrent_wire_reports_equal_direct_session(self, max_workers):
+        """Eight client threads on warm engines get the direct session's
+        report, whatever the width of the session's worker pool."""
+        envelope = RecommendEnvelope(request(), request_id="e2e-pool")
+        with observed_broker().session() as session:
+            cold = session.recommend_envelope(envelope)
+        with start_in_thread(
+            observed_broker(), max_workers=max_workers
+        ) as twin:
+            client = ServerClient(twin.host, twin.port)
+            assert client.recommend(envelope).to_json() == cold.to_json()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                reports = list(
+                    pool.map(lambda _: client.recommend(envelope), range(24))
+                )
+        want = without_engine_stats(cold)
+        assert all(without_engine_stats(report) == want for report in reports)
 
     def test_recommend_round_trip(self, client):
         report = client.recommend(RecommendEnvelope(request(), request_id="r-1"))

@@ -157,6 +157,15 @@ class TestTracedRecommendPipeline:
             assert key.parent_id == root.span_id
             assert key.end <= lookups[provider].start
 
+    def test_recommend_trace_records_parse_and_serialize(self, traced_client):
+        traced_client.recommend(request())
+        names = set(
+            spans_by_name(
+                traced_client.trace_spans(traced_client.last_trace_id)
+            )
+        )
+        assert {"request", "parse", "serialize"} <= names
+
     def test_trace_listed_in_summaries(self, traced_client):
         traced_client.recommend(request())
         trace_id = traced_client.last_trace_id
