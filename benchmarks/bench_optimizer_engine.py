@@ -17,10 +17,8 @@ restarts.
 The ``--compare-backends`` mode (E12, re-run as E13/E14) races the
 serial and vector evaluation backends over an extended >= 100k-candidate
 catalog: distilled brute-force sweeps with the result cache off,
-asserting all backends agree bit-identically and (when numpy is
-installed) that the vector backend beats serial even on one core.
-Without numpy the vector leg is *skipped* with a clear notice (a
-degraded-to-serial timing row would be noise, not signal).  Combine with
+asserting all backends agree bit-identically and that the vector
+backend beats serial even on one core.  Combine with
 ``--smoke`` for the fast CI variant (small catalog, equivalence checks
 only, no timing assertions); ``--json PATH`` writes the measured rows as
 a machine-readable artifact (see BENCH_E14.json).
@@ -32,8 +30,6 @@ import json
 import os
 import time
 from datetime import datetime, timezone
-
-import pytest
 
 from repro.catalog.hypervisor import HypervisorHA
 from repro.catalog.os_cluster import OSCluster
@@ -211,10 +207,6 @@ def test_engine_avoids_full_topology_work(emit):
 
 def test_parallel_chunked_evaluation_matches(emit):
     """The vector backend produces the identical option table, in order."""
-    from repro.optimizer.engine import _import_numpy
-
-    if _import_numpy() is None:
-        pytest.skip("numpy not installed (the [vector] extra)")
     problem = four_by_four_problem()
     sequential = brute_force_optimize(problem)
     engine = EvaluationEngine(problem, backend="vector", chunk_size=32)
@@ -251,15 +243,14 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
     assembly) while serial streams per candidate — each backend's best
     honest path.  Asserts all backends return the same
     evaluations count and a bit-identical best option; outside smoke
-    mode, also asserts — with numpy installed — that the vector backend
-    beats serial regardless of core count (it vectorizes the combine,
-    not the pool).  Without numpy the vector leg is skipped with a
-    notice instead of timing a silently degraded serial engine.
+    mode, also asserts that the vector backend beats serial regardless
+    of core count (it vectorizes the combine, not the pool).
     """
-    from repro.optimizer.engine import _import_numpy
+    # The package imports numpy on the first vector batch; load it here
+    # so the vector row times evaluation, not the import.
+    import numpy  # noqa: F401
 
     cores = os.cpu_count() or 1
-    has_numpy = _import_numpy() is not None
     problem = (
         random_problem(2024, clusters=5, choices_per_layer=3)
         if smoke
@@ -267,16 +258,8 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
     )
     timings: dict[str, float] = {}
     results: dict[str, OptimizationResult] = {}
-    skipped: list[str] = []
     rows = []
     for backend in ENGINE_BACKENDS:
-        if backend == "vector" and not has_numpy:
-            skipped.append(backend)
-            rows.append(
-                f"  {backend:<8}  SKIPPED (numpy not installed; "
-                "pip install .[vector])"
-            )
-            continue
         engine = EvaluationEngine(
             problem, cache=False, backend=backend, chunk_size=4096
         )
@@ -301,19 +284,11 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
             reference.best.availability.uptime_probability
         ), backend
 
-    speedups = {}
-    if has_numpy:
-        speedups["vector_over_serial"] = (
-            timings["serial"] / timings["vector"]
-        )
-        verdict = (
-            f"vector/serial speedup "
-            f"{speedups['vector_over_serial']:.2f}x on {cores} core(s)"
-        )
-    else:
-        verdict = (
-            f"on {cores} core(s) (vector leg skipped: numpy not installed)"
-        )
+    speedups = {"vector_over_serial": timings["serial"] / timings["vector"]}
+    verdict = (
+        f"vector/serial speedup "
+        f"{speedups['vector_over_serial']:.2f}x on {cores} core(s)"
+    )
 
     emit(
         f"[E14] backend comparison, {reference.evaluations:,}-candidate "
@@ -321,10 +296,10 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
         + "\n".join(rows)
         + f"\n  {verdict}"
     )
-    if not smoke and has_numpy:
+    if not smoke:
         assert timings["vector"] < timings["serial"], (
-            "acceptance: VectorBackend must beat SerialBackend when "
-            f"numpy is installed; got {timings}"
+            "acceptance: VectorBackend must beat SerialBackend; "
+            f"got {timings}"
         )
 
     if json_path:
@@ -344,7 +319,6 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
                 }
                 for backend in timings
             ],
-            "skipped": skipped,
             "speedups": speedups,
         }
         _write_json(json_path, payload)

@@ -4,9 +4,9 @@ Kept deliberately minimal so that ``pip install -e . --no-use-pep517``
 (the legacy editable path) works on machines whose setuptools cannot
 build PEP 517 wheels offline.
 
-The ``vector`` extra pulls in numpy for the vectorized evaluation
-backend (``--backend vector`` / ``REPRO_BACKEND=vector``); without it
-the backend degrades to serial evaluation with a RuntimeWarning.
+numpy is a required dependency: the vectorized evaluation backend
+(``--backend vector`` / ``REPRO_BACKEND=vector``) and the clauses'
+``*_vector`` methods import it on first use.
 """
 
 from setuptools import find_packages, setup
@@ -15,7 +15,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={
-        "vector": ["numpy"],
-    },
+    install_requires=["numpy"],
 )

@@ -435,10 +435,9 @@ class BrokerSession:
     error as a never-submitted id; both eviction paths are counted in
     :meth:`metrics`.
 
-    ``backend`` sets the session's default evaluation backend for
-    requests that do not pin one themselves (``request.backend``
-    always wins).  ``None`` reads ``REPRO_BACKEND`` once, here, so a
-    bad value fails construction instead of every request.
+    A request that does not pin ``request.backend`` runs on the
+    backend named by ``REPRO_BACKEND`` (serial when unset), read once,
+    here, so a bad value fails construction instead of every request.
 
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
@@ -457,7 +456,6 @@ class BrokerSession:
         max_workers: int = DEFAULT_MAX_WORKERS,
         max_finished_jobs: int = DEFAULT_MAX_FINISHED_JOBS,
         finished_job_ttl: float | None = None,
-        backend: str | None = None,
         tracer: Tracer | None = None,
         job_id_start: int = 1,
         job_id_stride: int = 1,
@@ -488,7 +486,7 @@ class BrokerSession:
         self.max_workers = max_workers
         self.max_finished_jobs = max_finished_jobs
         self.finished_job_ttl = finished_job_ttl
-        self.backend = resolve_backend(backend)
+        self.backend = resolve_backend(None)
         # Tracing: None means disabled — every instrumentation point in
         # the session guards on a single `is not None` check, so the
         # untraced hot path is unchanged (see repro.obs).
@@ -992,8 +990,8 @@ class BrokerSession:
     def _request_backend(self, request: RecommendationRequest) -> str:
         """The concrete evaluation backend one request should run on.
 
-        Precedence: the request's own ``backend``, then the session
-        default (resolved once, at construction).
+        Precedence: the request's own ``backend``, then
+        ``REPRO_BACKEND`` (resolved once, at construction).
         """
         return request.backend or self.backend
 

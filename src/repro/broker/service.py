@@ -280,7 +280,6 @@ class BrokerService:
         max_workers: int | None = None,
         max_finished_jobs: int | None = None,
         finished_job_ttl: float | None = None,
-        backend: str | None = None,
         tracer=None,
         job_id_start: int | None = None,
         job_id_stride: int | None = None,
@@ -290,8 +289,7 @@ class BrokerService:
         The session is the supported entry point for recommendations:
         it owns the cross-request engine cache, the batched/async job
         lifecycle and the streaming protocol.  Keyword arguments default
-        to the session's own defaults when ``None``; ``backend`` sets
-        the session's default evaluation backend, ``finished_job_ttl``
+        to the session's own defaults when ``None``; ``finished_job_ttl``
         enables age-based eviction of finished (even never-retrieved)
         jobs.  ``tracer`` (a :class:`repro.obs.Tracer`) enables per-phase span
         recording; ``None`` leaves tracing disabled at zero cost.
@@ -304,7 +302,6 @@ class BrokerService:
         kwargs: dict = {
             "engine_cache": engine_cache,
             "finished_job_ttl": finished_job_ttl,
-            "backend": backend,
             "tracer": tracer,
         }
         if cache_capacity is not None:

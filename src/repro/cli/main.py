@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ENGINE_BACKENDS,
         default=None,
         help="evaluation backend for exhaustive sweeps: serial (default) "
-        "or vector (numpy-vectorized combine; needs the [vector] extra, "
-        "degrades to serial without it).  Applies to --strategy "
+        "or vector (numpy-vectorized combine, byte-identical to serial).  "
+        "Applies to --strategy "
         "brute-force — pruned and branch-and-bound searches are "
         "inherently sequential.  "
         "Defaults honour $REPRO_BACKEND.",
@@ -225,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engines retained by the cross-request cache (LRU)",
     )
     batch.add_argument(
-        "--backend", choices=ENGINE_BACKENDS, default=None,
-        help="default evaluation backend for envelopes that do not pin one",
-    )
-    batch.add_argument(
         "--output", type=Path, default=None,
         help="write report envelopes to this file instead of stdout",
     )
@@ -271,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-capacity", type=int, default=16,
         help="engines retained by the cross-request cache (LRU)",
-    )
-    serve.add_argument(
-        "--backend", choices=ENGINE_BACKENDS, default=None,
-        help="default evaluation backend for requests that do not pin one",
     )
     serve.add_argument(
         "--finished-job-ttl", type=float, default=3600.0,
@@ -590,7 +582,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     with broker.session(
         cache_capacity=args.cache_capacity,
         max_workers=args.max_workers,
-        backend=args.backend,
     ) as session:
         job_ids = [session.submit(envelope) for envelope in envelopes]
         reports = [session.result_envelope(job_id) for job_id in job_ids]
@@ -648,7 +639,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         merge_interval=args.merge_interval,
         max_workers=args.max_workers,
         cache_capacity=args.cache_capacity,
-        eval_backend=args.backend,
         finished_job_ttl=args.finished_job_ttl or None,
         trace=trace,
         trace_capacity=args.trace_capacity,
@@ -875,11 +865,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # A missing or unreadable input file; other OS errors (a refused
-        # connection, say) carry no filename and keep their traceback.
-        if exc.filename is None:
+        # A missing or unreadable input file, or a --url server that
+        # cannot be reached (a refused connection, say); any other OS
+        # error keeps its traceback.
+        if exc.filename is not None:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 1
+        url = getattr(args, "url", None)
+        if url is None:
             raise
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(
+            f"error: cannot reach {url}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -31,16 +31,16 @@ built on it) runs on a pluggable **evaluation backend**:
   elementwise operations are IEEE-correctly-rounded like Python floats
   and every accumulation is explicit (never ``np.sum``'s pairwise
   reassociation), so vector results are bit-identical to serial.
-  numpy is an optional extra (``pip install .[vector]``); without it
-  the backend degrades to serial evaluation with a RuntimeWarning.
+  numpy is imported on the vector backend's first batch, so a process
+  that only runs per-candidate searches never loads it.
 
 Both backends evaluate in-process and hold no OS resources, so an
 engine needs no closing: dropping the last reference frees it.
 
 Every backend yields results in submission order, making output
-deterministic.  The ``REPRO_BACKEND`` environment variable overrides
-the *default* backend (explicit ``backend=`` arguments always win),
-which is how CI smokes the vector path across the whole suite.
+deterministic.  The ``REPRO_BACKEND`` environment variable names the
+backend used when none is given (explicit ``backend=`` arguments always
+win), which is how CI smokes the vector path across the whole suite.
 
 An engine has **one consumer at a time**.  The broker's engine cache
 serializes every evaluation on a cached engine through the entry's
@@ -53,7 +53,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -91,15 +90,6 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: nullcontext is reusable and reentrant, so one instance serves every
 #: block without a per-block allocation.
 _NULL_SPAN = contextlib.nullcontext()
-
-
-def _import_numpy():
-    """The optional numpy dependency, or ``None`` (patchable in tests)."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 def resolve_backend(backend: str | None) -> str:
@@ -303,37 +293,16 @@ class VectorBackend:
     cache, so cache and stats behaviour matches serial evaluation (and
     replays are pure hits).
 
-    numpy is an optional extra (``pip install .[vector]``).  When it is
-    missing, evaluation degrades to serial with a
-    :class:`RuntimeWarning`.  A backend instance belongs to one engine
-    and holds only that engine's column tables, built once from the
-    profiles.
+    numpy is imported on first use, not at module import, so processes
+    that never run a vector batch do not pay for loading it.  A backend
+    instance belongs to one engine and holds only that engine's column
+    tables, built once from the profiles.
     """
 
     name = "vector"
 
     def __init__(self) -> None:
-        self._degraded = False
-        self._numpy = None
         self._tables = None
-
-    def _ensure_numpy(self):
-        if self._degraded:
-            return None
-        if self._numpy is None:
-            numpy = _import_numpy()
-            if numpy is None:
-                warnings.warn(
-                    "vector evaluation backend unavailable (numpy is not "
-                    "installed; pip install .[vector]); degrading to "
-                    "serial evaluation",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-                self._degraded = True
-                return None
-            self._numpy = numpy
-        return self._numpy
 
     def _column_tables(self, engine: "EvaluationEngine", np):
         """Per-cluster per-choice value columns, built once per backend.
@@ -363,10 +332,8 @@ class VectorBackend:
         engine: "EvaluationEngine",
         enumerated: Iterable[tuple[int, tuple[int, ...]]],
     ) -> Iterator[EvaluatedOption]:
-        np = self._ensure_numpy()
-        if np is None:
-            yield from SerialBackend().evaluate_stream(engine, enumerated)
-            return
+        import numpy as np
+
         tables = self._column_tables(engine, np)
         # Cut blocks with islice instead of a per-candidate append loop:
         # the enumeration is consumed in C, which matters at 100k+
@@ -553,16 +520,16 @@ class VectorBackend:
         first-occurrence tie-break equals the fold's lowest-id rule
         because paper-order enumeration ascends by option id).
 
-        Falls back to the generic per-candidate fold when numpy is
-        missing or when the result cache is on (admissions need every
-        option).
+        Falls back to the generic per-candidate fold when the result
+        cache is on (admissions need every option).
         """
-        np = self._ensure_numpy()
-        if np is None or engine.cache:
+        if engine.cache:
             add = accumulator.add
             for option in self.evaluate_stream(engine, enumerated):
                 add(option)
             return
+        import numpy as np
+
         tables = self._column_tables(engine, np)
         chunk_size = engine.chunk_size
         pending = iter(enumerated)

@@ -299,7 +299,6 @@ class RequestCore:
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
-        eval_backend: str | None = None,
         finished_job_ttl: float | None = None,
         trace: bool = False,
         trace_capacity: int = 256,
@@ -323,7 +322,6 @@ class RequestCore:
         self.session = broker.session(
             cache_capacity=cache_capacity,
             max_workers=max_workers,
-            backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
             tracer=self.tracer,
             job_id_start=job_id_start,

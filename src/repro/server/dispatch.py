@@ -200,7 +200,6 @@ class WorkerSpec:
     merge_interval: float | None = 0.5
     max_workers: int = 4
     cache_capacity: int = 16
-    eval_backend: str | None = None
     finished_job_ttl: float | None = None
     trace: bool = False
     trace_capacity: int = 256

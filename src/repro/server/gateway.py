@@ -97,6 +97,25 @@ def _unavailable_envelope(detail: str) -> ErrorEnvelope:
     )
 
 
+async def _reap(process, timeout: float) -> bool:
+    """Wait up to ``timeout`` s for ``process`` to exit; join it if it did."""
+    loop = asyncio.get_running_loop()
+    exited: asyncio.Future = loop.create_future()
+    loop.add_reader(
+        process.sentinel, lambda: exited.done() or exited.set_result(None)
+    )
+    try:
+        await asyncio.wait_for(exited, timeout)
+    except asyncio.TimeoutError:
+        return False
+    finally:
+        loop.remove_reader(process.sentinel)
+    # The sentinel fires as the child exits, so this join only collects
+    # its exit status.
+    process.join()
+    return True
+
+
 class GatewayMetrics(EdgeMetricsMixin):
     """The gateway's own registry: edge families + fleet supervision.
 
@@ -173,7 +192,6 @@ class GatewayServer(HttpEdge):
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
-        eval_backend: str | None = None,
         finished_job_ttl: float | None = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_inflight: int = 32,
@@ -191,8 +209,9 @@ class GatewayServer(HttpEdge):
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers!r}")
-        # The same check BrokerSession makes, before any worker spawns.
-        resolve_backend(eval_backend)
+        # The same REPRO_BACKEND check BrokerSession makes, before any
+        # worker spawns (workers inherit the variable).
+        resolve_backend(None)
         if not trace:
             if slow_request_threshold is not None:
                 raise ValidationError(
@@ -226,7 +245,6 @@ class GatewayServer(HttpEdge):
             merge_interval=merge_interval,
             max_workers=max_workers,
             cache_capacity=cache_capacity,
-            eval_backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
             trace=trace,
             trace_capacity=trace_capacity,
@@ -281,9 +299,9 @@ class GatewayServer(HttpEdge):
         """Wait for every worker to connect; fail as soon as one exits.
 
         Each worker's process sentinel is watched beside its ready
-        event, so a worker that dies during startup (a bad ingest
-        backend, ``shards=0``) is reported with its exit code at once
-        rather than after ``spawn_timeout``.
+        event, so a worker that dies during startup (``shards=0``, say)
+        is reported with its exit code at once rather than after
+        ``spawn_timeout``.
         """
         loop = asyncio.get_running_loop()
         exited: asyncio.Future = loop.create_future()
@@ -316,9 +334,8 @@ class GatewayServer(HttpEdge):
         if exited.done():
             index = exited.result()
             process = self._procs[index]
-            # The sentinel fires as the child exits; join reaps it so
-            # the exit code is final.
-            await loop.run_in_executor(None, process.join, 5.0)
+            # Reap it so the exit code is final.
+            await _reap(process, 5.0)
             raise BrokerError(
                 f"worker {index} exited during startup "
                 f"(exitcode {process.exitcode})"
@@ -466,7 +483,7 @@ class GatewayServer(HttpEdge):
         loop = asyncio.get_running_loop()
         old = self._procs.get(index)
         if old is not None:
-            await loop.run_in_executor(None, lambda: old.join(5.0))
+            await _reap(old, 5.0)
         if self._stopped:
             return
         self._procs[index] = await loop.run_in_executor(
@@ -474,7 +491,12 @@ class GatewayServer(HttpEdge):
         )
 
     async def _close_resources(self) -> None:
-        """Tear down the fleet: EOF the links, reap the processes."""
+        """Tear down the fleet: EOF the links, reap the processes.
+
+        Reaping awaits each process sentinel on the loop rather than an
+        executor thread, so it also runs from an interpreter-exit hook,
+        after the executors have shut down.
+        """
         for task in list(self._respawn_tasks):
             task.cancel()
         if self._respawn_tasks:
@@ -487,16 +509,10 @@ class GatewayServer(HttpEdge):
                 link.writer.close()
         if self._reader_tasks:
             await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-        loop = asyncio.get_running_loop()
-
-        def reap() -> None:
-            for process in self._procs.values():
-                process.join(self.grace + 5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(2.0)
-
-        await loop.run_in_executor(None, reap)
+        for process in self._procs.values():
+            if not await _reap(process, self.grace + 5.0):
+                process.terminate()
+                await _reap(process, 2.0)
 
     # -- request forwarding ------------------------------------------------
 

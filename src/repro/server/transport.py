@@ -65,6 +65,7 @@ makes concurrent serving safe.
 from __future__ import annotations
 
 import asyncio
+import atexit
 import json
 import os
 import threading
@@ -591,7 +592,6 @@ class BrokerServer(HttpEdge):
         merge_interval: float | None = 0.5,
         max_workers: int = 4,
         cache_capacity: int = 16,
-        eval_backend: str | None = None,
         finished_job_ttl: float | None = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         max_inflight: int = 32,
@@ -633,7 +633,6 @@ class BrokerServer(HttpEdge):
             merge_interval=merge_interval,
             max_workers=max_workers,
             cache_capacity=cache_capacity,
-            eval_backend=eval_backend,
             finished_job_ttl=finished_job_ttl,
             trace=trace,
             trace_capacity=trace_capacity,
@@ -707,6 +706,7 @@ class ServerHandle:
         if self._closed:
             return
         self._closed = True
+        atexit.unregister(self.close)
         future = asyncio.run_coroutine_threadsafe(
             self.server.stop(), self._loop
         )
@@ -730,6 +730,12 @@ def start_in_thread(
     variable (the CI matrix's knob for running the whole test suite
     against the gateway).  Remaining keyword arguments are forwarded to
     the server constructor.
+
+    A gateway handle still open when the interpreter exits is closed by
+    an ``atexit`` hook.  Without it, multiprocessing's own exit hook
+    would join a worker that never sees its dispatch link close (the
+    loop thread holding it is a daemon) and hang forever; atexit runs
+    hooks last-registered first, so this one runs before that join.
     """
     if workers is None:
         workers = int(os.environ.get("REPRO_WORKERS", "0") or "0")
@@ -766,4 +772,7 @@ def start_in_thread(
     if failure:
         loop.close()
         raise failure[0]
-    return ServerHandle(server, loop, thread)
+    handle = ServerHandle(server, loop, thread)
+    if workers > 0:
+        atexit.register(handle.close)
+    return handle

@@ -59,7 +59,6 @@ async def _serve_partition(spec: WorkerSpec) -> None:
         merge_interval=spec.merge_interval,
         max_workers=spec.max_workers,
         cache_capacity=spec.cache_capacity,
-        eval_backend=spec.eval_backend,
         finished_job_ttl=spec.finished_job_ttl,
         trace=spec.trace,
         trace_capacity=spec.trace_capacity,

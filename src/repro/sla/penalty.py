@@ -27,18 +27,6 @@ from dataclasses import dataclass
 from repro.errors import ValidationError
 
 
-def _numpy():
-    """Import numpy for a vector penalty path, with a clear failure."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - vector callers guard
-        raise ValidationError(
-            "vectorized penalty evaluation requires numpy "
-            "(pip install .[vector])"
-        ) from exc
-    return numpy
-
-
 class PenaltyClause(abc.ABC):
     """Interface: monthly penalty as a function of slippage hours."""
 
@@ -65,7 +53,8 @@ class PenaltyClause(abc.ABC):
         subclasses stay correct without writing vector code; the
         built-in shapes all override it with true vector math.
         """
-        np = _numpy()
+        import numpy as np
+
         return np.array(
             [self.monthly_penalty(hours) for hours in slippage_hours.tolist()],
             dtype=float,
@@ -97,7 +86,8 @@ class NoPenalty(PenaltyClause):
         return 0.0
 
     def monthly_penalty_vector(self, slippage_hours):
-        np = _numpy()
+        import numpy as np
+
         self._check_slippage_vector(slippage_hours)
         return np.zeros(slippage_hours.shape, dtype=float)
 
@@ -122,7 +112,8 @@ class LinearPenalty(PenaltyClause):
         return self.rate_per_hour * slippage_hours
 
     def monthly_penalty_vector(self, slippage_hours):
-        np = _numpy()
+        import numpy as np
+
         self._check_slippage_vector(slippage_hours)
         # Elementwise float64 multiply is the exact scalar operation.  It
         # saturates to inf on overflow, like Python floats, so numpy's
@@ -176,7 +167,8 @@ class TieredPenalty(PenaltyClause):
         return total
 
     def monthly_penalty_vector(self, slippage_hours):
-        np = _numpy()
+        import numpy as np
+
         self._check_slippage_vector(slippage_hours)
         # Gather/compute/scatter on the still-live lanes mirrors the
         # scalar loop exactly: each lane sees min -> multiply-accumulate
@@ -226,7 +218,8 @@ class CappedPenalty(PenaltyClause):
         return min(self.inner.monthly_penalty(slippage_hours), self.monthly_cap)
 
     def monthly_penalty_vector(self, slippage_hours):
-        np = _numpy()
+        import numpy as np
+
         self._check_slippage_vector(slippage_hours)
         inner = self.inner.monthly_penalty_vector(slippage_hours)
         return np.minimum(inner, self.monthly_cap)
@@ -282,7 +275,8 @@ class ServiceCreditPenalty(PenaltyClause):
         return applicable * self.monthly_contract_value
 
     def monthly_penalty_vector(self, slippage_hours):
-        np = _numpy()
+        import numpy as np
+
         self._check_slippage_vector(slippage_hours)
         applicable = np.zeros(slippage_hours.shape, dtype=float)
         for threshold, fraction in self.schedule:

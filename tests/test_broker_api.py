@@ -35,7 +35,6 @@ from repro.errors import (
     BrokerError,
     InsufficientTelemetryError,
     OptimizerError,
-    ReproError,
     ValidationError,
 )
 from repro.optimizer.engine import EvaluationEngine
@@ -1013,19 +1012,11 @@ class TestBackendSwitch:
                     == prior.incremental_combines
                 )
 
-    def test_session_default_backend_applies(self, observed_broker, contract):
-        with observed_broker.session(backend="vector") as session:
-            request = three_tier_request(contract, strategy="brute-force")
-            session.recommend(request)
-            assert all(
-                engine.backend == "vector"
-                for engine in session.engine_cache.engines()
-            )
-
-    def test_request_backend_beats_session_default(
-        self, observed_broker, contract
+    def test_request_backend_beats_env_backend(
+        self, observed_broker, contract, monkeypatch
     ):
-        with observed_broker.session(backend="vector") as session:
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        with observed_broker.session() as session:
             request = three_tier_request(
                 contract, strategy="brute-force", backend="serial"
             )
@@ -1035,10 +1026,21 @@ class TestBackendSwitch:
                 for engine in session.engine_cache.engines()
             )
 
-    @pytest.mark.parametrize("backend", ["quantum", "process"])
-    def test_session_rejects_unknown_backend(self, observed_broker, backend):
-        with pytest.raises(ReproError, match="backend"):
-            observed_broker.session(backend=backend)
+    @pytest.mark.parametrize(
+        "open_session",
+        [
+            lambda broker: broker.session(backend="vector"),
+            lambda broker: BrokerSession(broker, backend="vector"),
+        ],
+        ids=["service.session", "BrokerSession"],
+    )
+    def test_session_takes_no_backend_parameter(
+        self, observed_broker, open_session
+    ):
+        # A request pins its backend, or REPRO_BACKEND names it; there
+        # is no third, per-session default.
+        with pytest.raises(TypeError, match="backend"):
+            open_session(observed_broker)
 
     def test_bad_env_backend_fails_at_session_construction(
         self, observed_broker, monkeypatch

@@ -21,17 +21,11 @@ from repro.broker.service import BrokerService
 from repro.cloud.provider import CloudProvider
 from repro.cloud.providers import all_providers, metalcloud
 from repro.obs.trace import Tracer
-from repro.optimizer import engine as engine_module
 from repro.sla.contract import Contract
 from repro.topology import serialization
 
-requires_numpy = pytest.mark.skipif(
-    engine_module._import_numpy() is None,
-    reason="numpy not installed (the [vector] extra)",
-)
-
 STRATEGIES = ("pruned", "brute-force", "branch-and-bound")
-BACKENDS = ("serial", pytest.param("vector", marks=requires_numpy))
+BACKENDS = ("serial", "vector")
 
 
 @pytest.fixture(scope="module")

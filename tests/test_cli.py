@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -56,12 +57,25 @@ class TestParser:
             build_parser().parse_args(["recommend", "--engine", "direct"])
         assert "--engine" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["recommend", "serve"])
-    def test_process_eval_backend_is_a_parser_error(self, command, capsys):
+    def test_process_backend_is_a_parser_error(self, capsys):
         # serial and vector are the only evaluation backends.
         with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--backend", "process"])
+            build_parser().parse_args(["recommend", "--backend", "process"])
         assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "vector"],
+            ["batch", "requests.jsonl", "--backend", "vector"],
+        ],
+    )
+    def test_default_backend_flags_are_parser_errors(self, argv, capsys):
+        # A request pins its backend or REPRO_BACKEND names it; serve
+        # and batch have no default of their own.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -255,6 +269,27 @@ class TestCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: {reason}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--url", "{url}"], ["ingest", "{path}", "--url", "{url}"]],
+        ids=["trace", "ingest"],
+    )
+    def test_unreachable_url_is_clean_error(self, argv, tmp_path, capsys):
+        # Bind an ephemeral port and close it again: nothing listens
+        # there, so the first request is refused.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}"
+        path = tmp_path / "trace.jsonl"
+        path.write_text("{}\n")
+        argv = [arg.format(url=url, path=path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot reach {url}: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_pareto_lists_frontier(self, capsys):

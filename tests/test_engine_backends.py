@@ -7,14 +7,16 @@ including replayed (cache-hit) streams and ``from_stream`` distillation.
 These tests sweep the paper's named workload scenarios plus
 hypothesis-randomized catalogs/contracts, and pin down the failure
 modes: a chunk that fails mid-stream surfaces a structured engine
-error without wedging the engine, and the vector backend degrades to
-serial (with a warning) when numpy is not installed.
+error without wedging the engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -46,16 +48,8 @@ from repro.workloads.scenarios import SCENARIOS
 #: The backends every equivalence assertion sweeps.
 ALL_BACKENDS = ENGINE_BACKENDS
 
-HAS_NUMPY = engine_module._import_numpy() is not None
-
-requires_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy not installed (the [vector] extra)"
-)
-
 #: Non-serial backends whose streams must match serial byte-for-byte.
-#: Without numpy the vector backend degrades (warning) — the degrade
-#: path has its own tests, so equivalence sweeps skip it there.
-NON_SERIAL = ("vector",) if HAS_NUMPY else ()
+NON_SERIAL = tuple(name for name in ENGINE_BACKENDS if name != "serial")
 
 #: Named workload scenarios for the acceptance criterion (>= 3).
 WORKLOAD_PROBLEMS = [
@@ -134,7 +128,6 @@ class TestCrossBackendEquivalence:
             assert replay == expected, backend
             assert engine.stats.cache_hits >= engine.space.size
 
-    @requires_numpy
     def test_from_stream_distillation_matches_serial(self):
         problem = random_problem(5, clusters=4, choices_per_layer=3)
         full = brute_force_optimize(problem)
@@ -251,13 +244,11 @@ class TestBackendRebinding:
 
 
 class TestEnvironmentDefault:
-    @requires_numpy
     def test_env_var_sets_default_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem())
         assert engine.backend == "vector"
 
-    @requires_numpy
     def test_explicit_backend_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
         engine = EvaluationEngine(case_study_problem(), backend="serial")
@@ -281,7 +272,6 @@ class TestEnvironmentDefault:
 
 
 class TestFailureModes:
-    @requires_numpy
     def test_chunk_failure_surfaces_structured_error(self):
         # cache=False skips the per-candidate ChoiceNames probe, so the
         # out-of-range index reaches the numpy gather mid-chunk.
@@ -293,8 +283,8 @@ class TestFailureModes:
         options = list(engine.evaluate_all())
         assert len(options) == engine.space.size
 
+
 class TestStrategiesAcrossBackends:
-    @requires_numpy
     def test_shared_engine_serves_all_strategies(self):
         from repro.optimizer.branch_bound import branch_and_bound_optimize
         from repro.optimizer.pruned import pruned_optimize
@@ -348,7 +338,6 @@ class TestDistilledSweep:
             reference.options
         )
 
-    @requires_numpy
     @pytest.mark.parametrize(
         "clause",
         CLAUSES,
@@ -367,7 +356,6 @@ class TestDistilledSweep:
             reference.options
         )
 
-    @requires_numpy
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_distill_matches_scalar_fold_on_random_catalogs(self, seed):
@@ -382,7 +370,6 @@ class TestDistilledSweep:
             reference.options
         )
 
-    @requires_numpy
     def test_sweep_with_tables_matches_from_stream(self):
         problem = random_problem(49, clusters=3, choices_per_layer=3)
         reference = brute_force_optimize(problem)
@@ -392,7 +379,6 @@ class TestDistilledSweep:
             reference.options
         )
 
-    @requires_numpy
     def test_distill_with_cache_on_falls_back_and_admits(self):
         problem = random_problem(50, clusters=3, choices_per_layer=2)
         engine = backend_engine(problem, "vector", cache=True, chunk_size=16)
@@ -406,7 +392,6 @@ class TestDistilledSweep:
         # is answered from the result cache it populated.
         assert engine.stats.cache_hits - hits_before == engine.space.size
 
-    @requires_numpy
     def test_distill_counts_full_space_in_stats(self):
         problem = random_problem(51, clusters=3, choices_per_layer=3)
         engine = backend_engine(problem, "vector", cache=False, chunk_size=16)
@@ -418,7 +403,6 @@ class TestDistilledSweep:
         # Winners-only assembly: far fewer options built than evaluated.
         assert combined < evaluated
 
-    @requires_numpy
     def test_brute_force_optimize_routes_distilled(self):
         problem = random_problem(52, clusters=3, choices_per_layer=3)
         serial_result = brute_force_optimize(problem, keep_options=False)
@@ -443,23 +427,6 @@ class TestDistilledSweep:
 class TestVectorBackend:
     """Vector-specific contracts (equivalence runs in the shared sweeps)."""
 
-    def test_degrades_to_serial_with_warning_without_numpy(self, monkeypatch):
-        problem = case_study_problem()
-        reference = stream_signature(EvaluationEngine(problem).evaluate_all())
-        monkeypatch.setattr(engine_module, "_import_numpy", lambda: None)
-        engine = backend_engine(problem, "vector")
-        with pytest.warns(RuntimeWarning, match="degrading to serial"):
-            options = list(engine.evaluate_all())
-        assert stream_signature(options) == reference
-        # Degradation is sticky (no warning spam, no import retry storm).
-        assert stream_signature(engine.evaluate_all()) == reference
-        assert engine._backend_impl._degraded is True
-        stats = engine.stats
-        assert stats.cache_hits + stats.incremental_combines == (
-            stats.candidate_evaluations
-        )
-
-    @requires_numpy
     def test_replay_is_pure_cache_hits(self):
         problem = random_problem(17, clusters=4, choices_per_layer=2)
         engine = backend_engine(problem, "vector", chunk_size=8)
@@ -469,14 +436,12 @@ class TestVectorBackend:
         assert engine.stats.incremental_combines == combines
         assert engine.stats.cache_hits == engine.space.size
 
-    @requires_numpy
     def test_wrong_arity_indices_rejected(self):
         problem = case_study_problem()
         engine = backend_engine(problem, "vector", cache=False)
         with pytest.raises(OptimizerError, match="choice indices"):
             list(engine.evaluate_many([(1, (0,))]))
 
-    @requires_numpy
     def test_int_valued_costs_stay_bit_identical(self):
         # Specs built with int dollar amounts are legal; the scalar
         # paths must not flow int arithmetic while the float64 columns
@@ -512,7 +477,6 @@ class TestVectorBackend:
         engine = backend_engine(problem, "vector", chunk_size=2)
         assert stream_signature(engine.evaluate_all()) == expected
 
-    @requires_numpy
     def test_payload_floats_are_plain_floats(self):
         # Options must pickle identically to serial ones, so no numpy
         # scalar may leak into availability/TCO fields.
@@ -525,6 +489,51 @@ class TestVectorBackend:
             type(cluster.failover_contribution) is float
             for cluster in option.availability.clusters
         )
+
+
+LAZY_NUMPY_SCRIPT = """
+import sys
+
+import repro.broker.api
+import repro.cli.main
+import repro.server
+from repro.broker.request import three_tier_request
+from repro.broker.service import BrokerService
+from repro.cloud.providers import all_providers
+from repro.server import ServerClient, start_in_thread
+from repro.sla.contract import Contract
+
+broker = BrokerService(all_providers())
+broker.observe_all(years=0.2, seed=1)
+contract = Contract.linear(98.0, 100.0)
+with start_in_thread(broker, workers=0) as handle:
+    client = ServerClient(handle.host, handle.port)
+    client.recommend(three_tier_request(contract))
+    print("pruned", "numpy" in sys.modules)
+    client.recommend(
+        three_tier_request(contract, strategy="brute-force", backend="vector")
+    )
+    print("vector", "numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_on_first_vector_batch(tmp_path):
+    # A server that only answers pruned searches never pays numpy's
+    # import time and memory; the first vector batch loads it.  Run in
+    # a fresh interpreter, since this one has numpy loaded already.
+    script = tmp_path / "lazy_numpy.py"
+    script.write_text(LAZY_NUMPY_SCRIPT)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.splitlines() == ["pruned False", "vector True"]
 
 
 def test_backend_constants_are_consistent():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import OptimizerError
-from repro.optimizer import engine as engine_module
 from repro.optimizer.advisor import advise_upgrades
 from repro.optimizer.branch_bound import branch_and_bound_optimize
 from repro.optimizer.brute_force import (
@@ -28,11 +27,6 @@ from repro.workloads.case_study import case_study_problem
 from repro.workloads.generators import random_problem
 
 TOL = 1e-12
-
-requires_numpy = pytest.mark.skipif(
-    engine_module._import_numpy() is None,
-    reason="numpy not installed (the [vector] extra)",
-)
 
 #: (seed, clusters, choices_per_layer) grid for the randomized sweeps.
 RANDOM_GRID = [
@@ -98,7 +92,6 @@ class TestEngineMatchesDirectEvaluation:
                 direct = evaluate_candidate(problem, space, option_id, indices)
                 _assert_equivalent(direct, engine.evaluate(option_id, indices))
 
-    @requires_numpy
     def test_parallel_equivalent(self):
         for problem in (
             case_study_problem(),
@@ -132,7 +125,6 @@ class TestStrategiesThroughEngine:
             assert abs(result.best.tco.total - brute.best.tco.total) <= TOL
             assert result.best.choice_names == brute.best.choice_names
 
-    @requires_numpy
     def test_parallel_strategies_on_random_problems(self):
         for seed in range(3):
             problem = random_problem(seed, clusters=4, choices_per_layer=2)

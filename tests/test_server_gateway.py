@@ -12,10 +12,14 @@ and waits for the supervisor to respawn it.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -34,6 +38,7 @@ from repro.server import (
 from repro.server.dispatch import (
     EPOCH_BLOCK,
     MAX_HEADER_BYTES,
+    WorkerSpec,
     batch_routing_key,
     encode_frame,
     job_id_start,
@@ -399,13 +404,23 @@ class TestModeSelection:
         with pytest.raises(ValidationError, match="workers"):
             GatewayServer(observed_broker(), workers=0)
 
-    def test_bad_eval_backend_fails_before_any_spawn(self, monkeypatch):
-        broker = observed_broker()
-        with pytest.raises(OptimizerError, match="bogus"):
-            GatewayServer(broker, workers=1, eval_backend="bogus")
+    def test_bad_env_backend_fails_before_any_spawn(self, monkeypatch):
+        # Workers inherit REPRO_BACKEND, so the gateway checks it once
+        # before spawning any of them.
+        before = len(multiprocessing.active_children())
         monkeypatch.setenv("REPRO_BACKEND", "process")
         with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
-            GatewayServer(broker, workers=1)
+            GatewayServer(observed_broker(), workers=1)
+        assert len(multiprocessing.active_children()) == before
+
+    def test_gateway_and_worker_spec_take_no_backend_option(self):
+        # Workers read REPRO_BACKEND from the environment they inherit;
+        # no backend travels in the spawn spec.
+        names = [
+            *inspect.signature(GatewayServer).parameters,
+            *(field.name for field in dataclasses.fields(WorkerSpec)),
+        ]
+        assert not [name for name in names if "backend" in name]
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_ingest_backend_is_not_a_server_knob(self, workers):
@@ -445,6 +460,42 @@ class TestWorkerStartupFailure:
         assert all(
             not process.is_alive() for process in server._procs.values()
         )
+
+
+# -- interpreter exit --------------------------------------------------------
+
+UNCLOSED_GATEWAY_SCRIPT = """
+from repro.broker.service import BrokerService
+from repro.cloud.providers import all_providers
+from repro.server import start_in_thread
+
+if __name__ == "__main__":
+    broker = BrokerService(all_providers())
+    broker.observe_all(years=0.2, seed=1)
+    handle = start_in_thread(broker, workers=1)
+    print("serving", handle.port, flush=True)
+"""
+
+
+class TestInterpreterExit:
+    def test_unclosed_gateway_handle_does_not_hang_exit(self, tmp_path):
+        # The program returns without closing its handle; the exit hook
+        # must close the gateway so multiprocessing's exit-time join of
+        # the worker returns.
+        script = tmp_path / "unclosed_gateway.py"
+        script.write_text(UNCLOSED_GATEWAY_SCRIPT)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.startswith("serving ")
+        assert "Traceback" not in completed.stderr
 
 
 # -- worker death and respawn ------------------------------------------------

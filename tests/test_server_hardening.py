@@ -23,7 +23,6 @@ from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
 from repro.errors import ValidationError
-from repro.optimizer.engine import _import_numpy
 from repro.server import (
     IDEMPOTENCY_KEY_HEADER,
     REPLAY_HEADER,
@@ -55,10 +54,6 @@ GATEWAY_WORKERS = int(os.environ.get("REPRO_WORKERS", "0") or "0")
 inprocess_only = pytest.mark.skipif(
     GATEWAY_WORKERS > 0,
     reason="asserts in-process server internals",
-)
-requires_numpy = pytest.mark.skipif(
-    _import_numpy() is None,
-    reason="numpy not installed (the [vector] extra)",
 )
 
 
@@ -532,14 +527,12 @@ class TestJobResultReplay:
 # -- concurrent duplicate submission (first-writer-wins) ---------------------
 
 class TestConcurrentDuplicates:
-    @requires_numpy
     @inprocess_only
     def test_racing_duplicate_submissions_yield_one_job(self):
-        with start_in_thread(
-            observed_broker(), shards=2, eval_backend="vector"
-        ) as server_handle:
+        with start_in_thread(observed_broker(), shards=2) as server_handle:
             payload = RecommendEnvelope(
-                request(), idempotency_key="race-key-vector"
+                request(strategy="brute-force", backend="vector"),
+                idempotency_key="race-key-vector",
             ).to_json()
             barrier = threading.Barrier(2)
             outcomes: list[tuple[str, str | None]] = []

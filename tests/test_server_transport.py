@@ -9,6 +9,7 @@ with identical telemetry and a cold cache.
 from __future__ import annotations
 
 import http.client
+import inspect
 import json
 import os
 import socket
@@ -33,7 +34,8 @@ from repro.errors import (
 )
 from repro.server import ServerClient, ServerError, start_in_thread
 from repro.server.ingest import ExposureRecord
-from repro.server.transport import error_envelope_for
+from repro.server.core import RequestCore
+from repro.server.transport import BrokerServer, error_envelope_for
 from repro.sla.contract import Contract
 from repro.units import MINUTES_PER_YEAR
 
@@ -392,7 +394,7 @@ class TestBatch:
         retention — nothing else holds their ids."""
         import asyncio
 
-        from repro.server.transport import BrokerServer, _Request
+        from repro.server.transport import _Request
 
         server = BrokerServer(observed_broker(), merge_interval=None)
 
@@ -539,9 +541,12 @@ class TestStartupConfiguration:
         with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
             start_in_thread(observed_broker())
 
-    def test_retired_eval_backend_fails_before_serving(self):
-        with pytest.raises(OptimizerError, match="'process'"):
-            start_in_thread(observed_broker(), eval_backend="process")
+    @pytest.mark.parametrize("factory", [BrokerServer, RequestCore])
+    def test_server_takes_no_backend_option(self, factory):
+        # A request pins its backend or REPRO_BACKEND names it; the
+        # server has no default of its own to configure.
+        parameters = inspect.signature(factory).parameters
+        assert not [name for name in parameters if "backend" in name]
 
     def test_env_change_after_start_leaves_requests_served(
         self, monkeypatch

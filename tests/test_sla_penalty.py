@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +15,6 @@ from repro.sla.penalty import (
     PenaltyClause,
     ServiceCreditPenalty,
     TieredPenalty,
-)
-
-try:
-    import numpy as np  # noqa: F811
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
-requires_numpy = pytest.mark.skipif(
-    np is None, reason="numpy not installed (the [vector] extra)"
 )
 
 
@@ -229,7 +221,6 @@ def penalty_clauses(draw):
     )
 
 
-@requires_numpy
 class TestVectorByteIdentity:
     """``monthly_penalty_vector`` must equal the scalar loop bit-for-bit.
 

@@ -97,7 +97,7 @@ class TestTracedRecommendPipeline:
     def test_client_to_worker_span_continuity(self):
         """Acceptance: one trace spanning transport->session->engine->chunk."""
         with start_in_thread(
-            observed_broker(), trace=True, eval_backend="vector", max_workers=2
+            observed_broker(), trace=True, max_workers=2
         ) as handle:
             client = ServerClient(handle.host, handle.port, trace=True)
             client.recommend(request(strategy="brute-force", backend="vector"))
