@@ -24,10 +24,19 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.broker.envelope import (
     ProgressEvent,
+    ProviderReport,
     RecommendEnvelope,
     ReportEnvelope,
 )
@@ -60,6 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
         ProviderRecommendation,
         RecommendationReport,
     )
+    from repro.broker.telemetry import TelemetryStore
+    from repro.cloud.provider import CloudProvider
 
 #: Default number of engines an :class:`EngineCache` retains.
 DEFAULT_CACHE_CAPACITY = 16
@@ -108,6 +119,21 @@ def _contract_key(contract: Contract) -> object:
     return contract
 
 
+def _request_key(request: RecommendationRequest) -> tuple:
+    """The request fields that decide which engine serves a provider.
+
+    Left out: ``metadata`` never reaches the report,
+    ``strategy``/``backend`` pick a memo inside the entry, and
+    ``providers`` picks the entries.
+    """
+    return (
+        request.system_name,
+        request.clusters,
+        _contract_key(request.contract),
+        request.extended_catalog,
+    )
+
+
 def _rate_card_key(card: RateCard) -> tuple:
     """Everything a rate card prices, as a hashable tuple of values.
 
@@ -151,6 +177,26 @@ class EngineKey:
     contract: object
     rate_card: tuple
     variant: tuple
+    #: The key is hashed once: every cache move and lookup reuses it.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash(
+                (
+                    self.provider,
+                    self.base_system,
+                    self.contract,
+                    self.rate_card,
+                    self.variant,
+                )
+            ),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def build(
@@ -245,6 +291,13 @@ class EngineCacheStats:
         )
 
 
+class _Replay(NamedTuple):
+    """One memoized serve: the recommendation and its wire section."""
+
+    recommendation: "ProviderRecommendation"
+    report: ProviderReport
+
+
 @dataclass
 class _CacheEntry:
     """A cached engine plus the lock serializing its (sequential) use.
@@ -266,16 +319,17 @@ class _CacheEntry:
     Strategies are deterministic and the engine's result cache only
     grows, so every later replay would rebuild exactly that
     recommendation, ``engine_stats`` included — a memo hit returns it
-    without searching.  The memo lives and dies with its entry.
+    without searching.  Each memo keeps the distilled
+    :class:`~repro.broker.envelope.ProviderReport` next to the
+    recommendation, so a warm replay skips the distillation too.  The
+    memo lives and dies with its entry.
     """
 
     key: EngineKey
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
-    replays: dict[tuple[str, str], "ProviderRecommendation"] = field(
-        default_factory=dict
-    )
+    replays: dict[tuple[str, str], _Replay] = field(default_factory=dict)
 
 
 class EngineCache:
@@ -284,6 +338,14 @@ class EngineCache:
     One cache typically lives as long as a :class:`BrokerSession`; it
     may also be shared between sessions (or services) to pool engines
     across front-ends.  All operations are thread-safe.
+
+    Beside the engines, the cache keeps *warm aliases*: a map from a
+    cheap per-request key (see :meth:`BrokerSession.replay_envelope`)
+    to the entry a slow-path lookup resolved it to, so a repeated
+    request finds its entry without deriving an :class:`EngineKey`.
+    The alias map is an LRU of at most ``capacity`` keys, and an
+    evicted entry takes its aliases with it: an alias never keeps an
+    engine alive that the cache itself has let go.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -292,6 +354,7 @@ class EngineCache:
         self.capacity = capacity
         self.stats = EngineCacheStats()
         self._entries: OrderedDict[EngineKey, _CacheEntry] = OrderedDict()
+        self._aliases: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
 
     def entry(
@@ -318,8 +381,9 @@ class EngineCache:
                 entry = _CacheEntry(key=key)
                 self._entries[key] = entry
                 while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
+                    _, evicted = self._entries.popitem(last=False)
                     self.stats.evictions += 1
+                    self._drop_aliases(evicted)
         if entry.engine is None:
             with entry.lock:
                 if entry.engine is None:
@@ -337,6 +401,64 @@ class EngineCache:
         """Record one hit answered from an entry's replay memo."""
         with self._lock:
             self.stats.replays += 1
+
+    def alias(self, warm_key: tuple, entry: _CacheEntry) -> None:
+        """Point ``warm_key`` at ``entry`` while the entry is cached.
+
+        An entry already evicted (or never published, after a failed
+        build) gets no alias.
+        """
+        with self._lock:
+            if self._entries.get(entry.key) is not entry:
+                return
+            self._aliases[warm_key] = entry
+            self._aliases.move_to_end(warm_key)
+            if len(self._aliases) > self.capacity:
+                self._aliases.popitem(last=False)
+
+    def replay(
+        self, warm_keys: Sequence[tuple], memo_key: tuple[str, str]
+    ) -> list[_Replay] | None:
+        """Every warm key's memoized serve under ``memo_key``, or None.
+
+        All or nothing: one missing alias or memo, or one entry lock
+        held by a search in progress, returns None with nothing
+        counted.  Entry locks are only tried, never waited on, so the
+        caller may run on an event loop.  A full answer counts one hit
+        and one replay per key and refreshes each entry's LRU position,
+        exactly as the slow path would.  Every alias found is refreshed
+        in the alias LRU.
+        """
+        aliases = self._aliases
+        with self._lock:
+            entries = [aliases.get(key) for key in warm_keys]
+            for key, entry in zip(warm_keys, entries):
+                if entry is not None:
+                    aliases.move_to_end(key)
+        replays = []
+        for entry in entries:
+            if entry is None or not entry.lock.acquire(blocking=False):
+                return None
+            try:
+                memo = entry.replays.get(memo_key)
+            finally:
+                entry.lock.release()
+            if memo is None:
+                return None
+            replays.append(memo)
+        with self._lock:
+            self.stats.hits += len(entries)
+            self.stats.replays += len(entries)
+            for entry in entries:
+                if self._entries.get(entry.key) is entry:
+                    self._entries.move_to_end(entry.key)
+        return replays
+
+    def _drop_aliases(self, entry: _CacheEntry) -> None:
+        """Forget every alias of an evicted entry (under ``_lock``)."""
+        stale = [key for key, value in self._aliases.items() if value is entry]
+        for key in stale:
+            del self._aliases[key]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -373,6 +495,7 @@ class EngineCache:
         """Drop every cached engine (stats are retained)."""
         with self._lock:
             self._entries.clear()
+            self._aliases.clear()
 
 
 @dataclass
@@ -556,10 +679,12 @@ class BrokerSession:
     def recommend_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
         """Wire-in, wire-out: serve a request envelope.
 
-        When the session traces and no span is active yet (direct
-        session use, or a transport that did not open a root span), an
-        envelope carrying a traceparent gets a ``request`` root span of
-        its own, so trace continuity survives every entry point.
+        Tries :meth:`replay_envelope` first and falls back to a full
+        :meth:`recommend`; both give the same bytes.  When the session
+        traces and no span is active yet (direct session use, or a
+        transport that did not open a root span), an envelope carrying
+        a traceparent gets a ``request`` root span of its own, so trace
+        continuity survives every entry point.
         """
         tracer = self.tracer
         if tracer is not None and tracer.current() is None:
@@ -573,12 +698,92 @@ class BrokerSession:
                         "request_id": envelope.request_id or "",
                     },
                 ):
-                    return ReportEnvelope.from_report(
-                        self.recommend(envelope.request),
-                        request_id=envelope.request_id,
-                    )
+                    return self._serve_envelope(envelope)
+        return self._serve_envelope(envelope)
+
+    def _serve_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
+        report = self.replay_envelope(envelope)
+        if report is not None:
+            return report
         return ReportEnvelope.from_report(
             self.recommend(envelope.request), request_id=envelope.request_id
+        )
+
+    def replay_envelope(
+        self, envelope: RecommendEnvelope
+    ) -> ReportEnvelope | None:
+        """A warm request's report from the replay memos, or None.
+
+        No key derivation, no estimates, no search: each provider's
+        warm key is ``(provider, request key, rate-card key, telemetry
+        store, store generation, confidence threshold)``, all cheap to
+        build.  The rate-card key is rebuilt on every call, so an
+        in-place price edit misses; every telemetry mutation publishes
+        a new generation, so fresher telemetry misses too.  The
+        generation is read before anything else, matching the slow
+        path, which reads it before its estimates (see
+        :class:`~repro.broker.telemetry.TelemetryStore`).
+
+        Returns None — and counts nothing — unless every provider the
+        request names has a memoized serve under the request's
+        (strategy, backend); the caller then serves it the slow way.
+        Never blocks on an engine (see :meth:`EngineCache.replay`), so
+        a server may call it on its event loop.  When a trace is
+        active, a hit records one ``replay`` span.
+        """
+        tracer = self.tracer
+        started = clock.perf_counter() if tracer is not None else 0.0
+        request = envelope.request
+        telemetry = self.service.knowledge_base.telemetry
+        generation = telemetry.generation
+        request_key = _request_key(request)
+        providers = self.service.providers
+        warm_keys = []
+        for name in self._provider_names(request):
+            provider = providers.get(name)
+            if provider is None:
+                return None
+            warm_keys.append(
+                self._warm_key(name, request_key, provider, telemetry, generation)
+            )
+        replays = self.engine_cache.replay(
+            warm_keys, (request.strategy, self._request_backend(request))
+        )
+        if replays is None:
+            return None
+        report = ReportEnvelope(
+            request_name=request.system_name,
+            providers=tuple(memo.report for memo in replays),
+            request_id=envelope.request_id,
+        )
+        if tracer is not None:
+            parent = tracer.current()
+            if parent is not None:
+                tracer.record(
+                    "replay",
+                    parent=parent,
+                    start=started,
+                    end=clock.perf_counter(),
+                    attrs={"providers": str(len(replays))},
+                )
+        return report
+
+    def _warm_key(
+        self,
+        provider_name: str,
+        request_key: tuple,
+        provider: "CloudProvider",
+        telemetry: "TelemetryStore",
+        generation: int,
+    ) -> tuple:
+        """One provider's warm alias key (see :meth:`replay_envelope`)."""
+        return (
+            provider_name,
+            request_key,
+            _rate_card_key(provider.rate_card),
+            telemetry,
+            generation,
+            self.service.knowledge_base.min_failure_samples,
         )
 
     def recommend_many(
@@ -1006,6 +1211,10 @@ class BrokerSession:
         """
         provider = self.service.provider(provider_name)
         tracer = self.tracer
+        # Read before the estimates: a mutation racing this lookup can
+        # only file its newer state under this older generation.
+        telemetry = self.service.knowledge_base.telemetry
+        generation = telemetry.generation
         with maybe_span(tracer, "key", attrs={"provider": provider_name}):
             # One estimate per kind feeds P̂/f̂ (the topology) and t̂ (the
             # variant), so the key never mixes two telemetry epochs.
@@ -1051,6 +1260,16 @@ class BrokerSession:
             tracer, "cache_lookup", attrs={"provider": provider_name}
         ):
             entry = self.engine_cache.entry(key, build_engine)
+        self.engine_cache.alias(
+            self._warm_key(
+                provider_name,
+                _request_key(request),
+                provider,
+                telemetry,
+                generation,
+            ),
+            entry,
+        )
         if tracer is not None:
             # One tracer serves the whole session; per-request identity
             # lives in contextvars, so a shared cached engine can simply
@@ -1088,7 +1307,7 @@ class BrokerSession:
                     self.tracer, "evaluate", attrs={**attrs, "memo": "hit"}
                 ):
                     self.engine_cache.count_replay()
-                return memoized
+                return memoized.recommendation
             optimize = _STRATEGY_FUNCTIONS[request.strategy]
             engine.set_backend(backend)
             before = engine.stats.snapshot()
@@ -1111,5 +1330,10 @@ class BrokerSession:
                 and stats.incremental_combines == 0
                 and stats.cache_hits == stats.candidate_evaluations
             ):
-                entry.replays[memo_key] = recommendation
+                entry.replays[memo_key] = _Replay(
+                    recommendation,
+                    ProviderReport.from_result(
+                        name, result, engine_stats=stats.to_dict()
+                    ),
+                )
         return recommendation

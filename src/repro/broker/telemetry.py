@@ -17,6 +17,7 @@ experiment E5 measures exactly that convergence.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -121,10 +122,29 @@ def _no_exposure(provider: str, component_kind: str) -> InsufficientTelemetryErr
 
 
 class TelemetryStore:
-    """Accumulates observations and answers estimate queries."""
+    """Accumulates observations and answers estimate queries.
+
+    ``generation`` names the store's current state: every mutator
+    (``register_exposure``, the ``record_*`` methods and so ``ingest``,
+    ``merge``, ``adopt``) assigns it a fresh value *after* mutating.  A
+    reader that memoizes derived values reads it *before* its estimates,
+    so it can file newer state under an older generation (harmless: that
+    generation is already gone once the mutator returns) but never old
+    state under a newer one.  Values come from one
+    :func:`itertools.count` per store, whose ``next`` is atomic, so two
+    racing mutators never publish the same value twice.  A new store
+    (``copy``, ``from_snapshot`` included) starts at 0; memo keys pair
+    the generation with the store object itself.
+    """
 
     def __init__(self) -> None:
         self._stats: dict[ComponentKey, _ComponentStats] = {}
+        self._ticks = itertools.count(1)
+        self.generation = 0
+
+    def _bump(self) -> None:
+        """Publish a new generation; call after the mutation is done."""
+        self.generation = next(self._ticks)
 
     # -- recording ---------------------------------------------------------
 
@@ -148,11 +168,13 @@ class TelemetryStore:
             )
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.exposure_minutes += node_count * horizon_minutes
+        self._bump()
 
     def record_failure(self, provider: str, component_kind: str) -> None:
         """Count one component failure."""
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.failures += 1
+        self._bump()
 
     def record_outage(
         self, provider: str, component_kind: str, down_minutes: float
@@ -164,6 +186,7 @@ class TelemetryStore:
             )
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.down_minutes += down_minutes
+        self._bump()
 
     def record_failover(
         self, provider: str, component_kind: str, failover_minutes: float
@@ -175,6 +198,7 @@ class TelemetryStore:
             )
         stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
         stats.failover_samples.append(failover_minutes)
+        self._bump()
 
     def ingest(self, events: Iterable[ResourceEvent]) -> int:
         """Consume a fault-injector event stream; returns events read.
@@ -273,6 +297,7 @@ class TelemetryStore:
             mine.down_minutes += theirs.down_minutes
             mine.failures += theirs.failures
             mine.failover_samples.extend(theirs.failover_samples)
+        self._bump()
         return self
 
     def adopt(self, other: "TelemetryStore") -> None:
@@ -282,10 +307,11 @@ class TelemetryStore:
         readers (estimate queries from serving threads) observe either
         the old state or the new state, never a partial merge — the
         lock-free hand-off the sharded ingestion pipeline relies on.
-        ``other`` must not be mutated afterwards (the dict is shared,
-        not copied).
+        The new generation is published after the swap.  ``other`` must
+        not be mutated afterwards (the dict is shared, not copied).
         """
         self._stats = other._stats
+        self._bump()
 
     # -- queries -----------------------------------------------------------
 

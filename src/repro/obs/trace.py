@@ -292,7 +292,7 @@ class Tracer:
         self,
         name: str,
         *,
-        parent: SpanContext,
+        parent: SpanContext | None,
         start: float,
         end: float,
         attrs: dict[str, str] | None = None,
@@ -300,13 +300,15 @@ class Tracer:
         """Record a pre-timed span without entering a context.
 
         Used where the timing happened elsewhere: ``parse`` (measured
-        before the root span opens), ``queue_wait`` (submit→run gap)
-        and the gateway → worker ``dispatch`` hop.
+        before the root span opens), ``queue_wait`` (submit→run gap),
+        the gateway → worker ``dispatch`` hop, and a whole warm
+        recommend timed with bare clock reads.  ``parent=None`` roots a
+        brand-new trace.
         """
         record = SpanRecord(
-            trace_id=parent.trace_id,
+            trace_id=new_trace_id() if parent is None else parent.trace_id,
             span_id=new_span_id(),
-            parent_id=parent.span_id,
+            parent_id=None if parent is None else parent.span_id,
             name=name,
             start=start,
             end=end,

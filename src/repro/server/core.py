@@ -382,22 +382,32 @@ class RequestCore:
         return RecommendEnvelope.from_json(text)
 
     async def _post_recommend(self, request: _Request) -> _Response:
-        loop = asyncio.get_running_loop()
+        """Parse on the loop, then answer a warm hit right there.
+
+        :meth:`BrokerSession.replay_envelope` never blocks and does no
+        search, so a request every provider has a memo for is answered
+        on the event loop, without the two thread wake-ups of an
+        executor round trip.  Anything else goes to the executor.
+        """
         if self.tracer is not None:
-            payload, trace_id = await loop.run_in_executor(
-                None, self._traced_recommend, request
-            )
-            response = _json_response(200, payload)
-            response.headers[TRACE_HEADER] = trace_id
-            return response
+            return await self._traced_recommend(request)
         envelope = self._parse_envelope(request.body)
         try:
-            report = await loop.run_in_executor(
-                None, self.session.recommend_envelope, envelope
-            )
+            report = self._replay_inline(envelope)
+            if report is None:
+                report = await asyncio.get_running_loop().run_in_executor(
+                    None, self.session.recommend_envelope, envelope
+                )
         except ReproError as exc:
             raise _HttpError(error_envelope_for(exc, envelope.request_id))
         return _json_response(200, report.to_json())
+
+    def _replay_inline(self, envelope: RecommendEnvelope):
+        """The session's memoized report, counted when answered inline."""
+        report = self.session.replay_envelope(envelope)
+        if report is not None:
+            self.metrics.recommend_inline.inc()
+        return report
 
     @staticmethod
     def _envelope_trace_parent(envelope: RecommendEnvelope) -> SpanContext | None:
@@ -428,63 +438,111 @@ class RequestCore:
             "dispatch", parent=span.context, start=received, end=parse_started
         )
 
-    def _traced_recommend(self, request: _Request) -> tuple[str, str]:
-        """Synchronous traced recommend path; runs on the executor.
+    async def _traced_recommend(self, request: _Request) -> _Response:
+        """The traced recommend path: the same hops, recorded as spans.
 
-        Opens the request's root span here (back-dated to when parsing
-        started — or to gateway enqueue, when the request crossed the
-        process boundary) so the whole pipeline — parse, session,
-        backend chunks, serialization — nests under one trace.  The
-        session sees an active context and therefore does not open its
-        own root.  Returns ``(report JSON, trace id)``.
+        The request's root span is back-dated to when parsing started —
+        or to gateway enqueue, when the request crossed the process
+        boundary — so the whole pipeline nests under one trace.
+
+        A warm hit is timed with bare clock reads and its spans are
+        recorded once the payload is ready: ``parse``, ``replay`` and
+        ``serialize`` tile the root, and the tracer's own bookkeeping
+        stays outside the phases it measures.  A miss opens the root
+        live and runs the session on the executor under the root's
+        context (so the session does not open a root of its own), where
+        key, cache and search spans nest as usual.  ``profile_requests``
+        profiles that executor half only: a warm hit runs no search.
         """
         tracer = self.tracer
         assert tracer is not None
         parse_started = clock.perf_counter()
         envelope = self._parse_envelope(request.body)
+        parent = self._envelope_trace_parent(envelope)
         parse_ended = clock.perf_counter()
         root_start = (
             min(request.ingress[0], parse_started)
             if request.ingress is not None
             else parse_started
         )
-        with tracer.span(
-            "request",
-            parent=self._envelope_trace_parent(envelope),
-            start=root_start,
-            attrs={
-                "route": "recommend",
-                "request_id": envelope.request_id or "",
-            },
-        ) as span:
-            if request.ingress is not None:
-                self._record_ingress(tracer, span, request, parse_started)
-            tracer.record(
-                "parse",
-                parent=span.context,
-                start=parse_started,
-                end=parse_ended,
+        attrs = {"route": "recommend", "request_id": envelope.request_id or ""}
+        report = self._replay_inline(envelope)
+        if report is not None:
+            replayed = clock.perf_counter()
+            payload = report.to_json()
+            ended = clock.perf_counter()
+            attrs["status"] = "done"
+            root = tracer.record(
+                "request", parent=parent, start=root_start, end=ended, attrs=attrs
             )
+            self._record_parse(tracer, root, request, parse_started, parse_ended)
+            tracer.record(
+                "replay",
+                parent=root.context,
+                start=parse_ended,
+                end=replayed,
+                attrs={"providers": str(len(report.providers))},
+            )
+            tracer.record(
+                "serialize", parent=root.context, start=replayed, end=ended
+            )
+            return self._traced_response(payload, root.trace_id)
+        with tracer.span(
+            "request", parent=parent, start=root_start, attrs=attrs
+        ) as span:
+            self._record_parse(tracer, span, request, parse_started, parse_ended)
             try:
-                with maybe_profile(self.profile_requests) as profiler:
-                    report = self.session.recommend_envelope(envelope)
+                report = await asyncio.get_running_loop().run_in_executor(
+                    None, self._traced_session, span.context, envelope
+                )
             except ReproError as exc:
                 span.attrs["status"] = "error"
                 raise _HttpError(
                     error_envelope_for(exc, envelope.request_id)
                 ) from exc
+            with tracer.span("serialize"):
+                payload = report.to_json()
+            span.attrs["status"] = "done"
+        return self._traced_response(payload, span.trace_id)
+
+    @staticmethod
+    def _traced_response(payload: str, trace_id: str) -> _Response:
+        response = _json_response(200, payload)
+        response.headers[TRACE_HEADER] = trace_id
+        return response
+
+    def _record_parse(
+        self, tracer, root, request: _Request, started: float, ended: float
+    ) -> None:
+        """Record ``parse`` (and a crossed-over request's ingress hops)."""
+        if request.ingress is not None:
+            self._record_ingress(tracer, root, request, started)
+        tracer.record("parse", parent=root.context, start=started, end=ended)
+
+    def _traced_session(self, context: SpanContext, envelope: RecommendEnvelope):
+        """The session half of a traced miss; runs on the executor.
+
+        Executor threads are reused and do not inherit the loop's
+        context, so the root's context is activated here and always
+        restored.
+        """
+        tracer = self.tracer
+        assert tracer is not None
+        token = tracer.activate(context)
+        try:
+            with maybe_profile(self.profile_requests) as profiler:
+                report = self.session.recommend_envelope(envelope)
             if profiler is not None:
                 logger.info(
                     "request profile",
                     extra={
-                        "trace_id": span.context.trace_id,
+                        "trace_id": context.trace_id,
                         "profile": profile_summary(profiler),
                     },
                 )
-            with tracer.span("serialize"):
-                payload = report.to_json()
-            span.attrs["status"] = "done"
-            return payload, span.context.trace_id
+            return report
+        finally:
+            tracer.restore(token)
 
     async def _post_batch(self, request: _Request) -> _Response:
         lines = [

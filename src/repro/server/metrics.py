@@ -523,6 +523,12 @@ class ServerMetrics(EdgeMetricsMixin):
             "Engine cache hits answered from the replay memo (no search).",
         )
         self.cache_replays.set_function(cache_stat("replays"))
+        self.recommend_inline = reg.counter(
+            "repro_recommend_inline_total",
+            "Recommends answered from the replay memo on the event-loop "
+            "thread (no executor hop).",
+        )
+        self.recommend_inline.inc(0.0)  # exported from the first scrape
         self.engines_cached = reg.gauge(
             "repro_engines_cached", "Engines currently held by the cache."
         )

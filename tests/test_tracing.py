@@ -139,8 +139,11 @@ class TestTracedRecommendPipeline:
         assert root.parent_id is not None
 
     def test_warm_request_has_one_key_span_per_provider(self, traced_client):
-        traced_client.recommend(request())
-        traced_client.recommend(request())
+        # A contract no other test sends: the second serve is the first
+        # warm lookup, which derives keys (a memoized serve skips them).
+        fresh = three_tier_request(Contract.linear(97.25, 100.0))
+        traced_client.recommend(fresh)
+        traced_client.recommend(fresh)
         spans = spans_by_name(
             traced_client.trace_spans(traced_client.last_trace_id)
         )
@@ -292,7 +295,9 @@ class TestTraceCli:
     def test_cli_lists_and_renders_live_traces(
         self, traced_handle, traced_client, capsys
     ):
-        traced_client.recommend(request())
+        # A contract no other test sends, so the request searches (a
+        # memoized one would record a replay span, not evaluate).
+        traced_client.recommend(three_tier_request(Contract.linear(96.5, 80.0)))
         trace_id = traced_client.last_trace_id
         url = f"http://{traced_handle.host}:{traced_handle.port}"
 
