@@ -18,6 +18,7 @@ experiment E5 measures exactly that convergence.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -114,6 +115,32 @@ class _ComponentStats:
         return mean, std
 
 
+def exposure_minutes(node_count: int, horizon_minutes: float) -> float:
+    """``node_count * horizon_minutes``, or ValidationError.
+
+    The count must be >= 1, the horizon > 0, and both and their product
+    finite: the one rule for an exposure observation.
+    """
+    if not 1 <= node_count < math.inf:
+        raise ValidationError(
+            f"node_count must be finite and >= 1, got {node_count!r}"
+        )
+    if not 0.0 < horizon_minutes < math.inf:
+        raise ValidationError(
+            f"horizon_minutes must be finite and > 0, got {horizon_minutes!r}"
+        )
+    try:
+        minutes = node_count * horizon_minutes
+    except OverflowError:  # an int too large to become a float
+        minutes = math.inf
+    if minutes == math.inf:
+        raise ValidationError(
+            f"exposure of {node_count!r} nodes x {horizon_minutes!r} minutes "
+            "is not finite"
+        )
+    return minutes
+
+
 def _no_exposure(provider: str, component_kind: str) -> InsufficientTelemetryError:
     return InsufficientTelemetryError(
         f"no exposure recorded for component {component_kind!r} on "
@@ -159,46 +186,50 @@ class TelemetryStore:
 
         Exposure is the denominator of both ``P̂`` and ``f̂``; ingesting
         events without registering exposure is rejected at query time.
+        Every recorder refuses non-finite values, so one ``NaN`` or
+        ``inf`` observation cannot poison an estimate for good.
         """
-        if node_count < 1:
-            raise ValidationError(f"node_count must be >= 1, got {node_count!r}")
-        if horizon_minutes <= 0.0:
-            raise ValidationError(
-                f"horizon_minutes must be > 0, got {horizon_minutes!r}"
-            )
-        stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
-        stats.exposure_minutes += node_count * horizon_minutes
+        minutes = exposure_minutes(node_count, horizon_minutes)
+        self._stats_for(provider, component_kind).exposure_minutes += minutes
         self._bump()
 
     def record_failure(self, provider: str, component_kind: str) -> None:
         """Count one component failure."""
-        stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
-        stats.failures += 1
+        self._stats_for(provider, component_kind).failures += 1
         self._bump()
 
     def record_outage(
         self, provider: str, component_kind: str, down_minutes: float
     ) -> None:
         """Record the duration of a completed outage."""
-        if down_minutes < 0.0:
+        if not 0.0 <= down_minutes < math.inf:
             raise ValidationError(
-                f"down_minutes must be >= 0, got {down_minutes!r}"
+                f"down_minutes must be finite and >= 0, got {down_minutes!r}"
             )
-        stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
-        stats.down_minutes += down_minutes
+        self._stats_for(provider, component_kind).down_minutes += down_minutes
         self._bump()
 
     def record_failover(
         self, provider: str, component_kind: str, failover_minutes: float
     ) -> None:
         """Record one observed failover latency."""
-        if failover_minutes < 0.0:
+        if not 0.0 <= failover_minutes < math.inf:
             raise ValidationError(
-                f"failover_minutes must be >= 0, got {failover_minutes!r}"
+                "failover_minutes must be finite and >= 0, "
+                f"got {failover_minutes!r}"
             )
-        stats = self._stats.setdefault((provider, component_kind), _ComponentStats())
-        stats.failover_samples.append(failover_minutes)
+        self._stats_for(provider, component_kind).failover_samples.append(
+            failover_minutes
+        )
         self._bump()
+
+    def _stats_for(self, provider: str, component_kind: str) -> _ComponentStats:
+        """The pair's stats, created (atomically) on first sight."""
+        key = (provider, component_kind)
+        stats = self._stats.get(key)
+        if stats is None:
+            stats = self._stats.setdefault(key, _ComponentStats())
+        return stats
 
     def ingest(self, events: Iterable[ResourceEvent]) -> int:
         """Consume a fault-injector event stream; returns events read.

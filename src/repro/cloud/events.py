@@ -9,6 +9,7 @@ aggregates streams of these into ``(P̂, f̂, t̂)`` estimates.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -40,13 +41,14 @@ class ResourceEvent:
     duration_minutes: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time_minutes < 0.0:
+        if not 0.0 <= self.time_minutes < math.inf:
             raise ValidationError(
-                f"time_minutes must be >= 0, got {self.time_minutes!r}"
+                f"time_minutes must be finite and >= 0, got {self.time_minutes!r}"
             )
-        if self.duration_minutes < 0.0:
+        if not 0.0 <= self.duration_minutes < math.inf:
             raise ValidationError(
-                f"duration_minutes must be >= 0, got {self.duration_minutes!r}"
+                "duration_minutes must be finite and >= 0, "
+                f"got {self.duration_minutes!r}"
             )
 
     def describe(self) -> str:

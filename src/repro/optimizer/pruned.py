@@ -23,21 +23,23 @@ from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import ChoiceNames, OptimizationProblem
 
 
-def _is_superset_extension(candidate: ChoiceNames, met: ChoiceNames) -> bool:
-    """True when ``candidate`` extends ``met`` with extra clustered layers.
+def _extends_covered(names: ChoiceNames, covered: set[ChoiceNames]) -> bool:
+    """True when un-clustering one position of ``names`` lands in ``covered``.
 
-    Extension means: every technology ``met`` chose is chosen identically
-    by ``candidate``, and ``candidate`` clusters at least one component
-    that ``met`` left bare.
+    ``covered`` holds every SLA-meeting option and every pruned candidate
+    seen so far.  A candidate extends some SLA-meeting option ``met``
+    exactly when one of these one-step reductions is ``met`` itself or
+    another extension of ``met``; paper order visits every reduction
+    (one fewer clustered component) first, and by induction that
+    extension was pruned, hence covered.  So this O(n) probe prunes the
+    same candidates as comparing against every SLA-meeting option.
     """
-    extends = False
-    for met_choice, candidate_choice in zip(met, candidate):
-        if met_choice == "none":
-            if candidate_choice != "none":
-                extends = True
-        elif candidate_choice != met_choice:
-            return False
-    return extends
+    for position, choice in enumerate(names):
+        if choice != "none" and (
+            names[:position] + ("none",) + names[position + 1:] in covered
+        ):
+            return True
+    return False
 
 
 def pruned_optimize(
@@ -55,17 +57,18 @@ def pruned_optimize(
     engine = engine_for(problem, engine)
     space = engine.space
     options = []
-    sla_meeting: list[ChoiceNames] = []
+    covered: set[ChoiceNames] = set()
     pruned_count = 0
     for option_id, indices in enumerate(space.candidates_in_paper_order(), start=1):
         names = space.choice_names(indices)
-        if any(_is_superset_extension(names, met) for met in sla_meeting):
+        if covered and _extends_covered(names, covered):
+            covered.add(names)
             pruned_count += 1
             continue
         option = engine.evaluate(option_id, indices)
         options.append(option)
         if option.meets_sla:
-            sla_meeting.append(names)
+            covered.add(names)
     return OptimizationResult(
         options=tuple(options),
         evaluations=len(options),

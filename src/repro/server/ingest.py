@@ -6,19 +6,28 @@ its ``P̂/f̂/t̂`` database fresh (§II-C).  A single
 recording call against every estimate query; this module splits the
 write path off the read path:
 
-- incoming records are hash-partitioned by ``(provider,
-  component_kind)`` across N shard workers, each owning a *private*
-  store that nothing else touches;
+- the router — the thread that calls ``submit_jsonl`` — decodes each
+  JSONL line exactly once into a typed record and hash-partitions the
+  records by ``(provider, component_kind)`` across N shard workers;
+- each shard applies typed records to a *private* store that nothing
+  else touches (shards never parse JSON);
 - estimate queries keep reading the broker's serving store, which the
   pipeline refreshes by merging shard stores and publishing the
   result with a single atomic reference swap
   (:meth:`TelemetryStore.adopt`) — readers never block on ingestion and
   never observe a half-merged state.
 
-Because the partition key equals the store's accumulation key, every
-record for one component class flows through exactly one shard in
-submission order, so a drained pipeline reproduces single-store
-ingestion **bit-for-bit** (asserted in ``tests/test_server_ingest.py``).
+Records are routed by the decoded values they record, and the
+partition key equals the store's accumulation key, so every record for
+one component class flows through exactly one shard in submission
+order: a drained pipeline reproduces single-store ingestion
+**bit-for-bit** (asserted in ``tests/test_server_ingest.py``).
+
+A line that does not decode into a valid record is never queued.  When
+its raw text still names a provider and component kind it is counted
+as rejected on that pair's shard at the next flush; when it names none,
+the whole submission fails with a :class:`ValidationError` that carries
+the line number, before anything is enqueued.
 
 Each shard is a daemon thread with its own command queue.  At a flush
 it hands its private store to the router and starts a fresh one, so
@@ -28,23 +37,47 @@ the merge reads the shard's accumulation directly, with no copy.
 from __future__ import annotations
 
 import json
+import logging
 import queue
 import threading
 import zlib
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
-from repro.broker.telemetry import TelemetryStore
+from repro.broker.telemetry import TelemetryStore, exposure_minutes
 from repro.cloud.events import ResourceEvent, ResourceEventKind
 from repro.errors import BrokerError, ValidationError
 
 #: Wire kinds of one telemetry record line.
 RECORD_KINDS = ("exposure", "failure", "repair", "failover")
 
+_EXPOSURE_KEYS = frozenset(
+    {"kind", "provider", "component_kind", "node_count", "horizon_minutes"}
+)
+_EVENT_KEYS = frozenset(
+    {
+        "kind", "provider", "component_kind", "resource_id",
+        "time_minutes", "duration_minutes",
+    }
+)
+_EVENT_KINDS = {member.value: member for member in ResourceEventKind}
+
+#: What decoding and building one malformed line can raise:
+#: ``JSONDecodeError`` and ``ValidationError`` are ``ValueError``s, deep
+#: nesting raises ``RecursionError`` and ``int(Infinity)``
+#: ``OverflowError``; a missing field is a ``KeyError`` and a JSON value
+#: of the wrong type a ``TypeError``.
+_BAD_LINE_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
+
+#: Bound on the router's memoized ``(provider, component_kind)`` →
+#: shard map; a client inventing keys only forces recomputation.
+_SHARD_MEMO_CAP = 4096
+
 
 # -- the record wire format -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExposureRecord:
     """A fleet-exposure observation: N components watched for a span."""
 
@@ -52,6 +85,9 @@ class ExposureRecord:
     component_kind: str
     node_count: int
     horizon_minutes: float
+
+    def __post_init__(self) -> None:
+        exposure_minutes(self.node_count, self.horizon_minutes)
 
 
 #: What the pipeline routes: exposure registrations or resource events.
@@ -83,37 +119,97 @@ def record_to_dict(record: TelemetryRecord) -> dict[str, Any]:
 
 
 def record_from_dict(payload: Mapping[str, Any]) -> TelemetryRecord:
-    """Deserialize one telemetry record; unknown kinds are rejected."""
+    """Deserialize one telemetry record; an invalid one raises.
+
+    Unknown kinds and keys, non-string ``provider``/``component_kind``
+    and out-of-range or non-finite numbers raise
+    :class:`ValidationError`; a missing field raises ``KeyError`` and an
+    unconvertible number ``ValueError``/``TypeError``/``OverflowError``.
+    """
+    if type(payload) is not dict and not isinstance(payload, Mapping):
+        raise ValidationError(
+            "a telemetry record must be a JSON object, "
+            f"got {type(payload).__name__}"
+        )
     kind = payload.get("kind")
     if kind == "exposure":
-        allowed = {
-            "kind", "provider", "component_kind", "node_count",
-            "horizon_minutes",
-        }
-        _check_keys(payload, allowed)
+        _check_keys(payload, _EXPOSURE_KEYS)
+        provider, component_kind = _component(payload)
         return ExposureRecord(
-            provider=payload["provider"],
-            component_kind=payload["component_kind"],
-            node_count=int(payload["node_count"]),
-            horizon_minutes=float(payload["horizon_minutes"]),
+            provider,
+            component_kind,
+            int(payload["node_count"]),
+            float(payload["horizon_minutes"]),
         )
-    if kind in (member.value for member in ResourceEventKind):
-        allowed = {
-            "kind", "provider", "component_kind", "resource_id",
-            "time_minutes", "duration_minutes",
-        }
-        _check_keys(payload, allowed)
+    event_kind = _EVENT_KINDS.get(kind) if isinstance(kind, str) else None
+    if event_kind is not None:
+        _check_keys(payload, _EVENT_KEYS)
+        provider, component_kind = _component(payload)
         return ResourceEvent(
-            time_minutes=float(payload.get("time_minutes", 0.0)),
-            provider=payload["provider"],
-            component_kind=payload["component_kind"],
-            resource_id=payload.get("resource_id", "unknown"),
-            kind=ResourceEventKind(kind),
-            duration_minutes=float(payload.get("duration_minutes", 0.0)),
+            float(payload.get("time_minutes", 0.0)),
+            provider,
+            component_kind,
+            payload.get("resource_id", "unknown"),
+            event_kind,
+            float(payload.get("duration_minutes", 0.0)),
         )
     raise ValidationError(
         f"unknown telemetry record kind {kind!r}; valid: {list(RECORD_KINDS)}"
     )
+
+
+def _component(payload: Mapping[str, Any]) -> tuple[str, str]:
+    """A record's ``(provider, component_kind)``: the store's key."""
+    provider = payload["provider"]
+    component_kind = payload["component_kind"]
+    if isinstance(provider, str) and isinstance(component_kind, str):
+        return provider, component_kind
+    raise ValidationError(
+        "telemetry record provider and component_kind must be strings, "
+        f"got {provider!r} and {component_kind!r}"
+    )
+
+
+def _check_keys(payload: Mapping[str, Any], allowed: frozenset[str]) -> None:
+    if payload.keys() <= allowed:
+        return
+    raise ValidationError(
+        f"unknown telemetry record keys: {sorted(set(payload) - allowed)}; "
+        f"allowed: {sorted(allowed)}"
+    )
+
+
+_skip_whitespace = json.decoder.WHITESPACE.match
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)`` as one ``raw_decode``.
+
+    Accepts exactly the lines ``json.loads`` accepts, with the same
+    value, and raises the same ``JSONDecodeError`` otherwise (the steps
+    are those of ``JSONDecoder.decode``, minus its per-call lookups).
+    """
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+        )
+    value, end = _raw_decode(line, _skip_whitespace(line, 0).end())
+    if end != len(line):
+        end = _skip_whitespace(line, end).end()
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
+def _record_from_line(line: str) -> TelemetryRecord:
+    """Decode and build one JSONL record (raises as ``record_from_dict``).
+
+    The one line decoder: the server's router and
+    :func:`records_from_jsonl` both use it, so they accept the same
+    lines.
+    """
+    return record_from_dict(_decode_line(line))
 
 
 def record_to_json(record: TelemetryRecord) -> str:
@@ -133,21 +229,12 @@ def records_from_jsonl(text: str) -> list[TelemetryRecord]:
         if not line.strip():
             continue
         try:
-            records.append(record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, ValidationError, KeyError, TypeError) as exc:
+            records.append(_record_from_line(line))
+        except _BAD_LINE_ERRORS as exc:
             raise ValidationError(
                 f"invalid telemetry record on line {number}: {exc}"
             ) from exc
     return records
-
-
-def _check_keys(payload: Mapping[str, Any], allowed: set[str]) -> None:
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ValidationError(
-            f"unknown telemetry record keys: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
 
 
 # -- partitioning -----------------------------------------------------------
@@ -166,10 +253,8 @@ def shard_index(provider: str, component_kind: str, num_shards: int) -> int:
 def _string_field(line: str, name: str) -> str | None:
     """Cheaply extract ``"name": "value"`` from a compact JSON line.
 
-    The fast path for routing raw JSONL without a full parse; returns
-    None when the shape is unexpected (caller falls back to
-    ``json.loads``).  Escapes never appear in provider/kind names we
-    emit, and any line containing them simply takes the slow path.
+    Reads the first occurrence only and returns None when the shape is
+    unexpected or the value holds an escape.
     """
     needle = f'"{name}"'
     start = line.find(needle)
@@ -187,7 +272,13 @@ def _string_field(line: str, name: str) -> str | None:
 
 
 def _route_line(line: str, num_shards: int, number: int) -> int:
-    """Shard index for one raw JSONL line (fast extract, slow fallback)."""
+    """The shard that counts a rejected raw line, or ValidationError.
+
+    Only lines that failed to decode into a record come here: a string
+    scan for ``provider``/``component_kind`` first, a full parse as the
+    fallback.  A line that names neither cannot be attributed to any
+    shard and fails its whole submission.
+    """
     provider = _string_field(line, "provider")
     kind = _string_field(line, "component_kind")
     if provider is None or kind is None:
@@ -195,7 +286,7 @@ def _route_line(line: str, num_shards: int, number: int) -> int:
             payload = json.loads(line)
             provider = payload["provider"]
             kind = payload["component_kind"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValidationError(
                 f"telemetry line {number} has no routable "
                 f"provider/component_kind: {exc}"
@@ -205,18 +296,29 @@ def _route_line(line: str, num_shards: int, number: int) -> int:
 
 # -- the shard worker loop --------------------------------------------------
 
-def _apply_payload(store: TelemetryStore, payload: Mapping[str, Any]) -> None:
-    """Apply one wire-form record dict to a store."""
-    record = record_from_dict(payload)
-    if isinstance(record, ExposureRecord):
+_FAILURE = ResourceEventKind.FAILURE
+_REPAIR = ResourceEventKind.REPAIR
+
+
+def _apply_record(store: TelemetryStore, record: TelemetryRecord) -> None:
+    """Record one typed record in a store."""
+    if record.__class__ is ExposureRecord:
         store.register_exposure(
             record.provider,
             record.component_kind,
             record.node_count,
             record.horizon_minutes,
         )
+    elif record.kind is _FAILURE:
+        store.record_failure(record.provider, record.component_kind)
+    elif record.kind is _REPAIR:
+        store.record_outage(
+            record.provider, record.component_kind, record.duration_minutes
+        )
     else:
-        store.ingest((record,))
+        store.record_failover(
+            record.provider, record.component_kind, record.duration_minutes
+        )
 
 
 def _shard_worker(in_queue: queue.Queue, out_queue: queue.Queue) -> None:
@@ -224,8 +326,7 @@ def _shard_worker(in_queue: queue.Queue, out_queue: queue.Queue) -> None:
 
     Commands:
 
-    - ``("lines", [str, ...])`` — parse and apply raw JSONL lines;
-    - ``("payloads", [dict, ...])`` — apply pre-parsed record dicts;
+    - ``("records", [record, ...])`` — apply typed records in order;
     - ``("flush", seq)`` — emit ``(seq, ingested, rejected, store)``
       for everything since the last flush and start a fresh private
       store; the worker never touches the handed-over one again (the
@@ -233,9 +334,10 @@ def _shard_worker(in_queue: queue.Queue, out_queue: queue.Queue) -> None:
       replies from flushes that timed out);
     - ``("stop", None)`` — exit the loop.
 
-    A malformed or invalid record is *counted* (rejected) rather than
-    raised, so one bad line cannot kill a shard mid-stream; routers
-    surface the count through flush replies and ``/metrics``.
+    A record the store refuses, for whatever reason, is *counted*
+    (rejected) and logged rather than raised, so one bad record cannot
+    kill a shard mid-stream; routers surface the count through flush
+    replies and ``/metrics``.
     """
     store = TelemetryStore()
     ingested = 0
@@ -250,15 +352,18 @@ def _shard_worker(in_queue: queue.Queue, out_queue: queue.Queue) -> None:
             ingested = 0
             rejected = 0
             continue
-        for item in payload:
+        for record in payload:
             try:
-                if command == "lines":
-                    _apply_payload(store, json.loads(item))
-                else:
-                    _apply_payload(store, item)
-                ingested += 1
-            except (json.JSONDecodeError, ValidationError, KeyError, TypeError):
+                _apply_record(store, record)
+            except Exception:  # noqa: BLE001 - counted, never fatal
+                # Records arrive validated, so this is a defect: keep
+                # its traceback, and keep the shard alive.
                 rejected += 1
+                logging.getLogger("repro.server").exception(
+                    "ingest shard could not apply %r", record
+                )
+            else:
+                ingested += 1
 
 
 class _Shard:
@@ -292,10 +397,10 @@ class ShardStats:
 class ShardedIngestor:
     """Hash-partitioned telemetry ingestion in front of a serving store.
 
-    ``submit``/``submit_jsonl`` enqueue records onto shard workers and
-    return immediately; ``flush`` drains every shard and publishes the
-    merged state into the serving store via the lock-free reference swap
-    described in the module docstring.  Pass ``merge_interval`` to run
+    ``submit``/``submit_jsonl`` route typed records onto shard workers
+    and return once they are queued; ``flush`` drains every shard and
+    publishes the merged state into the serving store via the lock-free
+    reference swap described in the module docstring.  Pass ``merge_interval`` to run
     that merge on a timer (the server does), or call :meth:`flush`
     explicitly for deterministic tests.
 
@@ -329,6 +434,9 @@ class ShardedIngestor:
         self.flush_timeout = flush_timeout
         self._shards = [_Shard(index) for index in range(num_shards)]
         self._stats = [ShardStats() for _ in range(num_shards)]
+        #: Lines the router rejected per shard, counted at the next flush.
+        self._unflushed_rejects = [0] * num_shards
+        self._shard_of: dict[tuple[str, str], int] = {}
         self._merges = 0
         self._flush_seq = 0
         self._closed = False
@@ -381,45 +489,76 @@ class ShardedIngestor:
 
     # -- submission --------------------------------------------------------
 
+    def _shard_for(self, provider: str, component_kind: str) -> int:
+        """The shard of one component class, memoized per ingestor."""
+        key = (provider, component_kind)
+        index = self._shard_of.get(key)
+        if index is None:
+            if len(self._shard_of) >= _SHARD_MEMO_CAP:
+                self._shard_of.clear()
+            index = shard_index(provider, component_kind, self.num_shards)
+            self._shard_of[key] = index
+        return index
+
     def submit(self, records: Iterable[TelemetryRecord]) -> int:
-        """Route parsed records to their shards; returns records queued."""
-        batches: dict[int, list[dict[str, Any]]] = {}
+        """Route typed records to their shards; returns records queued."""
+        batches: dict[int, list[TelemetryRecord]] = {}
         for record in records:
-            payload = record_to_dict(record)
-            index = shard_index(
-                payload["provider"], payload["component_kind"], self.num_shards
-            )
-            batches.setdefault(index, []).append(payload)
-        return self._enqueue("payloads", batches)
+            if not isinstance(record, (ExposureRecord, ResourceEvent)):
+                raise ValidationError(
+                    "cannot submit telemetry record of type "
+                    f"{type(record).__name__}"
+                )
+            index = self._shard_for(record.provider, record.component_kind)
+            batches.setdefault(index, []).append(record)
+        return self._enqueue(batches, {})
 
     def submit_jsonl(self, text_or_lines: str | Sequence[str]) -> int:
-        """Route raw JSONL lines; shard workers do the parsing.
+        """Decode raw JSONL lines and route the records; returns lines routed.
 
-        Routing reads only the ``provider``/``component_kind`` fields
-        (cheap string scan, full parse as fallback); a line that cannot
-        be routed at all raises :class:`ValidationError` with its line
-        number, before anything is enqueued.
+        Each non-blank line is decoded once, on the calling thread, and
+        routed by the provider and component kind it records.  A line
+        that does not decode into a valid record is counted as rejected
+        on the shard :func:`_route_line` names, at the next flush; a
+        line that cannot be routed at all raises
+        :class:`ValidationError` with its line number, before anything
+        is enqueued.
         """
         if isinstance(text_or_lines, str):
-            lines = text_or_lines.splitlines()
-        else:
-            lines = list(text_or_lines)
-        batches: dict[int, list[str]] = {}
-        for number, line in enumerate(lines, start=1):
+            text_or_lines = text_or_lines.splitlines()
+        batches: dict[int, list[TelemetryRecord]] = {}
+        rejects: dict[int, int] = {}
+        for number, line in enumerate(text_or_lines, start=1):
             if not line.strip():
                 continue
-            index = _route_line(line, self.num_shards, number)
-            batches.setdefault(index, []).append(line)
-        return self._enqueue("lines", batches)
+            try:
+                record = _record_from_line(line)
+            except _BAD_LINE_ERRORS:
+                index = _route_line(line, self.num_shards, number)
+                rejects[index] = rejects.get(index, 0) + 1
+                continue
+            index = self._shard_for(record.provider, record.component_kind)
+            batches.setdefault(index, []).append(record)
+        return self._enqueue(batches, rejects)
 
-    def _enqueue(self, command: str, batches: Mapping[int, list]) -> int:
+    def _enqueue(
+        self,
+        batches: Mapping[int, list[TelemetryRecord]],
+        rejects: Mapping[int, int],
+    ) -> int:
+        """Queue record batches; count rejected lines for the next flush."""
         with self._lock:
             if self._closed:
                 raise ValidationError("ingestor is closed; no further records")
             for index, batch in batches.items():
-                self._shards[index].in_queue.put((command, batch))
+                self._shards[index].in_queue.put(("records", batch))
                 self._stats[index].submitted += len(batch)
-        return sum(len(batch) for batch in batches.values())
+            for index, count in rejects.items():
+                self._stats[index].submitted += count
+                self._unflushed_rejects[index] += count
+        return sum(len(batch) for batch in batches.values()) + sum(
+            rejects.values()
+        )
 
     # -- merging -----------------------------------------------------------
 
@@ -448,6 +587,9 @@ class ShardedIngestor:
         seq = self._flush_seq
         for shard in self._shards:
             shard.in_queue.put(("flush", seq))
+        for index, stats in enumerate(self._stats):
+            stats.rejected += self._unflushed_rejects[index]
+            self._unflushed_rejects[index] = 0
         deltas: list[TelemetryStore] = []
         total = 0
         silent: list[int] = []
@@ -490,8 +632,6 @@ class ShardedIngestor:
         return total
 
     def _merge_periodically(self, interval: float) -> None:
-        import logging
-
         while not self._stop_timer.wait(interval):
             try:
                 self.flush()

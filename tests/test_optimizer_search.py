@@ -6,8 +6,50 @@ import pytest
 
 from repro.optimizer.branch_bound import branch_and_bound_optimize
 from repro.optimizer.brute_force import brute_force_optimize
-from repro.optimizer.pruned import _is_superset_extension, pruned_optimize
+from repro.optimizer.engine import engine_for
+from repro.optimizer.pruned import pruned_optimize
+from repro.optimizer.result import OptimizationResult
 from repro.workloads.generators import random_problem
+
+
+def _is_superset_extension(candidate, met) -> bool:
+    """True when ``candidate`` extends ``met`` with extra clustered layers.
+
+    The §III-C definition, kept as the oracle: every technology ``met``
+    chose is chosen identically by ``candidate``, and ``candidate``
+    clusters at least one component that ``met`` left bare.
+    """
+    extends = False
+    for met_choice, candidate_choice in zip(met, candidate):
+        if met_choice == "none":
+            if candidate_choice != "none":
+                extends = True
+        elif candidate_choice != met_choice:
+            return False
+    return extends
+
+
+def scan_pruned_optimize(problem) -> OptimizationResult:
+    """The pruned search that checks every SLA-meeting option per candidate."""
+    engine = engine_for(problem, None)
+    space = engine.space
+    options, sla_meeting, pruned = [], [], 0
+    for option_id, indices in enumerate(space.candidates_in_paper_order(), start=1):
+        names = space.choice_names(indices)
+        if any(_is_superset_extension(names, met) for met in sla_meeting):
+            pruned += 1
+            continue
+        option = engine.evaluate(option_id, indices)
+        options.append(option)
+        if option.meets_sla:
+            sla_meeting.append(names)
+    return OptimizationResult(
+        options=tuple(options),
+        evaluations=len(options),
+        pruned=pruned,
+        space_size=space.size,
+        strategy="pruned",
+    )
 
 
 class TestBruteForce:
@@ -87,6 +129,28 @@ class TestPruned:
             brute = brute_force_optimize(problem)
             pruned = pruned_optimize(problem)
             assert pruned.best.tco.total == pytest.approx(brute.best.tco.total)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_covered_set_prunes_like_the_superset_scan(self, seed):
+        """The O(n) covered-set probe skips exactly what the scan skips."""
+        import random
+
+        rng = random.Random(seed)
+        problem = random_problem(
+            seed,
+            clusters=rng.randint(1, 5),
+            choices_per_layer=rng.randint(1, 3),
+        )
+        fast = pruned_optimize(problem)
+        oracle = scan_pruned_optimize(problem)
+        assert fast.pruned == oracle.pruned
+        assert [o.option_id for o in fast.options] == [
+            o.option_id for o in oracle.options
+        ]
+        assert [o.choice_names for o in fast.options] == [
+            o.choice_names for o in oracle.options
+        ]
+        assert fast.best.option_id == oracle.best.option_id
 
 
 class TestBranchAndBound:

@@ -8,6 +8,10 @@ class, at any shard count.
 
 from __future__ import annotations
 
+import json
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +22,13 @@ from repro.cloud.faults import FaultInjector
 from repro.cloud.providers import all_providers
 from repro.errors import ValidationError
 from repro.server.ingest import (
+    RECORD_KINDS,
     ExposureRecord,
     ShardedIngestor,
+    _decode_line,
     record_from_dict,
     record_to_dict,
+    record_to_json,
     records_from_jsonl,
     records_to_jsonl,
     shard_index,
@@ -167,6 +174,74 @@ class TestShardedIngestion:
             ingestor.submit_jsonl(records_to_jsonl(trace))
             ingestor.flush()
         assert_estimates_identical(serving, reference)
+
+    @pytest.mark.parametrize("shards", [1, 4, 7])
+    def test_duplicate_keys_route_by_the_recorded_value(self, shards):
+        """A repeated key is recorded, and so routed, by its last value."""
+        lines = [
+            exposure_line("b"),
+            '{"kind": "failover", "provider": "a", "provider": "b", '
+            '"component_kind": "vm", "resource_id": "x", '
+            '"time_minutes": 0.0, "duration_minutes": 2.0}',
+            event_line("failover", provider="b", duration="1.0"),
+        ]
+        reference = ingest_directly(records_from_jsonl("\n".join(lines)))
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=shards) as ingestor:
+            ingestor.submit_jsonl(lines)
+            assert ingestor.flush() == 3
+        assert serving.snapshot() == reference.snapshot()
+        (component,) = serving.snapshot()["components"]
+        assert component["failover_samples"] == [2.0, 1.0]
+
+    def test_concurrent_submitters_lose_no_record(self, trace, monkeypatch):
+        """Racing routers (and a churning shard memo) drop nothing."""
+        import sys
+        import threading
+
+        from repro.server import ingest
+
+        monkeypatch.setattr(ingest, "_SHARD_MEMO_CAP", 2)
+        # One submitter per provider: disjoint keys make per-key order,
+        # and so the merged snapshot, independent of the interleaving.
+        by_provider: dict[str, list] = {}
+        for record in trace:
+            by_provider.setdefault(record.provider, []).append(record)
+        bodies = {
+            provider: [
+                records_to_jsonl(records[start:start + 25])
+                for start in range(0, len(records), 25)
+            ]
+            for provider, records in by_provider.items()
+        }
+        serving = TelemetryStore()
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedIngestor(serving, num_shards=3) as ingestor:
+
+                def submit_all(texts):
+                    try:
+                        for text in texts:
+                            ingestor.submit_jsonl(text)
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=submit_all, args=(texts,))
+                    for texts in bodies.values()
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert ingestor.flush() == len(trace)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert serving.snapshot() == ingest_directly(trace).snapshot()
 
     def test_multiple_submissions_and_flushes(self, trace, reference):
         """Incremental merges land; estimates agree to float rounding."""
@@ -318,6 +393,255 @@ class TestShardedIngestion:
         assert second.exposure_years("p", "vm") == pytest.approx(
             50.0 / MINUTES_PER_YEAR
         )
+
+
+def exposure_line(provider="p", kind="vm", node_count="1", horizon="100.0"):
+    return (
+        f'{{"kind": "exposure", "provider": "{provider}", '
+        f'"component_kind": "{kind}", "node_count": {node_count}, '
+        f'"horizon_minutes": {horizon}}}'
+    )
+
+
+def event_line(kind="repair", provider="p", component="vm", duration="5.0"):
+    return (
+        f'{{"kind": "{kind}", "provider": "{provider}", '
+        f'"component_kind": "{component}", "resource_id": "r-1", '
+        f'"time_minutes": 1.0, "duration_minutes": {duration}}}'
+    )
+
+
+def flushed_counts(ingestor: ShardedIngestor) -> tuple[int, int]:
+    stats = ingestor.shard_stats()
+    return sum(s.ingested for s in stats), sum(s.rejected for s in stats)
+
+
+class TestBadLines:
+    def test_bad_number_does_not_kill_a_shard(self):
+        serving = TelemetryStore()
+        valid = [exposure_line(), event_line(), event_line("failover")]
+        with ShardedIngestor(serving, num_shards=4, flush_timeout=30.0) as ing:
+            assert ing.submit_jsonl([exposure_line(node_count='"abc"'), *valid]) == 4
+            started = time.monotonic()
+            merged = ing.flush()
+            assert time.monotonic() - started < 1.0
+            assert merged == len(valid)
+            assert flushed_counts(ing) == (len(valid), 1)
+            # The shard still applies later records for the same key.
+            ing.submit_jsonl([event_line("failover", duration="7.0")])
+            assert ing.flush() == 1
+        assert serving.failover_minutes("p", "vm") == 6.0
+
+    def test_any_apply_error_is_counted_and_logged_on_the_shard(self, caplog):
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=1, flush_timeout=5.0) as ing:
+            ing._shards[0].in_queue.put(("records", [object()]))
+            ing.submit([ExposureRecord("p", "vm", 1, 100.0)])
+            assert ing.flush() == 1
+            assert flushed_counts(ing) == (1, 1)
+        assert "could not apply" in caplog.text
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            event_line(duration="NaN"),
+            event_line("failover", duration="Infinity"),
+            exposure_line(horizon="Infinity"),
+            exposure_line(horizon="NaN"),
+            exposure_line(node_count="NaN"),
+            exposure_line(node_count="Infinity"),
+            exposure_line(node_count="1" + "0" * 400),
+            exposure_line(node_count="10", horizon="1e308"),
+            event_line().replace('"time_minutes": 1.0', '"time_minutes": -Infinity'),
+        ],
+    )
+    def test_non_finite_wire_values_are_rejected(self, line):
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=4) as ing:
+            ing.submit_jsonl([exposure_line(), line, event_line()])
+            assert ing.flush() == 2
+            assert flushed_counts(ing) == (2, 1)
+        assert serving.down_probability("p", "vm") == 5.0 / 100.0
+        assert math.isfinite(serving.exposure_years("p", "vm"))
+        with pytest.raises(ValidationError, match="line 1"):
+            records_from_jsonl(line)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_python_values_are_refused(self, bad):
+        store = TelemetryStore()
+        with pytest.raises(ValidationError, match="finite"):
+            store.register_exposure("p", "vm", 1, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            store.register_exposure("p", "vm", bad, 100.0)
+        with pytest.raises(ValidationError, match="finite"):
+            store.record_outage("p", "vm", bad)
+        with pytest.raises(ValidationError, match="finite"):
+            store.record_failover("p", "vm", bad)
+        for kind in ResourceEventKind:
+            with pytest.raises(ValidationError, match="finite"):
+                ResourceEvent(1.0, "p", "vm", "r", kind, bad)
+            with pytest.raises(ValidationError, match="finite"):
+                ResourceEvent(bad, "p", "vm", "r", kind, 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            ExposureRecord("p", "vm", 1, bad)
+        assert store.observed_components() == ()
+        assert store.generation == 0
+
+    def test_non_string_provider_is_rejected_not_recorded(self):
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=4) as ing:
+            ing.submit_jsonl([exposure_line(), exposure_line().replace('"p"', "5")])
+            assert ing.flush() == 1
+            assert flushed_counts(ing) == (1, 1)
+        assert serving.observed_components() == (("p", "vm"),)
+
+    def test_unroutable_line_enqueues_nothing(self):
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=2) as ing:
+            with pytest.raises(ValidationError, match="line 3"):
+                ing.submit_jsonl([exposure_line(), "", "[1, 2]"])
+            assert ing.flush() == 0
+            assert sum(s.submitted for s in ing.shard_stats()) == 0
+
+
+class TestLineDecoder:
+    json_text = st.recursive(
+        st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ).map(json.dumps)
+
+    @given(
+        body=json_text
+        | st.text(alphabet='{}[]":, \t\r\n0123456789.eE+-aNItrufl\ufeff'),
+        prefix=st.sampled_from(["", " ", "\t\r", "\ufeff", "x"]),
+        suffix=st.sampled_from(["", " ", "\n ", "}", " 1", "x"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_and_rejects_exactly_like_json_loads(self, body, prefix, suffix):
+        line = prefix + body + suffix
+
+        def outcome(decode):
+            try:
+                return "ok", repr(decode(line))
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+
+        assert outcome(_decode_line) == outcome(json.loads)
+
+
+# -- mixed lines against a single-store reference ---------------------------
+
+mixed_keys = st.sampled_from(
+    [("a", "vm"), ("a", "volume"), ("b", "vm"), ("c", "gateway")]
+)
+finite_minutes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def valid_records(draw):
+    provider, kind = draw(mixed_keys)
+    which = draw(st.sampled_from(RECORD_KINDS))
+    if which == "exposure":
+        return ExposureRecord(
+            provider, kind, draw(st.integers(1, 1000)),
+            draw(st.floats(min_value=1e-3, max_value=1e6)),
+        )
+    return ResourceEvent(
+        draw(finite_minutes), provider, kind, "r-1", ResourceEventKind(which),
+        draw(finite_minutes),
+    )
+
+#: Lines that name no provider/component_kind anywhere.
+UNROUTABLE = ['{"kind": "exposure"}', "not json", "[1, 2]", '{"provider": "a"}']
+
+
+@st.composite
+def mixed_lines(draw):
+    """``(line, expected record or None, category)``."""
+    category = draw(
+        st.sampled_from(
+            ["valid", "valid", "valid", "malformed", "wrong-type", "non-finite",
+             "duplicate", "blank", "unroutable"]
+        )
+    )
+    if category == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"])), None, category
+    if category == "unroutable":
+        return draw(st.sampled_from(UNROUTABLE)), None, category
+    record = draw(valid_records())
+    line = record_to_json(record)
+    if category == "valid":
+        return line, record, category
+    if category == "malformed":
+        return line[:-1], None, category
+    if category == "duplicate":
+        # json.loads keeps the last occurrence; so must the routing.
+        decoy = draw(st.sampled_from(["a", "b", "c", "zz"]))
+        return '{"provider": "%s", ' % decoy + line[1:], record, category
+    payload = record_to_dict(record)
+    if category == "wrong-type":
+        field = draw(
+            st.sampled_from(
+                ["node_count", "horizon_minutes", "provider"]
+                if isinstance(record, ExposureRecord)
+                else ["time_minutes", "duration_minutes", "component_kind"]
+            )
+        )
+        wrong = (
+            [5, [1], {"x": 1}]
+            if field in ("provider", "component_kind")
+            else ["abc", [1], {"x": 1}, None]
+        )
+        payload[field] = draw(st.sampled_from(wrong))
+    else:
+        field = (
+            "horizon_minutes"
+            if isinstance(record, ExposureRecord)
+            else draw(st.sampled_from(["time_minutes", "duration_minutes"]))
+        )
+        payload[field] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return json.dumps(payload, sort_keys=True), None, category
+
+
+class TestMixedLines:
+    @given(items=st.lists(mixed_lines(), max_size=24), shards=st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_and_snapshot_match_single_store(self, items, shards):
+        lines = [line for line, _, _ in items]
+        nonblank = [item for item in items if item[2] != "blank"]
+        # Offline parsing accepts exactly the lines the server ingests.
+        for line, record, category in nonblank:
+            if category == "unroutable":
+                continue
+            if record is None:
+                with pytest.raises(ValidationError, match="line 1"):
+                    records_from_jsonl(line)
+            else:
+                assert records_from_jsonl(line) == [record]
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=shards) as ingestor:
+            unroutable = [
+                number
+                for number, (_, _, category) in enumerate(items, start=1)
+                if category == "unroutable"
+            ]
+            if unroutable:
+                with pytest.raises(
+                    ValidationError, match=f"telemetry line {unroutable[0]} "
+                ):
+                    ingestor.submit_jsonl(lines)
+                assert ingestor.flush() == 0
+                assert serving.snapshot() == TelemetryStore().snapshot()
+                return
+            assert ingestor.submit_jsonl("\n".join(lines)) == len(nonblank)
+            valid = [record for _, record, _ in nonblank if record is not None]
+            assert ingestor.flush() == len(valid)
+            assert flushed_counts(ingestor) == (
+                len(valid), len(nonblank) - len(valid)
+            )
+        assert serving.snapshot() == ingest_directly(valid).snapshot()
 
 
 # -- merge associativity properties -----------------------------------------
