@@ -42,8 +42,16 @@ class TechnologyRegistry:
         """Add a technology to its layer's choice list.
 
         Layer-agnostic technologies (``layer is None``) are registered
-        for every layer.  Duplicate names within a layer are rejected.
+        for every layer.  Duplicate names within a layer are rejected,
+        and so is the name ``none``: it belongs to the implicit ``NoHA``
+        choice, which the optimizer relies on being the only unclustered
+        choice of every layer.
         """
+        if technology.name == NoHA().name:
+            raise CatalogError(
+                f"technology name {technology.name!r} is reserved for the "
+                "implicit no-HA choice"
+            )
         layers = [technology.layer] if technology.layer is not None else list(Layer)
         for layer in layers:
             existing = self._by_layer.setdefault(layer, [])

@@ -12,10 +12,22 @@ structure instead: Eq. 1-5 factor into per-cluster terms, so the engine
 2. evaluates each candidate by recombining the ``n`` cached factor sets
    in O(n), bit-identical to the full-topology evaluation (the
    recombination performs the same float operations in the same order);
-3. memoizes finished :class:`EvaluatedOption`s keyed by their
-   :data:`~repro.optimizer.space.ChoiceNames`, so searches restarted
-   over the same problem (pruned after brute force, branch-and-bound
-   re-runs, advisor what-if sweeps) never evaluate a candidate twice.
+3. memoizes each candidate's Eq. 1-5 values keyed by its index tuple,
+   so searches restarted over the same problem (pruned after brute
+   force, branch-and-bound re-runs, advisor what-if sweeps) never
+   evaluate a candidate twice.  A hit rebuilds a fresh lazy
+   :class:`EvaluatedOption` from the cached values.
+
+The result cache holds one flat tuple of Python floats and a bool per
+candidate (see :data:`Payload`), never option objects.  CPython stops
+tracking a tuple of untracked items at the first garbage collection
+that sees it, so a warm engine with hundreds of thousands of cached
+candidates adds nothing to the cyclic collector's full-collection
+scans; caching the options themselves (each a dict, a breakdown and
+closures, ~13 tracked objects) made those scans the dominant cost of
+cold searches.  The payload is flat rather than nested on purpose: an
+outer tuple is only untracked once its inner tuples are, and one
+collection may visit the outer first, leaving it tracked.
 
 The full-topology path survives only as the test and benchmark oracle,
 :func:`~repro.optimizer.brute_force.evaluate_candidate`.
@@ -86,6 +98,16 @@ ENGINE_BACKENDS = ("serial", "vector")
 #: Environment variable naming the default backend (CI smoke hook).
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
+#: One candidate's Eq. 1-5 values, as the result cache stores them: one
+#: flat tuple holding the six :class:`TCOBreakdown` fields in declaration
+#: order, then the breakdown and failover probabilities, the SLA verdict
+#: and one failover contribution per cluster, in chain order.  Floats
+#: and a bool only, so one collection untracks every cached payload.
+Payload = tuple[float | bool, ...]
+
+#: Positions in a :data:`Payload` after the six TCO fields.
+_BREAKDOWN, _FAILOVER, _MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
+
 #: Shared no-op context manager for untraced backend chunks.
 #: nullcontext is reusable and reentrant, so one instance serves every
 #: block without a per-block allocation.
@@ -138,7 +160,7 @@ class EngineStats:
     candidate_evaluations:
         Total evaluation requests answered (hits + misses).
     cache_hits:
-        Requests answered from the ``ChoiceNames``-keyed result cache.
+        Requests answered from the index-keyed result cache.
     incremental_combines:
         Cache misses answered by the O(n) term recombination.
     cluster_term_computations:
@@ -205,28 +227,18 @@ def _plan_block(
 
     Returns ``(plan, misses)``: ``plan`` holds the chunk's options with
     ``None`` placeholders where an evaluated payload must be spliced in;
-    ``misses`` carries the ``(option_id, indices, names)`` bookkeeping
-    for those placeholders, in the same order they must be evaluated;
-    the vector backend gathers those misses into numpy columns.
+    ``misses`` holds the ``(option_id, indices)`` pairs of those
+    placeholders, in the order they must be evaluated; the vector
+    backend gathers those misses into numpy columns.
     """
-    if not engine.cache:
-        # Cache off: every candidate is a miss and carries no cache key.
-        # One stats bump for the whole chunk replaces per-candidate
-        # probes — the difference is measurable at 100k+ candidates per
-        # sweep.
-        engine.stats.candidate_evaluations += len(block)
-        return [None] * len(block), [
-            (option_id, indices, None) for option_id, indices in block
-        ]
+    probe = engine._cache_probe
     plan: list = []
     misses: list = []
-    for option_id, indices in block:
-        names, cached = engine._cache_probe(option_id, indices)
-        if cached is not None:
-            plan.append(cached)
-        else:
-            plan.append(None)
-            misses.append((option_id, indices, names))
+    for candidate in block:
+        cached = probe(*candidate)
+        plan.append(cached)
+        if cached is None:
+            misses.append(candidate)
     return plan, misses
 
 
@@ -236,41 +248,27 @@ def _splice_payloads(
     """Fill a plan's placeholders with evaluated payloads, in order.
 
     Options are assembled first, then stats and cache admissions land
-    once per chunk instead of once per candidate.
+    once per chunk instead of once per candidate.  The cache admits the
+    payloads, not the options (see :data:`Payload`).
     """
     build = engine._build_option
     if len(misses) == len(plan):
-        # All-miss chunk — the norm for cache-off sweeps and cold
-        # catalogs.  Skip the placeholder scan and build straight from
-        # the miss list; with the cache off there is nothing to admit,
-        # so the chunk builds no side lists.
+        # All-miss chunk — the norm for cold catalogs: skip the
+        # placeholder scan and build straight from the miss list.
         plan[:] = [
-            build(option_id, indices, names, *payload)
-            for (option_id, indices, names), payload in zip(misses, payloads)
+            build(option_id, indices, payload)
+            for (option_id, indices), payload in zip(misses, payloads)
         ]
-        engine.stats.incremental_combines += len(plan)
-        if engine.cache:
-            results = engine._results
-            for (_, _, names), option in zip(misses, plan):
-                results.setdefault(names, option)
-        return plan
-    filled = iter(zip(misses, payloads))
-    admitted: list = []
-    for position, slot in enumerate(plan):
-        if slot is None:
-            (option_id, indices, names), payload = next(filled)
-            breakdown, failover, contributions, tco_values, meets = payload
-            option = build(
-                option_id, indices, names,
-                breakdown, failover, contributions, tco_values, meets,
-            )
-            plan[position] = option
-            admitted.append((names, option))
-    engine.stats.incremental_combines += len(admitted)
-    if engine.cache:
-        results = engine._results
-        for names, option in admitted:
-            results.setdefault(names, option)
+    else:
+        filled = iter(zip(misses, payloads))
+        for position, slot in enumerate(plan):
+            if slot is None:
+                (option_id, indices), payload = next(filled)
+                plan[position] = build(option_id, indices, payload)
+    engine.stats.incremental_combines += len(misses)
+    admit = engine._results.setdefault
+    for (_, indices), payload in zip(misses, payloads):
+        admit(indices, payload)
     return plan
 
 
@@ -357,14 +355,14 @@ class VectorBackend:
             payloads = self._block_payloads(engine, np, tables, rows)
             build = engine._build_option
             plan = [
-                build(option_id, indices, None, *payload)
+                build(option_id, indices, payload)
                 for (option_id, indices), payload in zip(block, payloads)
             ]
             engine.stats.incremental_combines += len(plan)
             return plan
         plan, misses = _plan_block(engine, block)
         if misses:
-            rows = [ind for _, ind, _ in misses]
+            rows = [indices for _, indices in misses]
             payloads = self._block_payloads(engine, np, tables, rows)
             _splice_payloads(engine, plan, misses, payloads)
         return plan
@@ -467,43 +465,21 @@ class VectorBackend:
             infra, labor_cost, penalty, base, slippage, meets,
         ) = self._vector_arrays(engine, np, tables, index_rows)
 
-        # ``tolist()`` converts float64 to Python floats bit-exactly (and
-        # payload floats must pickle as plain floats); transposing the
-        # contribution columns with ``zip`` keeps the per-candidate loop
-        # free of numpy scalar indexing, which would otherwise dominate.
-        contribution_rows = zip(*(c.tolist() for c in contributions))
-        payloads = []
-        for (
-            breakdown_k,
-            failover_k,
-            up_k,
-            infra_k,
-            labor_k,
-            penalty_k,
-            base_k,
-            slippage_k,
-            meets_k,
-            contribs_k,
-        ) in zip(
-            breakdown.tolist(),
-            failover.tolist(),
-            uptime.tolist(),
+        # ``tolist()`` converts float64 to Python floats bit-exactly;
+        # zipping the columns builds each flat payload in C, with no
+        # per-candidate Python loop or numpy scalar indexing.
+        return list(zip(
             infra.tolist(),
             labor_cost.tolist(),
             penalty.tolist(),
             base.tolist(),
+            uptime.tolist(),
             slippage.tolist(),
+            breakdown.tolist(),
+            failover.tolist(),
             meets.tolist(),
-            contribution_rows,
-        ):
-            payloads.append((
-                breakdown_k,
-                failover_k,
-                contribs_k,
-                (infra_k, labor_k, penalty_k, base_k, up_k, slippage_k),
-                meets_k,
-            ))
-        return payloads
+            *(c.tolist() for c in contributions),
+        ))
 
     def sweep_distilled(self, engine: "EvaluationEngine", enumerated, accumulator) -> None:
         """Distilled exhaustive sweep: rank whole blocks in bulk.
@@ -569,18 +545,13 @@ class VectorBackend:
         # Ascending order keeps the fold's lowest-id tie-breaks exact.
         for i in sorted({best_i, penalty_i}):
             option_id, indices = block[i]
-            winners.append(build(
-                option_id, indices, None,
-                float(breakdown[i]),
-                float(failover[i]),
-                tuple(float(c[i]) for c in contributions),
-                (
-                    float(infra[i]), float(labor_cost[i]),
-                    float(penalty[i]), float(base[i]),
-                    float(uptime[i]), float(slippage[i]),
-                ),
-                bool(meets[i]),
-            ))
+            winners.append(build(option_id, indices, (
+                float(infra[i]), float(labor_cost[i]),
+                float(penalty[i]), float(base[i]),
+                float(uptime[i]), float(slippage[i]),
+                float(breakdown[i]), float(failover[i]), bool(meets[i]),
+                *(float(c[i]) for c in contributions),
+            )))
         engine.stats.incremental_combines += len(winners)
         accumulator.fold_winners(winners, evaluated=len(block))
 
@@ -602,8 +573,9 @@ class EvaluationEngine:
         are valid only for this exact problem instance; strategies guard
         against accidental cross-problem reuse.
     cache:
-        Memoize finished options keyed by ``ChoiceNames`` so repeated
-        searches over the same problem never re-evaluate a candidate.
+        Memoize each candidate's :data:`Payload` keyed by its index
+        tuple, so repeated searches over the same problem never
+        re-evaluate a candidate.
         All cache mutation happens on the consuming thread, and an
         engine must not have :meth:`evaluate` called from multiple
         threads concurrently (the broker's engine cache serializes
@@ -638,7 +610,7 @@ class EvaluationEngine:
         self.tracer = None
         self.space = self.problem.space()
         self.stats = EngineStats()
-        self._results: dict[ChoiceNames, EvaluatedOption] = {}
+        self._results: dict[tuple[int, ...], Payload] = {}
         self._bind_backend(self.backend)
         self._profiles = self._precompute_profiles()
         # repro: lint-ok[REP001] integer row lengths, order-free
@@ -665,8 +637,8 @@ class EvaluationEngine:
     def set_backend(self, backend: str | None) -> "EvaluationEngine":
         """Rebind this engine to a different evaluation backend in place.
 
-        The per-(cluster, technology) term tables, the ``ChoiceNames``
-        result cache and the stats all survive the switch — rebinding a
+        The per-(cluster, technology) term tables, the result cache
+        and the stats all survive the switch — rebinding a
         warm cached engine costs zero cluster-term computations.  Not
         safe to call concurrently with evaluation; callers sharing
         engines across threads (the broker's engine cache) serialize
@@ -711,53 +683,46 @@ class EvaluationEngine:
     ) -> EvaluatedOption:
         """Evaluate one candidate, consulting and feeding the cache.
 
-        A cache hit under a different paper-order id is re-labelled via
-        :meth:`EvaluatedOption.relabel` — everything else about the
-        option is id-independent, and relabelling keeps a lazy topology
-        unbuilt.
+        Every call returns a fresh option labelled ``option_id``: a
+        cache hit rebuilds it from the cached payload, so a hit under a
+        different paper-order id needs no relabelling and its topology
+        stays unbuilt.
         """
-        names, cached = self._cache_probe(option_id, indices)
+        cached = self._cache_probe(option_id, indices)
         if cached is not None:
             return cached
-        option = self._combine(option_id, indices, names)
+        payload = self._payload(indices)
         self.stats.incremental_combines += 1
         if self.cache:
-            self._results.setdefault(names, option)
-        return option
+            self._results.setdefault(indices, payload)
+        return self._build_option(option_id, indices, payload)
 
     def _cache_probe(
         self, option_id: int, indices: tuple[int, ...]
-    ) -> tuple[ChoiceNames | None, EvaluatedOption | None]:
+    ) -> EvaluatedOption | None:
         """Count one evaluation request and answer it from the cache.
 
-        Returns ``(names, option)`` where ``option`` is the relabelled
-        cache hit or ``None`` on a miss; ``names`` is the cache key the
-        eventual result should be admitted under (``None`` when the
-        cache is off).  Shared by :meth:`evaluate` and the vector
-        backend, which probes per candidate before gathering the misses
-        into numpy columns.
+        Returns the hit rebuilt under ``option_id``, or ``None`` on a
+        miss (always, when the cache is off).  The cache is keyed by
+        the index tuple itself: within one space, index tuples and
+        :data:`~repro.optimizer.space.ChoiceNames` are in bijection
+        (the registry rejects duplicate names per layer and reserves
+        ``none`` for index 0), so no per-candidate name tuple is built.
+        Shared by :meth:`evaluate` and the vector backend, which probes
+        per candidate before gathering the misses into numpy columns.
         """
-        names = self.space.choice_names(indices) if self.cache else None
         self.stats.candidate_evaluations += 1
-        cached = self._results.get(names) if self.cache else None
-        if cached is None:
-            return names, None
+        payload = self._results.get(indices) if self.cache else None
+        if payload is None:
+            return None
         self.stats.cache_hits += 1
-        return names, cached.relabel(option_id)
+        return self._build_option(option_id, indices, payload)
 
-    def _combine(
-        self,
-        option_id: int,
-        indices: tuple[int, ...],
-        names: ChoiceNames | None = None,
-    ) -> EvaluatedOption:
-        """O(n) evaluation from the cached per-cluster factor sets.
+    def _payload(self, indices: tuple[int, ...]) -> Payload:
+        """O(n) Eq. 1-5 values from the cached per-cluster factor sets.
 
-        Neither the candidate's :class:`SystemTopology` nor its
-        :class:`AvailabilityReport` is built here: the option carries
-        factories that assemble them on first access, so
-        distilled/streamed sweeps that only rank by cost never pay
-        per-candidate object construction.
+        The scalar twin of the vector backend's per-candidate payloads:
+        :meth:`_build_option` turns either into an option.
         """
         if len(indices) != self.space.cluster_count:
             raise OptimizerError(
@@ -777,24 +742,18 @@ class EvaluationEngine:
             self.problem.contract,
             self.problem.labor_rate,
         )
-        return self._build_option(
-            option_id, indices, names,
-            breakdown, failover, tuple(contributions), tco_values,
+        return (
+            *tco_values,
+            breakdown,
+            failover,
             self.problem.contract.sla.is_met_by(uptime),
+            *contributions,
         )
 
     def _build_option(
-        self,
-        option_id: int,
-        indices: tuple[int, ...],
-        names: ChoiceNames | None,
-        breakdown: float,
-        failover: float,
-        contributions: tuple[float, ...],
-        tco_values: tuple,
-        meets_sla: bool,
+        self, option_id: int, indices: tuple[int, ...], payload: Payload
     ) -> EvaluatedOption:
-        """Assemble a lazy option from the Eq. 1-5 values.
+        """Assemble a lazy option from a candidate's :data:`Payload`.
 
         The availability factory reconstructs exactly what
         :func:`availability_from_terms` would have built — same values,
@@ -802,15 +761,21 @@ class EvaluationEngine:
         bit-identical to eager evaluation regardless of which backend
         computed the floats.
 
-        This runs once per evaluated candidate on every backend, so the
-        hot path stays minimal: the chosen-profile gather is deferred
-        into the lazy factories (distilled sweeps that only rank by cost
-        never pay it) and the per-engine constants (system name, cluster
-        names, per-choice name rows) are hoisted to ``__post_init__``.
+        Neither the candidate's :class:`SystemTopology`, its
+        :class:`AvailabilityReport` nor its choice names are built here:
+        the option carries factories that assemble them on first access.
+
+        This runs once per evaluated candidate and once per cache hit on
+        every backend, so the hot path stays minimal: the chosen-profile
+        gather is deferred into the lazy factories (distilled sweeps
+        that only rank by cost never pay it) and the per-engine
+        constants (system name, cluster names, per-choice name rows) are
+        hoisted to ``__post_init__``.
         """
         profiles = self._profiles
         bare_name = self._bare_name
         cluster_names = self._cluster_names
+        name_rows = self._choice_name_rows
 
         def build_system() -> SystemTopology:
             return SystemTopology(
@@ -827,8 +792,8 @@ class EvaluationEngine:
             )
             return AvailabilityReport(
                 system_name=bare_name,
-                breakdown_probability=breakdown,
-                failover_probability=failover,
+                breakdown_probability=payload[_BREAKDOWN],
+                failover_probability=payload[_FAILOVER],
                 clusters=tuple(
                     ClusterAvailability(
                         name=name,
@@ -839,27 +804,21 @@ class EvaluationEngine:
                         failover_contribution=contribution,
                     )
                     for name, profile, contribution in zip(
-                        cluster_names, chosen, contributions
+                        cluster_names, chosen, payload[_CONTRIBUTIONS:]
                     )
                 ),
             )
 
-        if names is None:
-            # Cache-off misses carry no probe key, so the name gather is
-            # deferred too: a distilled sweep only ever forces it for
-            # the winning rows.
-            name_rows = self._choice_name_rows
-
-            def names() -> ChoiceNames:
-                return tuple(map(tuple.__getitem__, name_rows, indices))
+        def names() -> ChoiceNames:
+            return tuple(map(tuple.__getitem__, name_rows, indices))
 
         return assemble_option(
             option_id,
             names,
             build_system,
             build_availability,
-            assemble_breakdown(tco_values),
-            meets_sla,
+            assemble_breakdown(payload[:_BREAKDOWN]),
+            payload[_MEETS_SLA],
             cluster_names,
         )
 

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from repro.optimizer.engine import EvaluationEngine, engine_for
 from repro.optimizer.result import OptimizationResult
-from repro.optimizer.space import ChoiceNames, OptimizationProblem
+from repro.optimizer.space import OptimizationProblem
 
 
-def _extends_covered(names: ChoiceNames, covered: set[ChoiceNames]) -> bool:
-    """True when un-clustering one position of ``names`` lands in ``covered``.
+def _extends_covered(
+    indices: tuple[int, ...], covered: set[tuple[int, ...]]
+) -> bool:
+    """True when un-clustering one position of ``indices`` lands in ``covered``.
 
     ``covered`` holds every SLA-meeting option and every pruned candidate
     seen so far.  A candidate extends some SLA-meeting option ``met``
@@ -33,10 +35,15 @@ def _extends_covered(names: ChoiceNames, covered: set[ChoiceNames]) -> bool:
     (one fewer clustered component) first, and by induction that
     extension was pruned, hence covered.  So this O(n) probe prunes the
     same candidates as comparing against every SLA-meeting option.
+
+    Candidates are index tuples: choice index 0 is always ``NoHA`` (the
+    registry lists it first and reserves its name), so un-clustering a
+    position sets it to 0, and index tuples identify candidates exactly
+    as their choice names do.
     """
-    for position, choice in enumerate(names):
-        if choice != "none" and (
-            names[:position] + ("none",) + names[position + 1:] in covered
+    for position, choice in enumerate(indices):
+        if choice and (
+            indices[:position] + (0,) + indices[position + 1:] in covered
         ):
             return True
     return False
@@ -57,18 +64,17 @@ def pruned_optimize(
     engine = engine_for(problem, engine)
     space = engine.space
     options = []
-    covered: set[ChoiceNames] = set()
+    covered: set[tuple[int, ...]] = set()
     pruned_count = 0
     for option_id, indices in enumerate(space.candidates_in_paper_order(), start=1):
-        names = space.choice_names(indices)
-        if covered and _extends_covered(names, covered):
-            covered.add(names)
+        if covered and _extends_covered(indices, covered):
+            covered.add(indices)
             pruned_count += 1
             continue
         option = engine.evaluate(option_id, indices)
         options.append(option)
         if option.meets_sla:
-            covered.add(names)
+            covered.add(indices)
     return OptimizationResult(
         options=tuple(options),
         evaluations=len(options),

@@ -89,25 +89,6 @@ class EvaluatedOption:
         """True once the availability report has been built."""
         return isinstance(self.__dict__["availability"], AvailabilityReport)
 
-    def relabel(self, option_id: int) -> "EvaluatedOption":
-        """The same option under a different paper-order id.
-
-        Unlike :func:`dataclasses.replace`, this does not read the
-        ``system`` or ``availability`` fields, so relabelling a cache
-        hit keeps lazy values lazy.
-        """
-        if option_id == self.option_id:
-            return self
-        return EvaluatedOption(
-            option_id=option_id,
-            choice_names=self.choice_names,
-            system=self.__dict__["system"],
-            availability=self.__dict__["availability"],
-            tco=self.tco,
-            meets_sla=self.meets_sla,
-            cluster_names=self.cluster_names,
-        )
-
     @property
     def clustered_components(self) -> tuple[str, ...]:
         """Names of clusters that received an HA technology."""

@@ -64,10 +64,11 @@ _EVENT_KEYS = frozenset(
 _EVENT_KINDS = {member.value: member for member in ResourceEventKind}
 
 #: What decoding and building one malformed line can raise:
-#: ``JSONDecodeError`` and ``ValidationError`` are ``ValueError``s, deep
-#: nesting raises ``RecursionError`` and ``int(Infinity)``
-#: ``OverflowError``; a missing field is a ``KeyError`` and a JSON value
-#: of the wrong type a ``TypeError``.
+#: ``JSONDecodeError`` and ``ValidationError`` (a numeric field of the
+#: wrong JSON type among them) are ``ValueError``s, deep nesting raises
+#: ``RecursionError`` and an integer beyond the float range
+#: ``OverflowError``; a missing field is a ``KeyError`` and a JSON
+#: value of the wrong type elsewhere a ``TypeError``.
 _BAD_LINE_ERRORS = (ValueError, TypeError, KeyError, OverflowError, RecursionError)
 
 #: Bound on the router's memoized ``(provider, component_kind)`` →
@@ -121,10 +122,13 @@ def record_to_dict(record: TelemetryRecord) -> dict[str, Any]:
 def record_from_dict(payload: Mapping[str, Any]) -> TelemetryRecord:
     """Deserialize one telemetry record; an invalid one raises.
 
-    Unknown kinds and keys, non-string ``provider``/``component_kind``
-    and out-of-range or non-finite numbers raise
-    :class:`ValidationError`; a missing field raises ``KeyError`` and an
-    unconvertible number ``ValueError``/``TypeError``/``OverflowError``.
+    Unknown kinds and keys, non-string ``provider``/``component_kind``,
+    numeric fields of the wrong JSON type (``node_count`` must be an
+    integer; ``horizon_minutes``, ``time_minutes`` and
+    ``duration_minutes`` numbers — never bools or strings) and
+    out-of-range or non-finite numbers raise :class:`ValidationError`;
+    a missing field raises ``KeyError`` and an integer too large for a
+    float ``OverflowError``.
     """
     if type(payload) is not dict and not isinstance(payload, Mapping):
         raise ValidationError(
@@ -135,23 +139,32 @@ def record_from_dict(payload: Mapping[str, Any]) -> TelemetryRecord:
     if kind == "exposure":
         _check_keys(payload, _EXPOSURE_KEYS)
         provider, component_kind = _component(payload)
-        return ExposureRecord(
-            provider,
-            component_kind,
-            int(payload["node_count"]),
-            float(payload["horizon_minutes"]),
-        )
+        # ``type(...) is``, never ``isinstance``: ``bool`` is an ``int``
+        # subclass, and ``true`` must not pass for 1.
+        node_count = payload["node_count"]
+        if type(node_count) is not int:
+            raise _wrong_type("node_count", "an integer", node_count)
+        horizon = payload["horizon_minutes"]
+        if type(horizon) is not float:
+            horizon = _int_as_float("horizon_minutes", horizon)
+        return ExposureRecord(provider, component_kind, node_count, horizon)
     event_kind = _EVENT_KINDS.get(kind) if isinstance(kind, str) else None
     if event_kind is not None:
         _check_keys(payload, _EVENT_KEYS)
         provider, component_kind = _component(payload)
+        time_minutes = payload.get("time_minutes", 0.0)
+        if type(time_minutes) is not float:
+            time_minutes = _int_as_float("time_minutes", time_minutes)
+        duration = payload.get("duration_minutes", 0.0)
+        if type(duration) is not float:
+            duration = _int_as_float("duration_minutes", duration)
         return ResourceEvent(
-            float(payload.get("time_minutes", 0.0)),
+            time_minutes,
             provider,
             component_kind,
             payload.get("resource_id", "unknown"),
             event_kind,
-            float(payload.get("duration_minutes", 0.0)),
+            duration,
         )
     raise ValidationError(
         f"unknown telemetry record kind {kind!r}; valid: {list(RECORD_KINDS)}"
@@ -167,6 +180,20 @@ def _component(payload: Mapping[str, Any]) -> tuple[str, str]:
     raise ValidationError(
         "telemetry record provider and component_kind must be strings, "
         f"got {provider!r} and {component_kind!r}"
+    )
+
+
+def _int_as_float(field: str, value: Any) -> float:
+    """A JSON integer as a float; any other non-float value raises."""
+    if type(value) is not int:
+        raise _wrong_type(field, "a number", value)
+    return float(value)
+
+
+def _wrong_type(field: str, expected: str, value: Any) -> ValidationError:
+    return ValidationError(
+        f"telemetry record {field} must be {expected}, "
+        f"got {type(value).__name__} {value!r}"
     )
 
 

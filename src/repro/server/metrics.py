@@ -15,6 +15,7 @@ and the round-trip example to assert on exported samples.
 
 from __future__ import annotations
 
+import gc
 import math
 import re
 import threading
@@ -477,6 +478,10 @@ class ServerMetrics(EdgeMetricsMixin):
     both up front and the per-sample callbacks read from the snapshot,
     so scrape cost stays flat however many samples a subsystem exports.
 
+    ``repro_gc_collections_total`` reads the process's cyclic-collector
+    counts from :func:`gc.get_stats` once per scrape, so a pause the
+    collector causes is visible even though it lands in no span.
+
     When the server traces (``tracer`` given),
     ``repro_span_duration_seconds`` observes every recorded span's
     duration, labelled by phase, through the tracer's observer hook.
@@ -500,6 +505,7 @@ class ServerMetrics(EdgeMetricsMixin):
         self._ingestor = ingestor
         self._session_snapshot: dict = {}
         self._ingest_snapshot: dict = {}
+        self._gc_snapshot: list[dict] = []
         self.registry = MetricsRegistry()
         reg = self.registry
 
@@ -603,6 +609,20 @@ class ServerMetrics(EdgeMetricsMixin):
                 lambda: self._ingest_snapshot["merges"]
             )
 
+        self.gc_collections = reg.counter(
+            "repro_gc_collections_total",
+            "Cyclic garbage collections run by the serving process, by "
+            "generation (2 = full collection).",
+            ("generation",),
+        )
+        for generation in range(3):
+            self.gc_collections.set_function(
+                (lambda g: lambda: self._gc_snapshot[g]["collections"])(
+                    generation
+                ),
+                str(generation),
+            )
+
         self.span_duration = reg.histogram(
             "repro_span_duration_seconds",
             "Traced span durations, by phase (empty until tracing is on).",
@@ -628,6 +648,7 @@ class ServerMetrics(EdgeMetricsMixin):
     def render(self) -> str:
         """The ``/metrics`` response body (one snapshot per subsystem)."""
         self._session_snapshot = self._session.metrics()
+        self._gc_snapshot = gc.get_stats()
         if self._ingestor is not None:
             self._ingest_snapshot = self._ingestor.metrics()
         return self.registry.render()

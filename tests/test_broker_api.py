@@ -806,11 +806,18 @@ class TestStreaming:
             )
             list(session.stream(request))
         (engine,) = cache.engines()
-        # The engine evaluated the whole space but no candidate was ever
-        # asked for its SystemTopology.
+        # The engine evaluated the whole space, and its cache holds
+        # each candidate's Eq. 1-5 payload — one flat tuple of floats
+        # and the SLA verdict — never an option, so no topology can
+        # hide in it.
         assert engine.stats.incremental_combines == engine.space.size
-        for option in engine._results.values():
-            assert not option.system_is_materialized
+        assert len(engine._results) == engine.space.size
+        for indices, payload in engine._results.items():
+            assert type(indices) is tuple
+            assert type(payload) is tuple
+            assert [type(value) for value in payload] == (
+                [float] * 8 + [bool] + [float] * engine.space.cluster_count
+            )
 
     def test_abandoned_stream_does_not_hold_engine_lock(
         self, observed_broker, contract

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.base import NoHA
 from repro.catalog.hypervisor import HypervisorHA
 from repro.catalog.raid import RAID1
 from repro.catalog.registry import (
@@ -48,6 +49,23 @@ class TestRegistry:
         registry.register(RAID1())
         with pytest.raises(CatalogError, match="already registered"):
             registry.register(RAID1(failover_minutes=2.0))
+
+    def test_name_none_is_reserved(self):
+        # ``none`` names the implicit NoHA choice at index 0; a second
+        # choice by that name would collide with it in option labels and
+        # be mistaken for "not clustered" by the pruned search.
+        class Impostor(RAID1):
+            @property
+            def name(self) -> str:
+                return "none"
+
+        registry = TechnologyRegistry()
+        for technology in (NoHA(), Impostor()):
+            with pytest.raises(CatalogError, match="reserved"):
+                registry.register(technology)
+        assert all(
+            len(registry.choices_for_layer(layer)) == 1 for layer in Layer
+        )
 
     def test_distinct_names_coexist(self):
         registry = TechnologyRegistry()

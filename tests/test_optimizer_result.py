@@ -154,12 +154,27 @@ class TestLazySystem:
             assert lazy.system == direct.system
             assert lazy.tco.total == direct.tco.total
 
-    def test_relabel_keeps_system_lazy(self, paper_problem):
+    def test_hit_under_new_id_is_bit_identical_and_lazy(self, paper_problem):
+        # The result cache keeps Eq. 1-5 floats, not options, so a hit
+        # is a fresh option: equal field for field, down to the bits,
+        # with its topology still unbuilt.
+        import dataclasses
+
         from repro.optimizer.engine import EvaluationEngine
 
         engine = EvaluationEngine(paper_problem)
         first = engine.evaluate(3, (0, 1, 0))
-        relabelled = engine.evaluate(99, (0, 1, 0))
-        assert relabelled.option_id == 99
-        assert not relabelled.system_is_materialized
-        assert relabelled.tco is first.tco
+        hit = engine.evaluate(99, (0, 1, 0))
+        assert engine.stats.cache_hits == 1
+        assert hit.option_id == 99
+        assert hit is not first
+        assert not hit.system_is_materialized
+        assert not hit.availability_is_materialized
+        assert hit.choice_names == first.choice_names
+        assert hit.meets_sla is first.meets_sla
+        assert hit.cluster_names == first.cluster_names
+        assert [value.hex() for value in dataclasses.astuple(hit.tco)] == [
+            value.hex() for value in dataclasses.astuple(first.tco)
+        ]
+        assert hit.availability == first.availability
+        assert hit.system == first.system

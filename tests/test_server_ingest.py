@@ -466,6 +466,47 @@ class TestBadLines:
         with pytest.raises(ValidationError, match="line 1"):
             records_from_jsonl(line)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            exposure_line(node_count="2.9"),
+            exposure_line(node_count="2.0"),
+            exposure_line(node_count="true"),
+            exposure_line(node_count='"2"'),
+            exposure_line(horizon='"100"'),
+            exposure_line(horizon="false"),
+            event_line(duration='"5.0"'),
+            event_line(duration="true"),
+            event_line().replace('"time_minutes": 1.0', '"time_minutes": "1.0"'),
+            event_line().replace('"time_minutes": 1.0', '"time_minutes": true'),
+        ],
+    )
+    def test_numeric_fields_of_the_wrong_json_type_are_rejected(self, line):
+        # Numbers are checked, not coerced: 2.9 nodes is not 2, true is
+        # not 1 and "100" is not 100.0.
+        serving = TelemetryStore()
+        with ShardedIngestor(serving, num_shards=4) as ing:
+            ing.submit_jsonl([exposure_line(), line, event_line()])
+            assert ing.flush() == 2
+            assert flushed_counts(ing) == (2, 1)
+        assert serving.down_probability("p", "vm") == 5.0 / 100.0
+        with pytest.raises(ValidationError, match="line 2: .* must be") as info:
+            records_from_jsonl("\n".join([exposure_line(), line]))
+        assert "telemetry record" in str(info.value)
+
+    def test_integral_json_numbers_are_accepted_where_floats_are(self):
+        lines = [
+            exposure_line(node_count="3", horizon="100"),
+            event_line(duration="5").replace(
+                '"time_minutes": 1.0', '"time_minutes": 1'
+            ),
+        ]
+        exposure, event = records_from_jsonl("\n".join(lines))
+        assert (exposure.node_count, exposure.horizon_minutes) == (3, 100.0)
+        assert type(exposure.horizon_minutes) is float
+        assert (event.time_minutes, event.duration_minutes) == (1.0, 5.0)
+        assert type(event.duration_minutes) is float
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_python_values_are_refused(self, bad):
         store = TelemetryStore()
@@ -592,7 +633,7 @@ def mixed_lines(draw):
         wrong = (
             [5, [1], {"x": 1}]
             if field in ("provider", "component_kind")
-            else ["abc", [1], {"x": 1}, None]
+            else ["abc", "7", True, [1], {"x": 1}, None]
         )
         payload[field] = draw(st.sampled_from(wrong))
     else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.errors import ValidationError
@@ -164,6 +166,24 @@ class TestServerMetricsSpanHistogram:
         assert not any(
             name.startswith("repro_span_duration_seconds") for name, _ in samples
         )
+
+
+class TestServerMetricsGarbageCollector:
+    def test_full_collection_counter_rises_between_scrapes(self):
+        metrics = ServerMetrics(FakeSession())
+        before = parse_prometheus_text(metrics.render())
+        gc.collect()
+        after = parse_prometheus_text(metrics.render())
+        for generation in ("0", "1", "2"):
+            key = ("repro_gc_collections_total", (("generation", generation),))
+            assert after[key] >= before[key]
+        full = ("repro_gc_collections_total", (("generation", "2"),))
+        assert after[full] >= before[full] + 1
+
+    def test_counter_is_typed_and_labelled(self):
+        text = ServerMetrics(FakeSession()).render()
+        assert "# TYPE repro_gc_collections_total counter" in text
+        assert 'repro_gc_collections_total{generation="2"}' in text
 
 
 class TestServerMetricsNoPoolSamples:

@@ -8,6 +8,7 @@ with identical telemetry and a cold cache.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import inspect
 import json
@@ -136,6 +137,23 @@ class TestEndToEnd:
             client.recommend(request())
         after = client.metrics()[("repro_engine_replays_total", ())]
         assert after >= before + 3  # one memo hit per provider
+
+    def test_metrics_export_gc_collections(self, client):
+        samples = client.metrics()
+        for generation in ("0", "1", "2"):
+            assert (
+                "repro_gc_collections_total", (("generation", generation),)
+            ) in samples
+
+    def test_full_collection_shows_on_the_next_scrape(self):
+        # In-process server: the test's gc.collect() runs in the
+        # serving process itself.
+        full = ("repro_gc_collections_total", (("generation", "2"),))
+        with start_in_thread(observed_broker(), workers=0) as twin:
+            local = ServerClient(twin.host, twin.port)
+            before = local.metrics()[full]
+            gc.collect()
+            assert local.metrics()[full] >= before + 1
 
     def test_health_lists_providers(self, client):
         payload = client.health()
