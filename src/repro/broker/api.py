@@ -20,6 +20,7 @@ module lifts that sharing across requests:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -597,9 +598,12 @@ class BrokerSession:
             raise BrokerError(
                 f"max_finished_jobs must be >= 1, got {max_finished_jobs!r}"
             )
-        if finished_job_ttl is not None and finished_job_ttl <= 0.0:
+        if finished_job_ttl is not None and (
+            not math.isfinite(finished_job_ttl) or finished_job_ttl <= 0.0
+        ):
             raise BrokerError(
-                f"finished_job_ttl must be > 0, got {finished_job_ttl!r}"
+                "finished_job_ttl must be finite and > 0, got "
+                f"{finished_job_ttl!r}"
             )
         self.service = service
         # Explicit None check: an empty EngineCache is falsy (__len__).

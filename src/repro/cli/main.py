@@ -21,9 +21,6 @@ Subcommands
     telemetry ingestion, a ``/metrics`` endpoint, and optional
     protocol hardening (``--auth-token``, ``--rate-limit``,
     idempotency replay).
-``conform``
-    Run the machine-readable v2 protocol conformance suite against a
-    live server (``--url``), emitting a JSON report.
 ``ingest FILE``
     Shard-ingest a JSONL telemetry trace locally, or POST it to a
     running server with ``--url``.
@@ -316,29 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--idempotency-capacity", type=int, default=1024,
         help="responses retained by the per-principal idempotency "
         "replay table (LRU)",
-    )
-
-    conform = commands.add_parser(
-        "conform",
-        help="run the v2 protocol conformance suite against a live server",
-    )
-    conform.add_argument(
-        "--url", required=True,
-        help="server base URL (e.g. http://127.0.0.1:8348)",
-    )
-    conform.add_argument(
-        "--auth-token",
-        default=os.environ.get("REPRO_AUTH_TOKEN") or None,
-        help="bearer token for servers running with auth; defaults to "
-        "$REPRO_AUTH_TOKEN when set",
-    )
-    conform.add_argument(
-        "--json", type=Path, default=None, dest="json_path",
-        help="also write the machine-readable JSON report to this path",
-    )
-    conform.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-request timeout and async-job polling deadline",
     )
 
     ingest = commands.add_parser(
@@ -691,19 +665,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_conform(args: argparse.Namespace) -> int:
-    from repro.conformance import run_conformance
-
-    report = run_conformance(
-        args.url, auth_token=args.auth_token, timeout=args.timeout
-    )
-    print(report.to_text())
-    if args.json_path is not None:
-        args.json_path.write_text(report.to_json(indent=2) + "\n")
-        print(f"JSON report written to {args.json_path}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.broker.knowledge_base import KnowledgeBase
     from repro.broker.telemetry import TelemetryStore
@@ -852,8 +813,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_batch(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "conform":
-            return _cmd_conform(args)
         if args.command == "ingest":
             return _cmd_ingest(args)
         if args.command == "trace":

@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import hmac
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ from repro.broker.envelope import ErrorEnvelope
 from repro.errors import ValidationError
 from repro.obs import clock
 
-#: Response header stamped on replayed responses so clients and the
-#: conformance suite can tell a replay from a re-execution.
+#: Response header stamped on replayed responses so clients can tell
+#: a replay from a re-execution.
 REPLAY_HEADER = "Idempotency-Replayed"
 
 #: Request header carrying the client's idempotency key.
@@ -193,8 +194,10 @@ class RateLimiter:
         max_principals: int = 4096,
         clock_fn: Callable[[], float] = clock.monotonic,
     ) -> None:
-        if rate <= 0.0:
-            raise ValidationError(f"rate must be > 0 req/s, got {rate!r}")
+        if not math.isfinite(rate) or rate <= 0.0:
+            raise ValidationError(
+                f"rate must be finite and > 0 req/s, got {rate!r}"
+            )
         self.rate = float(rate)
         self.burst = float(burst) if burst is not None else max(1.0, self.rate)
         if self.burst < 1.0:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue
 import threading
 import zlib
@@ -448,13 +449,16 @@ class ShardedIngestor:
             raise ValidationError(
                 f"num_shards must be >= 1, got {num_shards!r}"
             )
-        if flush_timeout <= 0.0:
+        if not math.isfinite(flush_timeout) or flush_timeout <= 0.0:
             raise ValidationError(
-                f"flush_timeout must be > 0, got {flush_timeout!r}"
+                f"flush_timeout must be finite and > 0, got {flush_timeout!r}"
             )
-        if merge_interval is not None and merge_interval <= 0.0:
+        if merge_interval is not None and (
+            not math.isfinite(merge_interval) or merge_interval <= 0.0
+        ):
             raise ValidationError(
-                f"merge_interval must be > 0, got {merge_interval!r}"
+                "merge_interval must be finite and > 0, got "
+                f"{merge_interval!r}"
             )
         self.serving_store = serving_store
         self.num_shards = num_shards

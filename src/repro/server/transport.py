@@ -67,6 +67,7 @@ from __future__ import annotations
 import asyncio
 import atexit
 import json
+import math
 import os
 import threading
 
@@ -136,9 +137,12 @@ class HttpEdge:
             raise ValidationError(
                 f"max_inflight must be >= 1, got {max_inflight!r}"
             )
-        if slow_request_threshold is not None and slow_request_threshold < 0.0:
+        if slow_request_threshold is not None and (
+            not math.isfinite(slow_request_threshold)
+            or slow_request_threshold < 0.0
+        ):
             raise ValidationError(
-                "slow_request_threshold must be >= 0, got "
+                "slow_request_threshold must be finite and >= 0, got "
                 f"{slow_request_threshold!r}"
             )
         if auth_token is not None and not auth_token:

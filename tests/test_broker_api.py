@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -1152,8 +1153,10 @@ class TestTtlEviction:
             assert set(metrics["jobs_evicted"]) == {"retrieved", "ttl"}
 
     def test_finished_job_ttl_validated(self, observed_broker):
-        with pytest.raises(BrokerError, match="finished_job_ttl"):
-            observed_broker.session(finished_job_ttl=0.0)
+        # A NaN TTL would never expire a job.
+        for ttl in (0.0, math.nan, math.inf):
+            with pytest.raises(BrokerError, match="finished_job_ttl"):
+                observed_broker.session(finished_job_ttl=ttl)
 
 
 class TestEnvelopeFieldRoundTrip:

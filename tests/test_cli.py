@@ -115,6 +115,47 @@ class TestCommands:
         ]) == 1
         assert "REPRO_BACKEND" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--merge-interval", "nan"], "merge_interval"),
+            (["--merge-interval", "inf"], "merge_interval"),
+            (["--rate-limit", "nan"], "rate"),
+            (["--rate-limit", "inf"], "rate"),
+            (["--finished-job-ttl", "nan"], "finished_job_ttl"),
+            (
+                ["--slow-request-threshold", "nan", "--trace"],
+                "slow_request_threshold",
+            ),
+        ],
+        ids=[
+            "merge-interval-nan", "merge-interval-inf", "rate-limit-nan",
+            "rate-limit-inf", "finished-job-ttl-nan",
+            "slow-request-threshold-nan",
+        ],
+    )
+    def test_serve_rejects_non_finite_settings_before_binding(
+        self, capsys, monkeypatch, flags, setting
+    ):
+        # Tracing would attach a non-propagating handler to the
+        # process-wide server logger; this test only reads the exit.
+        monkeypatch.setattr(
+            "repro.obs.logging.configure_json_logging", lambda *a, **k: None
+        )
+        # The port is taken, so a server that got as far as binding
+        # would fail with "cannot serve on" instead of naming the
+        # setting.
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = str(taken.getsockname()[1])
+            assert main([
+                "serve", "--port", port, "--observe-years", "0.1", *flags,
+            ]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert setting in errors[0] and "cannot serve" not in errors[0]
+        assert "Traceback" not in err
+
     def test_evaluate_topology_file(self, capsys, topology_file):
         assert main(["evaluate", str(topology_file)]) == 0
         out = capsys.readouterr().out

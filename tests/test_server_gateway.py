@@ -32,6 +32,7 @@ from repro.cloud.providers import all_providers
 from repro.errors import BrokerError, OptimizerError, ValidationError
 from repro.server import (
     IDEMPOTENCY_KEY_HEADER,
+    REPLAY_HEADER,
     ServerClient,
     start_in_thread,
 )
@@ -344,6 +345,10 @@ class TestPartitionedFleet:
             "POST", "/v2/recommend", drifted, headers=headers
         )
         assert second == first
+        replayed = fleet_client.last_response_headers.get(
+            REPLAY_HEADER.lower()
+        )
+        assert replayed == "true"
 
     def test_jobs_stride_across_partitions(self, fleet_client):
         job_ids = [

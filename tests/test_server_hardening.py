@@ -12,9 +12,11 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import math
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -43,7 +45,7 @@ from repro.units import MINUTES_PER_YEAR
 
 OBSERVE_YEARS = 1.0
 SEED = 23
-TOKEN = "s3cret-conformance-token"
+TOKEN = "s3cret-hardening-token"
 
 REPLAY = REPLAY_HEADER.lower()
 
@@ -249,8 +251,10 @@ class TestRateLimiter:
         assert limiter.check("a") == 0.0
 
     def test_rate_is_validated(self):
-        with pytest.raises(ValidationError):
-            RateLimiter(rate=0.0)
+        # A NaN or infinite rate would never limit anything.
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="rate"):
+                RateLimiter(rate=rate)
         with pytest.raises(ValidationError):
             RateLimiter(rate=5.0, burst=0)
 
@@ -405,6 +409,21 @@ class TestIdempotentReplay:
         assert client.last_response_headers.get(REPLAY) == "true"
         assert len(handle.server.session.jobs()) == jobs_before + 1
 
+    def test_keyed_submit_replays_one_job_id(self, client):
+        # Wire-only, so the gateway leg runs it too.
+        payload = RecommendEnvelope(
+            request(), idempotency_key="job-key-wire"
+        ).to_json()
+        first_status, first = client.request_raw("POST", "/v2/jobs", payload)
+        assert client.last_response_headers.get(REPLAY) is None
+        second_status, second = client.request_raw(
+            "POST", "/v2/jobs", payload
+        )
+        assert (first_status, second_status) == (202, 202)
+        assert second == first
+        assert json.loads(second)["job_id"] == json.loads(first)["job_id"]
+        assert client.last_response_headers.get(REPLAY) == "true"
+
     def test_header_keyed_ingest_routes_records_once(self, client):
         line = json.dumps({
             "kind": "exposure",
@@ -512,6 +531,21 @@ class TestJobResultReplay:
             assert status == 200
             assert replayed == first
             assert wire.last_response_headers.get(REPLAY) == "true"
+
+    def test_finished_result_rereads_byte_identically(self, client):
+        # Wire-only, so the gateway leg runs it too.
+        job_id = client.submit(RecommendEnvelope(request(95.5)))
+        deadline = time.monotonic() + 60.0
+        while client.poll(job_id) != "done":
+            assert time.monotonic() < deadline, "job did not finish"
+            time.sleep(0.05)
+        path = f"/v2/jobs/{job_id}/result"
+        first_status, first = client.request_raw("GET", path)
+        assert client.last_response_headers.get(REPLAY) is None
+        second_status, second = client.request_raw("GET", path)
+        assert (first_status, second_status) == (200, 200)
+        assert second == first
+        assert client.last_response_headers.get(REPLAY) == "true"
 
     def test_pending_202_is_never_stored_for_replay(self, client):
         job_id = client.submit(RecommendEnvelope(request(96.0)))
@@ -799,6 +833,48 @@ class TestRateLimitEndToEnd:
                 for _ in range(8)
             }
             assert statuses == {404}  # 429s were absorbed, never surfaced
+
+
+# -- error envelopes (end to end) --------------------------------------------
+
+@pytest.fixture(scope="module")
+def limited_handle():
+    """A burst of one that refills once every 100 s."""
+    with start_in_thread(
+        observed_broker(), shards=2, rate_limit=0.01, rate_limit_burst=1
+    ) as server_handle:
+        yield server_handle
+
+
+@pytest.mark.parametrize(
+    "status, server, token, method, path, body",
+    [
+        (400, "plain", None, "POST", "/v2/recommend", "{nope"),
+        (401, "auth", None, "GET", "/v2/jobs/probe", None),
+        (403, "auth", "wrong", "GET", "/v2/jobs/probe", None),
+        (404, "plain", None, "GET", "/v2/no-such-route", None),
+        (429, "limited", None, "GET", "/v2/jobs/probe", None),
+    ],
+    ids=["400", "401", "403", "404", "429"],
+)
+def test_error_body_is_an_envelope_of_the_http_status(
+    handle, auth_handle, limited_handle, status, server, token, method,
+    path, body,
+):
+    served = {"plain": handle, "auth": auth_handle, "limited": limited_handle}
+    wire = ServerClient(
+        served[server].host,
+        served[server].port,
+        auth_token=token,
+        rate_limit_budget=0.0,
+    )
+    # The limited server answers its one-request burst first.
+    for _ in range(2):
+        got, text = wire.request_raw(method, path, body)
+        if got == status:
+            break
+    assert got == status, text
+    assert ErrorEnvelope.from_json(text).status == status
 
 
 # -- circuit breaker (end to end) --------------------------------------------

@@ -363,8 +363,12 @@ class TestShardedIngestion:
         store = TelemetryStore()
         with pytest.raises(ValidationError, match="num_shards"):
             ShardedIngestor(store, num_shards=0)
-        with pytest.raises(ValidationError, match="merge_interval"):
-            ShardedIngestor(store, merge_interval=0.0)
+        # NaN slips past a bare `<= 0` and would kill the merge timer.
+        for value in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="merge_interval"):
+                ShardedIngestor(store, merge_interval=value)
+            with pytest.raises(ValidationError, match="flush_timeout"):
+                ShardedIngestor(store, flush_timeout=value)
 
     @pytest.mark.parametrize(
         "kwargs", [{"backend": "thread"}, {"batch_size": 2048}]

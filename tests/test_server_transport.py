@@ -157,6 +157,7 @@ class TestEndToEnd:
 
     def test_health_lists_providers(self, client):
         payload = client.health()
+        assert payload["kind"] == "health"
         assert payload["status"] == "ok"
         assert "metalcloud" in payload["providers"]
 
@@ -262,6 +263,17 @@ class TestErrorPaths:
         envelope = ErrorEnvelope.from_json(body)
         assert envelope.error == "validation-error"
         assert field in envelope.message
+
+    @pytest.mark.parametrize("route", ["/v2/recommend", "/v2/jobs"])
+    def test_unknown_envelope_key_is_structured_400(self, client, route):
+        # The key sits beside "request", not inside it.
+        payload = RecommendEnvelope(request()).to_dict()
+        payload["unexpected_field"] = True
+        status, body = client.request_raw("POST", route, json.dumps(payload))
+        assert status == 400
+        envelope = ErrorEnvelope.from_json(body)
+        assert envelope.error == "validation-error"
+        assert "unexpected_field" in envelope.message
 
     def test_non_object_envelope_is_structured_400(self, client):
         status, body = client.request_raw("POST", "/v2/recommend", "[]")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 
 import pytest
 
@@ -268,6 +269,16 @@ class TestDisabledTracing:
             BrokerServer(broker, slow_request_threshold=1.0)
         with pytest.raises(ValidationError, match="requires trace"):
             BrokerServer(broker, profile_requests=True)
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+    def test_slow_request_threshold_must_be_finite(self, threshold):
+        # A NaN threshold would never log a request as slow.
+        with pytest.raises(ValidationError, match="slow_request_threshold"):
+            BrokerServer(
+                BrokerService(all_providers()),
+                trace=True,
+                slow_request_threshold=threshold,
+            )
 
 
 class TestSlowRequestLog:
