@@ -10,8 +10,8 @@ precompute and answers every candidate from the result cache.
 This bench measures a cold session serving a request for the first time
 against a warm session re-serving it, verifies the acceptance criterion
 (zero new per-(cluster, technology) term computations on the warm path,
-bit-identical reports), and reports batched throughput over the
-``recommend_many`` worker pool.
+bit-identical reports), and reports the throughput of a batch submitted
+as jobs on the session's worker pool.
 
 E18 checks that a warm request's cost does not grow with observed
 telemetry history: key derivation reads memoized failover moments, so
@@ -43,6 +43,12 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _submit_all(session, requests):
+    """Submit every request as a job, then collect the reports in order."""
+    job_ids = [session.submit(request) for request in requests]
+    return [session.result(job_id) for job_id in job_ids]
+
+
 def test_warm_cache_latency_vs_cold(benchmark, emit):
     """Cold vs warm request latency through one session."""
     broker = observed_broker()
@@ -70,7 +76,7 @@ def test_warm_cache_latency_vs_cold(benchmark, emit):
 
 
 def test_batched_throughput_matches_sequential(emit):
-    """recommend_many over the worker pool: identical, and amortized."""
+    """Jobs over the worker pool: identical, and amortized."""
     broker = observed_broker()
     requests = [
         three_tier_request(Contract.linear(sla, penalty))
@@ -80,9 +86,7 @@ def test_batched_throughput_matches_sequential(emit):
         ]
     ]
     with broker.session(max_workers=4) as session:
-        batched, batch_seconds = _timed(
-            lambda: session.recommend_many(requests)
-        )
+        batched, batch_seconds = _timed(lambda: _submit_all(session, requests))
         batch_stats = session.engine_cache.stats
     with broker.session() as session:
         sequential, seq_seconds = _timed(
@@ -94,7 +98,7 @@ def test_batched_throughput_matches_sequential(emit):
     emit(
         f"[E10] batch of {len(requests)} requests:\n"
         f"  sequential session: {seq_seconds * 1e3:8.2f} ms\n"
-        f"  recommend_many(4 workers): {batch_seconds * 1e3:8.2f} ms\n"
+        f"  submit/result (4 workers): {batch_seconds * 1e3:8.2f} ms\n"
         f"  cache across batch: {batch_stats.describe()}"
     )
 
@@ -154,7 +158,7 @@ def _smoke() -> int:
         warm, warm_seconds = _timed(lambda: session.recommend(request))
         assert session.engine_cache.cluster_term_computations() == terms
         assert warm.describe() == cold.describe()
-        batched = session.recommend_many([request] * 4)
+        batched = _submit_all(session, [request] * 4)
         assert all(
             report.describe() == cold.describe() for report in batched
         )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Broker API v2: sessions, envelopes, batching and streaming.
+"""Broker API v2: sessions, envelopes and async jobs.
 
 The paper's broker (Figure 2) is a service with many customers, not a
 function call.  This example drives the v2 protocol end to end:
@@ -7,9 +7,9 @@ function call.  This example drives the v2 protocol end to end:
 1. opens a :class:`~repro.broker.api.BrokerSession` over an observed
    broker — the session owns the cross-request engine cache;
 2. serves the same request cold and warm, showing the cache at work;
-3. batches eight customer requests through ``recommend_many``;
-4. streams one exhaustive sweep as progress events, with the option
-   table never materialized;
+3. submits eight customer requests as jobs on the worker pool and
+   collects their reports with ``result``;
+4. serves one exhaustive sweep and reads its wire summary;
 5. round-trips a request/report pair through the JSON wire format.
 
 Run: ``python examples/broker_session.py``
@@ -54,8 +54,9 @@ with broker.session(max_workers=4) as session:
             (99.0, 250.0), (98.0, 500.0), (98.0, 100.0), (99.5, 100.0),
         ]
     ]
-    reports = session.recommend_many(requests)
-    print(f"Batched {len(reports)} requests over the worker pool:")
+    job_ids = [session.submit(batch_request) for batch_request in requests]
+    reports = [session.result(job_id) for job_id in job_ids]
+    print(f"Served {len(reports)} jobs over the worker pool:")
     for batch_request, report in zip(requests, reports):
         best = report.best
         print(
@@ -64,24 +65,18 @@ with broker.session(max_workers=4) as session:
         )
     print(f"  {session.engine_cache.stats.describe()}\n")
 
-    # 4. Streaming: distilled exhaustive sweep, option table never built.
+    # 4. An exhaustive sweep: the wire report keeps two option rows.
     sweep = three_tier_request(
         Contract.linear(98.0, 100.0),
         providers=("metalcloud",),
         strategy="brute-force",
     )
-    print("Streaming an exhaustive sweep on metalcloud:")
-    for event in session.stream(sweep, progress_every=2):
-        if event.kind == "progress":
-            print(
-                f"  progress: {event.detail['evaluated']}/"
-                f"{event.detail['space_size']} candidates"
-            )
-        elif event.kind == "provider-completed":
-            print(
-                f"  {event.provider}: {event.detail['best']} "
-                f"(${event.detail['monthly_total']:,.2f}/mo)"
-            )
+    (section,) = ReportEnvelope.from_report(session.recommend(sweep)).providers
+    print(
+        f"Exhaustive sweep on metalcloud: {section.evaluations}/"
+        f"{section.space_size} candidates evaluated, best "
+        f"{section.best.label} (${section.monthly_total:,.2f}/mo)"
+    )
 
 # 5. The wire format: what a remote customer would actually send.
 envelope = RecommendEnvelope(request, request_id="customer-42")

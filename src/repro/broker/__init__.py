@@ -13,16 +13,12 @@ A hybrid cloud broker sits above providers and customers, so it can
    (:mod:`~repro.broker.marketplace`);
 4. serve many customers through the v2 request/response protocol —
    request/report envelopes (:mod:`~repro.broker.envelope`) and
-   sessioned, batched, streaming recommendation with a cross-request
+   sessioned recommendations and async jobs over a cross-request
    engine cache (:mod:`~repro.broker.api`).
 """
 
 from repro.broker.api import BrokerSession, EngineCache
-from repro.broker.envelope import (
-    ProgressEvent,
-    RecommendEnvelope,
-    ReportEnvelope,
-)
+from repro.broker.envelope import RecommendEnvelope, ReportEnvelope
 from repro.broker.knowledge_base import KnowledgeBase, ReliabilityEstimate
 from repro.broker.marketplace import MarketplaceComparison, compare_providers
 from repro.broker.persistence import load_telemetry, save_telemetry
@@ -38,7 +34,6 @@ __all__ = [
     "BrokerSession",
     "ClusterRequirement",
     "EngineCache",
-    "ProgressEvent",
     "RecommendEnvelope",
     "ReportEnvelope",
     "CustomerOutcome",

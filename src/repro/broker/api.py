@@ -10,12 +10,10 @@ module lifts that sharing across requests:
   variant) with LRU eviction, so repeated and similar requests reuse
   the per-(cluster, technology) term caches instead of recomputing
   them, and a repeated request replays its memoized recommendation;
-- :class:`BrokerSession` is the v2 facade: synchronous ``recommend``,
-  batched ``recommend_many`` over a bounded worker pool, an async
-  ``submit`` / ``poll`` / ``result`` job lifecycle, and a ``stream``
-  generator that emits :class:`~repro.broker.envelope.ProgressEvent`s
-  while distilling exhaustive sweeps without materializing option
-  tables.
+- :class:`BrokerSession` is the v2 facade: synchronous ``recommend``
+  and an async ``submit`` / ``poll`` / ``result`` job lifecycle over a
+  bounded worker pool.  Both serve each provider through one method,
+  ``_recommend_provider``.
 """
 
 from __future__ import annotations
@@ -28,15 +26,12 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Iterable,
-    Iterator,
     Mapping,
     NamedTuple,
     Sequence,
 )
 
 from repro.broker.envelope import (
-    ProgressEvent,
     ProviderReport,
     RecommendEnvelope,
     ReportEnvelope,
@@ -59,7 +54,7 @@ from repro.optimizer.engine import (
 )
 from repro.obs import clock
 from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
-from repro.optimizer.result import OptimizationResult, ResultAccumulator
+from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
 from repro.topology.system import SystemTopology
@@ -76,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Default number of engines an :class:`EngineCache` retains.
 DEFAULT_CACHE_CAPACITY = 16
 
-#: Default worker-pool width for batched/async submission.
+#: Default worker-pool width for async submission.
 DEFAULT_MAX_WORKERS = 4
 
 #: Default cap on finished (done/failed) jobs a session's table retains.
@@ -232,8 +227,8 @@ def _request_stats(
     reports should audit only their own work (v1 semantics, where each
     request built a fresh engine).  The construction-time n*k cluster
     precompute is attributed to the first request served by the engine.
-    If two requests interleave on one shared engine (only possible via
-    partially-consumed streams), the delta covers the interleaved work.
+    A serve holds its entry's lock across the whole search, so no other
+    request's work can fall inside the delta.
     """
     return EngineStats(
         candidate_evaluations=(
@@ -309,10 +304,9 @@ class _CacheEntry:
     by this engine completes — per-request stat deltas attribute the
     construction-time cluster-term precompute to that request.
 
-    ``lock`` makes the engine single-consumer: every evaluation on it —
-    a whole search, or one streamed block — runs under the lock, so no
-    two threads ever evaluate on one engine at once and the engine
-    itself needs no lock of its own.
+    ``lock`` makes the engine single-consumer: each serve holds it for
+    its whole search, so no two threads ever evaluate on one engine at
+    once and the engine itself needs no lock of its own.
 
     ``replays`` memoizes finished recommendations per (strategy,
     backend), stored only from a *pure replay*: not the first service,
@@ -350,13 +344,18 @@ class EngineCache:
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
-        if capacity < 1:
-            raise BrokerError(f"cache capacity must be >= 1, got {capacity!r}")
+        self.check_capacity(capacity)
         self.capacity = capacity
         self.stats = EngineCacheStats()
         self._entries: OrderedDict[EngineKey, _CacheEntry] = OrderedDict()
         self._aliases: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
+
+    @staticmethod
+    def check_capacity(capacity: int) -> None:
+        """Raise what constructing a cache of ``capacity`` would raise."""
+        if capacity < 1:
+            raise BrokerError(f"cache capacity must be >= 1, got {capacity!r}")
 
     def entry(
         self, key: EngineKey, factory: Callable[[], EvaluationEngine]
@@ -535,12 +534,12 @@ class BrokerJob:
 
 
 class BrokerSession:
-    """The v2 facade: sessioned, batched, streaming recommendations.
+    """The v2 facade: sessioned recommendations and async jobs.
 
     A session wraps a :class:`~repro.broker.service.BrokerService`
     (which owns providers and telemetry) and adds the request/response
     machinery: the cross-request :class:`EngineCache`, a bounded worker
-    pool for batched submission, and the job table behind
+    pool for submitted jobs, and the job table behind
     ``submit`` / ``poll`` / ``result``.
 
     Sessions are context managers; ``close()`` shuts the worker pool
@@ -565,7 +564,7 @@ class BrokerSession:
 
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
-    ``key``/``cache_lookup``/``terms``/``evaluate``/``distill`` spans,
+    ``key``/``cache_lookup``/``terms``/``evaluate`` spans,
     async jobs get ``job``/``queue_wait`` spans re-parented to the
     submitter's context.  ``None`` (the default) disables tracing at
     zero cost.
@@ -584,27 +583,13 @@ class BrokerSession:
         job_id_start: int = 1,
         job_id_stride: int = 1,
     ) -> None:
-        if max_workers < 1:
-            raise BrokerError(f"max_workers must be >= 1, got {max_workers!r}")
-        if job_id_start < 1:
-            raise BrokerError(
-                f"job_id_start must be >= 1, got {job_id_start!r}"
-            )
-        if job_id_stride < 1:
-            raise BrokerError(
-                f"job_id_stride must be >= 1, got {job_id_stride!r}"
-            )
-        if max_finished_jobs < 1:
-            raise BrokerError(
-                f"max_finished_jobs must be >= 1, got {max_finished_jobs!r}"
-            )
-        if finished_job_ttl is not None and (
-            not math.isfinite(finished_job_ttl) or finished_job_ttl <= 0.0
-        ):
-            raise BrokerError(
-                "finished_job_ttl must be finite and > 0, got "
-                f"{finished_job_ttl!r}"
-            )
+        self.check_settings(
+            max_workers=max_workers,
+            max_finished_jobs=max_finished_jobs,
+            finished_job_ttl=finished_job_ttl,
+            job_id_start=job_id_start,
+            job_id_stride=job_id_stride,
+        )
         self.service = service
         # Explicit None check: an empty EngineCache is falsy (__len__).
         self.engine_cache = (
@@ -634,6 +619,43 @@ class BrokerSession:
         # Injection point for eviction tests; monotonic so wall-clock
         # jumps never mass-expire a healthy table.
         self._clock = clock.monotonic
+
+    @staticmethod
+    def check_settings(
+        *,
+        max_workers: int = DEFAULT_MAX_WORKERS,
+        max_finished_jobs: int = DEFAULT_MAX_FINISHED_JOBS,
+        finished_job_ttl: float | None = None,
+        job_id_start: int = 1,
+        job_id_stride: int = 1,
+    ) -> None:
+        """Raise what constructing a session with these settings would.
+
+        Builds nothing, so a caller that hands the settings to another
+        process can reject them first.  The cache capacity is checked
+        by :meth:`EngineCache.check_capacity`.
+        """
+        if max_workers < 1:
+            raise BrokerError(f"max_workers must be >= 1, got {max_workers!r}")
+        if job_id_start < 1:
+            raise BrokerError(
+                f"job_id_start must be >= 1, got {job_id_start!r}"
+            )
+        if job_id_stride < 1:
+            raise BrokerError(
+                f"job_id_stride must be >= 1, got {job_id_stride!r}"
+            )
+        if max_finished_jobs < 1:
+            raise BrokerError(
+                f"max_finished_jobs must be >= 1, got {max_finished_jobs!r}"
+            )
+        if finished_job_ttl is not None and (
+            not math.isfinite(finished_job_ttl) or finished_job_ttl <= 0.0
+        ):
+            raise BrokerError(
+                "finished_job_ttl must be finite and > 0, got "
+                f"{finished_job_ttl!r}"
+            )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -789,19 +811,6 @@ class BrokerSession:
             generation,
             self.service.knowledge_base.min_failure_samples,
         )
-
-    def recommend_many(
-        self, requests: Iterable[RecommendationRequest]
-    ) -> tuple["RecommendationReport", ...]:
-        """Serve a batch of requests on the bounded worker pool.
-
-        Reports come back in submission order and are bit-identical to
-        sequential :meth:`recommend` calls — evaluation is deterministic
-        and cached engines are pure, so concurrency only changes
-        wall-clock, never results.
-        """
-        job_ids = [self.submit(request) for request in requests]
-        return tuple(self.result(job_id) for job_id in job_ids)
 
     # -- job lifecycle -----------------------------------------------------
 
@@ -1018,178 +1027,6 @@ class BrokerSession:
             "jobs_evicted": evicted,
             "job_queue_depth": statuses[JOB_PENDING] + statuses[JOB_RUNNING],
         }
-
-    # -- streaming ---------------------------------------------------------
-
-    def stream(
-        self,
-        request: "RecommendationRequest | RecommendEnvelope",
-        *,
-        progress_every: int = 256,
-        request_id: str | None = None,
-    ) -> Iterator[ProgressEvent]:
-        """Serve a request as a stream of progress/result events.
-
-        Exhaustive (brute-force) sweeps are distilled on the fly through
-        :class:`~repro.optimizer.result.ResultAccumulator` with
-        ``keep_options=False`` — option tables are never materialized,
-        and a ``progress`` event fires every ``progress_every``
-        evaluations.  The final ``completed`` event carries the
-        :class:`ReportEnvelope` in its detail.
-        """
-        if progress_every < 1:
-            raise BrokerError(
-                f"progress_every must be >= 1, got {progress_every!r}"
-            )
-        if isinstance(request, RecommendEnvelope):
-            request_id = request_id or request.request_id
-            request = request.request
-        yield ProgressEvent(
-            "accepted",
-            request_id=request_id,
-            detail={"system_name": request.system_name},
-        )
-        from repro.broker.service import RecommendationReport
-
-        recommendations = []
-        failures: list[str] = []
-        for name in self._provider_names(request):
-            yield ProgressEvent(
-                "provider-started", request_id=request_id, provider=name
-            )
-            try:
-                if request.strategy == "brute-force":
-                    streamed = None
-                    for event_or_rec in self._stream_provider(
-                        request, name, request_id, progress_every
-                    ):
-                        if isinstance(event_or_rec, ProgressEvent):
-                            yield event_or_rec
-                        else:
-                            streamed = event_or_rec
-                    recommendation = streamed
-                else:
-                    recommendation = self._recommend_provider(request, name)
-            except InsufficientTelemetryError as exc:
-                failures.append(f"{name}: {exc}")
-                yield ProgressEvent(
-                    "provider-skipped",
-                    request_id=request_id,
-                    provider=name,
-                    detail={"reason": str(exc)},
-                )
-                continue
-            recommendations.append(recommendation)
-            yield ProgressEvent(
-                "provider-completed",
-                request_id=request_id,
-                provider=name,
-                detail={
-                    "best": recommendation.result.best.label,
-                    "monthly_total": recommendation.monthly_total,
-                    "evaluations": recommendation.result.evaluations,
-                },
-            )
-        if not recommendations:
-            yield ProgressEvent(
-                "failed",
-                request_id=request_id,
-                detail={
-                    "reason": "no provider has enough telemetry: "
-                    + "; ".join(failures)
-                },
-            )
-            return
-        report = RecommendationReport(
-            request_name=request.system_name,
-            recommendations=tuple(recommendations),
-        )
-        yield ProgressEvent(
-            "completed",
-            request_id=request_id,
-            detail={
-                "report": ReportEnvelope.from_report(
-                    report, request_id=request_id
-                ).to_dict()
-            },
-        )
-
-    def _stream_provider(
-        self,
-        request: RecommendationRequest,
-        name: str,
-        request_id: str | None,
-        progress_every: int,
-    ) -> Iterator["ProgressEvent | ProviderRecommendation"]:
-        """Distilled streaming sweep for one provider (brute force only).
-
-        Yields ``progress`` events during the sweep and finally the
-        finished :class:`ProviderRecommendation`.  The engine's lock is
-        held only while evaluating each block, never across a yield —
-        a partially-consumed (or abandoned) stream generator must not
-        hold the shared engine hostage against other requests.
-        """
-        from repro.broker.service import ProviderRecommendation
-
-        entry = self._cache_entry(request, name)
-        engine = entry.engine
-        tracer = self.tracer
-        trace_ctx = tracer.current() if tracer is not None else None
-        distill_started = clock.perf_counter() if trace_ctx is not None else 0.0
-        accumulator = ResultAccumulator(
-            space_size=engine.space.size,
-            strategy="brute-force",
-            keep_options=False,
-        )
-        candidates = enumerate(engine.space.candidates_in_paper_order(), start=1)
-        # No backend rebind here: streaming interleaves progress events
-        # with evaluation, so candidates go through engine.evaluate()
-        # one at a time, whatever the backend.
-        with entry.lock:
-            before = engine.stats.snapshot()
-        exhausted = False
-        while not exhausted:
-            with entry.lock:
-                for _ in range(progress_every):
-                    item = next(candidates, None)
-                    if item is None:
-                        exhausted = True
-                        break
-                    option_id, indices = item
-                    accumulator.add(engine.evaluate(option_id, indices))
-            if not exhausted:
-                yield ProgressEvent(
-                    "progress",
-                    request_id=request_id,
-                    provider=name,
-                    detail={
-                        "evaluated": accumulator.count,
-                        "space_size": engine.space.size,
-                    },
-                )
-        with entry.lock:
-            after = engine.stats.snapshot()
-            first_service = entry.unserved
-            entry.unserved = False
-        if trace_ctx is not None:
-            # Pre-timed: a span context manager must not straddle
-            # yields — an abandoned generator would never close it.
-            tracer.record(
-                "distill",
-                parent=trace_ctx,
-                start=distill_started,
-                end=clock.perf_counter(),
-                attrs={
-                    "provider": name,
-                    "evaluated": str(accumulator.count),
-                },
-            )
-        yield ProviderRecommendation(
-            provider_name=name,
-            base_system=engine.problem.base_system,
-            result=accumulator.finish(),
-            engine_stats=_request_stats(before, after, first_service),
-        )
 
     # -- internals ---------------------------------------------------------
 

@@ -11,9 +11,7 @@ and read ranked reports back.  This module defines that shape:
 - :class:`ReportEnvelope` is the flattened, JSON-safe answer — the
   per-provider ranking with distilled best / min-penalty option rows
   and engine-cache statistics, *not* the full option table, so huge
-  sweeps serialize in O(providers);
-- :class:`ProgressEvent` is the streaming unit emitted while a request
-  is being served.
+  sweeps serialize in O(providers).
 
 All objects round-trip through ``to_dict()`` / ``from_dict()`` (and
 ``to_json()`` / ``from_json()``), following the versioned, flat,
@@ -23,7 +21,7 @@ unknown-key-rejecting idiom of :mod:`repro.topology.serialization`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.broker.request import ClusterRequirement, RecommendationRequest
@@ -686,72 +684,6 @@ class ErrorEnvelope:
     def from_json(cls, text: str) -> "ErrorEnvelope":
         """Deserialize from a JSON string."""
         return cls.from_dict(_loads(text, "error envelope"))
-
-
-#: Progress event kinds a streaming recommendation may emit, in order.
-EVENT_KINDS = (
-    "accepted",
-    "provider-started",
-    "progress",
-    "provider-completed",
-    "provider-skipped",
-    "completed",
-    "failed",
-)
-
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One streaming event from a running recommendation."""
-
-    kind: str
-    request_id: str | None = None
-    provider: str | None = None
-    detail: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValidationError(
-                f"unknown event kind {self.kind!r}; valid: {EVENT_KINDS}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "request_id": self.request_id,
-            "provider": self.provider,
-            "detail": dict(self.detail),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProgressEvent":
-        _check_keys(
-            payload,
-            {"kind", "request_id", "provider", "detail"},
-            "progress event",
-        )
-        if "kind" not in payload:
-            raise ValidationError("progress event is missing 'kind'")
-        detail = payload.get("detail") or {}
-        if not isinstance(detail, Mapping):
-            raise ValidationError(
-                f"progress event detail must be a mapping, got {type(detail).__name__}"
-            )
-        return cls(
-            kind=payload["kind"],
-            request_id=payload.get("request_id"),
-            provider=payload.get("provider"),
-            detail=dict(detail),
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialize to a JSON string (compact by default, for SSE/JSONL)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProgressEvent":
-        """Deserialize from a JSON string."""
-        return cls.from_dict(_loads(text, "progress event"))
 
 
 def _loads(text: str, what: str) -> Any:

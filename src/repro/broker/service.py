@@ -287,8 +287,8 @@ class BrokerService:
         """Open a v2 :class:`~repro.broker.api.BrokerSession` over this broker.
 
         The session is the supported entry point for recommendations:
-        it owns the cross-request engine cache, the batched/async job
-        lifecycle and the streaming protocol.  Keyword arguments default
+        it owns the cross-request engine cache and the async job
+        lifecycle.  Keyword arguments default
         to the session's own defaults when ``None``; ``finished_job_ttl``
         enables age-based eviction of finished (even never-retrieved)
         jobs.  ``tracer`` (a :class:`repro.obs.Tracer`) enables per-phase span

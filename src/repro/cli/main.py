@@ -289,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "many seconds (implies --trace)",
     )
     serve.add_argument(
-        "--profile-requests", action="store_true",
-        help="run cProfile around each traced recommend and log the "
-        "hottest functions (implies --trace; heavy — debugging only)",
-    )
-    serve.add_argument(
         "--auth-token",
         default=os.environ.get("REPRO_AUTH_TOKEN") or None,
         help="require 'Authorization: Bearer <token>' on every request "
@@ -574,13 +569,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.server.transport import BrokerServer
 
-    # --slow-request-threshold and --profile-requests are tracing
-    # features; asking for either turns tracing on.
-    trace = bool(
-        args.trace
-        or args.slow_request_threshold is not None
-        or args.profile_requests
-    )
+    # --slow-request-threshold is a tracing feature; asking for it
+    # turns tracing on.
+    trace = bool(args.trace or args.slow_request_threshold is not None)
     if trace:
         from repro.obs.logging import configure_json_logging
 
@@ -617,7 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace=trace,
         trace_capacity=args.trace_capacity,
         slow_request_threshold=args.slow_request_threshold,
-        profile_requests=args.profile_requests,
         auth_token=args.auth_token,
         rate_limit=args.rate_limit,
         rate_limit_burst=args.rate_limit_burst,

@@ -14,7 +14,6 @@ exactly what they need:
   export and span-tree rendering.
 - :mod:`repro.obs.logging` — structured JSON logging with trace-id
   correlation and the slow-request log helper.
-- :mod:`repro.obs.profile` — the opt-in per-request cProfile hook.
 
 Tracing is **zero-cost when disabled**: components hold ``tracer =
 None`` and guard every recording site with a single ``is not None``

@@ -347,14 +347,19 @@ class TraceStore:
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValidationError(
-                f"trace store capacity must be >= 1, got {capacity}"
-            )
+        self.check_capacity(capacity)
         self.capacity = capacity
         self.dropped = 0
         self._lock = threading.Lock()
         self._traces: OrderedDict[str, list[SpanRecord]] = OrderedDict()
+
+    @staticmethod
+    def check_capacity(capacity: int) -> None:
+        """Raise what constructing a store of ``capacity`` would raise."""
+        if capacity < 1:
+            raise ValidationError(
+                f"trace store capacity must be >= 1, got {capacity}"
+            )
 
     def add(self, record: SpanRecord) -> None:
         with self._lock:

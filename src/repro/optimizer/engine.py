@@ -174,13 +174,6 @@ class EngineStats:
     incremental_combines: int = 0
     cluster_term_computations: int = 0
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of evaluation requests served from the cache."""
-        if self.candidate_evaluations == 0:
-            return 0.0
-        return self.cache_hits / self.candidate_evaluations
-
     def snapshot(self) -> "EngineStats":
         """A point-in-time copy — engines mutate their live stats."""
         return replace(self)

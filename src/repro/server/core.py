@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, AsyncIterator, Mapping
 from urllib.parse import parse_qs
 
+from repro.broker.api import BrokerSession, EngineCache
 from repro.broker.envelope import (
     ENVELOPE_SCHEMA_VERSION,
     ErrorEnvelope,
@@ -44,7 +45,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.obs import clock
-from repro.obs.profile import maybe_profile, profile_summary
 from repro.obs.trace import SpanContext, Tracer, TraceStore, parse_traceparent
 from repro.server.ingest import ShardedIngestor
 from repro.server.metrics import ServerMetrics
@@ -302,7 +302,6 @@ class RequestCore:
         finished_job_ttl: float | None = None,
         trace: bool = False,
         trace_capacity: int = 256,
-        profile_requests: bool = False,
         job_id_start: int = 1,
         job_id_stride: int = 1,
         metrics_edge: bool = True,
@@ -310,7 +309,6 @@ class RequestCore:
         rate_limiter=None,
     ) -> None:
         self.broker = broker
-        self.profile_requests = profile_requests
         if trace:
             self.trace_store: TraceStore | None = TraceStore(
                 capacity=trace_capacity
@@ -340,6 +338,30 @@ class RequestCore:
             rate_limiter=rate_limiter,
             edge=metrics_edge,
         )
+
+    @staticmethod
+    def check_settings(
+        *,
+        shards: int = 4,
+        merge_interval: float | None = 0.5,
+        max_workers: int = 4,
+        cache_capacity: int = 16,
+        finished_job_ttl: float | None = None,
+        trace: bool = False,
+        trace_capacity: int = 256,
+    ) -> None:
+        """Raise what constructing a core with these settings would.
+
+        Builds nothing: the gateway calls this before it spawns the
+        workers that will each build a core from the same settings.
+        """
+        if trace:
+            TraceStore.check_capacity(trace_capacity)
+        BrokerSession.check_settings(
+            max_workers=max_workers, finished_job_ttl=finished_job_ttl
+        )
+        EngineCache.check_capacity(cache_capacity)
+        ShardedIngestor.check_settings(shards, merge_interval=merge_interval)
 
     def close(self) -> None:
         """Tear down the session and the ingestion pipeline (blocking)."""
@@ -451,8 +473,7 @@ class RequestCore:
         stays outside the phases it measures.  A miss opens the root
         live and runs the session on the executor under the root's
         context (so the session does not open a root of its own), where
-        key, cache and search spans nest as usual.  ``profile_requests``
-        profiles that executor half only: a warm hit runs no search.
+        key, cache and search spans nest as usual.
         """
         tracer = self.tracer
         assert tracer is not None
@@ -530,17 +551,7 @@ class RequestCore:
         assert tracer is not None
         token = tracer.activate(context)
         try:
-            with maybe_profile(self.profile_requests) as profiler:
-                report = self.session.recommend_envelope(envelope)
-            if profiler is not None:
-                logger.info(
-                    "request profile",
-                    extra={
-                        "trace_id": context.trace_id,
-                        "profile": profile_summary(profiler),
-                    },
-                )
-            return report
+            return self.session.recommend_envelope(envelope)
         finally:
             tracer.restore(token)
 
@@ -561,7 +572,7 @@ class RequestCore:
         job_ids = [self.session.submit(envelope) for envelope in envelopes]
         loop = asyncio.get_running_loop()
 
-        async def stream() -> AsyncIterator[bytes]:
+        async def report_lines() -> AsyncIterator[bytes]:
             # In submission order; jobs run concurrently on the pool.
             try:
                 for job_id, envelope in zip(job_ids, envelopes):
@@ -586,7 +597,7 @@ class RequestCore:
                     except UnknownNameError:
                         pass  # already evicted
 
-        return _Response(status=200, stream=stream(), content_type=_JSON)
+        return _Response(status=200, stream=report_lines(), content_type=_JSON)
 
     async def _post_jobs(self, request: _Request) -> _Response:
         if self.tracer is not None:

@@ -203,5 +203,4 @@ class WorkerSpec:
     finished_job_ttl: float | None = None
     trace: bool = False
     trace_capacity: int = 256
-    profile_requests: bool = False
     max_inflight: int = 32

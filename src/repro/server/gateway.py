@@ -57,6 +57,7 @@ from repro.obs import clock
 from repro.optimizer.engine import resolve_backend
 from repro.server.core import (
     _PROMETHEUS,
+    RequestCore,
     _error_handler,
     _HttpError,
     _json_response,
@@ -199,7 +200,6 @@ class GatewayServer(HttpEdge):
         trace: bool = False,
         trace_capacity: int = 256,
         slow_request_threshold: float | None = None,
-        profile_requests: bool = False,
         auth_token: str | None = None,
         rate_limit: float | None = None,
         rate_limit_burst: int | None = None,
@@ -212,13 +212,20 @@ class GatewayServer(HttpEdge):
         # The same REPRO_BACKEND check BrokerSession makes, before any
         # worker spawns (workers inherit the variable).
         resolve_backend(None)
-        if not trace:
-            if slow_request_threshold is not None:
-                raise ValidationError(
-                    "slow_request_threshold requires trace=True"
-                )
-            if profile_requests:
-                raise ValidationError("profile_requests requires trace=True")
+        if not trace and slow_request_threshold is not None:
+            raise ValidationError("slow_request_threshold requires trace=True")
+        core_settings = dict(
+            shards=shards,
+            merge_interval=merge_interval,
+            max_workers=max_workers,
+            cache_capacity=cache_capacity,
+            finished_job_ttl=finished_job_ttl,
+            trace=trace,
+            trace_capacity=trace_capacity,
+        )
+        # Each worker builds a RequestCore from these settings: reject
+        # what it would reject here, before any worker spawns.
+        RequestCore.check_settings(**core_settings)
         super().__init__(
             host=host,
             port=port,
@@ -240,17 +247,7 @@ class GatewayServer(HttpEdge):
         self.tracer = None
         self.trace_store = None
         self._spawn_timeout = spawn_timeout
-        self._worker_kwargs = dict(
-            shards=shards,
-            merge_interval=merge_interval,
-            max_workers=max_workers,
-            cache_capacity=cache_capacity,
-            finished_job_ttl=finished_job_ttl,
-            trace=trace,
-            trace_capacity=trace_capacity,
-            profile_requests=profile_requests,
-            max_inflight=max_inflight,
-        )
+        self._worker_kwargs = dict(core_settings, max_inflight=max_inflight)
         self._token = secrets.token_hex(16)
         self._links: list[_WorkerLink | None] = [None] * workers
         self._epochs = [0] * workers

@@ -445,21 +445,11 @@ class ShardedIngestor:
         merge_interval: float | None = None,
         flush_timeout: float = 60.0,
     ) -> None:
-        if num_shards < 1:
-            raise ValidationError(
-                f"num_shards must be >= 1, got {num_shards!r}"
-            )
-        if not math.isfinite(flush_timeout) or flush_timeout <= 0.0:
-            raise ValidationError(
-                f"flush_timeout must be finite and > 0, got {flush_timeout!r}"
-            )
-        if merge_interval is not None and (
-            not math.isfinite(merge_interval) or merge_interval <= 0.0
-        ):
-            raise ValidationError(
-                "merge_interval must be finite and > 0, got "
-                f"{merge_interval!r}"
-            )
+        self.check_settings(
+            num_shards,
+            merge_interval=merge_interval,
+            flush_timeout=flush_timeout,
+        )
         self.serving_store = serving_store
         self.num_shards = num_shards
         self.flush_timeout = flush_timeout
@@ -482,6 +472,34 @@ class ShardedIngestor:
                 daemon=True,
             )
             self._timer.start()
+
+    @staticmethod
+    def check_settings(
+        num_shards: int = 4,
+        *,
+        merge_interval: float | None = None,
+        flush_timeout: float = 60.0,
+    ) -> None:
+        """Raise what constructing an ingestor with these settings would.
+
+        Starts no thread, so a caller that hands the settings to
+        another process can reject them first.
+        """
+        if num_shards < 1:
+            raise ValidationError(
+                f"num_shards must be >= 1, got {num_shards!r}"
+            )
+        if not math.isfinite(flush_timeout) or flush_timeout <= 0.0:
+            raise ValidationError(
+                f"flush_timeout must be finite and > 0, got {flush_timeout!r}"
+            )
+        if merge_interval is not None and (
+            not math.isfinite(merge_interval) or merge_interval <= 0.0
+        ):
+            raise ValidationError(
+                "merge_interval must be finite and > 0, got "
+                f"{merge_interval!r}"
+            )
 
     # -- lifecycle ---------------------------------------------------------
 

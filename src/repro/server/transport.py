@@ -603,20 +603,14 @@ class BrokerServer(HttpEdge):
         trace: bool = False,
         trace_capacity: int = 256,
         slow_request_threshold: float | None = None,
-        profile_requests: bool = False,
         auth_token: str | None = None,
         rate_limit: float | None = None,
         rate_limit_burst: int | None = None,
         idempotency_capacity: int = 1024,
         exempt_routes: tuple[str, ...] = ("healthz", "metrics"),
     ) -> None:
-        if not trace:
-            if slow_request_threshold is not None:
-                raise ValidationError(
-                    "slow_request_threshold requires trace=True"
-                )
-            if profile_requests:
-                raise ValidationError("profile_requests requires trace=True")
+        if not trace and slow_request_threshold is not None:
+            raise ValidationError("slow_request_threshold requires trace=True")
         super().__init__(
             host=host,
             port=port,
@@ -640,7 +634,6 @@ class BrokerServer(HttpEdge):
             finished_job_ttl=finished_job_ttl,
             trace=trace,
             trace_capacity=trace_capacity,
-            profile_requests=profile_requests,
             idempotency_store=self.idempotency,
             rate_limiter=self.rate_limiter,
         )
@@ -651,7 +644,6 @@ class BrokerServer(HttpEdge):
         self.metrics = self.core.metrics
         self.tracer = self.core.tracer
         self.trace_store = self.core.trace_store
-        self.profile_requests = self.core.profile_requests
 
     def _route(self, request: _Request):
         return self.core.route(request)

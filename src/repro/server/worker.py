@@ -62,7 +62,6 @@ async def _serve_partition(spec: WorkerSpec) -> None:
         finished_job_ttl=spec.finished_job_ttl,
         trace=spec.trace,
         trace_capacity=spec.trace_capacity,
-        profile_requests=spec.profile_requests,
         job_id_start=job_id_start(spec.index, spec.workers, spec.epoch),
         job_id_stride=spec.workers,
         metrics_edge=False,

@@ -53,11 +53,6 @@ class Contract:
             uptime_probabilities, self.sla
         )
 
-    def expected_monthly_penalty_vector(self, uptime_probabilities):
-        """Vectorized :meth:`expected_monthly_penalty` (float64 ndarray)."""
-        hours = self.expected_slippage_hours_vector(uptime_probabilities)
-        return self.penalty.monthly_penalty_vector(hours)
-
     def describe(self) -> str:
         """E.g. ``98% uptime (<= 14.60 h/month down); $100.00/hour...``."""
         return f"{self.sla.describe()}; penalty: {self.penalty.describe()}"

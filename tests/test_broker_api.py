@@ -1,4 +1,4 @@
-"""Broker API v2: envelopes, sessions, jobs, streaming, engine cache."""
+"""Broker API v2: envelopes, sessions, jobs, engine cache."""
 
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ from repro.broker.api import (
     EngineKey,
 )
 from repro.broker.envelope import (
-    EVENT_KINDS,
     ErrorEnvelope,
     OptionSummary,
-    ProgressEvent,
     ProviderReport,
     RecommendEnvelope,
     ReportEnvelope,
@@ -149,10 +147,6 @@ class TestEnvelopeRoundTrip:
         report = session.recommend(three_tier_request(contract))
         payload = ReportEnvelope.from_report(report).to_dict()
         json.dumps(payload)  # must not raise
-
-    def test_progress_event_rejects_unknown_kind(self):
-        with pytest.raises(ValidationError, match="event kind"):
-            ProgressEvent("teleported")
 
 
 class TestRequestParsing:
@@ -650,6 +644,28 @@ class TestWarmSession:
                 )
                 assert stats.cache_hits > prior.cache_hits
 
+    def test_brute_force_caches_payloads_not_topologies(
+        self, observed_broker, contract
+    ):
+        cache = EngineCache()
+        with observed_broker.session(engine_cache=cache) as session:
+            session.recommend(three_tier_request(
+                contract, providers=("metalcloud",), strategy="brute-force"
+            ))
+        (engine,) = cache.engines()
+        # The engine evaluated the whole space, and its cache holds
+        # each candidate's Eq. 1-5 payload — one flat tuple of floats
+        # and the SLA verdict — never an option, so no topology can
+        # hide in it.
+        assert engine.stats.incremental_combines == engine.space.size
+        assert len(engine._results) == engine.space.size
+        for indices, payload in engine._results.items():
+            assert type(indices) is tuple
+            assert type(payload) is tuple
+            assert [type(value) for value in payload] == (
+                [float] * 8 + [bool] + [float] * engine.space.cluster_count
+            )
+
     def test_engine_stats_are_snapshots(self, observed_broker, contract):
         with observed_broker.session() as session:
             request = three_tier_request(contract)
@@ -710,7 +726,7 @@ class TestWarmSession:
 
 
 class TestBatchAndJobs:
-    def test_recommend_many_matches_sequential(self, observed_broker):
+    def test_submitted_batch_matches_sequential(self, observed_broker):
         """Acceptance: >= 8 batched requests, bit-identical to sequential."""
         requests = [
             three_tier_request(Contract.linear(sla, penalty), compute_nodes=nodes)
@@ -726,7 +742,8 @@ class TestBatchAndJobs:
             ]
         ]
         with observed_broker.session(max_workers=4) as batch_session:
-            batched = batch_session.recommend_many(requests)
+            job_ids = [batch_session.submit(request) for request in requests]
+            batched = tuple(batch_session.result(job_id) for job_id in job_ids)
         with observed_broker.session() as sequential_session:
             sequential = tuple(
                 sequential_session.recommend(request) for request in requests
@@ -777,74 +794,6 @@ class TestBatchAndJobs:
         session.close()
         with pytest.raises(BrokerError, match="closed"):
             session.submit(three_tier_request(contract))
-
-
-class TestStreaming:
-    def test_event_sequence_and_distillation(self, observed_broker, contract):
-        with observed_broker.session() as session:
-            request = three_tier_request(
-                contract, providers=("metalcloud",), strategy="brute-force"
-            )
-            events = list(session.stream(request, progress_every=2))
-        kinds = [event.kind for event in events]
-        assert kinds[0] == "accepted"
-        assert kinds[1] == "provider-started"
-        assert "progress" in kinds
-        assert kinds[-2] == "provider-completed"
-        assert kinds[-1] == "completed"
-        report_payload = events[-1].detail["report"]
-        restored = ReportEnvelope.from_dict(report_payload)
-        assert restored.best.provider_name == "metalcloud"
-
-    def test_streaming_never_materializes_topologies(
-        self, observed_broker, contract
-    ):
-        """Distilled sweeps keep option tables and topologies unbuilt."""
-        cache = EngineCache()
-        with observed_broker.session(engine_cache=cache) as session:
-            request = three_tier_request(
-                contract, providers=("metalcloud",), strategy="brute-force"
-            )
-            list(session.stream(request))
-        (engine,) = cache.engines()
-        # The engine evaluated the whole space, and its cache holds
-        # each candidate's Eq. 1-5 payload — one flat tuple of floats
-        # and the SLA verdict — never an option, so no topology can
-        # hide in it.
-        assert engine.stats.incremental_combines == engine.space.size
-        assert len(engine._results) == engine.space.size
-        for indices, payload in engine._results.items():
-            assert type(indices) is tuple
-            assert type(payload) is tuple
-            assert [type(value) for value in payload] == (
-                [float] * 8 + [bool] + [float] * engine.space.cluster_count
-            )
-
-    def test_abandoned_stream_does_not_hold_engine_lock(
-        self, observed_broker, contract
-    ):
-        """A partially-consumed stream generator must not block other
-        requests sharing its cached engine (deadlock regression)."""
-        with observed_broker.session() as session:
-            request = three_tier_request(
-                contract, providers=("metalcloud",), strategy="brute-force"
-            )
-            stream = session.stream(request, progress_every=1)
-            for event in stream:
-                if event.kind == "progress":
-                    break  # abandon mid-sweep, generator still alive
-            job_id = session.submit(request)
-            report = session.result(job_id, timeout=10.0)
-            assert report.best.provider_name == "metalcloud"
-            stream.close()
-
-    def test_streaming_skips_unobserved_provider(self, contract):
-        broker = BrokerService((metalcloud(),))
-        with broker.session() as session:
-            events = list(session.stream(three_tier_request(contract)))
-        kinds = [event.kind for event in events]
-        assert "provider-skipped" in kinds
-        assert kinds[-1] == "failed"
 
 
 class TestSessionMetrics:
@@ -921,13 +870,21 @@ class TestJobRetention:
             reports = [session.result(job_id) for job_id in job_ids]
         assert len(reports) == 6  # every submission completed and returned
 
-    def test_recommend_many_unaffected_by_small_cap(
+    def test_submitted_batch_unaffected_by_small_cap(
         self, observed_broker, contract
     ):
+        # Results are collected in submission order while later jobs
+        # finish: each retrieval makes its job evictable, never a
+        # finished job still waiting for its caller.
         request = three_tier_request(contract)
         with observed_broker.session(max_finished_jobs=1) as session:
-            reports = session.recommend_many([request] * 5)
+            job_ids = [session.submit(request) for _ in range(5)]
+            reports = []
+            for job_id in job_ids:
+                reports.append(session.result(job_id))
+                session.submit(request)  # runs both retention policies
         assert len(reports) == 5
+        assert len({report.describe() for report in reports}) == 1
 
     def test_max_finished_jobs_validated(self, observed_broker):
         with pytest.raises(BrokerError, match="max_finished_jobs"):
@@ -940,8 +897,17 @@ class TestCompatibilityShim:
     def test_unobserved_broker_still_raises(self, contract):
         broker = BrokerService((metalcloud(),))
         with broker.session() as session:
-            with pytest.raises(InsufficientTelemetryError):
+            with pytest.raises(InsufficientTelemetryError, match="metalcloud: "):
                 session.recommend(three_tier_request(contract))
+
+    def test_unobserved_provider_is_skipped(self, contract):
+        broker = BrokerService(all_providers())
+        broker.observe_provider("stratus", years=3.0, seed=23)
+        with broker.session() as session:
+            report = session.recommend(three_tier_request(contract))
+        assert [rec.provider_name for rec in report.recommendations] == [
+            "stratus"
+        ]
 
 
 class TestBackendSwitch:
@@ -1211,14 +1177,6 @@ class TestEnvelopeFieldRoundTrip:
             message="sla percent out of range",
             request_id="req-7",
         )
-        for kind in EVENT_KINDS:
-            yield ProgressEvent(
-                kind=kind,
-                request_id="req-7",
-                provider="metalcloud",
-                detail={"completed": 2, "total": 4},
-            )
-        yield ProgressEvent(kind="accepted")  # optional fields at defaults
 
     def test_every_envelope_round_trips_field_by_field(self, contract):
         for envelope in self._samples(contract):
@@ -1237,26 +1195,3 @@ class TestEnvelopeFieldRoundTrip:
                     f"{type(envelope).__name__}.{field_info.name} "
                     "missing from to_dict"
                 )
-
-    def test_progress_event_json_round_trip(self):
-        event = ProgressEvent(
-            kind="provider-completed",
-            request_id="req-1",
-            provider="steelcore",
-            detail={"rank": 1},
-        )
-        assert ProgressEvent.from_json(event.to_json()) == event
-
-    def test_progress_event_rejects_unknown_keys(self):
-        payload = ProgressEvent(kind="accepted").to_dict()
-        payload["surprise"] = True
-        with pytest.raises(ValidationError, match="surprise"):
-            ProgressEvent.from_dict(payload)
-
-    def test_progress_event_requires_kind(self):
-        with pytest.raises(ValidationError, match="kind"):
-            ProgressEvent.from_dict({"request_id": "req-1"})
-
-    def test_progress_event_rejects_non_mapping_detail(self):
-        with pytest.raises(ValidationError, match="detail"):
-            ProgressEvent.from_dict({"kind": "accepted", "detail": [1, 2]})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 
 import pytest
@@ -120,6 +121,9 @@ class TestCommands:
         [
             (["--merge-interval", "nan"], "merge_interval"),
             (["--merge-interval", "inf"], "merge_interval"),
+            # The gateway hands the setting to the workers it spawns,
+            # so it must reject it itself, before any spawn.
+            (["--workers", "1", "--merge-interval", "nan"], "merge_interval"),
             (["--rate-limit", "nan"], "rate"),
             (["--rate-limit", "inf"], "rate"),
             (["--finished-job-ttl", "nan"], "finished_job_ttl"),
@@ -129,7 +133,8 @@ class TestCommands:
             ),
         ],
         ids=[
-            "merge-interval-nan", "merge-interval-inf", "rate-limit-nan",
+            "merge-interval-nan", "merge-interval-inf",
+            "gateway-merge-interval-nan", "rate-limit-nan",
             "rate-limit-inf", "finished-job-ttl-nan",
             "slow-request-threshold-nan",
         ],
@@ -154,6 +159,40 @@ class TestCommands:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1, err
         assert setting in errors[0] and "cannot serve" not in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--shards", "0"], "num_shards"),
+            (["--max-workers", "0"], "max_workers"),
+            (["--cache-capacity", "0"], "cache capacity"),
+            (["--finished-job-ttl", "nan"], "finished_job_ttl"),
+            (["--trace", "--trace-capacity", "0"], "trace store capacity"),
+        ],
+        ids=[
+            "shards-0", "max-workers-0", "cache-capacity-0",
+            "finished-job-ttl-nan", "trace-capacity-0",
+        ],
+    )
+    def test_gateway_rejects_worker_settings_before_spawn(
+        self, capsys, monkeypatch, flags, setting
+    ):
+        # Each worker would build its core from these settings; the
+        # gateway rejects them itself, with no worker traceback.
+        monkeypatch.setattr(
+            "repro.obs.logging.configure_json_logging", lambda *a, **k: None
+        )
+        before = len(multiprocessing.active_children())
+        assert main([
+            "serve", "--workers", "1", "--port", "0",
+            "--observe-years", "0.1", *flags,
+        ]) == 1
+        assert len(multiprocessing.active_children()) == before
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert setting in errors[0] and "exited" not in errors[0]
         assert "Traceback" not in err
 
     def test_evaluate_topology_file(self, capsys, topology_file):

@@ -84,3 +84,21 @@ class TestReadme:
         )
         real = set(subparsers.choices)
         assert documented <= real, documented - real
+
+
+class TestSessionCalls:
+    def test_documented_session_calls_exist(self):
+        """Every ``session.<name>(`` in the docs and examples is real."""
+        from repro.broker.api import BrokerSession
+
+        texts = [_read("README.md"), _read("DESIGN.md")] + [
+            path.read_text() for path in sorted((ROOT / "examples").glob("*.py"))
+        ]
+        called = {
+            name
+            for text in texts
+            for name in re.findall(r"\bsession\.(\w+)\(", text)
+        }
+        assert "recommend" in called, "no session calls found"
+        missing = {name for name in called if not hasattr(BrokerSession, name)}
+        assert not missing, sorted(missing)

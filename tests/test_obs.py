@@ -2,9 +2,9 @@
 
 Covers :mod:`repro.obs` in isolation — traceparent wire round trips,
 span nesting through the tracer's context variable, ring-buffer
-eviction, JSONL export/import, tree rendering, the structured-log
-formatter and the opt-in profiler hook.  Propagation through the
-serving stack lives in tests/test_tracing.py.
+eviction, JSONL export/import, tree rendering and the structured-log
+formatter.  Propagation through the serving stack lives in
+tests/test_tracing.py.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.obs.logging import (
     configure_json_logging,
     log_slow_request,
 )
-from repro.obs.profile import maybe_profile, profile_summary
 from repro.obs.trace import (
     SpanContext,
     SpanRecord,
@@ -380,16 +379,3 @@ class TestJsonLogging:
         assert payload["seconds"] == pytest.approx(1.234568)
         assert payload["threshold"] == 1.0
         assert payload["trace_id"] == "deadbeef"
-
-
-class TestProfileHook:
-    def test_disabled_yields_none(self):
-        with maybe_profile(False) as profiler:
-            assert profiler is None
-
-    def test_enabled_profiles_and_summarizes(self):
-        with maybe_profile(True) as profiler:
-            sum(range(1000))
-        assert profiler is not None
-        summary = profile_summary(profiler, limit=5)
-        assert "cumulative" in summary

@@ -48,6 +48,7 @@ from repro.server.dispatch import (
     read_frame,
     routing_key,
 )
+from repro.server.core import RequestCore
 from repro.server.gateway import GatewayServer
 from repro.server.transport import BrokerServer
 from repro.sla.contract import Contract
@@ -418,6 +419,52 @@ class TestModeSelection:
             GatewayServer(observed_broker(), workers=1)
         assert len(multiprocessing.active_children()) == before
 
+    @pytest.mark.parametrize(
+        "setting, error, pattern",
+        [
+            ({"merge_interval": float("nan")}, ValidationError, "merge_interval"),
+            ({"shards": 0}, ValidationError, "num_shards"),
+            ({"finished_job_ttl": float("inf")}, BrokerError, "finished_job_ttl"),
+            ({"max_workers": 0}, BrokerError, "max_workers"),
+            ({"cache_capacity": 0}, BrokerError, "cache capacity"),
+            (
+                {"trace": True, "trace_capacity": 0},
+                ValidationError,
+                "trace store capacity",
+            ),
+        ],
+        ids=[
+            "merge-interval-nan", "shards-0", "finished-job-ttl-inf",
+            "max-workers-0", "cache-capacity-0", "trace-capacity-0",
+        ],
+    )
+    def test_bad_core_setting_fails_before_any_spawn(
+        self, setting, error, pattern
+    ):
+        # Each worker builds a RequestCore from these settings, so the
+        # gateway rejects them at construction with the error the
+        # in-process server raises for the same value.
+        broker = BrokerService(all_providers())
+        before = len(multiprocessing.active_children())
+        with pytest.raises(error, match=pattern) as gateway_error:
+            GatewayServer(broker, workers=1, **setting)
+        assert len(multiprocessing.active_children()) == before
+        with pytest.raises(error) as inprocess_error:
+            BrokerServer(broker, **setting)
+        assert str(gateway_error.value) == str(inprocess_error.value)
+
+    def test_check_settings_defaults_match_request_core(self):
+        # check_settings restates the core's setting defaults; a default
+        # that drifted would let the gateway pass a value its workers
+        # reject (or the other way round).
+        checked = inspect.signature(RequestCore.check_settings).parameters
+        built = inspect.signature(RequestCore).parameters
+        assert checked, "check_settings takes no settings"
+        for name, parameter in checked.items():
+            assert name in built, name
+            assert parameter.default == built[name].default, name
+        RequestCore.check_settings()
+
     def test_gateway_and_worker_spec_take_no_backend_option(self):
         # Workers read REPRO_BACKEND from the environment they inherit;
         # no backend travels in the spawn spec.
@@ -447,9 +494,11 @@ class TestModeSelection:
 
 class TestWorkerStartupFailure:
     def test_worker_exit_during_startup_is_reported_at_once(self):
-        # shards=0 passes the gateway's checks but fails the worker's
+        # The gateway rejects shards=0 at construction; slipped into the
+        # spawn settings afterwards, it fails the worker's
         # ShardedIngestor, so the worker exits during startup.
-        server = GatewayServer(observed_broker(), workers=1, shards=0)
+        server = GatewayServer(observed_broker(), workers=1)
+        server._worker_kwargs["shards"] = 0
 
         async def start_then_stop():
             try:

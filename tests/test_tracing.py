@@ -263,12 +263,9 @@ class TestDisabledTracing:
             )
         assert actual == expected
 
-    def test_slow_and_profile_flags_require_trace(self):
-        broker = observed_broker()
+    def test_slow_request_threshold_requires_trace(self):
         with pytest.raises(ValidationError, match="requires trace"):
-            BrokerServer(broker, slow_request_threshold=1.0)
-        with pytest.raises(ValidationError, match="requires trace"):
-            BrokerServer(broker, profile_requests=True)
+            BrokerServer(observed_broker(), slow_request_threshold=1.0)
 
     @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
     def test_slow_request_threshold_must_be_finite(self, threshold):
