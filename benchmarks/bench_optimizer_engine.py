@@ -264,8 +264,8 @@ def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> 
             problem, cache=False, backend=backend, chunk_size=4096
         )
         # Each backend's best honest path through one API call: sweep()
-        # is from_stream for serial and the block-distilled ranking pass
-        # for vector.
+        # folds every payload on serial and ranks whole blocks on
+        # vector.
         result, seconds = _timed(lambda: engine.sweep(keep_options=False))
         timings[backend] = seconds
         results[backend] = result

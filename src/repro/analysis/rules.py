@@ -7,7 +7,7 @@ the test suite can only sample:
 ``REP001``  Float accumulation must be explicit and ordered (no ``sum``/
             ``np.sum``/``math.fsum`` over float terms, no accumulating
             out of ``set``/``dict.values()`` iteration) in ``optimizer/``,
-            ``sla/`` and ``availability/`` — the bit-identical
+            ``sla/``, ``availability/`` and ``cost/`` — the bit-identical
             cross-backend guarantee depends on exact operation order.
 ``REP002``  No blocking calls (pool shutdown, engine close, joins,
             socket/file IO) while holding a fast lock (``self._lock``) —
@@ -101,7 +101,7 @@ class FloatAccumulationRule(Rule):
 
     rule_id = "REP001"
     title = "deterministic float accumulation"
-    paths = ("optimizer/*", "sla/*", "availability/*")
+    paths = ("optimizer/*", "sla/*", "availability/*", "cost/*")
 
     _REDUCERS = {"sum", "math.fsum"}
     _NUMPY_ROOTS = {"np", "numpy"}

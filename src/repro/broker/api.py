@@ -9,11 +9,14 @@ module lifts that sharing across requests:
   (provider, materialized base system, contract, rate card, catalog
   variant) with LRU eviction, so repeated and similar requests reuse
   the per-(cluster, technology) term caches instead of recomputing
-  them, and a repeated request replays its memoized recommendation;
+  them, and a repeated wire request replays its memoized report;
 - :class:`BrokerSession` is the v2 facade: synchronous ``recommend``
   and an async ``submit`` / ``poll`` / ``result`` job lifecycle over a
   bounded worker pool.  Both serve each provider through one method,
-  ``_recommend_provider``.
+  ``_recommend_provider``, which keeps full option tables.  The wire
+  path, ``recommend_envelope``, serves each provider through
+  ``_report_provider`` instead: a distilled search that assembles only
+  the two options a wire report reads.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Mapping,
-    NamedTuple,
     Sequence,
 )
 
@@ -287,13 +289,6 @@ class EngineCacheStats:
         )
 
 
-class _Replay(NamedTuple):
-    """One memoized serve: the recommendation and its wire section."""
-
-    recommendation: "ProviderRecommendation"
-    report: ProviderReport
-
-
 @dataclass
 class _CacheEntry:
     """A cached engine plus the lock serializing its (sequential) use.
@@ -308,23 +303,25 @@ class _CacheEntry:
     its whole search, so no two threads ever evaluate on one engine at
     once and the engine itself needs no lock of its own.
 
-    ``replays`` memoizes finished recommendations per (strategy,
-    backend), stored only from a *pure replay*: not the first service,
-    no incremental combines, and every candidate a result-cache hit.
+    ``replays`` memoizes wire sections per (strategy, backend): the
+    :class:`~repro.broker.envelope.ProviderReport` of a wire serve,
+    stored only from a *pure replay*: not the first service, no
+    incremental combines, and every candidate a result-cache hit.
     Strategies are deterministic and the engine's result cache only
-    grows, so every later replay would rebuild exactly that
-    recommendation, ``engine_stats`` included — a memo hit returns it
-    without searching.  Each memo keeps the distilled
-    :class:`~repro.broker.envelope.ProviderReport` next to the
-    recommendation, so a warm replay skips the distillation too.  The
-    memo lives and dies with its entry.
+    grows, so every later replay would rebuild exactly that report,
+    ``engine_stats`` included — a memo hit returns it without
+    searching.  Only wire serves (:meth:`BrokerSession.replay_envelope`
+    and the slow path of :meth:`BrokerSession.recommend_envelope`) read
+    or fill the memo; :meth:`BrokerSession.recommend` always searches,
+    because its callers read the full option table.  The memo lives and
+    dies with its entry.
     """
 
     key: EngineKey
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
-    replays: dict[tuple[str, str], _Replay] = field(default_factory=dict)
+    replays: dict[tuple[str, str], ProviderReport] = field(default_factory=dict)
 
 
 class EngineCache:
@@ -418,8 +415,8 @@ class EngineCache:
 
     def replay(
         self, warm_keys: Sequence[tuple], memo_key: tuple[str, str]
-    ) -> list[_Replay] | None:
-        """Every warm key's memoized serve under ``memo_key``, or None.
+    ) -> list[ProviderReport] | None:
+        """Every warm key's memoized wire section under ``memo_key``, or None.
 
         All or nothing: one missing alias or memo, or one entry lock
         held by a search in progress, returns None with nothing
@@ -681,32 +678,48 @@ class BrokerSession:
 
         Same contract as the v1 ``BrokerService.recommend``: providers
         lacking telemetry are skipped, and if none can serve the request
-        an :class:`InsufficientTelemetryError` lists the gaps.
+        an :class:`InsufficientTelemetryError` lists the gaps.  Every
+        provider's result carries its full option table, so this always
+        searches (on cached engines and their result caches) and never
+        answers from the wire replay memo.
         """
         from repro.broker.service import RecommendationReport
 
-        recommendations = []
+        return RecommendationReport(
+            request_name=request.system_name,
+            recommendations=tuple(
+                self._each_provider(request, self._recommend_provider)
+            ),
+        )
+
+    def _each_provider(self, request: RecommendationRequest, serve) -> list:
+        """``serve(request, name)`` for each provider that can serve it.
+
+        Providers lacking telemetry are skipped; if none is left, an
+        :class:`InsufficientTelemetryError` lists the gaps.
+        """
+        served = []
         failures: list[str] = []
         for name in self._provider_names(request):
             try:
-                recommendations.append(self._recommend_provider(request, name))
+                served.append(serve(request, name))
             except InsufficientTelemetryError as exc:
                 failures.append(f"{name}: {exc}")
-        if not recommendations:
+        if not served:
             raise InsufficientTelemetryError(
                 "no provider has enough telemetry to serve this request: "
                 + "; ".join(failures)
             )
-        return RecommendationReport(
-            request_name=request.system_name,
-            recommendations=tuple(recommendations),
-        )
+        return served
 
     def recommend_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
         """Wire-in, wire-out: serve a request envelope.
 
-        Tries :meth:`replay_envelope` first and falls back to a full
-        :meth:`recommend`; both give the same bytes.  When the session
+        Tries :meth:`replay_envelope` first.  The slow path serves each
+        provider from its entry's replay memo or by a distilled search
+        that assembles only the two recommended options; both give the
+        bytes ``ReportEnvelope.from_report(recommend(...))`` would, with
+        the same ``engine_stats``.  When the session
         traces and no span is active yet (direct session use, or a
         transport that did not open a root span), an envelope carrying
         a traceparent gets a ``request`` root span of its own, so trace
@@ -731,8 +744,11 @@ class BrokerSession:
         report = self.replay_envelope(envelope)
         if report is not None:
             return report
-        return ReportEnvelope.from_report(
-            self.recommend(envelope.request), request_id=envelope.request_id
+        request = envelope.request
+        return ReportEnvelope(
+            request_name=request.system_name,
+            providers=tuple(self._each_provider(request, self._report_provider)),
+            request_id=envelope.request_id,
         )
 
     def replay_envelope(
@@ -779,7 +795,7 @@ class BrokerSession:
             return None
         report = ReportEnvelope(
             request_name=request.system_name,
-            providers=tuple(memo.report for memo in replays),
+            providers=tuple(replays),
             request_id=envelope.request_id,
         )
         if tracer is not None:
@@ -1121,60 +1137,93 @@ class BrokerSession:
     def _recommend_provider(
         self, request: RecommendationRequest, name: str
     ) -> "ProviderRecommendation":
-        """One provider's recommendation, via the engine cache."""
-        from repro.broker.service import (
-            _STRATEGY_FUNCTIONS,
-            ProviderRecommendation,
-        )
+        """One provider's full-table recommendation, via the engine cache."""
+        from repro.broker.service import ProviderRecommendation
 
         entry = self._cache_entry(request, name)
-        engine = entry.engine
-        backend = self._request_backend(request)
-        memo_key = (request.strategy, backend)
-        attrs = {
-            "provider": name,
-            "strategy": request.strategy,
-            "backend": backend,
-        }
-        # A cache hit may serve the search from a different worker
-        # thread later; engines are single-consumer, so each entry's
-        # lock serializes use of its engine.  A warm engine is rebound
-        # to the request's backend in place — term and result caches
-        # survive the switch.
         with entry.lock:
-            memoized = entry.replays.get(memo_key)
-            if memoized is not None:
+            result, stats, _ = self._search(entry, request, name, keep_options=True)
+        return ProviderRecommendation(
+            provider_name=name,
+            base_system=entry.engine.problem.base_system,
+            result=result,
+            engine_stats=stats,
+        )
+
+    def _report_provider(
+        self, request: RecommendationRequest, name: str
+    ) -> ProviderReport:
+        """One provider's wire section, via the engine cache.
+
+        Answered from the entry's replay memo when it holds one, else
+        by a distilled search (``keep_options=False``), which assembles
+        only the two options the report reads.  A pure replay fills
+        the memo (see :class:`_CacheEntry`).
+        """
+        entry = self._cache_entry(request, name)
+        memo_key = (request.strategy, self._request_backend(request))
+        with entry.lock:
+            report = entry.replays.get(memo_key)
+            if report is not None:
                 with maybe_span(
-                    self.tracer, "evaluate", attrs={**attrs, "memo": "hit"}
+                    self.tracer,
+                    "evaluate",
+                    attrs={**self._evaluate_attrs(request, name), "memo": "hit"},
                 ):
                     self.engine_cache.count_replay()
-                return memoized.recommendation
-            optimize = _STRATEGY_FUNCTIONS[request.strategy]
-            engine.set_backend(backend)
-            before = engine.stats.snapshot()
-            with maybe_span(self.tracer, "evaluate", attrs=attrs):
-                result: OptimizationResult = optimize(
-                    engine.problem, engine=engine
-                )
-            after = engine.stats.snapshot()
-            first_service = entry.unserved
-            entry.unserved = False
-            stats = _request_stats(before, after, first_service)
-            recommendation = ProviderRecommendation(
-                provider_name=name,
-                base_system=engine.problem.base_system,
-                result=result,
-                engine_stats=stats,
+                return report
+            result, stats, first_service = self._search(
+                entry, request, name, keep_options=False
+            )
+            report = ProviderReport.from_result(
+                name, result, engine_stats=stats.to_dict()
             )
             if (
                 not first_service
                 and stats.incremental_combines == 0
                 and stats.cache_hits == stats.candidate_evaluations
             ):
-                entry.replays[memo_key] = _Replay(
-                    recommendation,
-                    ProviderReport.from_result(
-                        name, result, engine_stats=stats.to_dict()
-                    ),
-                )
-        return recommendation
+                entry.replays[memo_key] = report
+        return report
+
+    def _evaluate_attrs(
+        self, request: RecommendationRequest, name: str
+    ) -> dict[str, str]:
+        return {
+            "provider": name,
+            "strategy": request.strategy,
+            "backend": self._request_backend(request),
+        }
+
+    def _search(
+        self,
+        entry: _CacheEntry,
+        request: RecommendationRequest,
+        name: str,
+        *,
+        keep_options: bool,
+    ) -> tuple[OptimizationResult, EngineStats, bool]:
+        """Run the request's strategy on an entry's engine.
+
+        The caller holds ``entry.lock``: engines are single-consumer,
+        and a cache hit may serve the search from a different worker
+        thread later.  A warm engine is rebound to the request's
+        backend in place — term and result caches survive the switch.
+        Returns the result, this search's engine stats and whether it
+        was the engine's first service.
+        """
+        from repro.broker.service import _STRATEGY_FUNCTIONS
+
+        engine = entry.engine
+        engine.set_backend(self._request_backend(request))
+        before = engine.stats.snapshot()
+        with maybe_span(
+            self.tracer, "evaluate", attrs=self._evaluate_attrs(request, name)
+        ):
+            result = _STRATEGY_FUNCTIONS[request.strategy](
+                engine.problem, engine=engine, keep_options=keep_options
+            )
+        after = engine.stats.snapshot()
+        first_service = entry.unserved
+        entry.unserved = False
+        return result, _request_stats(before, after, first_service), first_service

@@ -89,10 +89,15 @@ def monthly_ha_cost(system: SystemTopology, labor_rate: LaborRate) -> tuple[floa
     """Return ``(infra, labor)`` dollars/month of the system's HA.
 
     Sums each cluster's incremental HA infrastructure cost and prices
-    its sustainment hours at ``labor_rate``.
+    its sustainment hours at ``labor_rate``.  The sums are left folds in
+    chain order, as in :func:`tco_values_from_terms`; the ``0`` seeds
+    keep integer amounts integer.
     """
-    infra = sum(cluster.monthly_ha_infra_cost for cluster in system.clusters)
-    labor_hours = sum(cluster.monthly_ha_labor_hours for cluster in system.clusters)
+    infra = 0
+    labor_hours = 0
+    for cluster in system.clusters:  # chain order, pinned (REP001)
+        infra += cluster.monthly_ha_infra_cost
+        labor_hours += cluster.monthly_ha_labor_hours
     return infra, labor_rate.monthly_cost(labor_hours)
 
 
@@ -134,16 +139,27 @@ def tco_values_from_terms(
     the engine can assemble options from plain floats;
     :func:`tco_from_terms` composes the two, keeping every path
     bit-identical.
+
+    The three sums are explicit left folds from ``0.0`` in chain order,
+    the vector backend's ``zeros`` accumulators.  The builtin ``sum``
+    is compensated from Python 3.12 on, so it would round some rate
+    cards (shares like 0.1/0.2/0.3) differently from the vector
+    backend there.
     """
     slippage_hours = contract.expected_slippage_hours(uptime_probability)
     penalty = contract.penalty.monthly_penalty(slippage_hours)
-    infra = sum(term.ha_infra_cost for term in terms)
-    labor_hours = sum(term.ha_labor_hours for term in terms)
+    infra = 0.0
+    labor_hours = 0.0
+    base = 0.0
+    for term in terms:  # chain order, pinned (REP001)
+        infra += term.ha_infra_cost
+        labor_hours += term.ha_labor_hours
+        base += term.base_infra_cost
     return (
         infra,
         labor_rate.monthly_cost(labor_hours),
         penalty,
-        sum(term.base_infra_cost for term in terms),
+        base,
         uptime_probability,
         slippage_hours,
     )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from repro.optimizer.engine import EvaluationEngine, engine_for
-from repro.optimizer.result import EvaluatedOption, OptimizationResult
+from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 
 
@@ -37,12 +37,14 @@ def branch_and_bound_optimize(
     problem: OptimizationProblem,
     *,
     engine: EvaluationEngine | None = None,
+    keep_options: bool = True,
 ) -> OptimizationResult:
     """Exact minimum-TCO search with lower-bound pruning.
 
     Returns a result whose ``best`` matches brute force on TCO value.
-    ``options`` contains only the fully evaluated candidates; ``pruned``
-    counts the complete assignments clipped inside pruned subtrees.
+    ``options`` contains only the fully evaluated candidates (only the
+    two recommendations with ``keep_options=False``); ``pruned`` counts
+    the complete assignments clipped inside pruned subtrees.
     """
     engine = engine_for(problem, engine)
     space = engine.space
@@ -64,7 +66,7 @@ def branch_and_bound_optimize(
     for i in range(n - 1, -1, -1):
         leaves_below[i] = len(choices[i]) * leaves_below[i + 1]
 
-    options: list[EvaluatedOption] = []
+    evaluated: list[tuple[int, tuple[int, ...], tuple]] = []
     incumbent = math.inf
     pruned_leaves = 0
     assignment: list[int] = []
@@ -81,9 +83,11 @@ def branch_and_bound_optimize(
             indices = tuple(assignment)
             # Paper-order ids so reported options line up with the
             # other searches.
-            option = engine.evaluate(space.paper_order_id(indices), indices)
-            options.append(option)
-            incumbent = min(incumbent, option.tco.total)
+            values = engine.payload(indices)
+            evaluated.append((space.paper_order_id(indices), indices, values))
+            # The Eq. 5 total, as TCOBreakdown.total rounds it:
+            # (infra + labor) + penalty.
+            incumbent = min(incumbent, (values[0] + values[1]) + values[2])
             return
         for choice in choices[depth]:
             new_cost = cost_so_far + choice.ha_cost
@@ -97,11 +101,12 @@ def branch_and_bound_optimize(
             assignment.pop()
 
     descend(0, 0.0, 1.0)
-    options.sort(key=lambda option: option.option_id)
-    return OptimizationResult(
-        options=tuple(options),
-        evaluations=len(options),
-        pruned=pruned_leaves,
-        space_size=space.size,
-        strategy="branch-and-bound",
+    # Fold in paper order, so a full table lists options by id.
+    evaluated.sort(key=lambda candidate: candidate[0])
+    accumulator = engine.accumulator(
+        "branch-and-bound", keep_options=keep_options
     )
+    for candidate in evaluated:
+        accumulator.fold(*candidate)
+    accumulator.pruned = pruned_leaves
+    return accumulator.finish()

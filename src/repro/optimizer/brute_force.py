@@ -79,7 +79,4 @@ def brute_force_optimize(
         engine = EvaluationEngine(problem, cache=keep_options)
     else:
         engine = engine_for(problem, engine)
-    # EvaluationEngine.sweep lets bulk-ranking backends distill whole
-    # blocks at once; with keep_options=True (or the serial backend) it
-    # is exactly the from_stream path.
     return engine.sweep(keep_options=keep_options)

@@ -15,8 +15,15 @@ structure instead: Eq. 1-5 factor into per-cluster terms, so the engine
 3. memoizes each candidate's Eq. 1-5 values keyed by its index tuple,
    so searches restarted over the same problem (pruned after brute
    force, branch-and-bound re-runs, advisor what-if sweeps) never
-   evaluate a candidate twice.  A hit rebuilds a fresh lazy
-   :class:`EvaluatedOption` from the cached values.
+   evaluate a candidate twice.
+
+Searches work on payloads, not options: :meth:`EvaluationEngine.payload`
+answers one candidate (from the cache or by recombination) and each
+strategy folds ``(option_id, indices, payload)`` into a
+:class:`~repro.optimizer.result.ResultAccumulator`.  A full-table
+result assembles a lazy :class:`EvaluatedOption` per candidate; a
+distilled one (``keep_options=False``, the broker's wire path)
+assembles only its two recommendations.
 
 The result cache holds one flat tuple of Python floats and a bool per
 candidate (see :data:`Payload`), never option objects.  CPython stops
@@ -32,8 +39,9 @@ collection may visit the outer first, leaving it tracked.
 The full-topology path survives only as the test and benchmark oracle,
 :func:`~repro.optimizer.brute_force.evaluate_candidate`.
 
-Batch evaluation (:meth:`EvaluationEngine.evaluate_many` and everything
-built on it) runs on a pluggable **evaluation backend**:
+Exhaustive sweeps (:meth:`EvaluationEngine.sweep`) and option streams
+(:meth:`EvaluationEngine.evaluate_many`) run on a pluggable
+**evaluation backend**:
 
 - ``"serial"`` (default) evaluates inline on the calling thread;
 - ``"vector"`` gathers each chunk's candidate index tuples into
@@ -72,7 +80,6 @@ from repro.availability.model import (
     AvailabilityReport,
     ClusterAvailability,
     ClusterTerms,
-    availability_values_from_terms,
     cluster_availability_terms,
 )
 from repro.cost.tco import (
@@ -80,10 +87,14 @@ from repro.cost.tco import (
     TCOBreakdown,
     assemble_breakdown,
     cluster_cost_terms,
-    tco_values_from_terms,
 )
 from repro.errors import EngineBackendError, OptimizerError, ReproError
-from repro.optimizer.result import EvaluatedOption, assemble_option
+from repro.optimizer.result import (
+    EvaluatedOption,
+    OptimizationResult,
+    ResultAccumulator,
+    assemble_option,
+)
 from repro.optimizer.space import (
     CandidateSpace,
     ChoiceNames,
@@ -106,7 +117,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 Payload = tuple[float | bool, ...]
 
 #: Positions in a :data:`Payload` after the six TCO fields.
-_BREAKDOWN, _FAILOVER, _MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
+_BREAKDOWN, _FAILOVER, MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
 
 #: Shared no-op context manager for untraced backend chunks.
 #: nullcontext is reusable and reentrant, so one instance serves every
@@ -212,57 +223,17 @@ class SerialBackend:
         for option_id, indices in enumerated:
             yield engine.evaluate(option_id, indices)
 
-
-def _plan_block(
-    engine: "EvaluationEngine", block: list[tuple[int, tuple[int, ...]]]
-) -> tuple[list, list]:
-    """Probe the result cache for one chunk, in submission order.
-
-    Returns ``(plan, misses)``: ``plan`` holds the chunk's options with
-    ``None`` placeholders where an evaluated payload must be spliced in;
-    ``misses`` holds the ``(option_id, indices)`` pairs of those
-    placeholders, in the order they must be evaluated; the vector
-    backend gathers those misses into numpy columns.
-    """
-    probe = engine._cache_probe
-    plan: list = []
-    misses: list = []
-    for candidate in block:
-        cached = probe(*candidate)
-        plan.append(cached)
-        if cached is None:
-            misses.append(candidate)
-    return plan, misses
-
-
-def _splice_payloads(
-    engine: "EvaluationEngine", plan: list, misses: list, payloads: list
-) -> list:
-    """Fill a plan's placeholders with evaluated payloads, in order.
-
-    Options are assembled first, then stats and cache admissions land
-    once per chunk instead of once per candidate.  The cache admits the
-    payloads, not the options (see :data:`Payload`).
-    """
-    build = engine._build_option
-    if len(misses) == len(plan):
-        # All-miss chunk — the norm for cold catalogs: skip the
-        # placeholder scan and build straight from the miss list.
-        plan[:] = [
-            build(option_id, indices, payload)
-            for (option_id, indices), payload in zip(misses, payloads)
-        ]
-    else:
-        filled = iter(zip(misses, payloads))
-        for position, slot in enumerate(plan):
-            if slot is None:
-                (option_id, indices), payload = next(filled)
-                plan[position] = build(option_id, indices, payload)
-    engine.stats.incremental_combines += len(misses)
-    admit = engine._results.setdefault
-    for (_, indices), payload in zip(misses, payloads):
-        admit(indices, payload)
-    return plan
+    def sweep(
+        self,
+        engine: "EvaluationEngine",
+        enumerated: Iterable[tuple[int, tuple[int, ...]]],
+        accumulator: ResultAccumulator,
+    ) -> None:
+        """Fold every candidate's payload, one at a time."""
+        payload = engine.payload
+        fold = accumulator.fold
+        for option_id, indices in enumerated:
+            fold(option_id, indices, payload(indices))
 
 
 class VectorBackend:
@@ -280,14 +251,14 @@ class VectorBackend:
     (slippage, penalty, labor cost, SLA check) is vectorized end-to-end
     through the clauses' ``*_vector`` methods, which replay the scalar
     op order exactly — no per-candidate Python call survives in the
-    combine.  Results are spliced back through the engine's result
-    cache, so cache and stats behaviour matches serial evaluation (and
-    replays are pure hits).
+    combine.  Every lane is probed in the engine's result cache first
+    and every evaluated payload is admitted to it, so cache and stats
+    behaviour matches serial evaluation (and replays are pure hits).
 
     numpy is imported on first use, not at module import, so processes
     that never run a vector batch do not pay for loading it.  A backend
     instance belongs to one engine and holds only that engine's column
-    tables, built once from the profiles.
+    tables, built once from the engine's factor rows.
     """
 
     name = "vector"
@@ -298,25 +269,31 @@ class VectorBackend:
     def _column_tables(self, engine: "EvaluationEngine", np):
         """Per-cluster per-choice value columns, built once per backend.
 
-        Row ``i`` holds six float64 arrays over cluster ``i``'s choices:
-        availability up/active-up/failover-rate and cost infra/labor-
-        hours/base — ``np.array`` conversion of Python floats is exact,
-        and fancy-indexed gathers preserve bits, so the tables introduce
-        no rounding of their own.
+        Row ``i`` holds six float64 arrays over cluster ``i``'s choices,
+        one per field of the engine's factor rows (availability up/
+        active-up/failover-rate and cost infra/labor-hours/base) —
+        ``np.array`` conversion of Python floats is exact, and fancy-
+        indexed gathers preserve bits, so the tables introduce no
+        rounding of their own.
         """
         if self._tables is None:
             self._tables = tuple(
-                (
-                    np.array([p.availability.up_probability for p in row]),
-                    np.array([p.availability.active_up_probability for p in row]),
-                    np.array([p.availability.failover_rate for p in row]),
-                    np.array([p.cost.ha_infra_cost for p in row]),
-                    np.array([p.cost.ha_labor_hours for p in row]),
-                    np.array([p.cost.base_infra_cost for p in row]),
-                )
-                for row in engine.profiles
+                tuple(np.array(column) for column in zip(*row))
+                for row in engine._factor_rows
             )
         return self._tables
+
+    @staticmethod
+    def _blocks(engine: "EvaluationEngine", enumerated) -> Iterator[list]:
+        """Cut the enumeration into ``chunk_size`` blocks.
+
+        islice consumes the enumeration in C instead of a per-candidate
+        append loop, which matters at 100k+ candidates per sweep.
+        """
+        chunk_size = engine.chunk_size
+        pending = iter(enumerated)
+        while block := list(itertools.islice(pending, chunk_size)):
+            yield block
 
     def evaluate_stream(
         self,
@@ -326,42 +303,125 @@ class VectorBackend:
         import numpy as np
 
         tables = self._column_tables(engine, np)
-        # Cut blocks with islice instead of a per-candidate append loop:
-        # the enumeration is consumed in C, which matters at 100k+
-        # candidates per sweep.
-        chunk_size = engine.chunk_size
-        pending = iter(enumerated)
-        while block := list(itertools.islice(pending, chunk_size)):
-            yield from self._evaluate_block(engine, np, tables, block)
+        build = engine._build_option
+        for block in self._blocks(engine, enumerated):
+            payloads, _ = self._resolve_block(engine, np, tables, block)
+            for (option_id, indices), payload in zip(block, payloads):
+                yield build(option_id, indices, payload)
 
-    def _evaluate_block(
-        self, engine: "EvaluationEngine", np, tables, block
-    ) -> list:
-        """Probe the cache per candidate, vector-evaluate the misses."""
-        if not engine.cache:
-            # Cache off: the whole block is fresh vector lanes, so skip
-            # the placeholder plan and the per-miss bookkeeping tuples
-            # entirely — stats, evaluation and assembly run straight off
-            # the block.
-            engine.stats.candidate_evaluations += len(block)
-            rows = [indices for _, indices in block]
-            payloads = self._block_payloads(engine, np, tables, rows)
-            build = engine._build_option
-            plan = [
-                build(option_id, indices, payload)
-                for (option_id, indices), payload in zip(block, payloads)
-            ]
-            engine.stats.incremental_combines += len(plan)
-            return plan
-        plan, misses = _plan_block(engine, block)
-        if misses:
-            rows = [indices for _, indices in misses]
-            payloads = self._block_payloads(engine, np, tables, rows)
-            _splice_payloads(engine, plan, misses, payloads)
-        return plan
+    def sweep(
+        self,
+        engine: "EvaluationEngine",
+        enumerated: Iterable[tuple[int, tuple[int, ...]]],
+        accumulator: ResultAccumulator,
+    ) -> None:
+        """Fold every candidate, ranking all-miss blocks in bulk.
 
-    def _block_payloads(self, engine: "EvaluationEngine", np, tables, rows):
-        """Evaluate one block's index rows in one vector pass."""
+        A full-table accumulator folds every lane's payload.  A
+        distilled one (``keep_options=False``) only needs each block's
+        two candidates that could win, so a block whose lanes all
+        missed the cache is ranked with numpy — argmin over the Eq. 5
+        totals and the (penalty, ha-cost) lexicographic minimum, in
+        exactly the accumulator's tie-break order — and only its
+        winners are folded.  A block with cache hits folds its payloads
+        through the accumulator's scalar rule.  Results are
+        bit-identical to folding every candidate (same floats compared
+        under the same rules; argmin's first-occurrence tie-break
+        equals the fold's lowest-id rule because paper-order
+        enumeration ascends by option id).
+
+        With the result cache on, every evaluated payload is admitted.
+        With it off, a ranked block converts only its winners' lanes to
+        payloads and counts only those as combines.
+        """
+        import numpy as np
+
+        tables = self._column_tables(engine, np)
+        fold = accumulator.fold
+        rank = not accumulator.keep_options
+        for block in self._blocks(engine, enumerated):
+            if rank and not engine.cache:
+                engine.stats.candidate_evaluations += len(block)
+                columns = self._evaluate_rows(
+                    engine, np, tables, [indices for _, indices in block]
+                )
+                winners = [
+                    (*block[i], tuple(column[i].item() for column in columns))
+                    for i in self._block_winners(np, columns)
+                ]
+                engine.stats.incremental_combines += len(winners)
+                accumulator.fold_winners(winners, evaluated=len(block))
+                continue
+            payloads, columns = self._resolve_block(engine, np, tables, block)
+            if rank and columns is not None:
+                accumulator.fold_winners(
+                    [
+                        (*block[i], payloads[i])
+                        for i in self._block_winners(np, columns)
+                    ],
+                    evaluated=len(block),
+                )
+            else:
+                for (option_id, indices), payload in zip(block, payloads):
+                    fold(option_id, indices, payload)
+
+    @staticmethod
+    def _block_winners(np, columns) -> list[int]:
+        """Lanes of one block's minimum-total and minimum-(penalty,
+        ha-cost) candidates, ascending.
+
+        Same float ops, same order, as the accumulator's scalar fold:
+        ha_cost = infra + labor, total = ha_cost + penalty.  Ascending
+        order keeps the fold's lowest-id tie-breaks exact.
+        """
+        infra, labor_cost, penalty = columns[0], columns[1], columns[2]
+        ha_cost = infra + labor_cost
+        best = int(np.argmin(ha_cost + penalty))
+        min_penalty_rows = np.flatnonzero(penalty == penalty.min())
+        if min_penalty_rows.shape[0] == 1:
+            lowest = int(min_penalty_rows[0])
+        else:
+            lowest = int(min_penalty_rows[np.argmin(ha_cost[min_penalty_rows])])
+        return sorted({best, lowest})
+
+    def _resolve_block(self, engine: "EvaluationEngine", np, tables, block):
+        """Probe one block per lane, vector-evaluate and admit the misses.
+
+        Returns ``(payloads, columns)``: every lane's payload in block
+        order, and the block's payload columns when every lane missed
+        (``None`` when some lane was a cache hit).
+        """
+        stats = engine.stats
+        stats.candidate_evaluations += len(block)
+        results = engine._results if engine.cache else {}
+        payloads = [results.get(indices) for _, indices in block]
+        misses = [
+            position
+            for position, payload in enumerate(payloads)
+            if payload is None
+        ]
+        stats.cache_hits += len(block) - len(misses)
+        if not misses:
+            return payloads, None
+        stats.incremental_combines += len(misses)
+        columns = self._evaluate_rows(
+            engine, np, tables, [block[position][1] for position in misses]
+        )
+        fresh = self._payloads(columns)
+        if len(misses) == len(block):
+            payloads = fresh
+        else:
+            columns = None
+            for position, payload in zip(misses, fresh):
+                payloads[position] = payload
+        if engine.cache:
+            admit = results.setdefault
+            for position in misses:
+                admit(block[position][1], payloads[position])
+        return payloads, columns
+
+    def _evaluate_rows(self, engine: "EvaluationEngine", np, tables, rows):
+        """One vector pass over a block's index rows, traced and guarded."""
         tracer = engine.tracer
         if tracer is None:
             # Untraced hot path: one attribute load and this check per
@@ -374,7 +434,7 @@ class VectorBackend:
             )
         try:
             with span:
-                return self._vector_payloads(engine, np, tables, rows)
+                return self._vector_columns(engine, np, tables, rows)
         except ReproError:
             raise
         except Exception as exc:
@@ -383,15 +443,25 @@ class VectorBackend:
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _vector_arrays(self, engine, np, tables, index_rows):
-        """Eq. 1-5 column arrays for a block of candidate index rows.
+    @staticmethod
+    def _payloads(columns) -> list:
+        """Flat per-lane payloads from a block's payload columns.
 
-        Mirrors :func:`availability_values_from_terms` and
-        :func:`tco_values_from_terms` operation for operation with the
-        candidate axis vectorized: ``1.0 * x`` and ``0.0 + x`` are exact
-        in IEEE arithmetic, so seeding the accumulators with
-        ``ones``/``zeros`` reproduces the scalar helpers' ``1.0``/``0``
-        starting values bit-for-bit.
+        ``tolist()`` converts float64 to Python floats bit-exactly;
+        zipping the columns builds each flat payload in C, with no
+        per-candidate Python loop or numpy scalar indexing.
+        """
+        return list(zip(*(column.tolist() for column in columns)))
+
+    def _vector_columns(self, engine, np, tables, index_rows):
+        """Eq. 1-5 columns for a block of candidate index rows.
+
+        Returns one array per :data:`Payload` position, in payload
+        order.  Mirrors :meth:`EvaluationEngine._payload` operation for
+        operation with the candidate axis vectorized: ``1.0 * x`` and
+        ``0.0 + x`` are exact in IEEE arithmetic, so seeding the
+        accumulators with ``ones``/``zeros`` reproduces the scalar
+        kernel's ``1.0``/``0.0`` starting values bit-for-bit.
         """
         n = engine.space.cluster_count
         # np.array rejects ragged rows outright, so a single shape check
@@ -413,13 +483,16 @@ class VectorBackend:
         up = np.ones(count)
         for i in range(n):
             up = up * tables[i][0][cols[i]]
+        # Running prefix products, as in the scalar kernel.
+        actives = [tables[i][1][cols[i]] for i in range(n)]
         contributions = []
+        prefix = np.ones(count)
         for i in range(n):
-            others_quiet = np.ones(count)
-            for j in range(n):
-                if j != i:
-                    others_quiet = others_quiet * tables[j][1][cols[j]]
+            others_quiet = prefix
+            for j in range(i + 1, n):
+                others_quiet = others_quiet * actives[j]
             contributions.append(tables[i][2][cols[i]] * others_quiet)
+            prefix = prefix * actives[i]
         failover = np.zeros(count)
         for contribution in contributions:
             failover = failover + contribution
@@ -439,114 +512,14 @@ class VectorBackend:
         # ``*_vector`` methods, which perform the scalar helpers' float
         # operations in the same order (see repro.sla.penalty).
         contract = engine.problem.contract
-        labor_rate = engine.problem.labor_rate
         slippage = contract.expected_slippage_hours_vector(uptime)
         penalty = contract.penalty.monthly_penalty_vector(slippage)
-        labor_cost = labor_rate.monthly_cost_vector(labor_hours)
+        labor_cost = engine.problem.labor_rate.monthly_cost_vector(labor_hours)
         meets = contract.sla.is_met_by_vector(uptime)
         return (
-            breakdown, failover, contributions, uptime,
-            infra, labor_cost, penalty, base, slippage, meets,
+            infra, labor_cost, penalty, base, uptime, slippage,
+            breakdown, failover, meets, *contributions,
         )
-
-    def _vector_payloads(self, engine, np, tables, index_rows):
-        """Flat per-candidate payloads for a block of cache misses."""
-        if not index_rows:
-            return []
-        (
-            breakdown, failover, contributions, uptime,
-            infra, labor_cost, penalty, base, slippage, meets,
-        ) = self._vector_arrays(engine, np, tables, index_rows)
-
-        # ``tolist()`` converts float64 to Python floats bit-exactly;
-        # zipping the columns builds each flat payload in C, with no
-        # per-candidate Python loop or numpy scalar indexing.
-        return list(zip(
-            infra.tolist(),
-            labor_cost.tolist(),
-            penalty.tolist(),
-            base.tolist(),
-            uptime.tolist(),
-            slippage.tolist(),
-            breakdown.tolist(),
-            failover.tolist(),
-            meets.tolist(),
-            *(c.tolist() for c in contributions),
-        ))
-
-    def sweep_distilled(self, engine: "EvaluationEngine", enumerated, accumulator) -> None:
-        """Distilled exhaustive sweep: rank whole blocks in bulk.
-
-        The per-candidate streaming path assembles an
-        :class:`EvaluatedOption` for every candidate even when the
-        consumer only wants the two distilled recommendations.  Here
-        each block is ranked with numpy — argmin over the Eq. 5 totals
-        and the (penalty, ha-cost) lexicographic minimum, in exactly
-        the scalar fold's tie-break order — and only the block winners
-        are assembled and folded, so no per-candidate Python call
-        survives the combine.  Results are bit-identical to the scalar
-        fold (same floats compared under the same rules; argmin's
-        first-occurrence tie-break equals the fold's lowest-id rule
-        because paper-order enumeration ascends by option id).
-
-        Falls back to the generic per-candidate fold when the result
-        cache is on (admissions need every option).
-        """
-        if engine.cache:
-            add = accumulator.add
-            for option in self.evaluate_stream(engine, enumerated):
-                add(option)
-            return
-        import numpy as np
-
-        tables = self._column_tables(engine, np)
-        chunk_size = engine.chunk_size
-        pending = iter(enumerated)
-        while block := list(itertools.islice(pending, chunk_size)):
-            self._distill_block(engine, np, tables, block, accumulator)
-
-    def _distill_block(self, engine, np, tables, block, accumulator) -> None:
-        """Rank one block's candidates and fold its winners."""
-        engine.stats.candidate_evaluations += len(block)
-        rows = [indices for _, indices in block]
-        try:
-            (
-                breakdown, failover, contributions, uptime,
-                infra, labor_cost, penalty, base, slippage, meets,
-            ) = self._vector_arrays(engine, np, tables, rows)
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise EngineBackendError(
-                f"vector evaluation backend failed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        # Same float ops, same order, as the accumulator's scalar fold:
-        # ha_cost = infra + labor, total = ha_cost + penalty.
-        ha_cost = infra + labor_cost
-        totals = ha_cost + penalty
-        best_i = int(np.argmin(totals))
-        min_penalty_rows = np.flatnonzero(penalty == penalty.min())
-        if min_penalty_rows.shape[0] == 1:
-            penalty_i = int(min_penalty_rows[0])
-        else:
-            penalty_i = int(
-                min_penalty_rows[np.argmin(ha_cost[min_penalty_rows])]
-            )
-        winners = []
-        build = engine._build_option
-        # Ascending order keeps the fold's lowest-id tie-breaks exact.
-        for i in sorted({best_i, penalty_i}):
-            option_id, indices = block[i]
-            winners.append(build(option_id, indices, (
-                float(infra[i]), float(labor_cost[i]),
-                float(penalty[i]), float(base[i]),
-                float(uptime[i]), float(slippage[i]),
-                float(breakdown[i]), float(failover[i]), bool(meets[i]),
-                *(float(c[i]) for c in contributions),
-            )))
-        engine.stats.incremental_combines += len(winners)
-        accumulator.fold_winners(winners, evaluated=len(block))
 
 
 _BACKEND_TYPES = {
@@ -570,16 +543,17 @@ class EvaluationEngine:
         tuple, so repeated searches over the same problem never
         re-evaluate a candidate.
         All cache mutation happens on the consuming thread, and an
-        engine must not have :meth:`evaluate` called from multiple
-        threads concurrently (the broker's engine cache serializes
+        engine must not be evaluated from multiple threads
+        concurrently (the broker's engine cache serializes
         through its entry locks).
     backend:
-        Which of :data:`ENGINE_BACKENDS` drives :meth:`evaluate_many`
-        batches (``"serial"`` or ``"vector"``).  ``None`` resolves
-        through :func:`resolve_backend` (environment default, then
-        serial).  Rebind a live engine with :meth:`set_backend`;
-        per-candidate :meth:`evaluate` calls always run unbatched
-        regardless of backend.
+        Which of :data:`ENGINE_BACKENDS` drives :meth:`sweep` and
+        :meth:`evaluate_many` batches (``"serial"`` or ``"vector"``).
+        ``None`` resolves through :func:`resolve_backend` (environment
+        default, then serial).  Rebind a live engine with
+        :meth:`set_backend`; per-candidate :meth:`payload` and
+        :meth:`evaluate` calls always run unbatched regardless of
+        backend.
     chunk_size:
         The vector backend's gather width (candidates per numpy block).
     """
@@ -619,6 +593,30 @@ class EvaluationEngine:
         self._choice_name_rows = tuple(
             tuple(profile.name for profile in row) for row in self._profiles
         )
+        # The scalar kernel's inputs: one flat tuple of six floats per
+        # (cluster, choice) — availability up, active-up and failover
+        # rate, then cost HA infra, HA labor hours and base infra (the
+        # vector backend's column tables hold the same values) — and
+        # the contract's bound methods.
+        self._factor_rows = tuple(
+            tuple(
+                (
+                    profile.availability.up_probability,
+                    profile.availability.active_up_probability,
+                    profile.availability.failover_rate,
+                    profile.cost.ha_infra_cost,
+                    profile.cost.ha_labor_hours,
+                    profile.cost.base_infra_cost,
+                )
+                for profile in row
+            )
+            for row in self._profiles
+        )
+        contract = self.problem.contract
+        self._slippage_hours = contract.expected_slippage_hours
+        self._monthly_penalty = contract.penalty.monthly_penalty
+        self._meets_sla = contract.sla.is_met_by
+        self._labor_cost = self.problem.labor_rate.monthly_cost
 
     # -- backend binding ---------------------------------------------------
 
@@ -674,72 +672,95 @@ class EvaluationEngine:
     def evaluate(
         self, option_id: int, indices: tuple[int, ...]
     ) -> EvaluatedOption:
-        """Evaluate one candidate, consulting and feeding the cache.
+        """Evaluate one candidate into a fresh option labelled ``option_id``.
 
-        Every call returns a fresh option labelled ``option_id``: a
-        cache hit rebuilds it from the cached payload, so a hit under a
-        different paper-order id needs no relabelling and its topology
-        stays unbuilt.
+        A cache hit rebuilds the option from the cached payload, so a
+        hit under a different paper-order id needs no relabelling and
+        its topology stays unbuilt.
         """
-        cached = self._cache_probe(option_id, indices)
-        if cached is not None:
-            return cached
-        payload = self._payload(indices)
-        self.stats.incremental_combines += 1
+        return self._build_option(option_id, indices, self.payload(indices))
+
+    def payload(self, indices: tuple[int, ...]) -> Payload:
+        """One candidate's :data:`Payload`, consulting and feeding the cache.
+
+        Counts one evaluation request, then either a cache hit or an
+        incremental combine whose payload the cache admits.  The cache
+        is keyed by the index tuple itself: within one space, index
+        tuples and :data:`~repro.optimizer.space.ChoiceNames` are in
+        bijection (the registry rejects duplicate names per layer and
+        reserves ``none`` for index 0), so no per-candidate name tuple
+        is built.  Strategies fold payloads and assemble options only
+        for the candidates they keep.
+        """
+        stats = self.stats
+        stats.candidate_evaluations += 1
         if self.cache:
-            self._results.setdefault(indices, payload)
-        return self._build_option(option_id, indices, payload)
-
-    def _cache_probe(
-        self, option_id: int, indices: tuple[int, ...]
-    ) -> EvaluatedOption | None:
-        """Count one evaluation request and answer it from the cache.
-
-        Returns the hit rebuilt under ``option_id``, or ``None`` on a
-        miss (always, when the cache is off).  The cache is keyed by
-        the index tuple itself: within one space, index tuples and
-        :data:`~repro.optimizer.space.ChoiceNames` are in bijection
-        (the registry rejects duplicate names per layer and reserves
-        ``none`` for index 0), so no per-candidate name tuple is built.
-        Shared by :meth:`evaluate` and the vector backend, which probes
-        per candidate before gathering the misses into numpy columns.
-        """
-        self.stats.candidate_evaluations += 1
-        payload = self._results.get(indices) if self.cache else None
-        if payload is None:
-            return None
-        self.stats.cache_hits += 1
-        return self._build_option(option_id, indices, payload)
+            payload = self._results.get(indices)
+            if payload is not None:
+                stats.cache_hits += 1
+                return payload
+            payload = self._payload(indices)
+            self._results[indices] = payload
+        else:
+            payload = self._payload(indices)
+        stats.incremental_combines += 1
+        return payload
 
     def _payload(self, indices: tuple[int, ...]) -> Payload:
-        """O(n) Eq. 1-5 values from the cached per-cluster factor sets.
+        """O(n) Eq. 1-5 values from the cached per-cluster factor rows.
 
-        The scalar twin of the vector backend's per-candidate payloads:
-        :meth:`_build_option` turns either into an option.
+        The scalar twin of the vector backend's columns, written out
+        over plain floats: it performs the float operations of
+        :func:`~repro.availability.model.availability_values_from_terms`
+        and :func:`~repro.cost.tco.tco_values_from_terms` in the same
+        order, so its payloads are bit-identical to the full-topology
+        oracle's values (the oracle tests pin it).
         """
-        if len(indices) != self.space.cluster_count:
+        rows = self._factor_rows
+        if len(indices) != len(rows):
             raise OptimizerError(
-                f"expected {self.space.cluster_count} choice indices, "
-                f"got {len(indices)}"
+                f"expected {len(rows)} choice indices, got {len(indices)}"
             )
-        chosen = tuple(
-            self._profiles[i][choice] for i, choice in enumerate(indices)
-        )
-        breakdown, failover, contributions = availability_values_from_terms(
-            tuple(profile.availability for profile in chosen)
-        )
+        chosen = list(map(tuple.__getitem__, rows, indices))
+        up = 1.0
+        for factors in chosen:
+            up *= factors[0]
+        # Cluster i's "others quiet" product multiplies every other
+        # cluster's active-up factor in chain order from 1.0.  Its
+        # first i factors are the running ``prefix``, so continuing
+        # from it performs exactly those multiplications, in order.
+        contributions = []
+        prefix = 1.0
+        for i, factors in enumerate(chosen):
+            others_quiet = prefix
+            for other in chosen[i + 1:]:
+                others_quiet *= other[1]
+            contributions.append(factors[2] * others_quiet)
+            prefix *= factors[1]
+        failover = 0.0
+        for contribution in contributions:
+            failover += contribution
+        breakdown = 1.0 - up
         uptime = 1.0 - (breakdown + failover)
-        tco_values = tco_values_from_terms(
-            tuple(profile.cost for profile in chosen),
-            uptime,
-            self.problem.contract,
-            self.problem.labor_rate,
-        )
+        slippage = self._slippage_hours(uptime)
+        penalty = self._monthly_penalty(slippage)
+        infra = 0.0
+        labor_hours = 0.0
+        base = 0.0
+        for factors in chosen:
+            infra += factors[3]
+            labor_hours += factors[4]
+            base += factors[5]
         return (
-            *tco_values,
+            infra,
+            self._labor_cost(labor_hours),
+            penalty,
+            base,
+            uptime,
+            slippage,
             breakdown,
             failover,
-            self.problem.contract.sla.is_met_by(uptime),
+            self._meets_sla(uptime),
             *contributions,
         )
 
@@ -758,12 +779,12 @@ class EvaluationEngine:
         :class:`AvailabilityReport` nor its choice names are built here:
         the option carries factories that assemble them on first access.
 
-        This runs once per evaluated candidate and once per cache hit on
-        every backend, so the hot path stays minimal: the chosen-profile
-        gather is deferred into the lazy factories (distilled sweeps
-        that only rank by cost never pay it) and the per-engine
-        constants (system name, cluster names, per-choice name rows) are
-        hoisted to ``__post_init__``.
+        A full option table runs this once per evaluated candidate, so
+        the hot path stays minimal: the chosen-profile gather is
+        deferred into the lazy factories and the per-engine constants
+        (system name, cluster names, per-choice name rows) are hoisted
+        to ``__post_init__``.  A distilled result runs it only for its
+        two recommendations.
         """
         profiles = self._profiles
         bare_name = self._bare_name
@@ -811,7 +832,7 @@ class EvaluationEngine:
             build_system,
             build_availability,
             assemble_breakdown(payload[:_BREAKDOWN]),
-            payload[_MEETS_SLA],
+            payload[MEETS_SLA],
             cluster_names,
         )
 
@@ -841,40 +862,41 @@ class EvaluationEngine:
             enumerate(self.space.candidates_in_paper_order(), start=1)
         )
 
-    def sweep(self, *, keep_options: bool = True) -> "OptimizationResult":
+    def accumulator(
+        self, strategy: str, *, keep_options: bool = True
+    ) -> ResultAccumulator:
+        """An empty result over this engine's space, built by this engine.
+
+        Strategies fold ``(option_id, indices, payload)`` into it; it
+        assembles options with :meth:`_build_option` — every folded
+        candidate with ``keep_options=True``, only the two winners
+        otherwise.
+        """
+        return ResultAccumulator(
+            space_size=self.space.size,
+            strategy=strategy,
+            keep_options=keep_options,
+            build=self._build_option,
+        )
+
+    def sweep(self, *, keep_options: bool = True) -> OptimizationResult:
         """Exhaustively evaluate the space into an optimization result.
 
-        The engine-level entry point behind the brute-force strategy.
-        With ``keep_options=True`` this is ``from_stream`` over
-        :meth:`evaluate_all` — the full option table.  With
-        ``keep_options=False`` the sweep is distilled to the two
-        recommendations, and a backend that can rank candidates in bulk
-        (the vector backend) folds whole blocks with numpy and only
-        assembles the block winners — bit-identical to the scalar fold,
-        several times cheaper at 100k+ candidates.
+        The engine-level entry point behind the brute-force strategy:
+        the backend folds every candidate of the space, in paper order,
+        into :meth:`accumulator`.  With ``keep_options=True`` the result
+        holds the full option table; with ``keep_options=False`` it is
+        distilled to the two recommendations, and the vector backend
+        ranks whole blocks with numpy instead of folding every lane
+        (see :meth:`VectorBackend.sweep`).
         """
-        from repro.optimizer.result import OptimizationResult, ResultAccumulator
-
-        if not keep_options:
-            distill = getattr(self._backend_impl, "sweep_distilled", None)
-            if distill is not None:
-                accumulator = ResultAccumulator(
-                    space_size=self.space.size,
-                    strategy="brute-force",
-                    keep_options=False,
-                )
-                distill(
-                    self,
-                    enumerate(self.space.candidates_in_paper_order(), start=1),
-                    accumulator,
-                )
-                return accumulator.finish()
-        return OptimizationResult.from_stream(
-            self.evaluate_all(),
-            space_size=self.space.size,
-            strategy="brute-force",
-            keep_options=keep_options,
+        accumulator = self.accumulator("brute-force", keep_options=keep_options)
+        self._backend_impl.sweep(
+            self,
+            enumerate(self.space.candidates_in_paper_order(), start=1),
+            accumulator,
         )
+        return accumulator.finish()
 
 
 def engine_for(

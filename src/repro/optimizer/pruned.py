@@ -18,7 +18,7 @@ and the subset was evaluated earlier, so the optimum is preserved.
 
 from __future__ import annotations
 
-from repro.optimizer.engine import EvaluationEngine, engine_for
+from repro.optimizer.engine import MEETS_SLA, EvaluationEngine, engine_for
 from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 
@@ -53,32 +53,32 @@ def pruned_optimize(
     problem: OptimizationProblem,
     *,
     engine: EvaluationEngine | None = None,
+    keep_options: bool = True,
 ) -> OptimizationResult:
     """Run the pruned search; returns only the evaluated options.
 
     The result's ``best`` equals the brute-force optimum (see module
     docstring); ``pruned`` counts the skipped candidates.  Pass a shared
     ``engine`` to reuse evaluations cached by earlier searches over the
-    same problem.
+    same problem.  ``keep_options=False`` keeps only the two
+    recommendations (see :class:`~repro.optimizer.result.ResultAccumulator`).
     """
     engine = engine_for(problem, engine)
-    space = engine.space
-    options = []
+    accumulator = engine.accumulator("pruned", keep_options=keep_options)
+    payload = engine.payload
+    fold = accumulator.fold
     covered: set[tuple[int, ...]] = set()
     pruned_count = 0
-    for option_id, indices in enumerate(space.candidates_in_paper_order(), start=1):
+    for option_id, indices in enumerate(
+        engine.space.candidates_in_paper_order(), start=1
+    ):
         if covered and _extends_covered(indices, covered):
             covered.add(indices)
             pruned_count += 1
             continue
-        option = engine.evaluate(option_id, indices)
-        options.append(option)
-        if option.meets_sla:
+        values = payload(indices)
+        fold(option_id, indices, values)
+        if values[MEETS_SLA]:
             covered.add(indices)
-    return OptimizationResult(
-        options=tuple(options),
-        evaluations=len(options),
-        pruned=pruned_count,
-        space_size=space.size,
-        strategy="pruned",
-    )
+    accumulator.pruned = pruned_count
+    return accumulator.finish()

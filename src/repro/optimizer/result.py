@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.availability.model import AvailabilityReport
 from repro.cost.tco import TCOBreakdown
@@ -165,17 +165,22 @@ def assemble_option(
 
 
 class ResultAccumulator:
-    """Incremental distillation of an option stream.
+    """Single-pass distillation of evaluated candidates.
 
-    The push-style twin of :meth:`OptimizationResult.from_stream`: feed
-    options one at a time with :meth:`add` and call :meth:`finish` for
-    the result.  This is the streaming hook the broker session uses to
-    interleave progress events with a sweep — ``from_stream`` itself is
-    implemented on top of it, so both paths share one set of
+    Strategies :meth:`fold` each evaluated candidate as ``(option_id,
+    indices, payload)``, where the payload leads with the six
+    :class:`TCOBreakdown` fields in declaration order (the engine's
+    :data:`~repro.optimizer.engine.Payload`), and ``build`` turns a
+    folded candidate into an :class:`EvaluatedOption`.
+    :meth:`OptimizationResult.from_stream` feeds built options through
+    :meth:`add` instead.  :meth:`finish` seals the result.
+
+    With ``keep_options=True`` every candidate is kept, as an option.
+    With ``keep_options=False`` only the two running recommendations
+    are kept, so million-candidate sweeps hold O(1) candidates in
+    memory, and :meth:`finish` assembles just those two options.  Every
+    entry point ranks through :meth:`_rank`, the one home of the
     ``best`` / ``min_penalty_option`` tie-breaking rules.
-
-    With ``keep_options=False`` only the two running recommendations are
-    retained, so million-candidate sweeps hold O(1) options in memory.
     """
 
     def __init__(
@@ -185,70 +190,103 @@ class ResultAccumulator:
         strategy: str,
         pruned: int = 0,
         keep_options: bool = True,
+        build: Callable[[int, tuple[int, ...], tuple], EvaluatedOption]
+        | None = None,
     ) -> None:
         self.space_size = space_size
         self.strategy = strategy
         self.pruned = pruned
         self.keep_options = keep_options
         self.count = 0
+        self._build = build
         self._kept: list[EvaluatedOption] = []
-        self._best: EvaluatedOption | None = None
+        # The running leaders: a built option (from add) or an
+        # (option_id, indices, payload) candidate (from fold).
+        self._best = None
         self._best_total = math.inf
         self._best_id = 0
         self._lowest_penalty = math.inf
-        self._min_penalty: EvaluatedOption | None = None
+        self._min_penalty = None
         self._min_penalty_ha_cost = math.inf
         self._min_penalty_id = 0
 
+    def fold(
+        self, option_id: int, indices: tuple[int, ...], payload: tuple
+    ) -> None:
+        """Fold one evaluated candidate by its payload."""
+        self.count += 1
+        if self.keep_options:
+            self._kept.append(self._build(option_id, indices, payload))
+            return
+        self._rank(
+            option_id,
+            payload[0] + payload[1],
+            payload[2],
+            (option_id, indices, payload),
+        )
+
     def add(self, option: EvaluatedOption) -> None:
-        """Fold one evaluated option into the running distillation."""
+        """Fold one built option into the running distillation."""
         self.count += 1
         if self.keep_options:
             self._kept.append(option)
             return
-        # Mirror the `best` / `min_penalty_option` tie-breaking so a
-        # distilled result answers both recommendations identically.
-        # The running leaders' keys are cached as scalars and the
-        # lexicographic compare is spelled out: this runs once per
-        # candidate over 100k+ candidate sweeps, where tuple building
-        # and the `tco.total` property chain dominate the fold.
         tco = option.tco
-        option_id = option.option_id
-        total = (tco.ha_infra_cost + tco.ha_labor_cost) + tco.expected_penalty
+        self._rank(
+            option.option_id,
+            tco.ha_infra_cost + tco.ha_labor_cost,
+            tco.expected_penalty,
+            option,
+        )
+
+    def _rank(
+        self, option_id: int, ha_cost: float, penalty: float, candidate
+    ) -> None:
+        """Offer one candidate to both running recommendations.
+
+        Mirrors :attr:`OptimizationResult.best` (least ``ha_cost +
+        penalty``, then least id) and
+        :attr:`OptimizationResult.min_penalty_option` (least penalty,
+        then least ``ha_cost``, then least id), so a distilled result
+        answers both recommendations identically.  The leaders' keys
+        are cached as scalars and the lexicographic compares are
+        spelled out: this runs once per candidate over 100k+ candidate
+        sweeps.
+        """
+        total = ha_cost + penalty
         if (
             self._best is None
             or total < self._best_total
             or (total == self._best_total and option_id < self._best_id)
         ):
-            self._best = option
+            self._best = candidate
             self._best_total = total
             self._best_id = option_id
-        penalty = tco.expected_penalty
         if self._min_penalty is None or penalty < self._lowest_penalty:
             self._lowest_penalty = penalty
-            self._min_penalty = option
-            self._min_penalty_ha_cost = tco.ha_infra_cost + tco.ha_labor_cost
+            self._min_penalty = candidate
+            self._min_penalty_ha_cost = ha_cost
             self._min_penalty_id = option_id
-        elif penalty == self._lowest_penalty:
-            ha_cost = tco.ha_infra_cost + tco.ha_labor_cost
-            if ha_cost < self._min_penalty_ha_cost or (
+        elif penalty == self._lowest_penalty and (
+            ha_cost < self._min_penalty_ha_cost
+            or (
                 ha_cost == self._min_penalty_ha_cost
                 and option_id < self._min_penalty_id
-            ):
-                self._min_penalty = option
-                self._min_penalty_ha_cost = ha_cost
-                self._min_penalty_id = option_id
+            )
+        ):
+            self._min_penalty = candidate
+            self._min_penalty_ha_cost = ha_cost
+            self._min_penalty_id = option_id
 
-    def fold_winners(
-        self, winners: Iterable[EvaluatedOption], *, evaluated: int
-    ) -> None:
+    def fold_winners(self, winners: list[tuple], *, evaluated: int) -> None:
         """Fold a block pre-ranked by a bulk-evaluating backend.
 
         ``winners`` are the block's minimum-total and minimum-(penalty,
-        ha-cost) candidates, selected under exactly the tie-break rules
-        :meth:`add` applies — so folding just the winners leaves the
-        running recommendations identical to folding every candidate,
-        while ``evaluated`` keeps the count honest.  Only meaningful in
+        ha-cost) candidates as ``(option_id, indices, payload)``,
+        selected under exactly the tie-break rules :meth:`_rank`
+        applies — so folding just the winners leaves the running
+        recommendations identical to folding every candidate, while
+        ``evaluated`` keeps the count honest.  Only meaningful in
         distilled mode, where losing candidates carry no information.
         """
         if self.keep_options:
@@ -256,10 +294,14 @@ class ResultAccumulator:
                 "fold_winners requires a distilled accumulator "
                 "(keep_options=False)"
             )
-        self.count += evaluated
-        for option in winners:
-            self.count -= 1
-            self.add(option)
+        self.count += evaluated - len(winners)
+        for winner in winners:
+            self.fold(*winner)
+
+    def _option(self, candidate) -> EvaluatedOption:
+        if isinstance(candidate, EvaluatedOption):
+            return candidate
+        return self._build(*candidate)
 
     def finish(self) -> "OptimizationResult":
         """Seal the accumulator into an :class:`OptimizationResult`."""
@@ -268,14 +310,12 @@ class ResultAccumulator:
         elif self._best is None:
             stored = ()
         elif self._min_penalty is self._best:
-            stored = (self._best,)
+            stored = (self._option(self._best),)
         else:
-            stored = tuple(
-                sorted(
-                    (self._best, self._min_penalty),
-                    key=lambda option: option.option_id,
-                )
-            )
+            winners = (self._best, self._min_penalty)
+            if self._min_penalty_id < self._best_id:
+                winners = winners[::-1]
+            stored = tuple(map(self._option, winners))
         return OptimizationResult(
             options=stored,
             evaluations=self.count,
@@ -334,9 +374,7 @@ class OptimizationResult:
         candidate spaces never hold more than two options in memory:
         ``options`` then contains just the distilled ``best`` and
         ``min_penalty_option`` rows while ``evaluations`` still counts
-        every candidate seen.  Callers that need to interleave work with
-        the sweep (progress events, cancellation checks) can drive a
-        :class:`ResultAccumulator` directly.
+        every candidate seen.
         """
         accumulator = ResultAccumulator(
             space_size=space_size,

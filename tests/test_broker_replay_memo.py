@@ -1,11 +1,12 @@
 """The per-engine replay memo: a warm hit that replays nothing.
 
-A cache entry stores a finished recommendation per (strategy, backend)
-once a serve was a pure replay, and later hits return it without
-searching.  These tests pin what that must never change (the bytes of
-every report, ``engine_stats`` included) and when it must not apply
-(first services, serves that combined new terms, any change of the
-inputs the engine key holds).
+A cache entry stores a wire report section per (strategy, backend)
+once a wire serve was a pure replay, and later wire hits return it
+without searching.  ``session.recommend()`` never reads or fills it:
+its callers read full option tables.  These tests pin what the memo
+must never change (the bytes of every report, ``engine_stats``
+included) and when it must not apply (first services, serves that
+combined new terms, any change of the inputs the engine key holds).
 """
 
 from __future__ import annotations
@@ -45,12 +46,23 @@ def request(**kwargs):
     return three_tier_request(Contract.linear(98.0, 100.0), **kwargs)
 
 
+def serve(session, req) -> ReportEnvelope:
+    return session.recommend_envelope(RecommendEnvelope(request=req))
+
+
 def report_bytes(session, req) -> str:
-    return session.recommend_envelope(RecommendEnvelope(request=req)).to_json()
+    return serve(session, req).to_json()
+
+
+def forget_aliases(session) -> None:
+    """Make the next wire serve take the slow path (key derivation)."""
+    session.engine_cache._aliases.clear()
 
 
 def without_engine_stats(report) -> dict:
-    payload = ReportEnvelope.from_report(report).to_dict()
+    if not isinstance(report, ReportEnvelope):
+        report = ReportEnvelope.from_report(report)
+    payload = report.to_dict()
     for entry in payload["providers"]:
         entry.pop("engine_stats")
     return payload
@@ -64,13 +76,28 @@ class TestReplayCounting:
     def test_three_identical_recommends(self, observed_broker):
         with observed_broker.session() as session:
             for _ in range(3):
-                session.recommend(request())
+                serve(session, request())
             stats = session.engine_cache.stats
         # First request: first service (3 misses).  Second: 3 hits that
         # replay and fill the memo.  Third: 3 hits answered by it.
         assert (stats.hits, stats.misses, stats.replays) == (6, 3, 3)
         assert session.metrics()["engine_cache"]["replays"] == 3
         assert "3 replays" in stats.describe()
+
+    def test_recommend_neither_reads_nor_fills_the_memo(self, observed_broker):
+        with observed_broker.session() as session:
+            for _ in range(3):
+                report = session.recommend(request())
+            assert session.engine_cache.stats.replays == 0
+            assert memos(session) == [{}, {}, {}]
+            serve(session, request())  # a pure replay: memoizes
+            assert all(memo for memo in memos(session))
+            again = session.recommend(request())
+            assert session.engine_cache.stats.replays == 0
+        for recommendation in again.recommendations:
+            result = recommendation.result
+            assert len(result.options) == result.evaluations
+        assert without_engine_stats(again) == without_engine_stats(report)
 
 
 class TestByteIdentity:
@@ -102,8 +129,8 @@ class TestWarmHitDoesNoWork:
     def test_no_search_and_no_json(self, observed_broker, monkeypatch, strategy):
         req = request(strategy=strategy)
         with observed_broker.session() as session:
-            session.recommend(req)
-            expected = session.recommend(req)
+            serve(session, req)
+            expected = serve(session, req)
 
             def boom(*args, **kwargs):
                 raise AssertionError("a warm hit must not run this")
@@ -111,8 +138,9 @@ class TestWarmHitDoesNoWork:
             monkeypatch.setitem(service._STRATEGY_FUNCTIONS, strategy, boom)
             monkeypatch.setattr(serialization, "system_to_json", boom)
             monkeypatch.setattr(api, "system_to_json", boom, raising=False)
-            warm = session.recommend(req)
-        assert warm.recommendations == expected.recommendations
+            forget_aliases(session)
+            warm = serve(session, req)
+        assert warm == expected
 
     def test_memo_hit_keeps_its_evaluate_span(self, observed_broker):
         tracer = Tracer()
@@ -121,8 +149,9 @@ class TestWarmHitDoesNoWork:
         req = request(providers=("metalcloud",))
         with observed_broker.session(tracer=tracer) as session:
             for _ in range(3):
+                forget_aliases(session)
                 with tracer.span("request"):
-                    session.recommend(req)
+                    serve(session, req)
         evaluates = [span for span in finished if span.name == "evaluate"]
         assert len(evaluates) == 3
         assert [span.attrs.get("memo") for span in evaluates] == [
@@ -136,7 +165,7 @@ class TestWarmHitDoesNoWork:
 class TestNotMemoized:
     def test_first_service_is_not_memoized(self, observed_broker):
         with observed_broker.session() as session:
-            session.recommend(request())
+            serve(session, request())
             assert memos(session) == [{}, {}, {}]
             assert session.engine_cache.stats.replays == 0
 
@@ -144,16 +173,14 @@ class TestNotMemoized:
         self, observed_broker
     ):
         with observed_broker.session() as session:
-            session.recommend(request(strategy="pruned", backend="serial"))
-            sweep = session.recommend(
-                request(strategy="brute-force", backend="serial")
-            )
-            for recommendation in sweep.recommendations:
-                assert recommendation.engine_stats.incremental_combines > 0
+            serve(session, request(strategy="pruned", backend="serial"))
+            sweep = serve(session, request(strategy="brute-force", backend="serial"))
+            for section in sweep.providers:
+                assert section.engine_stats["incremental_combines"] > 0
             for memo in memos(session):
                 assert ("brute-force", "serial") not in memo
             # Its repeat is a pure replay, and is memoized.
-            session.recommend(request(strategy="brute-force", backend="serial"))
+            serve(session, request(strategy="brute-force", backend="serial"))
             for memo in memos(session):
                 assert list(memo) == [("brute-force", "serial")]
 
@@ -164,10 +191,10 @@ class TestNotMemoized:
         )
         with observed_broker.session(cache_capacity=1) as session:
             for _ in range(2):
-                session.recommend(first)
-            session.recommend(second)  # evicts first's entry and memo
-            session.recommend(first)  # a rebuilt entry: first service
-            session.recommend(first)
+                serve(session, first)
+            serve(session, second)  # evicts first's entry and memo
+            serve(session, first)  # a rebuilt entry: first service
+            serve(session, first)
             stats = session.engine_cache.stats
             assert stats.evictions == 2
             assert stats.replays == 0
@@ -180,14 +207,14 @@ class TestInputChangesMiss:
     @staticmethod
     def _warm(session, req) -> None:
         for _ in range(3):
-            session.recommend(req)
+            serve(session, req)
         assert session.engine_cache.stats.replays == 1
 
     @staticmethod
     def _assert_miss_matches_fresh(broker, session, req) -> None:
         misses = session.engine_cache.stats.misses
         replays = session.engine_cache.stats.replays
-        served = session.recommend(req)
+        served = serve(session, req)
         assert session.engine_cache.stats.misses == misses + 1
         assert session.engine_cache.stats.replays == replays
         with broker.session() as fresh:

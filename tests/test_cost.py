@@ -102,3 +102,103 @@ class TestComputeTco:
     def test_describe_mentions_tco(self, ha_system):
         tco = compute_tco(ha_system, Contract.linear(98.0, 100.0), LaborRate(30.0))
         assert "TCO" in tco.describe()
+
+
+class TestOrderedSums:
+    """Cost sums are left folds from 0.0 in chain order on every path.
+
+    Shares like 0.1/0.2/0.3 round differently under a compensated sum
+    (Python 3.12's builtin ``sum``), so every candidate's TCO fields
+    are checked against an explicit fold on the engine's serial and
+    vector backends and on the full-topology oracle.
+    """
+
+    @staticmethod
+    def _problem():
+        from repro.catalog.raid import RAID1
+        from repro.catalog.registry import TechnologyRegistry
+        from repro.optimizer.space import OptimizationProblem
+
+        registry = TechnologyRegistry()
+        registry.register(RAID1(
+            failover_minutes=1.0, monthly_controller_cost=0.1,
+            monthly_labor_hours=0.1,
+        ))
+        builder = TopologyBuilder("shares")
+        for index, price in enumerate((0.1, 0.2, 0.3)):
+            builder.storage(
+                f"st{index}", NodeSpec(f"disk{index}", 0.02, 5.0, price),
+                nodes=1,
+            )
+        return OptimizationProblem(
+            base_system=builder.build(),
+            registry=registry,
+            contract=Contract.linear(99.0, 100.0),
+            labor_rate=LaborRate(30.0),
+        )
+
+    @staticmethod
+    def _fold(values) -> float:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    def test_engine_vector_and_oracle_equal_a_left_fold(self):
+        import math
+
+        from repro.cost.tco import cluster_cost_terms
+        from repro.optimizer.brute_force import evaluate_candidate
+        from repro.optimizer.engine import EvaluationEngine
+
+        problem = self._problem()
+        space = problem.space()
+        engines = [
+            EvaluationEngine(problem, backend=backend)
+            for backend in ("serial", "vector")
+        ]
+        tables = [list(engine.evaluate_all()) for engine in engines]
+        compensated_differs = False
+        for position, indices in enumerate(space.candidates_in_paper_order()):
+            terms = [
+                cluster_cost_terms(cluster)
+                for cluster in space.instantiate(indices).clusters
+            ]
+            infra = [term.ha_infra_cost for term in terms]
+            hours = [term.ha_labor_hours for term in terms]
+            base = [term.base_infra_cost for term in terms]
+            expected = (
+                self._fold(infra),
+                problem.labor_rate.monthly_cost(self._fold(hours)),
+                self._fold(base),
+            )
+            oracle = evaluate_candidate(problem, space, position + 1, indices)
+            for option in (tables[0][position], tables[1][position], oracle):
+                tco = option.tco
+                assert (
+                    tco.ha_infra_cost, tco.ha_labor_cost, tco.base_infra_cost
+                ) == expected
+            compensated_differs |= any(
+                self._fold(values) != math.fsum(values)
+                for values in (infra, hours, base)
+            )
+        # The shares do split a left fold from a compensated sum.
+        assert compensated_differs
+
+    def test_monthly_ha_cost_keeps_integer_amounts_integer(self):
+        host = NodeSpec("host", 0.01, 6.0, monthly_cost=200)
+        system = (
+            TopologyBuilder("ints")
+            .compute(
+                "c", host, nodes=3, standby_tolerance=1, failover_minutes=5.0,
+                monthly_ha_infra_cost=250, monthly_ha_labor_hours=4,
+            )
+            .compute(
+                "d", host, nodes=3, standby_tolerance=1, failover_minutes=5.0,
+                monthly_ha_infra_cost=100, monthly_ha_labor_hours=2,
+            )
+            .build()
+        )
+        infra, labor = monthly_ha_cost(system, LaborRate(30))
+        assert (infra, labor) == (350, 180)
+        assert type(infra) is int

@@ -379,17 +379,18 @@ class TestDistilledSweep:
             reference.options
         )
 
-    def test_distill_with_cache_on_falls_back_and_admits(self):
+    def test_distill_with_cache_on_admits_every_payload(self):
         problem = random_problem(50, clusters=3, choices_per_layer=2)
         engine = backend_engine(problem, "vector", cache=True, chunk_size=16)
         first = engine.sweep(keep_options=False)
+        assert engine.stats.incremental_combines == engine.space.size
         hits_before = engine.stats.cache_hits
         replay = engine.sweep(keep_options=False)
         assert stream_signature(first.options) == stream_signature(
             replay.options
         )
-        # The fallback fold streams per candidate, so the replayed sweep
-        # is answered from the result cache it populated.
+        # Ranked blocks still admit every lane's payload, so the
+        # replayed sweep is answered from the result cache.
         assert engine.stats.cache_hits - hits_before == engine.space.size
 
     def test_distill_counts_full_space_in_stats(self):
