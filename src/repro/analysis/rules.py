@@ -531,7 +531,7 @@ class RegistryParityRule(Rule):
     title = "backend/clause registry parity"
     paths = ("optimizer/engine.py", "sla/*")
 
-    _BACKEND_SURFACE = ("evaluate_stream",)
+    _BACKEND_SURFACE = ("evaluate_stream", "sweep")
     _SCALAR_FALLBACK_MARKER = "repro: scalar-fallback"
 
     def finish(self, tree: ast.Module, ctx: LintContext) -> None:
@@ -602,8 +602,9 @@ class RegistryParityRule(Rule):
                     f"backend {backend!r} ({class_name}) is missing the "
                     f"Backend protocol surface: {missing}",
                     hint=(
-                        "implement evaluate_stream(engine, enumerated) "
-                        "and a name class attribute"
+                        "implement evaluate_stream(engine, enumerated), "
+                        "sweep(engine, enumerated, accumulator) and a "
+                        "name class attribute"
                     ),
                 )
 

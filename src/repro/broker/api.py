@@ -14,9 +14,10 @@ module lifts that sharing across requests:
   and an async ``submit`` / ``poll`` / ``result`` job lifecycle over a
   bounded worker pool.  Both serve each provider through one method,
   ``_recommend_provider``, which keeps full option tables.  The wire
-  path, ``recommend_envelope``, serves each provider through
-  ``_report_provider`` instead: a distilled search that assembles only
-  the two options a wire report reads.
+  paths, ``recommend_envelope`` and jobs submitted with ``wire=True``,
+  serve each provider through ``_report_provider`` instead: the replay
+  memo, or a distilled search that assembles only the two options a
+  wire report reads.
 """
 
 from __future__ import annotations
@@ -310,11 +311,11 @@ class _CacheEntry:
     Strategies are deterministic and the engine's result cache only
     grows, so every later replay would rebuild exactly that report,
     ``engine_stats`` included — a memo hit returns it without
-    searching.  Only wire serves (:meth:`BrokerSession.replay_envelope`
-    and the slow path of :meth:`BrokerSession.recommend_envelope`) read
-    or fill the memo; :meth:`BrokerSession.recommend` always searches,
-    because its callers read the full option table.  The memo lives and
-    dies with its entry.
+    searching.  Only wire serves (:meth:`BrokerSession.replay_envelope`,
+    the slow path of :meth:`BrokerSession.recommend_envelope` and wire
+    jobs) read or fill the memo; :meth:`BrokerSession.recommend` and
+    other jobs always search, because their callers read the full
+    option table.  The memo lives and dies with its entry.
     """
 
     key: EngineKey
@@ -511,12 +512,18 @@ class BrokerJob:
     the worker thread (contextvars do not cross executor threads) so
     ``_run_job`` can re-activate it and attribute the submit→run gap to
     a ``queue_wait`` span.  Both stay ``None`` when tracing is off.
+
+    A ``wire`` job (``submit(..., wire=True)``) is served as
+    :meth:`BrokerSession.recommend_envelope` serves, and its ``report``
+    is the :class:`~repro.broker.envelope.ReportEnvelope`; any other
+    job's ``report`` is the full-table ``RecommendationReport``.
     """
 
     job_id: str
     envelope: RecommendEnvelope
+    wire: bool = False
     status: str = JOB_PENDING
-    report: "RecommendationReport | None" = None
+    report: "RecommendationReport | ReportEnvelope | None" = None
     error: Exception | None = None
     retrieved: bool = False
     finished_at: float | None = None
@@ -744,6 +751,15 @@ class BrokerSession:
         report = self.replay_envelope(envelope)
         if report is not None:
             return report
+        return self._wire_report(envelope)
+
+    def _wire_report(self, envelope: RecommendEnvelope) -> ReportEnvelope:
+        """An envelope's report, one :meth:`_report_provider` per provider.
+
+        The slow path of :meth:`recommend_envelope` and the whole of a
+        wire job: key derivation, then each provider's replay memo or a
+        distilled search.
+        """
         request = envelope.request
         return ReportEnvelope(
             request_name=request.system_name,
@@ -831,9 +847,19 @@ class BrokerSession:
     # -- job lifecycle -----------------------------------------------------
 
     def submit(
-        self, request: "RecommendationRequest | RecommendEnvelope"
+        self,
+        request: "RecommendationRequest | RecommendEnvelope",
+        *,
+        wire: bool = False,
     ) -> str:
-        """Queue a request on the worker pool; returns its job id."""
+        """Queue a request on the worker pool; returns its job id.
+
+        A job keeps full option tables for :meth:`result`.  With
+        ``wire=True`` it is served for :meth:`result_envelope` alone,
+        as :meth:`recommend_envelope` serves: each provider from its
+        replay memo or by a distilled search.  The server's job and
+        batch routes submit this way.
+        """
         envelope = (
             request
             if isinstance(request, RecommendEnvelope)
@@ -848,7 +874,7 @@ class BrokerSession:
                 # dataclasses.replace keeps every other wire field
                 # (trace, idempotency_key, future additions) intact.
                 envelope = replace(envelope, request_id=job_id)
-            job = BrokerJob(job_id=job_id, envelope=envelope)
+            job = BrokerJob(job_id=job_id, envelope=envelope, wire=wire)
             tracer = self.tracer
             if tracer is not None:
                 ctx = tracer.current()
@@ -899,7 +925,10 @@ class BrokerSession:
     def _execute_job(self, job: BrokerJob) -> None:
         job.status = JOB_RUNNING
         try:
-            job.report = self.recommend(job.request)
+            if job.wire:
+                job.report = self._wire_report(job.envelope)
+            else:
+                job.report = self.recommend(job.request)
             job.status = JOB_DONE
         except Exception as exc:  # noqa: BLE001 - surfaced via result()
             job.error = exc
@@ -970,11 +999,17 @@ class BrokerSession:
         self, job_id: str, timeout: float | None = None
     ) -> "RecommendationReport":
         """Block until a job finishes and return (or re-raise) its outcome."""
-        return self._job_outcome(self.job(job_id), timeout)
+        job = self.job(job_id)
+        if job.wire:
+            raise BrokerError(
+                f"job {job_id!r} was submitted with wire=True and holds no "
+                "option tables; read it with result_envelope()"
+            )
+        return self._job_outcome(job, timeout)
 
     def _job_outcome(
         self, job: BrokerJob, timeout: float | None
-    ) -> "RecommendationReport":
+    ) -> "RecommendationReport | ReportEnvelope":
         """The wait/mark-retrieved/raise-or-return core of :meth:`result`.
 
         Operates on a captured record, never re-resolving the id — once
@@ -996,9 +1031,11 @@ class BrokerSession:
     def result_envelope(
         self, job_id: str, timeout: float | None = None
     ) -> ReportEnvelope:
-        """Wire form of :meth:`result`."""
+        """Wire form of :meth:`result`; the only reader of a wire job."""
         job = self.job(job_id)
         report = self._job_outcome(job, timeout)
+        if job.wire:
+            return report
         return ReportEnvelope.from_report(
             report, request_id=job.envelope.request_id
         )

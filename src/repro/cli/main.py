@@ -552,7 +552,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         max_workers=args.max_workers,
     ) as session:
-        job_ids = [session.submit(envelope) for envelope in envelopes]
+        job_ids = [
+            session.submit(envelope, wire=True) for envelope in envelopes
+        ]
         reports = [session.result_envelope(job_id) for job_id in job_ids]
         stats = session.engine_cache.stats
     payload = "\n".join(report.to_json() for report in reports)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from repro.optimizer.engine import EvaluationEngine, engine_for
+from repro.optimizer.engine import EvaluationEngine, engine_for, payload_costs
 from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 
@@ -85,9 +85,8 @@ def branch_and_bound_optimize(
             # other searches.
             values = engine.payload(indices)
             evaluated.append((space.paper_order_id(indices), indices, values))
-            # The Eq. 5 total, as TCOBreakdown.total rounds it:
-            # (infra + labor) + penalty.
-            incumbent = min(incumbent, (values[0] + values[1]) + values[2])
+            ha_cost, penalty = payload_costs(values)
+            incumbent = min(incumbent, ha_cost + penalty)
             return
         for choice in choices[depth]:
             new_cost = cost_so_far + choice.ha_cost

@@ -55,8 +55,8 @@ def iter_brute_force(
     """Stream every candidate's evaluation in paper order.
 
     The streaming form exists so huge spaces can be consumed without
-    materializing the option table — pair it with
-    :meth:`OptimizationResult.from_stream`.
+    materializing the option table; to keep only the two
+    recommendations, use ``brute_force_optimize(keep_options=False)``.
     """
     return engine_for(problem, engine).evaluate_all()
 

@@ -114,10 +114,29 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: order, then the breakdown and failover probabilities, the SLA verdict
 #: and one failover contribution per cluster, in chain order.  Floats
 #: and a bool only, so one collection untracks every cached payload.
+#: Only this module reads payloads by position; other modules go
+#: through :func:`payload_costs` and :func:`payload_meets_sla`.
 Payload = tuple[float | bool, ...]
 
-#: Positions in a :data:`Payload` after the six TCO fields.
-_BREAKDOWN, _FAILOVER, MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
+#: Positions in a :data:`Payload`.
+_INFRA, _LABOR, _PENALTY = 0, 1, 2
+_BREAKDOWN, _FAILOVER, _MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
+
+
+def payload_costs(payload: Payload) -> tuple[float, float]:
+    """A payload's ``(ha_cost, expected_penalty)``.
+
+    ``ha_cost`` is rounded as :attr:`TCOBreakdown.ha_cost` rounds it,
+    so ``ha_cost + penalty`` is the option's
+    :attr:`TCOBreakdown.total` bit for bit.
+    """
+    return payload[_INFRA] + payload[_LABOR], payload[_PENALTY]
+
+
+def payload_meets_sla(payload: Payload) -> bool:
+    """Whether a payload's expected uptime meets the contract SLA."""
+    return payload[_MEETS_SLA]
+
 
 #: Shared no-op context manager for untraced backend chunks.
 #: nullcontext is reusable and reentrant, so one instance serves every
@@ -374,7 +393,8 @@ class VectorBackend:
         ha_cost = infra + labor, total = ha_cost + penalty.  Ascending
         order keeps the fold's lowest-id tie-breaks exact.
         """
-        infra, labor_cost, penalty = columns[0], columns[1], columns[2]
+        infra, labor_cost = columns[_INFRA], columns[_LABOR]
+        penalty = columns[_PENALTY]
         ha_cost = infra + labor_cost
         best = int(np.argmin(ha_cost + penalty))
         min_penalty_rows = np.flatnonzero(penalty == penalty.min())
@@ -832,7 +852,7 @@ class EvaluationEngine:
             build_system,
             build_availability,
             assemble_breakdown(payload[:_BREAKDOWN]),
-            payload[MEETS_SLA],
+            payload[_MEETS_SLA],
             cluster_names,
         )
 
@@ -877,6 +897,7 @@ class EvaluationEngine:
             strategy=strategy,
             keep_options=keep_options,
             build=self._build_option,
+            costs=payload_costs,
         )
 
     def sweep(self, *, keep_options: bool = True) -> OptimizationResult:

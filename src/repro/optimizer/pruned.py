@@ -18,7 +18,11 @@ and the subset was evaluated earlier, so the optimum is preserved.
 
 from __future__ import annotations
 
-from repro.optimizer.engine import MEETS_SLA, EvaluationEngine, engine_for
+from repro.optimizer.engine import (
+    EvaluationEngine,
+    engine_for,
+    payload_meets_sla,
+)
 from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 
@@ -78,7 +82,7 @@ def pruned_optimize(
             continue
         values = payload(indices)
         fold(option_id, indices, values)
-        if values[MEETS_SLA]:
+        if payload_meets_sla(values):
             covered.add(indices)
     accumulator.pruned = pruned_count
     return accumulator.finish()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.availability.model import AvailabilityReport
 from repro.cost.tco import TCOBreakdown
@@ -168,19 +168,18 @@ class ResultAccumulator:
     """Single-pass distillation of evaluated candidates.
 
     Strategies :meth:`fold` each evaluated candidate as ``(option_id,
-    indices, payload)``, where the payload leads with the six
-    :class:`TCOBreakdown` fields in declaration order (the engine's
-    :data:`~repro.optimizer.engine.Payload`), and ``build`` turns a
-    folded candidate into an :class:`EvaluatedOption`.
-    :meth:`OptimizationResult.from_stream` feeds built options through
-    :meth:`add` instead.  :meth:`finish` seals the result.
+    indices, payload)``.  The payload's layout belongs to the engine
+    (:data:`~repro.optimizer.engine.Payload`), which supplies both
+    readers: ``costs`` maps a payload to its ``(ha_cost, penalty)``,
+    and ``build`` turns a folded candidate into an
+    :class:`EvaluatedOption`.  :meth:`finish` seals the result.
 
     With ``keep_options=True`` every candidate is kept, as an option.
     With ``keep_options=False`` only the two running recommendations
     are kept, so million-candidate sweeps hold O(1) candidates in
-    memory, and :meth:`finish` assembles just those two options.  Every
-    entry point ranks through :meth:`_rank`, the one home of the
-    ``best`` / ``min_penalty_option`` tie-breaking rules.
+    memory, and :meth:`finish` assembles just those two options.
+    :meth:`fold` is the one home of the ``best`` /
+    ``min_penalty_option`` tie-breaking rules.
     """
 
     def __init__(
@@ -188,10 +187,10 @@ class ResultAccumulator:
         *,
         space_size: int,
         strategy: str,
+        build: Callable[[int, tuple[int, ...], tuple], EvaluatedOption],
+        costs: Callable[[tuple], tuple[float, float]],
         pruned: int = 0,
         keep_options: bool = True,
-        build: Callable[[int, tuple[int, ...], tuple], EvaluatedOption]
-        | None = None,
     ) -> None:
         self.space_size = space_size
         self.strategy = strategy
@@ -199,9 +198,9 @@ class ResultAccumulator:
         self.keep_options = keep_options
         self.count = 0
         self._build = build
+        self._costs = costs
         self._kept: list[EvaluatedOption] = []
-        # The running leaders: a built option (from add) or an
-        # (option_id, indices, payload) candidate (from fold).
+        # The running leaders, as (option_id, indices, payload).
         self._best = None
         self._best_total = math.inf
         self._best_id = 0
@@ -213,39 +212,11 @@ class ResultAccumulator:
     def fold(
         self, option_id: int, indices: tuple[int, ...], payload: tuple
     ) -> None:
-        """Fold one evaluated candidate by its payload."""
-        self.count += 1
-        if self.keep_options:
-            self._kept.append(self._build(option_id, indices, payload))
-            return
-        self._rank(
-            option_id,
-            payload[0] + payload[1],
-            payload[2],
-            (option_id, indices, payload),
-        )
+        """Fold one evaluated candidate by its payload.
 
-    def add(self, option: EvaluatedOption) -> None:
-        """Fold one built option into the running distillation."""
-        self.count += 1
-        if self.keep_options:
-            self._kept.append(option)
-            return
-        tco = option.tco
-        self._rank(
-            option.option_id,
-            tco.ha_infra_cost + tco.ha_labor_cost,
-            tco.expected_penalty,
-            option,
-        )
-
-    def _rank(
-        self, option_id: int, ha_cost: float, penalty: float, candidate
-    ) -> None:
-        """Offer one candidate to both running recommendations.
-
-        Mirrors :attr:`OptimizationResult.best` (least ``ha_cost +
-        penalty``, then least id) and
+        A distilled fold offers the candidate to both running
+        recommendations, mirroring :attr:`OptimizationResult.best`
+        (least ``ha_cost + penalty``, then least id) and
         :attr:`OptimizationResult.min_penalty_option` (least penalty,
         then least ``ha_cost``, then least id), so a distilled result
         answers both recommendations identically.  The leaders' keys
@@ -253,18 +224,23 @@ class ResultAccumulator:
         spelled out: this runs once per candidate over 100k+ candidate
         sweeps.
         """
+        self.count += 1
+        if self.keep_options:
+            self._kept.append(self._build(option_id, indices, payload))
+            return
+        ha_cost, penalty = self._costs(payload)
         total = ha_cost + penalty
         if (
             self._best is None
             or total < self._best_total
             or (total == self._best_total and option_id < self._best_id)
         ):
-            self._best = candidate
+            self._best = (option_id, indices, payload)
             self._best_total = total
             self._best_id = option_id
         if self._min_penalty is None or penalty < self._lowest_penalty:
             self._lowest_penalty = penalty
-            self._min_penalty = candidate
+            self._min_penalty = (option_id, indices, payload)
             self._min_penalty_ha_cost = ha_cost
             self._min_penalty_id = option_id
         elif penalty == self._lowest_penalty and (
@@ -274,7 +250,7 @@ class ResultAccumulator:
                 and option_id < self._min_penalty_id
             )
         ):
-            self._min_penalty = candidate
+            self._min_penalty = (option_id, indices, payload)
             self._min_penalty_ha_cost = ha_cost
             self._min_penalty_id = option_id
 
@@ -283,7 +259,7 @@ class ResultAccumulator:
 
         ``winners`` are the block's minimum-total and minimum-(penalty,
         ha-cost) candidates as ``(option_id, indices, payload)``,
-        selected under exactly the tie-break rules :meth:`_rank`
+        selected under exactly the tie-break rules :meth:`fold`
         applies — so folding just the winners leaves the running
         recommendations identical to folding every candidate, while
         ``evaluated`` keeps the count honest.  Only meaningful in
@@ -298,24 +274,19 @@ class ResultAccumulator:
         for winner in winners:
             self.fold(*winner)
 
-    def _option(self, candidate) -> EvaluatedOption:
-        if isinstance(candidate, EvaluatedOption):
-            return candidate
-        return self._build(*candidate)
-
     def finish(self) -> "OptimizationResult":
         """Seal the accumulator into an :class:`OptimizationResult`."""
         if self.keep_options:
             stored = tuple(self._kept)
         elif self._best is None:
             stored = ()
-        elif self._min_penalty is self._best:
-            stored = (self._option(self._best),)
+        elif self._min_penalty_id == self._best_id:
+            stored = (self._build(*self._best),)
         else:
             winners = (self._best, self._min_penalty)
             if self._min_penalty_id < self._best_id:
                 winners = winners[::-1]
-            stored = tuple(map(self._option, winners))
+            stored = tuple(self._build(*winner) for winner in winners)
         return OptimizationResult(
             options=stored,
             evaluations=self.count,
@@ -354,38 +325,6 @@ class OptimizationResult:
     def __post_init__(self) -> None:
         if not self.options:
             raise OptimizerError("optimization produced no evaluated options")
-
-    @classmethod
-    def from_stream(
-        cls,
-        options: Iterable[EvaluatedOption],
-        *,
-        space_size: int,
-        strategy: str,
-        pruned: int = 0,
-        keep_options: bool = True,
-    ) -> "OptimizationResult":
-        """Build a result from a lazily evaluated option stream.
-
-        With ``keep_options=True`` this materializes the full table —
-        identical to constructing the result directly.  With
-        ``keep_options=False`` the stream is consumed in a single pass
-        that tracks only the running recommendations, so million-
-        candidate spaces never hold more than two options in memory:
-        ``options`` then contains just the distilled ``best`` and
-        ``min_penalty_option`` rows while ``evaluations`` still counts
-        every candidate seen.
-        """
-        accumulator = ResultAccumulator(
-            space_size=space_size,
-            strategy=strategy,
-            pruned=pruned,
-            keep_options=keep_options,
-        )
-        add = accumulator.add
-        for option in options:
-            add(option)
-        return accumulator.finish()
 
     def iter_options(self) -> Iterator[EvaluatedOption]:
         """Iterate the evaluated option table in paper order."""

@@ -569,7 +569,9 @@ class RequestCore:
                 envelopes.append(RecommendEnvelope.from_json(line))
             except ValidationError as exc:
                 raise ValidationError(f"batch line {number}: {exc}") from exc
-        job_ids = [self.session.submit(envelope) for envelope in envelopes]
+        job_ids = [
+            self.session.submit(envelope, wire=True) for envelope in envelopes
+        ]
         loop = asyncio.get_running_loop()
 
         async def report_lines() -> AsyncIterator[bytes]:
@@ -606,7 +608,7 @@ class RequestCore:
             response.headers[TRACE_HEADER] = trace_id
             return response
         envelope = self._parse_envelope(request.body)
-        job_id = self.session.submit(envelope)
+        job_id = self.session.submit(envelope, wire=True)
         return _json_response(202, self._job_payload(job_id))
 
     def _traced_submit(self, request: _Request) -> tuple[str, str]:
@@ -643,7 +645,7 @@ class RequestCore:
                 start=parse_started,
                 end=parse_ended,
             )
-            job_id = self.session.submit(envelope)
+            job_id = self.session.submit(envelope, wire=True)
             span.attrs["job_id"] = job_id
             return job_id, span.context.trace_id
 

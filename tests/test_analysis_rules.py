@@ -520,6 +520,8 @@ class TestREP006RegistryParity:
             "    name = 'serial'\n"
             "    def evaluate_stream(self, engine, items):\n"
             "        pass\n"
+            "    def sweep(self, engine, items, accumulator):\n"
+            "        pass\n"
             "    def close(self):\n"
             "        pass\n"
             "_BACKEND_TYPES = {'serial': SerialBackend}\n"
@@ -539,11 +541,26 @@ class TestREP006RegistryParity:
         assert rule_ids(report) == ["REP006"]
         assert "evaluate_stream" in report.findings[0].message
 
+    def test_backend_without_sweep_flagged(self, tmp_path):
+        code = (
+            "ENGINE_BACKENDS = ('serial',)\n"
+            "class SerialBackend:\n"
+            "    name = 'serial'\n"
+            "    def evaluate_stream(self, engine, items):\n"
+            "        pass\n"
+            "_BACKEND_TYPES = {'serial': SerialBackend}\n"
+        )
+        report = lint_snippet(tmp_path, code, RegistryParityRule)
+        assert rule_ids(report) == ["REP006"]
+        assert "['sweep']" in report.findings[0].message
+
     def test_surface_inherited_from_in_module_base_clean(self, tmp_path):
         code = (
             "ENGINE_BACKENDS = ('thread',)\n"
             "class _PooledBackend:\n"
             "    def evaluate_stream(self, engine, items):\n"
+            "        pass\n"
+            "    def sweep(self, engine, items, accumulator):\n"
             "        pass\n"
             "    def close(self):\n"
             "        pass\n"

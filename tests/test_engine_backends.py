@@ -32,7 +32,6 @@ from repro.optimizer.engine import (
     VectorBackend,
     resolve_backend,
 )
-from repro.optimizer.result import OptimizationResult
 from repro.sla.contract import Contract
 from repro.sla.penalty import (
     CappedPenalty,
@@ -128,16 +127,11 @@ class TestCrossBackendEquivalence:
             assert replay == expected, backend
             assert engine.stats.cache_hits >= engine.space.size
 
-    def test_from_stream_distillation_matches_serial(self):
+    def test_distilled_vector_sweep_matches_serial_table(self):
         problem = random_problem(5, clusters=4, choices_per_layer=3)
         full = brute_force_optimize(problem)
         engine = backend_engine(problem, "vector", cache=False, chunk_size=32)
-        distilled = OptimizationResult.from_stream(
-            engine.evaluate_all(),
-            space_size=engine.space.size,
-            strategy="brute-force",
-            keep_options=False,
-        )
+        distilled = engine.sweep(keep_options=False)
         assert distilled.evaluations == full.evaluations
         assert distilled.best.option_id == full.best.option_id
         assert distilled.best.tco.total == full.best.tco.total
@@ -370,7 +364,7 @@ class TestDistilledSweep:
             reference.options
         )
 
-    def test_sweep_with_tables_matches_from_stream(self):
+    def test_sweep_with_tables_matches_serial_table(self):
         problem = random_problem(49, clusters=3, choices_per_layer=3)
         reference = brute_force_optimize(problem)
         engine = backend_engine(problem, "vector", chunk_size=16)
@@ -416,11 +410,8 @@ class TestDistilledSweep:
         )
 
     def test_fold_winners_requires_distilled_accumulator(self):
-        from repro.optimizer.result import ResultAccumulator
-
-        accumulator = ResultAccumulator(
-            space_size=4, strategy="brute-force", keep_options=True
-        )
+        engine = EvaluationEngine(case_study_problem())
+        accumulator = engine.accumulator("brute-force", keep_options=True)
         with pytest.raises(OptimizerError, match="keep_options"):
             accumulator.fold_winners([], evaluated=4)
 

@@ -22,7 +22,6 @@ from repro.optimizer.brute_force import (
 )
 from repro.optimizer.engine import EvaluationEngine, engine_for
 from repro.optimizer.pruned import pruned_optimize
-from repro.optimizer.result import OptimizationResult
 from repro.workloads.case_study import case_study_problem
 from repro.workloads.generators import random_problem
 
@@ -232,18 +231,20 @@ class TestStreamingResult:
                 == full.min_penalty_option.option_id
             )
 
-    def test_from_stream_counts_without_materializing(self):
+    def test_distilled_sweep_counts_without_materializing(self):
         problem = case_study_problem()
         engine = EvaluationEngine(problem)
-        result = OptimizationResult.from_stream(
-            iter_brute_force(problem, engine),
-            space_size=engine.space.size,
-            strategy="brute-force",
-            keep_options=False,
-        )
+        result = engine.sweep(keep_options=False)
+        assert len(result.options) <= 2
         assert result.evaluations == 8
         assert result.space_size == 8
         assert result.best.option_id == 3
+        # The lazy stream lists the same space, in paper order.
+        streamed = list(iter_brute_force(problem, engine))
+        assert [option.option_id for option in streamed] == list(range(1, 9))
+        assert result.best == min(
+            streamed, key=lambda option: (option.tco.total, option.option_id)
+        )
 
     def test_distilled_sweep_disables_result_cache(self):
         # keep_options=False advertises O(1) memory; the default engine
@@ -258,11 +259,14 @@ class TestStreamingResult:
         followup = pruned_optimize(problem, engine=engine)
         assert engine.stats.cache_hits >= followup.evaluations
 
-    def test_from_stream_rejects_empty(self):
-        with pytest.raises(OptimizerError, match="no evaluated options"):
-            OptimizationResult.from_stream(
-                iter(()), space_size=8, strategy="brute-force"
+    def test_finish_rejects_empty(self):
+        engine = EvaluationEngine(case_study_problem())
+        for keep_options in (True, False):
+            accumulator = engine.accumulator(
+                "brute-force", keep_options=keep_options
             )
+            with pytest.raises(OptimizerError, match="no evaluated options"):
+                accumulator.finish()
 
     def test_iter_options_streams_paper_order(self, simple_problem):
         result = brute_force_optimize(simple_problem)

@@ -179,6 +179,76 @@ class TestOptionsAssembledPerWireRequest:
         )
 
 
+class TestWireJobs:
+    """Jobs submitted with ``wire=True``, as the server's job and batch
+    routes submit them, serve like ``recommend_envelope``."""
+
+    @pytest.mark.parametrize("strategy,backend", VARIANTS)
+    def test_wire_job_bytes_equal_table_job_bytes(
+        self, broker, monkeypatch, strategy, backend
+    ):
+        built = collections.Counter()
+        build = EvaluationEngine._build_option
+
+        def counting_build(engine, option_id, indices, payload):
+            built[id(engine)] += 1
+            return build(engine, option_id, indices, payload)
+
+        monkeypatch.setattr(EvaluationEngine, "_build_option", counting_build)
+        envelope = RecommendEnvelope(five_tier(strategy, backend), request_id="j")
+        with broker.session() as wire, broker.session() as table:
+            wire_report = wire.result_envelope(wire.submit(envelope, wire=True))
+            assert len(built) == 2
+            assert all(count <= 2 for count in built.values())
+            table_report = table.result_envelope(table.submit(envelope))
+        assert wire_report.to_json() == table_report.to_json()
+
+    def test_repeated_wire_jobs_answer_from_the_memo(self, broker):
+        envelope = RecommendEnvelope(five_tier("pruned", "serial"))
+        with broker.session() as session:
+            reports = [
+                session.result_envelope(session.submit(envelope, wire=True))
+                for _ in range(3)
+            ]
+            # First: first service.  Second: a pure replay that fills
+            # the memo.  Third: one memo hit per provider.
+            assert session.engine_cache.stats.replays == 2
+            for _ in range(3):
+                session.result(session.submit(envelope))
+            assert session.engine_cache.stats.replays == 2
+        # The memo hit repeats the replay that filled it, engine_stats
+        # included.
+        assert reports[2].providers == reports[1].providers
+
+    def test_result_refuses_a_wire_job(self, broker):
+        from repro.errors import BrokerError
+
+        request = three_tier_request(Contract.linear(98.0, 100.0))
+        with broker.session() as session:
+            job_id = session.submit(request, wire=True)
+            with pytest.raises(BrokerError, match="result_envelope"):
+                session.result(job_id)
+            assert session.result_envelope(job_id).request_id == job_id
+
+    @pytest.mark.parametrize("route", ["jobs", "batch"])
+    def test_server_routes_answer_repeats_from_the_memo(self, broker, route):
+        from repro.server import ServerClient, start_in_thread
+
+        request = three_tier_request(Contract.linear(98.0, 100.0))
+        with start_in_thread(broker, workers=0, merge_interval=None) as handle:
+            client = ServerClient.from_url(handle.url)
+            try:
+                for _ in range(3):
+                    if route == "jobs":
+                        client.result(client.submit(request), poll_interval=0.01)
+                    else:
+                        client.batch([request])
+            finally:
+                client.close()
+            stats = handle.server.session.engine_cache.stats
+        assert stats.replays == 3  # the third serve, one per provider
+
+
 # -- forced ties -------------------------------------------------------------
 
 NODE = NodeSpec("vm", 0.01, 6.0, monthly_cost=100.0)
