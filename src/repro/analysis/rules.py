@@ -7,8 +7,10 @@ the test suite can only sample:
 ``REP001``  Float accumulation must be explicit and ordered (no ``sum``/
             ``np.sum``/``math.fsum`` over float terms, no accumulating
             out of ``set``/``dict.values()`` iteration) in ``optimizer/``,
-            ``sla/``, ``availability/`` and ``cost/`` — the bit-identical
-            cross-backend guarantee depends on exact operation order.
+            ``sla/``, ``availability/``, ``cost/`` and
+            ``broker/telemetry.py`` — the bit-identical cross-backend
+            and cross-interpreter guarantees depend on exact operation
+            order.
 ``REP002``  No blocking calls (pool shutdown, engine close, joins,
             socket/file IO) while holding a fast lock (``self._lock``) —
             the PR 5 eviction deadlock class.
@@ -101,7 +103,10 @@ class FloatAccumulationRule(Rule):
 
     rule_id = "REP001"
     title = "deterministic float accumulation"
-    paths = ("optimizer/*", "sla/*", "availability/*", "cost/*")
+    paths = (
+        "optimizer/*", "sla/*", "availability/*", "cost/*",
+        "broker/telemetry.py",
+    )
 
     _REDUCERS = {"sum", "math.fsum"}
     _NUMPY_ROOTS = {"np", "numpy"}

@@ -9,7 +9,10 @@ module lifts that sharing across requests:
   (provider, materialized base system, contract, rate card, catalog
   variant) with LRU eviction, so repeated and similar requests reuse
   the per-(cluster, technology) term caches instead of recomputing
-  them, and a repeated wire request replays its memoized report;
+  them, and a repeated wire request replays its memoized report.  It
+  also keeps the contract-free model tables its engines share, so a
+  new contract over a known system prices each candidate instead of
+  recombining it;
 - :class:`BrokerSession` is the v2 facade: synchronous ``recommend``
   and an async ``submit`` / ``poll`` / ``result`` job lifecycle over a
   bounded worker pool.  Both serve each provider through one method,
@@ -53,6 +56,7 @@ from repro.errors import (
 from repro.optimizer.engine import (
     EngineStats,
     EvaluationEngine,
+    ModelTable,
     resolve_backend,
 )
 from repro.obs import clock
@@ -221,6 +225,30 @@ class EngineKey:
         )
 
 
+class _WarmKey:
+    """A warm alias key (see :meth:`BrokerSession.replay_envelope`).
+
+    Its fields are deep tuples of frozen dataclasses, so hashing them
+    costs several microseconds, and an ``OrderedDict`` re-hashes its
+    keys as it iterates.  The key is hashed once, here, and every later
+    lookup, LRU move and set probe reuses that hash.
+    """
+
+    __slots__ = ("fields", "_hash")
+
+    def __init__(self, fields: tuple) -> None:
+        self.fields = fields
+        self._hash = hash(fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _WarmKey):
+            return NotImplemented
+        return self._hash == other._hash and self.fields == other.fields
+
+
 def _request_stats(
     before: EngineStats, after: EngineStats, first_service: bool
 ) -> EngineStats:
@@ -316,6 +344,9 @@ class _CacheEntry:
     jobs) read or fill the memo; :meth:`BrokerSession.recommend` and
     other jobs always search, because their callers read the full
     option table.  The memo lives and dies with its entry.
+
+    ``aliases`` holds the warm keys that point at this entry (guarded
+    by the cache's lock), so an eviction drops exactly those.
     """
 
     key: EngineKey
@@ -323,6 +354,7 @@ class _CacheEntry:
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
     replays: dict[tuple[str, str], ProviderReport] = field(default_factory=dict)
+    aliases: set = field(default_factory=set)
 
 
 class EngineCache:
@@ -339,6 +371,13 @@ class EngineCache:
     The alias map is an LRU of at most ``capacity`` keys, and an
     evicted entry takes its aliases with it: an alias never keeps an
     engine alive that the cache itself has let go.
+
+    The cache also owns an LRU of at most ``capacity`` model tables
+    (:data:`~repro.optimizer.engine.ModelTable`), keyed by
+    :meth:`~repro.optimizer.engine.EvaluationEngine.model_key`: engines
+    for different contracts over the same system and labor rate share
+    one table (see :meth:`model_table`).  An evicted table lives on in
+    the engines already bound to it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -346,7 +385,8 @@ class EngineCache:
         self.capacity = capacity
         self.stats = EngineCacheStats()
         self._entries: OrderedDict[EngineKey, _CacheEntry] = OrderedDict()
-        self._aliases: OrderedDict[tuple, _CacheEntry] = OrderedDict()
+        self._aliases: OrderedDict[object, _CacheEntry] = OrderedDict()
+        self._tables: OrderedDict[tuple, ModelTable] = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -395,12 +435,30 @@ class EngineCache:
                         raise
         return entry
 
+    def model_table(self, key: tuple) -> ModelTable:
+        """The shared model table under ``key``, made empty on first use.
+
+        ``key`` is an engine's
+        :meth:`~repro.optimizer.engine.EvaluationEngine.model_key`;
+        bind the table only to engines whose key equals it.
+        """
+        with self._lock:
+            tables = self._tables
+            table = tables.get(key)
+            if table is not None:
+                tables.move_to_end(key)
+                return table
+            table = tables[key] = {}
+            if len(tables) > self.capacity:
+                tables.popitem(last=False)
+            return table
+
     def count_replay(self) -> None:
         """Record one hit answered from an entry's replay memo."""
         with self._lock:
             self.stats.replays += 1
 
-    def alias(self, warm_key: tuple, entry: _CacheEntry) -> None:
+    def alias(self, warm_key: object, entry: _CacheEntry) -> None:
         """Point ``warm_key`` at ``entry`` while the entry is cached.
 
         An entry already evicted (or never published, after a failed
@@ -409,13 +467,19 @@ class EngineCache:
         with self._lock:
             if self._entries.get(entry.key) is not entry:
                 return
-            self._aliases[warm_key] = entry
-            self._aliases.move_to_end(warm_key)
-            if len(self._aliases) > self.capacity:
-                self._aliases.popitem(last=False)
+            aliases = self._aliases
+            previous = aliases.get(warm_key)
+            if previous is not None and previous is not entry:
+                previous.aliases.discard(warm_key)
+            aliases[warm_key] = entry
+            aliases.move_to_end(warm_key)
+            entry.aliases.add(warm_key)
+            if len(aliases) > self.capacity:
+                oldest, owner = aliases.popitem(last=False)
+                owner.aliases.discard(oldest)
 
     def replay(
-        self, warm_keys: Sequence[tuple], memo_key: tuple[str, str]
+        self, warm_keys: Sequence[object], memo_key: tuple[str, str]
     ) -> list[ProviderReport] | None:
         """Every warm key's memoized wire section under ``memo_key``, or None.
 
@@ -454,9 +518,10 @@ class EngineCache:
 
     def _drop_aliases(self, entry: _CacheEntry) -> None:
         """Forget every alias of an evicted entry (under ``_lock``)."""
-        stale = [key for key, value in self._aliases.items() if value is entry]
-        for key in stale:
-            del self._aliases[key]
+        aliases = self._aliases
+        for key in entry.aliases:
+            del aliases[key]
+        entry.aliases.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -490,10 +555,13 @@ class EngineCache:
         )
 
     def clear(self) -> None:
-        """Drop every cached engine (stats are retained)."""
+        """Drop every cached engine and model table (stats are retained)."""
         with self._lock:
+            for entry in self._entries.values():
+                entry.aliases.clear()
             self._entries.clear()
             self._aliases.clear()
+            self._tables.clear()
 
 
 @dataclass
@@ -833,15 +901,17 @@ class BrokerSession:
         provider: "CloudProvider",
         telemetry: "TelemetryStore",
         generation: int,
-    ) -> tuple:
+    ) -> _WarmKey:
         """One provider's warm alias key (see :meth:`replay_envelope`)."""
-        return (
-            provider_name,
-            request_key,
-            _rate_card_key(provider.rate_card),
-            telemetry,
-            generation,
-            self.service.knowledge_base.min_failure_samples,
+        return _WarmKey(
+            (
+                provider_name,
+                request_key,
+                _rate_card_key(provider.rate_card),
+                telemetry,
+                generation,
+                self.service.knowledge_base.min_failure_samples,
+            )
         )
 
     # -- job lifecycle -----------------------------------------------------
@@ -1148,7 +1218,11 @@ class BrokerSession:
             # lock, so this span nests inside cache_lookup — the n*k
             # cluster-term precompute is exactly a cache miss's cost.
             with maybe_span(tracer, "terms", attrs={"provider": provider_name}):
-                return EvaluationEngine(problem, backend=backend)
+                engine = EvaluationEngine(problem, backend=backend)
+            engine.model_table = self.engine_cache.model_table(
+                engine.model_key()
+            )
+            return engine
 
         with maybe_span(
             tracer, "cache_lookup", attrs={"provider": provider_name}

@@ -106,11 +106,18 @@ class _ComponentStats:
         if memo is not None and memo[0] is samples and memo[1] == count:
             return memo[2], memo[3]
         summed = samples[:count]
-        mean = sum(summed) / count if count else float("nan")
+        # Ordered left folds: builtin sum() compensates float sums on
+        # Python >= 3.12 only, and these estimates reach the wire.
+        total = 0.0
+        for x in summed:
+            total += x
+        mean = total / count if count else float("nan")
         std = 0.0
         if count >= 2:
-            variance = sum((x - mean) ** 2 for x in summed) / (count - 1)
-            std = variance**0.5
+            squares = 0.0
+            for x in summed:
+                squares += (x - mean) ** 2
+            std = (squares / (count - 1)) ** 0.5
         self._failover_memo = (samples, count, mean, std)
         return mean, std
 

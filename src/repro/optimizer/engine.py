@@ -17,10 +17,23 @@ structure instead: Eq. 1-5 factor into per-cluster terms, so the engine
    force, branch-and-bound re-runs, advisor what-if sweeps) never
    evaluate a candidate twice.
 
+Only three payload values depend on the contract: the slippage, the
+penalty and the SLA verdict.  The rest — the Eq. 1-4 availability
+terms and the Eq. 5 HA costs — are a function of the engine's factor
+rows and labor rate alone.  An engine may therefore share a **model
+table** (:data:`ModelTable`) with every engine whose
+:meth:`EvaluationEngine.model_key` is equal: a map from index tuple
+to the candidate's contract-free :data:`ModelRow`.  A result-cache
+miss whose row is in the table is *priced* — slippage, penalty and
+verdict from the row's uptime — instead of recombined, so a new
+contract over a known system costs one pricing pass per candidate.
+The broker's engine cache owns the tables; an engine built without
+one recombines every miss.
+
 Searches work on payloads, not options: :meth:`EvaluationEngine.payload`
-answers one candidate (from the cache or by recombination) and each
-strategy folds ``(option_id, indices, payload)`` into a
-:class:`~repro.optimizer.result.ResultAccumulator`.  A full-table
+answers one candidate (from the cache, a table row or by
+recombination) and each strategy folds ``(option_id, indices,
+payload)`` into a :class:`~repro.optimizer.result.ResultAccumulator`.  A full-table
 result assembles a lazy :class:`EvaluatedOption` per candidate; a
 distilled one (``keep_options=False``, the broker's wire path)
 assembles only its two recommendations.
@@ -65,7 +78,9 @@ win), which is how CI smokes the vector path across the whole suite.
 An engine has **one consumer at a time**.  The broker's engine cache
 serializes every evaluation on a cached engine through the entry's
 lock, and no backend calls back into the engine from another thread,
-so cache and stats mutations take no lock of their own.
+so cache and stats mutations take no lock of their own.  A model
+table is shared across engines and threads, and needs none either
+(see :data:`ModelTable`).
 """
 
 from __future__ import annotations
@@ -73,6 +88,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
 
@@ -121,6 +137,29 @@ Payload = tuple[float | bool, ...]
 #: Positions in a :data:`Payload`.
 _INFRA, _LABOR, _PENALTY = 0, 1, 2
 _BREAKDOWN, _FAILOVER, _MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
+
+
+#: One candidate's contract-free values, as a :data:`ModelTable` holds
+#: them: HA infra cost, priced HA labor, base infra cost, uptime,
+#: breakdown and failover probabilities, then one failover
+#: contribution per cluster.  A :data:`Payload` minus its slippage,
+#: penalty and SLA verdict; floats only, so one collection untracks it.
+ModelRow = tuple[float, ...]
+
+#: Index tuple -> :data:`ModelRow`, shared by engines with equal
+#: :meth:`EvaluationEngine.model_key`.  Plain dict reads and writes are
+#: atomic under the GIL, and equal keys give equal rows, so engines
+#: serving on different threads may share one table without a lock.
+ModelTable = dict[tuple[int, ...], ModelRow]
+
+
+def _float_bits(values: tuple[float, ...]) -> bytes:
+    """The IEEE-754 bits of ``values``: equal bytes, identical floats.
+
+    Float ``==`` treats ``0.0`` and ``-0.0`` as equal, yet they round
+    differently downstream; comparing bits keeps a shared table exact.
+    """
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def payload_costs(payload: Payload) -> tuple[float, float]:
@@ -192,7 +231,8 @@ class EngineStats:
     cache_hits:
         Requests answered from the index-keyed result cache.
     incremental_combines:
-        Cache misses answered by the O(n) term recombination.
+        Result-cache misses this engine answered, each by pricing a
+        shared :data:`ModelRow` or by recombining the O(n) terms.
     cluster_term_computations:
         Per-(cluster, technology) precomputations done at construction
         (``n * k`` — the only cluster-level availability math the
@@ -273,6 +313,8 @@ class VectorBackend:
     combine.  Every lane is probed in the engine's result cache first
     and every evaluated payload is admitted to it, so cache and stats
     behaviour matches serial evaluation (and replays are pure hits).
+    It neither reads nor feeds a model table: recombining a lane costs
+    about as little as gathering its row would.
 
     numpy is imported on first use, not at module import, so processes
     that never run a vector batch do not pay for loading it.  A backend
@@ -351,7 +393,8 @@ class VectorBackend:
 
         With the result cache on, every evaluated payload is admitted.
         With it off, a ranked block converts only its winners' lanes to
-        payloads and counts only those as combines.
+        payloads, yet counts every lane it evaluated as a combine, so
+        the stats equal a serial sweep's.
         """
         import numpy as np
 
@@ -368,7 +411,7 @@ class VectorBackend:
                     (*block[i], tuple(column[i].item() for column in columns))
                     for i in self._block_winners(np, columns)
                 ]
-                engine.stats.incremental_combines += len(winners)
+                engine.stats.incremental_combines += len(block)
                 accumulator.fold_winners(winners, evaluated=len(block))
                 continue
             payloads, columns = self._resolve_block(engine, np, tables, block)
@@ -595,6 +638,11 @@ class EvaluationEngine:
         #: session when tracing is on.  ``None`` disables chunk spans —
         #: backends guard on a single `is not None` check per block.
         self.tracer = None
+        #: The shared :data:`ModelTable` this engine prices from and
+        #: feeds, handed over by the broker's engine cache; ``None``
+        #: recombines every result-cache miss.  Only ever bind a table
+        #: kept under this engine's :meth:`model_key`.
+        self.model_table: ModelTable | None = None
         self.space = self.problem.space()
         self.stats = EngineStats()
         self._results: dict[tuple[int, ...], Payload] = {}
@@ -687,6 +735,31 @@ class EvaluationEngine:
         """Per-cluster rows of cached (cluster, technology) profiles."""
         return self._profiles
 
+    def model_key(self) -> tuple:
+        """The inputs of every :data:`ModelRow`, compared bit for bit.
+
+        A row is a function of the factor rows (shape and values) and
+        the labor rate alone, so engines with equal keys compute equal
+        rows and may share one :data:`ModelTable` whatever their
+        contracts.  Floats enter as their bits (see
+        :func:`_float_bits`).
+        """
+        rows = self._factor_rows
+        labor_rate = self.problem.labor_rate
+        return (
+            tuple(len(row) for row in rows),
+            _float_bits(
+                tuple(
+                    value
+                    for row in rows
+                    for factors in row
+                    for value in factors
+                )
+            ),
+            labor_rate,
+            _float_bits((labor_rate.dollars_per_hour,)),
+        )
+
     # -- evaluation --------------------------------------------------------
 
     def evaluate(
@@ -727,15 +800,28 @@ class EvaluationEngine:
         return payload
 
     def _payload(self, indices: tuple[int, ...]) -> Payload:
-        """O(n) Eq. 1-5 values from the cached per-cluster factor rows.
+        """O(n) Eq. 1-5 values: a priced table row, or a recombination.
 
-        The scalar twin of the vector backend's columns, written out
-        over plain floats: it performs the float operations of
+        With a :attr:`model_table` holding the candidate's row, only the
+        contract's slippage, penalty and verdict are computed
+        (:meth:`_price`).  Otherwise the row is recombined from the
+        cached per-cluster factor rows, and admitted to the table.
+
+        The recombination is the scalar twin of the vector backend's
+        columns, written out over plain floats: it performs the float
+        operations of
         :func:`~repro.availability.model.availability_values_from_terms`
         and :func:`~repro.cost.tco.tco_values_from_terms` in the same
         order, so its payloads are bit-identical to the full-topology
-        oracle's values (the oracle tests pin it).
+        oracle's values (the oracle tests pin it).  A priced row holds
+        those same floats, and pricing runs the same contract calls on
+        the same uptime, so both ways give the same payload.
         """
+        table = self.model_table
+        if table is not None:
+            row = table.get(indices)
+            if row is not None:
+                return self._price(row)
         rows = self._factor_rows
         if len(indices) != len(rows):
             raise OptimizerError(
@@ -771,9 +857,15 @@ class EvaluationEngine:
             infra += factors[3]
             labor_hours += factors[4]
             base += factors[5]
+        labor_cost = self._labor_cost(labor_hours)
+        if table is not None:
+            table[indices] = (
+                infra, labor_cost, base, uptime, breakdown, failover,
+                *contributions,
+            )
         return (
             infra,
-            self._labor_cost(labor_hours),
+            labor_cost,
             penalty,
             base,
             uptime,
@@ -782,6 +874,23 @@ class EvaluationEngine:
             failover,
             self._meets_sla(uptime),
             *contributions,
+        )
+
+    def _price(self, row: ModelRow) -> Payload:
+        """A :data:`ModelRow` priced under this engine's contract."""
+        uptime = row[3]
+        slippage = self._slippage_hours(uptime)
+        return (
+            row[0],
+            row[1],
+            self._monthly_penalty(slippage),
+            row[2],
+            uptime,
+            slippage,
+            row[4],
+            row[5],
+            self._meets_sla(uptime),
+            *row[6:],
         )
 
     def _build_option(

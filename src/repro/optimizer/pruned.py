@@ -14,6 +14,11 @@ non-negative per-cluster HA costs,
     TCO(superset) >= C_HA(superset) >= C_HA(subset) = TCO(subset),
 
 and the subset was evaluated earlier, so the optimum is preserved.
+
+The walk goes subset by subset (which clusters are clustered).  Once
+every candidate of a subset is covered — it met the SLA or was pruned
+— every candidate of each one-larger superset extends one of them, so
+those supersets are pruned whole, without a per-candidate probe.
 """
 
 from __future__ import annotations
@@ -68,21 +73,40 @@ def pruned_optimize(
     recommendations (see :class:`~repro.optimizer.result.ResultAccumulator`).
     """
     engine = engine_for(problem, engine)
+    space = engine.space
     accumulator = engine.accumulator("pruned", keep_options=keep_options)
     payload = engine.payload
     fold = accumulator.fold
     covered: set[tuple[int, ...]] = set()
+    # Subsets whose every candidate is covered.  Their candidates need
+    # not enter ``covered``: only their supersets probe them, and
+    # those are skipped whole.
+    full: set[tuple[int, ...]] = set()
     pruned_count = 0
-    for option_id, indices in enumerate(
-        engine.space.candidates_in_paper_order(), start=1
-    ):
-        if covered and _extends_covered(indices, covered):
-            covered.add(indices)
-            pruned_count += 1
+    option_id = 0
+    for subset, width in space.subsets_in_paper_order():
+        if full and any(
+            subset[:position] + subset[position + 1:] in full
+            for position in range(len(subset))
+        ):
+            full.add(subset)
+            option_id += width
+            pruned_count += width
             continue
-        values = payload(indices)
-        fold(option_id, indices, values)
-        if payload_meets_sla(values):
-            covered.add(indices)
+        covered_here = 0
+        for indices in space.subset_candidates(subset):
+            option_id += 1
+            if covered and _extends_covered(indices, covered):
+                covered.add(indices)
+                covered_here += 1
+                pruned_count += 1
+                continue
+            values = payload(indices)
+            fold(option_id, indices, values)
+            if payload_meets_sla(values):
+                covered.add(indices)
+                covered_here += 1
+        if covered_here == width:
+            full.add(subset)
     accumulator.pruned = pruned_count
     return accumulator.finish()

@@ -104,13 +104,39 @@ class CandidateSpace:
         """The choice set of the ``i``-th cluster (``none`` first)."""
         return self._choices[cluster_index]
 
-    def _subsets_in_paper_order(self, size: int) -> list[tuple[int, ...]]:
-        """Clustered-position subsets of one size, rightmost-first."""
-        # Negating the positions sorts "rightmost clusters first"
-        # within the same subset size.
-        return sorted(
-            itertools.combinations(range(self.cluster_count), size),
-            key=lambda subset: tuple(-i for i in subset),
+    def subsets_in_paper_order(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Yield ``(clustered positions, candidate count)`` in paper order.
+
+        Subsets ascend by size and, within a size, put later clusters
+        in the chain first.  A subset's candidates are
+        :meth:`subset_candidates`; there are ``prod(k_i - 1)`` of them
+        over its positions (0 when one of them offers only ``none``).
+        """
+        counts = self.choice_counts
+        for size in range(self.cluster_count + 1):
+            # Negating the positions sorts "rightmost clusters first"
+            # within the same subset size.
+            for subset in sorted(
+                itertools.combinations(range(self.cluster_count), size),
+                key=lambda subset: tuple(-i for i in subset),
+            ):
+                yield subset, math.prod(counts[i] - 1 for i in subset)
+
+    def subset_candidates(
+        self, subset: tuple[int, ...]
+    ) -> Iterator[tuple[int, ...]]:
+        """The candidates that cluster exactly ``subset``, in paper order.
+
+        Every position in ``subset`` takes each non-``none`` choice,
+        every other position ``none``; choice indices vary fastest on
+        the rightmost position.
+        """
+        counts = self.choice_counts
+        return itertools.product(
+            *(
+                range(1, counts[i]) if i in subset else range(0, 1)
+                for i in range(self.cluster_count)
+            )
         )
 
     def candidates_in_paper_order(self) -> Iterator[tuple[int, ...]]:
@@ -127,14 +153,8 @@ class CandidateSpace:
         paper order rather than materializing and sorting all ``k^n``
         vectors, so streaming sweeps over huge spaces stay O(n) memory.
         """
-        counts = self.choice_counts
-        for size in range(self.cluster_count + 1):
-            for subset in self._subsets_in_paper_order(size):
-                axes = tuple(
-                    range(1, counts[i]) if i in subset else range(0, 1)
-                    for i in range(self.cluster_count)
-                )
-                yield from itertools.product(*axes)
+        for subset, _ in self.subsets_in_paper_order():
+            yield from self.subset_candidates(subset)
 
     def paper_order_id(self, indices: tuple[int, ...]) -> int:
         """The 1-based paper-order id of one candidate, in O(n).
@@ -156,12 +176,10 @@ class CandidateSpace:
                 )
         if not self._subset_offsets:
             next_id = 1
-            for size in range(self.cluster_count + 1):
-                for subset in self._subsets_in_paper_order(size):
-                    width = math.prod(counts[i] - 1 for i in subset)
-                    if width:
-                        self._subset_offsets[subset] = next_id
-                        next_id += width
+            for subset, width in self.subsets_in_paper_order():
+                if width:
+                    self._subset_offsets[subset] = next_id
+                    next_id += width
         clustered = tuple(i for i, choice in enumerate(indices) if choice != 0)
         rank = 0
         for position in clustered:

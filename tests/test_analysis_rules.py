@@ -191,6 +191,21 @@ class TestREP001FloatAccumulation:
         report = run_lint([tmp_path / "cli.py"], rules=[FloatAccumulationRule])
         assert report.findings == ()
 
+    def test_scope_covers_telemetry_estimates(self, tmp_path):
+        # Seeded defect: the failover mean as a builtin sum(), which
+        # compensates on Python >= 3.12 only.  The telemetry module is
+        # in scope; its broker siblings are not.
+        broker = tmp_path / "repro" / "broker"
+        broker.mkdir(parents=True)
+        code = "def mean(samples):\n    return sum(samples) / len(samples)\n"
+        (broker / "telemetry.py").write_text(code)
+        (broker / "api.py").write_text(code)
+        report = run_lint([tmp_path], rules=[FloatAccumulationRule])
+        assert [
+            (finding.rule_id, Path(finding.path).name)
+            for finding in report.findings
+        ] == [("REP001", "telemetry.py")]
+
 
 class TestREP002LockDiscipline:
     def test_shutdown_under_fast_lock_flagged(self, tmp_path):

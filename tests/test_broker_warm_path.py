@@ -19,7 +19,7 @@ import weakref
 
 import pytest
 
-from repro.broker.api import EngineCache
+from repro.broker.api import EngineCache, _WarmKey
 from repro.broker.envelope import RecommendEnvelope, ReportEnvelope
 from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
@@ -310,6 +310,48 @@ class TestBoundedAliases:
             session.recommend_envelope(envelope(Contract.linear(99.0, 100.0)))
             assert session.replay_envelope(env) is not None
             assert other.replay_envelope(env) is None
+
+    def test_moved_alias_survives_its_old_entrys_eviction(self):
+        class Engine:
+            pass
+
+        cache = EngineCache(capacity=2)
+        first = cache.entry(("k", 1), Engine)
+        second = cache.entry(("k", 2), Engine)
+        cache.alias(("warm",), first)
+        cache.alias(("warm",), second)
+        assert not first.aliases and second.aliases == {("warm",)}
+        cache.entry(("k", 3), Engine)  # evicts the first entry
+        assert cache._aliases == {("warm",): second}
+
+    def test_alias_lru_unlinks_its_owner(self):
+        class Engine:
+            pass
+
+        cache = EngineCache(capacity=2)
+        entry = cache.entry(("k", 1), Engine)
+        for number in range(3):
+            cache.alias(("warm", number), entry)
+        assert entry.aliases == {("warm", 1), ("warm", 2)}
+        assert set(cache._aliases) == entry.aliases
+
+    def test_warm_key_hashes_its_fields_once(self):
+        hashed = []
+
+        class Field:
+            def __hash__(self):
+                hashed.append(self)
+                return 7
+
+        key = _WarmKey(("provider", Field()))
+        cache = EngineCache(capacity=2)
+        entry = cache.entry(("k", 1), object)
+        cache.alias(key, entry)
+        assert cache.replay([key], ("pruned", "serial")) is None
+        cache.entry(("k", 2), object)
+        cache.entry(("k", 3), object)  # evicts the aliased entry
+        assert not cache._aliases
+        assert len(hashed) == 1
 
     def test_evicted_entry_gets_no_alias(self):
         class Engine:

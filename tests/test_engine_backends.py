@@ -391,12 +391,14 @@ class TestDistilledSweep:
         problem = random_problem(51, clusters=3, choices_per_layer=3)
         engine = backend_engine(problem, "vector", cache=False, chunk_size=16)
         result = engine.sweep(keep_options=False)
-        evaluated = engine.stats.candidate_evaluations
-        combined = engine.stats.incremental_combines
+        serial = backend_engine(problem, "serial", cache=False)
+        serial.sweep(keep_options=False)
         assert result.evaluations == engine.space.size
-        assert evaluated == engine.space.size
-        # Winners-only assembly: far fewer options built than evaluated.
-        assert combined < evaluated
+        assert engine.stats.candidate_evaluations == engine.space.size
+        # Ranked blocks convert only their winners to payloads, yet
+        # every lane was evaluated: the stats equal a serial sweep's.
+        assert engine.stats.incremental_combines == engine.space.size
+        assert engine.stats == serial.stats
 
     def test_brute_force_optimize_routes_distilled(self):
         problem = random_problem(52, clusters=3, choices_per_layer=3)
