@@ -1,4 +1,4 @@
-"""E9/E12/E13/E14 — the EvaluationEngine vs legacy, and backend vs backend.
+"""E9 — the EvaluationEngine vs the legacy full-topology path.
 
 The seed implementation rebuilt a full :class:`SystemTopology` and
 re-ran the entire availability + TCO model for every one of the ``k^n``
@@ -12,24 +12,12 @@ and verifies the acceptance criterion: on a 4-cluster x 4-technology
 space (256 candidates) the engine performs at least 3x fewer
 full-topology evaluations than the legacy path while producing
 bit-identical results, with cache hits reported across strategy
-restarts.
-
-The ``--compare-backends`` mode (E12, re-run as E13/E14) races the
-serial and vector evaluation backends over an extended >= 100k-candidate
-catalog: distilled brute-force sweeps with the result cache off,
-asserting all backends agree bit-identically and that the vector
-backend beats serial even on one core.  Combine with
-``--smoke`` for the fast CI variant (small catalog, equivalence checks
-only, no timing assertions); ``--json PATH`` writes the measured rows as
-a machine-readable artifact (see BENCH_E14.json).
+restarts.  ``--smoke`` runs the fast correctness guard instead.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from datetime import datetime, timezone
 
 from repro.catalog.hypervisor import HypervisorHA
 from repro.catalog.os_cluster import OSCluster
@@ -40,9 +28,8 @@ from repro.cost.rates import LaborRate
 from repro.optimizer.advisor import advise_upgrades
 from repro.optimizer.branch_bound import branch_and_bound_optimize
 from repro.optimizer.brute_force import brute_force_optimize, evaluate_candidate
-from repro.optimizer.engine import ENGINE_BACKENDS, EvaluationEngine
+from repro.optimizer.engine import EvaluationEngine
 from repro.optimizer.pruned import pruned_optimize
-from repro.optimizer.result import OptimizationResult
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
 from repro.topology.builder import TopologyBuilder
@@ -205,139 +192,6 @@ def test_engine_avoids_full_topology_work(emit):
     )
 
 
-def test_parallel_chunked_evaluation_matches(emit):
-    """The vector backend produces the identical option table, in order."""
-    problem = four_by_four_problem()
-    sequential = brute_force_optimize(problem)
-    engine = EvaluationEngine(problem, backend="vector", chunk_size=32)
-    chunked = brute_force_optimize(problem, engine=engine)
-    assert [option.tco.total for option in chunked.options] == [
-        option.tco.total for option in sequential.options
-    ]
-    emit(
-        "[E9] chunked vector evaluation: 256/256 options bit-identical "
-        "to sequential order"
-    )
-
-
-def extended_catalog_problem(clusters: int = 9) -> OptimizationProblem:
-    """The E12 extended catalog: ``clusters`` layers, k=4 each.
-
-    Nine clusters at the generator's maximum of three technologies per
-    layer (plus ``none``) give ``4^9 = 262,144`` candidates — past the
-    100k bar the backend acceptance criteria set, and deep
-    enough (n=9, within the paper's n<=10 bound) that the O(n^2)
-    failover recombination dominates per-candidate cost.
-    """
-    return random_problem(2024, clusters=clusters, choices_per_layer=3)
-
-
-def _compare_backends(smoke: bool, emit=print, json_path: str | None = None) -> int:
-    """E14 (extends E12/E13) — race the evaluation backends.
-
-    Distilled sweeps (``keep_options=False``) with per-engine result
-    caches off, so every backend performs the full ``k^n`` recombination
-    work and memory stays O(1).  Backends race through
-    :meth:`EvaluationEngine.sweep`, so the vector leg uses the
-    block-distilled ranking pass (argmin over whole blocks, winners-only
-    assembly) while serial streams per candidate — each backend's best
-    honest path.  Asserts all backends return the same
-    evaluations count and a bit-identical best option; outside smoke
-    mode, also asserts that the vector backend beats serial regardless
-    of core count (it vectorizes the combine, not the pool).
-    """
-    # The package imports numpy on the first vector batch; load it here
-    # so the vector row times evaluation, not the import.
-    import numpy  # noqa: F401
-
-    cores = os.cpu_count() or 1
-    problem = (
-        random_problem(2024, clusters=5, choices_per_layer=3)
-        if smoke
-        else extended_catalog_problem()
-    )
-    timings: dict[str, float] = {}
-    results: dict[str, OptimizationResult] = {}
-    rows = []
-    for backend in ENGINE_BACKENDS:
-        engine = EvaluationEngine(
-            problem, cache=False, backend=backend, chunk_size=4096
-        )
-        # Each backend's best honest path through one API call: sweep()
-        # folds every payload on serial and ranks whole blocks on
-        # vector.
-        result, seconds = _timed(lambda: engine.sweep(keep_options=False))
-        timings[backend] = seconds
-        results[backend] = result
-        rows.append(
-            f"  {backend:<8} {seconds:8.2f} s   "
-            f"{result.evaluations / seconds:>10,.0f} evals/s   "
-            f"best {result.best.label}"
-        )
-
-    reference = results["serial"]
-    for backend, result in results.items():
-        assert result.evaluations == reference.evaluations, backend
-        assert result.best.option_id == reference.best.option_id, backend
-        assert result.best.tco.total == reference.best.tco.total, backend
-        assert result.best.availability.uptime_probability == (
-            reference.best.availability.uptime_probability
-        ), backend
-
-    speedups = {"vector_over_serial": timings["serial"] / timings["vector"]}
-    verdict = (
-        f"vector/serial speedup "
-        f"{speedups['vector_over_serial']:.2f}x on {cores} core(s)"
-    )
-
-    emit(
-        f"[E14] backend comparison, {reference.evaluations:,}-candidate "
-        f"catalog ({'smoke' if smoke else 'extended'}):\n"
-        + "\n".join(rows)
-        + f"\n  {verdict}"
-    )
-    if not smoke:
-        assert timings["vector"] < timings["serial"], (
-            "acceptance: VectorBackend must beat SerialBackend; "
-            f"got {timings}"
-        )
-
-    if json_path:
-        payload = {
-            "experiment": "E14",
-            "generated": datetime.now(timezone.utc).isoformat(),
-            "smoke": smoke,
-            "cores": cores,
-            "candidates": reference.evaluations,
-            "backends": [
-                {
-                    "backend": backend,
-                    "seconds": timings[backend],
-                    "candidates_per_s": (
-                        results[backend].evaluations / timings[backend]
-                    ),
-                }
-                for backend in timings
-            ],
-            "speedups": speedups,
-        }
-        _write_json(json_path, payload)
-        emit(f"  wrote {json_path}")
-    return 0
-
-
-def _write_json(path: str, payload: dict) -> None:
-    """Write one benchmark artifact (stable key order, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_backend_comparison_smoke(emit):
-    """Cross-backend agreement on the small catalog (fast; E12 smoke)."""
-    _compare_backends(smoke=True, emit=emit)
-
-
 def _smoke() -> int:
     """Fast CI guard: engine correctness + zero full-topology evals."""
     problem = four_by_four_problem()
@@ -368,24 +222,7 @@ if __name__ == "__main__":
         "--smoke", action="store_true",
         help="run the fast correctness smoke instead of pytest-benchmark",
     )
-    parser.add_argument(
-        "--compare-backends", action="store_true",
-        help="race the serial/vector backends (E14); with "
-        "--smoke, a small-catalog equivalence check without timing "
-        "assertions",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="with --compare-backends, also write the timings as a JSON "
-        "artifact (e.g. BENCH_E14.json)",
-    )
     args = parser.parse_args()
-    if args.compare_backends:
-        raise SystemExit(
-            _compare_backends(smoke=args.smoke, json_path=args.json)
-        )
-    if args.json:
-        parser.error("--json requires --compare-backends")
     if not args.smoke:
         parser.error("run via pytest for full benchmarks, or pass --smoke")
     raise SystemExit(_smoke())

@@ -1,7 +1,7 @@
 """The invariant linter's rule engine: one AST pass, many rules.
 
-The repo's headline guarantee — bit-identical results across every
-evaluation backend and serving path — rests on a set of *unwritten*
+The repo's headline guarantee — bit-identical results on every
+serving path and interpreter — rests on a set of *unwritten*
 rules the test suites can only sample: explicit-order float
 accumulation, no blocking work under fast locks, no blocking calls on
 the event loop, paired resource lifecycles, symmetric wire envelopes.

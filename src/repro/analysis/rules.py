@@ -8,9 +8,10 @@ the test suite can only sample:
             ``np.sum``/``math.fsum`` over float terms, no accumulating
             out of ``set``/``dict.values()`` iteration) in ``optimizer/``,
             ``sla/``, ``availability/``, ``cost/`` and
-            ``broker/telemetry.py`` — the bit-identical cross-backend
-            and cross-interpreter guarantees depend on exact operation
-            order.
+            ``broker/telemetry.py`` — the scalar kernel's bit-identity
+            with the full-topology oracle, shared model-table rows and
+            byte-identical reports across interpreters all depend on
+            exact operation order.
 ``REP002``  No blocking calls (pool shutdown, engine close, joins,
             socket/file IO) while holding a fast lock (``self._lock``) —
             the PR 5 eviction deadlock class.
@@ -24,11 +25,6 @@ the test suite can only sample:
 ``REP005``  Wire envelopes round-trip: every dataclass field of every
             envelope in ``broker/envelope.py`` must appear in both the
             ``to_dict`` and ``from_dict`` key sets.
-``REP006``  Registry parity: ``ENGINE_BACKENDS`` ↔ ``_BACKEND_TYPES``
-            agree and every backend implements the ``Backend`` surface;
-            every concrete ``PenaltyClause`` either overrides
-            ``monthly_penalty_vector`` or is marked
-            ``# repro: scalar-fallback``.
 ``REP007``  No ad-hoc clock (``time.time``/``time.monotonic``/
             ``time.perf_counter``/``datetime.now``) or global-RNG
             (``random.random`` etc.) reads anywhere outside the
@@ -60,7 +56,6 @@ __all__ = [
     "AsyncHygieneRule",
     "ResourceLifecycleRule",
     "WireRoundTripRule",
-    "RegistryParityRule",
     "WallClockRule",
     "ForkSafetyRule",
 ]
@@ -527,175 +522,6 @@ class WireRoundTripRule(Rule):
         }
 
 
-# -- REP006 ----------------------------------------------------------------
-
-class RegistryParityRule(Rule):
-    """Backend registry and penalty-clause vector parity."""
-
-    rule_id = "REP006"
-    title = "backend/clause registry parity"
-    paths = ("optimizer/engine.py", "sla/*")
-
-    _BACKEND_SURFACE = ("evaluate_stream", "sweep")
-    _SCALAR_FALLBACK_MARKER = "repro: scalar-fallback"
-
-    def finish(self, tree: ast.Module, ctx: LintContext) -> None:
-        classes = {
-            node.name: node
-            for node in tree.body
-            if isinstance(node, ast.ClassDef)
-        }
-        self._check_backend_registry(tree, classes, ctx)
-        self._check_penalty_clauses(classes, ctx)
-
-    # -- ENGINE_BACKENDS <-> _BACKEND_TYPES ---------------------------------
-
-    def _check_backend_registry(self, tree, classes, ctx: LintContext) -> None:
-        backends = types_map = None
-        backends_node = types_node = None
-        for node in tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id == "ENGINE_BACKENDS" and isinstance(
-                node.value, (ast.Tuple, ast.List)
-            ):
-                backends = tuple(
-                    element.value
-                    for element in node.value.elts
-                    if isinstance(element, ast.Constant)
-                )
-                backends_node = node
-            elif target.id == "_BACKEND_TYPES" and isinstance(
-                node.value, ast.Dict
-            ):
-                types_map = {
-                    key.value: value.id
-                    for key, value in zip(node.value.keys, node.value.values)
-                    if isinstance(key, ast.Constant)
-                    and isinstance(value, ast.Name)
-                }
-                types_node = node
-        if backends is None or types_map is None:
-            return
-        if set(backends) != set(types_map):
-            ctx.report(
-                self,
-                types_node or backends_node,
-                "ENGINE_BACKENDS and _BACKEND_TYPES disagree: "
-                f"{sorted(set(backends) ^ set(types_map))}",
-                hint="every declared backend needs a factory and vice versa",
-            )
-        for backend, class_name in types_map.items():
-            cls = classes.get(class_name)
-            if cls is None:
-                continue  # imported factory: out of static reach
-            surface = self._resolved_names(cls, classes)
-            missing = [
-                method
-                for method in self._BACKEND_SURFACE
-                if method not in surface
-            ]
-            if "name" not in surface:
-                missing.append("name attribute")
-            if missing:
-                ctx.report(
-                    self,
-                    cls,
-                    f"backend {backend!r} ({class_name}) is missing the "
-                    f"Backend protocol surface: {missing}",
-                    hint=(
-                        "implement evaluate_stream(engine, enumerated), "
-                        "sweep(engine, enumerated, accumulator) and a "
-                        "name class attribute"
-                    ),
-                )
-
-    @staticmethod
-    def _resolved_names(cls: ast.ClassDef, classes) -> set[str]:
-        """Method/attr names defined on ``cls`` or its in-module bases."""
-        names: set[str] = set()
-        queue = [cls]
-        seen = set()
-        while queue:
-            current = queue.pop()
-            if current.name in seen:
-                continue
-            seen.add(current.name)
-            for item in current.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(item.name)
-                elif isinstance(item, ast.Assign):
-                    names.update(
-                        target.id
-                        for target in item.targets
-                        if isinstance(target, ast.Name)
-                    )
-                elif isinstance(item, ast.AnnAssign) and isinstance(
-                    item.target, ast.Name
-                ):
-                    names.add(item.target.id)
-            for base in current.bases:
-                if isinstance(base, ast.Name) and base.id in classes:
-                    queue.append(classes[base.id])
-        return names
-
-    # -- PenaltyClause subclasses -------------------------------------------
-
-    def _check_penalty_clauses(self, classes, ctx: LintContext) -> None:
-        clause_names = {"PenaltyClause"}
-        # Transitive closure of in-module subclasses.
-        changed = True
-        while changed:
-            changed = False
-            for cls in classes.values():
-                if cls.name in clause_names:
-                    continue
-                if any(
-                    isinstance(base, ast.Name) and base.id in clause_names
-                    for base in cls.bases
-                ):
-                    clause_names.add(cls.name)
-                    changed = True
-        for cls in classes.values():
-            if cls.name == "PenaltyClause" or cls.name not in clause_names:
-                continue
-            if self._is_abstract(cls):
-                continue
-            own = {
-                item.name
-                for item in cls.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "monthly_penalty_vector" in own:
-                continue
-            if self._SCALAR_FALLBACK_MARKER in ctx.segment_lines(cls):
-                continue
-            ctx.report(
-                self,
-                cls,
-                f"penalty clause {cls.name} neither overrides "
-                "monthly_penalty_vector nor is marked scalar-fallback",
-                hint=(
-                    "write the vector path in exact scalar op order, or "
-                    "add '# repro: scalar-fallback' with a reason to use "
-                    "the base class's scalar loop"
-                ),
-            )
-
-    @staticmethod
-    def _is_abstract(cls: ast.ClassDef) -> bool:
-        for item in cls.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for decorator in item.decorator_list:
-                    name = _dotted(decorator)
-                    if name and name.split(".")[-1] == "abstractmethod":
-                        return True
-        return False
-
-
 # -- REP007 ----------------------------------------------------------------
 
 class WallClockRule(Rule):
@@ -893,7 +719,6 @@ DEFAULT_RULES: tuple[type[Rule], ...] = (
     AsyncHygieneRule,
     ResourceLifecycleRule,
     WireRoundTripRule,
-    RegistryParityRule,
     WallClockRule,
     ForkSafetyRule,
 )

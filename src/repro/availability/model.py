@@ -132,11 +132,11 @@ def availability_values_from_terms(
 
     Returns ``(breakdown_probability, failover_probability,
     per_cluster_failover_contributions)`` — everything a report needs
-    that is not plain per-term data.  Split out so evaluation-backend
-    workers can run (and ship) just the math while report *objects* are
-    built lazily elsewhere; :func:`availability_from_terms` composes the
-    two, so every path performs the identical operations in the
-    identical order and stays bit-identical.
+    that is not plain per-term data.  Split out so the math can run
+    while report *objects* are built lazily elsewhere;
+    :func:`availability_from_terms` composes the two, so every path
+    performs the identical operations in the identical order and stays
+    bit-identical.
     """
     up_product = 1.0
     for term in terms:

@@ -53,12 +53,7 @@ from repro.errors import (
     ValidationError,
     unknown_name_message,
 )
-from repro.optimizer.engine import (
-    EngineStats,
-    EvaluationEngine,
-    ModelTable,
-    resolve_backend,
-)
+from repro.optimizer.engine import EngineStats, EvaluationEngine, ModelTable
 from repro.obs import clock
 from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
 from repro.optimizer.result import OptimizationResult
@@ -125,9 +120,9 @@ def _contract_key(contract: Contract) -> object:
 def _request_key(request: RecommendationRequest) -> tuple:
     """The request fields that decide which engine serves a provider.
 
-    Left out: ``metadata`` never reaches the report,
-    ``strategy``/``backend`` pick a memo inside the entry, and
-    ``providers`` picks the entries.
+    Left out: ``metadata`` never reaches the report, ``strategy``
+    picks a memo inside the entry, ``providers`` picks the entries and
+    the retired ``backend`` field changes nothing.
     """
     return (
         request.system_name,
@@ -167,12 +162,6 @@ class EngineKey:
     (see :func:`_contract_key` and :func:`_rate_card_key`); ``variant``
     folds in the remaining inputs that change what an engine
     *computes* (failover estimates, catalog width).
-    The evaluation backend is deliberately **not** part of the key: it
-    only changes where the float math runs, never its results, so a
-    warm engine is rebound in place
-    (:meth:`~repro.optimizer.engine.EvaluationEngine.set_backend`)
-    instead of being rebuilt — a backend switch costs zero new
-    cluster-term computations.
     """
 
     provider: str
@@ -207,17 +196,21 @@ class EngineKey:
         provider_name: str,
         base_system: SystemTopology,
         contract: Contract,
-        rate_card: RateCard,
+        rate_card_key: tuple,
         *,
         failover_minutes: Mapping[str, float],
         extended_catalog: bool,
     ) -> "EngineKey":
-        """Key every input that shapes an engine's caches."""
+        """Key every input that shapes an engine's caches.
+
+        ``rate_card_key`` is the provider's :func:`_rate_card_key`,
+        derived once per request with its warm key.
+        """
         return cls(
             provider=provider_name,
             base_system=base_system,
             contract=_contract_key(contract),
-            rate_card=_rate_card_key(rate_card),
+            rate_card=rate_card_key,
             variant=(
                 tuple(sorted(failover_minutes.items())),
                 extended_catalog,
@@ -242,6 +235,11 @@ class _WarmKey:
 
     def __hash__(self) -> int:
         return self._hash
+
+    @property
+    def rate_card(self) -> tuple:
+        """The provider's :func:`_rate_card_key`, as derived for the key."""
+        return self.fields[2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _WarmKey):
@@ -332,7 +330,7 @@ class _CacheEntry:
     its whole search, so no two threads ever evaluate on one engine at
     once and the engine itself needs no lock of its own.
 
-    ``replays`` memoizes wire sections per (strategy, backend): the
+    ``replays`` memoizes wire sections per strategy: the
     :class:`~repro.broker.envelope.ProviderReport` of a wire serve,
     stored only from a *pure replay*: not the first service, no
     incremental combines, and every candidate a result-cache hit.
@@ -353,7 +351,7 @@ class _CacheEntry:
     engine: EvaluationEngine | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     unserved: bool = True
-    replays: dict[tuple[str, str], ProviderReport] = field(default_factory=dict)
+    replays: dict[str, ProviderReport] = field(default_factory=dict)
     aliases: set = field(default_factory=set)
 
 
@@ -479,7 +477,7 @@ class EngineCache:
                 owner.aliases.discard(oldest)
 
     def replay(
-        self, warm_keys: Sequence[object], memo_key: tuple[str, str]
+        self, warm_keys: Sequence[object], memo_key: str
     ) -> list[ProviderReport] | None:
         """Every warm key's memoized wire section under ``memo_key``, or None.
 
@@ -630,10 +628,6 @@ class BrokerSession:
     error as a never-submitted id; both eviction paths are counted in
     :meth:`metrics`.
 
-    A request that does not pin ``request.backend`` runs on the
-    backend named by ``REPRO_BACKEND`` (serial when unset), read once,
-    here, so a bad value fails construction instead of every request.
-
     ``tracer`` (a :class:`repro.obs.Tracer`, usually owned by the
     server transport) enables per-phase span recording: requests get
     ``key``/``cache_lookup``/``terms``/``evaluate`` spans,
@@ -670,7 +664,6 @@ class BrokerSession:
         self.max_workers = max_workers
         self.max_finished_jobs = max_finished_jobs
         self.finished_job_ttl = finished_job_ttl
-        self.backend = resolve_backend(None)
         # Tracing: None means disabled — every instrumentation point in
         # the session guards on a single `is not None` check, so the
         # untraced hot path is unchanged (see repro.obs).
@@ -816,22 +809,33 @@ class BrokerSession:
         return self._serve_envelope(envelope)
 
     def _serve_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
-        report = self.replay_envelope(envelope)
+        report, warm_keys = self._replay(envelope)
         if report is not None:
             return report
-        return self._wire_report(envelope)
+        return self._wire_report(envelope, warm_keys)
 
-    def _wire_report(self, envelope: RecommendEnvelope) -> ReportEnvelope:
+    def _wire_report(
+        self,
+        envelope: RecommendEnvelope,
+        warm_keys: Mapping[str, _WarmKey] | None = None,
+    ) -> ReportEnvelope:
         """An envelope's report, one :meth:`_report_provider` per provider.
 
         The slow path of :meth:`recommend_envelope` and the whole of a
         wire job: key derivation, then each provider's replay memo or a
-        distilled search.
+        distilled search.  ``warm_keys`` are the keys a failed replay
+        attempt derived, by provider name; a provider without one
+        derives its own.
         """
         request = envelope.request
+        keys = warm_keys or {}
+
+        def serve(request: RecommendationRequest, name: str) -> ProviderReport:
+            return self._report_provider(request, name, keys.get(name))
+
         return ReportEnvelope(
             request_name=request.system_name,
-            providers=tuple(self._each_provider(request, self._report_provider)),
+            providers=tuple(self._each_provider(request, serve)),
             request_id=envelope.request_id,
         )
 
@@ -852,10 +856,22 @@ class BrokerSession:
 
         Returns None — and counts nothing — unless every provider the
         request names has a memoized serve under the request's
-        (strategy, backend); the caller then serves it the slow way.
+        strategy; the caller then serves it the slow way.
         Never blocks on an engine (see :meth:`EngineCache.replay`), so
         a server may call it on its event loop.  When a trace is
         active, a hit records one ``replay`` span.
+        """
+        return self._replay(envelope)[0]
+
+    def _replay(
+        self, envelope: RecommendEnvelope
+    ) -> tuple[ReportEnvelope | None, dict[str, _WarmKey]]:
+        """:meth:`replay_envelope`, plus the warm keys it derived.
+
+        On a miss, :meth:`_wire_report` reuses the keys, so a request
+        derives each provider's key (and rate-card key) once.  The keys
+        hold the generation read here, before the slow path's
+        estimates.
         """
         tracer = self.tracer
         started = clock.perf_counter() if tracer is not None else 0.0
@@ -864,19 +880,19 @@ class BrokerSession:
         generation = telemetry.generation
         request_key = _request_key(request)
         providers = self.service.providers
-        warm_keys = []
+        warm_keys = {}
         for name in self._provider_names(request):
             provider = providers.get(name)
             if provider is None:
-                return None
-            warm_keys.append(
-                self._warm_key(name, request_key, provider, telemetry, generation)
+                return None, warm_keys
+            warm_keys[name] = self._warm_key(
+                name, request_key, provider, telemetry, generation
             )
         replays = self.engine_cache.replay(
-            warm_keys, (request.strategy, self._request_backend(request))
+            tuple(warm_keys.values()), request.strategy
         )
         if replays is None:
-            return None
+            return None, warm_keys
         report = ReportEnvelope(
             request_name=request.system_name,
             providers=tuple(replays),
@@ -892,7 +908,7 @@ class BrokerSession:
                     end=clock.perf_counter(),
                     attrs={"providers": str(len(replays))},
                 )
-        return report
+        return report, warm_keys
 
     def _warm_key(
         self,
@@ -1156,18 +1172,18 @@ class BrokerSession:
     def _provider_names(self, request: RecommendationRequest) -> tuple[str, ...]:
         return request.providers or tuple(sorted(self.service.providers))
 
-    def _request_backend(self, request: RecommendationRequest) -> str:
-        """The concrete evaluation backend one request should run on.
-
-        Precedence: the request's own ``backend``, then
-        ``REPRO_BACKEND`` (resolved once, at construction).
-        """
-        return request.backend or self.backend
-
     def _cache_entry(
-        self, request: RecommendationRequest, provider_name: str
+        self,
+        request: RecommendationRequest,
+        provider_name: str,
+        warm_key: _WarmKey | None = None,
     ) -> _CacheEntry:
         """Resolve (or build) the cached engine serving one provider.
+
+        ``warm_key`` is the provider's key from a failed replay
+        attempt of the same request; without one it is derived here.
+        Either way it is aliased to the entry, and its rate-card key
+        goes into the :class:`EngineKey`.
 
         Raises :class:`InsufficientTelemetryError` when the knowledge
         base cannot estimate the request's component kinds for this
@@ -1175,10 +1191,17 @@ class BrokerSession:
         """
         provider = self.service.provider(provider_name)
         tracer = self.tracer
-        # Read before the estimates: a mutation racing this lookup can
-        # only file its newer state under this older generation.
-        telemetry = self.service.knowledge_base.telemetry
-        generation = telemetry.generation
+        if warm_key is None:
+            # Read before the estimates: a mutation racing this lookup
+            # can only file its newer state under this older generation.
+            telemetry = self.service.knowledge_base.telemetry
+            warm_key = self._warm_key(
+                provider_name,
+                _request_key(request),
+                provider,
+                telemetry,
+                telemetry.generation,
+            )
         with maybe_span(tracer, "key", attrs={"provider": provider_name}):
             # One estimate per kind feeds P̂/f̂ (the topology) and t̂ (the
             # variant), so the key never mixes two telemetry epochs.
@@ -1196,11 +1219,10 @@ class BrokerSession:
                 provider_name,
                 base_system,
                 request.contract,
-                provider.rate_card,
+                warm_key.rate_card,
                 failover_minutes=failover_estimates,
                 extended_catalog=request.extended_catalog,
             )
-        backend = self._request_backend(request)
 
         def build_engine() -> EvaluationEngine:
             registry = registry_for_provider(
@@ -1218,7 +1240,7 @@ class BrokerSession:
             # lock, so this span nests inside cache_lookup — the n*k
             # cluster-term precompute is exactly a cache miss's cost.
             with maybe_span(tracer, "terms", attrs={"provider": provider_name}):
-                engine = EvaluationEngine(problem, backend=backend)
+                engine = EvaluationEngine(problem)
             engine.model_table = self.engine_cache.model_table(
                 engine.model_key()
             )
@@ -1228,21 +1250,7 @@ class BrokerSession:
             tracer, "cache_lookup", attrs={"provider": provider_name}
         ):
             entry = self.engine_cache.entry(key, build_engine)
-        self.engine_cache.alias(
-            self._warm_key(
-                provider_name,
-                _request_key(request),
-                provider,
-                telemetry,
-                generation,
-            ),
-            entry,
-        )
-        if tracer is not None:
-            # One tracer serves the whole session; per-request identity
-            # lives in contextvars, so a shared cached engine can simply
-            # keep pointing at it.
-            entry.engine.tracer = tracer
+        self.engine_cache.alias(warm_key, entry)
         return entry
 
     def _recommend_provider(
@@ -1262,7 +1270,10 @@ class BrokerSession:
         )
 
     def _report_provider(
-        self, request: RecommendationRequest, name: str
+        self,
+        request: RecommendationRequest,
+        name: str,
+        warm_key: _WarmKey | None = None,
     ) -> ProviderReport:
         """One provider's wire section, via the engine cache.
 
@@ -1271,8 +1282,8 @@ class BrokerSession:
         only the two options the report reads.  A pure replay fills
         the memo (see :class:`_CacheEntry`).
         """
-        entry = self._cache_entry(request, name)
-        memo_key = (request.strategy, self._request_backend(request))
+        entry = self._cache_entry(request, name, warm_key)
+        memo_key = request.strategy
         with entry.lock:
             report = entry.replays.get(memo_key)
             if report is not None:
@@ -1300,11 +1311,7 @@ class BrokerSession:
     def _evaluate_attrs(
         self, request: RecommendationRequest, name: str
     ) -> dict[str, str]:
-        return {
-            "provider": name,
-            "strategy": request.strategy,
-            "backend": self._request_backend(request),
-        }
+        return {"provider": name, "strategy": request.strategy}
 
     def _search(
         self,
@@ -1318,15 +1325,12 @@ class BrokerSession:
 
         The caller holds ``entry.lock``: engines are single-consumer,
         and a cache hit may serve the search from a different worker
-        thread later.  A warm engine is rebound to the request's
-        backend in place — term and result caches survive the switch.
-        Returns the result, this search's engine stats and whether it
-        was the engine's first service.
+        thread later.  Returns the result, this search's engine stats
+        and whether it was the engine's first service.
         """
         from repro.broker.service import _STRATEGY_FUNCTIONS
 
         engine = entry.engine
-        engine.set_backend(self._request_backend(request))
         before = engine.stats.snapshot()
         with maybe_span(
             self.tracer, "evaluate", attrs=self._evaluate_attrs(request, name)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.optimizer.engine import ENGINE_BACKENDS
 from repro.sla.contract import Contract
 from repro.topology.cluster import COMPONENT_KIND_BY_LAYER, Layer
 
@@ -22,6 +21,9 @@ LAYER_COMPONENT_KIND = COMPONENT_KIND_BY_LAYER
 
 #: Search strategies a request may ask for.
 STRATEGIES = ("pruned", "brute-force", "branch-and-bound")
+
+#: Values the retired ``backend`` request field still accepts.
+BACKENDS = ("serial", "vector")
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,14 @@ class ClusterRequirement:
 
 @dataclass(frozen=True)
 class RecommendationRequest:
-    """A complete brokered-service request (§II-C inputs 1 and 2)."""
+    """A complete brokered-service request (§II-C inputs 1 and 2).
+
+    ``backend`` is a retired field kept for wire compatibility: it must
+    be one of :data:`BACKENDS` or None, and is otherwise ignored, since
+    every search runs the engine's one scalar kernel.  perfbench's
+    cold-search mix still sends it; a benchmark change drops the field
+    together with that client.
+    """
 
     system_name: str
     clusters: tuple[ClusterRequirement, ...]
@@ -70,10 +79,10 @@ class RecommendationRequest:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
             )
-        if self.backend is not None and self.backend not in ENGINE_BACKENDS:
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ValidationError(
                 f"unknown evaluation backend {self.backend!r}; "
-                f"valid: {ENGINE_BACKENDS}"
+                f"valid: {BACKENDS}"
             )
 
 

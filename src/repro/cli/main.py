@@ -43,7 +43,6 @@ from pathlib import Path
 
 from repro.broker.reports import render_option_table, render_summary
 from repro.broker.request import STRATEGIES, three_tier_request
-from repro.optimizer.engine import ENGINE_BACKENDS
 from repro.broker.service import BrokerService
 from repro.cli.formatting import render_table
 from repro.cloud.providers import all_providers
@@ -123,17 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGIES,
         default="pruned",
         help="search strategy for the k^n enumeration",
-    )
-    recommend.add_argument(
-        "--backend",
-        choices=ENGINE_BACKENDS,
-        default=None,
-        help="evaluation backend for exhaustive sweeps: serial (default) "
-        "or vector (numpy-vectorized combine, byte-identical to serial).  "
-        "Applies to --strategy "
-        "brute-force — pruned and branch-and-bound searches are "
-        "inherently sequential.  "
-        "Defaults honour $REPRO_BACKEND.",
     )
     recommend.add_argument("--seed", type=int, default=None, help="RNG seed")
 
@@ -431,7 +419,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         compute_nodes=args.compute_nodes,
         extended_catalog=args.extended,
         strategy=args.strategy,
-        backend=args.backend,
     )
     with broker.session() as session:
         report = session.recommend(request)

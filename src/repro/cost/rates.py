@@ -32,15 +32,6 @@ class LaborRate:
             )
         return self.dollars_per_hour * hours_per_month
 
-    def monthly_cost_vector(self, hours_per_month):
-        """Vectorized :meth:`monthly_cost` over a float64 hours array."""
-        if hours_per_month.size and bool((hours_per_month < 0.0).any()):
-            worst = float(hours_per_month.min())
-            raise ValidationError(
-                f"hours_per_month must be >= 0, got {worst!r}"
-            )
-        return self.dollars_per_hour * hours_per_month
-
     def describe(self) -> str:
         """E.g. ``$30.00/hour labor``."""
         return f"${self.dollars_per_hour:,.2f}/hour labor"

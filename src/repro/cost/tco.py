@@ -115,9 +115,8 @@ def cluster_cost_terms(cluster: ClusterSpec) -> ClusterCostTerms:
 
     Coerced to ``float`` at this single construction point: cluster
     specs built with int dollar amounts would otherwise flow int
-    arithmetic through the scalar paths while the vector evaluation
-    backend's float64 columns produce floats — breaking the backends'
-    bit-identity contract on the way out.
+    arithmetic into the engine's payloads and shared model-table rows,
+    whose floats must match the full-topology oracle's bit for bit.
     """
     return ClusterCostTerms(
         ha_infra_cost=float(cluster.monthly_ha_infra_cost),
@@ -141,10 +140,10 @@ def tco_values_from_terms(
     bit-identical.
 
     The three sums are explicit left folds from ``0.0`` in chain order,
-    the vector backend's ``zeros`` accumulators.  The builtin ``sum``
-    is compensated from Python 3.12 on, so it would round some rate
-    cards (shares like 0.1/0.2/0.3) differently from the vector
-    backend there.
+    as the engine's scalar kernel folds them.  The builtin ``sum`` is
+    compensated from Python 3.12 on, so it would round some rate cards
+    (shares like 0.1/0.2/0.3) differently there, and reports would
+    depend on the interpreter.
     """
     slippage_hours = contract.expected_slippage_hours(uptime_probability)
     penalty = contract.penalty.monthly_penalty(slippage_hours)

@@ -51,16 +51,6 @@ class OptimizerError(ReproError):
     """The optimizer was asked to solve an ill-posed problem."""
 
 
-class EngineBackendError(OptimizerError):
-    """An evaluation backend failed mid-stream.
-
-    Raised by the engine's vector backend when evaluating a chunk
-    raises a non-library exception — callers (and the server's error
-    mapper) see one structured engine error instead of a raw numpy
-    traceback.
-    """
-
-
 class CloudError(ReproError):
     """A simulated cloud-provider operation failed."""
 

@@ -280,7 +280,7 @@ class Tracer:
     ):
         """Like :meth:`span`, but a no-op when no trace is active.
 
-        The guard for optional instrumentation points (backend chunks):
+        The guard for optional instrumentation points (broker phases):
         an engine used outside any traced request must not mint stray
         root traces.
         """

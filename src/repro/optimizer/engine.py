@@ -52,42 +52,22 @@ collection may visit the outer first, leaving it tracked.
 The full-topology path survives only as the test and benchmark oracle,
 :func:`~repro.optimizer.brute_force.evaluate_candidate`.
 
-Exhaustive sweeps (:meth:`EvaluationEngine.sweep`) and option streams
-(:meth:`EvaluationEngine.evaluate_many`) run on a pluggable
-**evaluation backend**:
-
-- ``"serial"`` (default) evaluates inline on the calling thread;
-- ``"vector"`` gathers each chunk's candidate index tuples into
-  per-cluster column arrays and runs the Eq. 1-5 math with **numpy**
-  vectorized across the candidate axis, looping over the small cluster
-  axis in exactly the order the scalar combine uses.  float64
-  elementwise operations are IEEE-correctly-rounded like Python floats
-  and every accumulation is explicit (never ``np.sum``'s pairwise
-  reassociation), so vector results are bit-identical to serial.
-  numpy is imported on the vector backend's first batch, so a process
-  that only runs per-candidate searches never loads it.
-
-Both backends evaluate in-process and hold no OS resources, so an
-engine needs no closing: dropping the last reference frees it.
-
-Every backend yields results in submission order, making output
-deterministic.  The ``REPRO_BACKEND`` environment variable names the
-backend used when none is given (explicit ``backend=`` arguments always
-win), which is how CI smokes the vector path across the whole suite.
+Every entry point — :meth:`EvaluationEngine.payload`,
+:meth:`~EvaluationEngine.evaluate`, :meth:`~EvaluationEngine.sweep`
+and :meth:`~EvaluationEngine.evaluate_many` — runs the same scalar
+kernel inline on the calling thread, in submission order, so output is
+deterministic.  An engine holds no OS resources and needs no closing:
+dropping the last reference frees it.
 
 An engine has **one consumer at a time**.  The broker's engine cache
 serializes every evaluation on a cached engine through the entry's
-lock, and no backend calls back into the engine from another thread,
-so cache and stats mutations take no lock of their own.  A model
+lock, so cache and stats mutations take no lock of their own.  A model
 table is shared across engines and threads, and needs none either
 (see :data:`ModelTable`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator
@@ -104,7 +84,7 @@ from repro.cost.tco import (
     assemble_breakdown,
     cluster_cost_terms,
 )
-from repro.errors import EngineBackendError, OptimizerError, ReproError
+from repro.errors import OptimizerError
 from repro.optimizer.result import (
     EvaluatedOption,
     OptimizationResult,
@@ -118,12 +98,6 @@ from repro.optimizer.space import (
 )
 from repro.topology.cluster import ClusterSpec
 from repro.topology.system import SystemTopology
-
-#: Supported evaluation backends for batch entry points.
-ENGINE_BACKENDS = ("serial", "vector")
-
-#: Environment variable naming the default backend (CI smoke hook).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: One candidate's Eq. 1-5 values, as the result cache stores them: one
 #: flat tuple holding the six :class:`TCOBreakdown` fields in declaration
@@ -175,32 +149,6 @@ def payload_costs(payload: Payload) -> tuple[float, float]:
 def payload_meets_sla(payload: Payload) -> bool:
     """Whether a payload's expected uptime meets the contract SLA."""
     return payload[_MEETS_SLA]
-
-
-#: Shared no-op context manager for untraced backend chunks.
-#: nullcontext is reusable and reentrant, so one instance serves every
-#: block without a per-block allocation.
-_NULL_SPAN = contextlib.nullcontext()
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Resolve a backend request to a concrete :data:`ENGINE_BACKENDS` name.
-
-    ``None`` falls back to the :data:`BACKEND_ENV_VAR` environment
-    variable (empty string = unset), then to ``"serial"``.
-    """
-    if backend is None:
-        env = os.environ.get(BACKEND_ENV_VAR) or None
-        if env is not None and env not in ENGINE_BACKENDS:
-            raise OptimizerError(
-                f"invalid {BACKEND_ENV_VAR}={env!r}; valid: {ENGINE_BACKENDS}"
-            )
-        backend = env if env is not None else "serial"
-    if backend not in ENGINE_BACKENDS:
-        raise OptimizerError(
-            f"unknown evaluation backend {backend!r}; valid: {ENGINE_BACKENDS}"
-        )
-    return backend
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,330 +215,6 @@ class EngineStats:
         )
 
 
-# -- evaluation backends ----------------------------------------------------
-
-class SerialBackend:
-    """Inline evaluation on the calling thread (the default)."""
-
-    name = "serial"
-
-    def evaluate_stream(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-    ) -> Iterator[EvaluatedOption]:
-        for option_id, indices in enumerated:
-            yield engine.evaluate(option_id, indices)
-
-    def sweep(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-        accumulator: ResultAccumulator,
-    ) -> None:
-        """Fold every candidate's payload, one at a time."""
-        payload = engine.payload
-        fold = accumulator.fold
-        for option_id, indices in enumerated:
-            fold(option_id, indices, payload(indices))
-
-
-class VectorBackend:
-    """Numpy-vectorized combine over candidate index arrays (in-process).
-
-    Each chunk's cache misses are gathered into per-cluster index
-    columns, and the Eq. 1-5 math runs vectorized **across the candidate
-    axis** while looping over the small cluster/technology axis in
-    exactly the order the scalar combine uses: explicit ``ones``/
-    ``zeros`` accumulators multiplied/added one cluster at a time —
-    never ``np.sum``/``np.prod``, whose pairwise reassociation would
-    change rounding.  float64 elementwise operations are IEEE
-    correctly-rounded exactly like Python float arithmetic, so every
-    value is bit-identical to :class:`SerialBackend`; contract math
-    (slippage, penalty, labor cost, SLA check) is vectorized end-to-end
-    through the clauses' ``*_vector`` methods, which replay the scalar
-    op order exactly — no per-candidate Python call survives in the
-    combine.  Every lane is probed in the engine's result cache first
-    and every evaluated payload is admitted to it, so cache and stats
-    behaviour matches serial evaluation (and replays are pure hits).
-    It neither reads nor feeds a model table: recombining a lane costs
-    about as little as gathering its row would.
-
-    numpy is imported on first use, not at module import, so processes
-    that never run a vector batch do not pay for loading it.  A backend
-    instance belongs to one engine and holds only that engine's column
-    tables, built once from the engine's factor rows.
-    """
-
-    name = "vector"
-
-    def __init__(self) -> None:
-        self._tables = None
-
-    def _column_tables(self, engine: "EvaluationEngine", np):
-        """Per-cluster per-choice value columns, built once per backend.
-
-        Row ``i`` holds six float64 arrays over cluster ``i``'s choices,
-        one per field of the engine's factor rows (availability up/
-        active-up/failover-rate and cost infra/labor-hours/base) —
-        ``np.array`` conversion of Python floats is exact, and fancy-
-        indexed gathers preserve bits, so the tables introduce no
-        rounding of their own.
-        """
-        if self._tables is None:
-            self._tables = tuple(
-                tuple(np.array(column) for column in zip(*row))
-                for row in engine._factor_rows
-            )
-        return self._tables
-
-    @staticmethod
-    def _blocks(engine: "EvaluationEngine", enumerated) -> Iterator[list]:
-        """Cut the enumeration into ``chunk_size`` blocks.
-
-        islice consumes the enumeration in C instead of a per-candidate
-        append loop, which matters at 100k+ candidates per sweep.
-        """
-        chunk_size = engine.chunk_size
-        pending = iter(enumerated)
-        while block := list(itertools.islice(pending, chunk_size)):
-            yield block
-
-    def evaluate_stream(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-    ) -> Iterator[EvaluatedOption]:
-        import numpy as np
-
-        tables = self._column_tables(engine, np)
-        build = engine._build_option
-        for block in self._blocks(engine, enumerated):
-            payloads, _ = self._resolve_block(engine, np, tables, block)
-            for (option_id, indices), payload in zip(block, payloads):
-                yield build(option_id, indices, payload)
-
-    def sweep(
-        self,
-        engine: "EvaluationEngine",
-        enumerated: Iterable[tuple[int, tuple[int, ...]]],
-        accumulator: ResultAccumulator,
-    ) -> None:
-        """Fold every candidate, ranking all-miss blocks in bulk.
-
-        A full-table accumulator folds every lane's payload.  A
-        distilled one (``keep_options=False``) only needs each block's
-        two candidates that could win, so a block whose lanes all
-        missed the cache is ranked with numpy — argmin over the Eq. 5
-        totals and the (penalty, ha-cost) lexicographic minimum, in
-        exactly the accumulator's tie-break order — and only its
-        winners are folded.  A block with cache hits folds its payloads
-        through the accumulator's scalar rule.  Results are
-        bit-identical to folding every candidate (same floats compared
-        under the same rules; argmin's first-occurrence tie-break
-        equals the fold's lowest-id rule because paper-order
-        enumeration ascends by option id).
-
-        With the result cache on, every evaluated payload is admitted.
-        With it off, a ranked block converts only its winners' lanes to
-        payloads, yet counts every lane it evaluated as a combine, so
-        the stats equal a serial sweep's.
-        """
-        import numpy as np
-
-        tables = self._column_tables(engine, np)
-        fold = accumulator.fold
-        rank = not accumulator.keep_options
-        for block in self._blocks(engine, enumerated):
-            if rank and not engine.cache:
-                engine.stats.candidate_evaluations += len(block)
-                columns = self._evaluate_rows(
-                    engine, np, tables, [indices for _, indices in block]
-                )
-                winners = [
-                    (*block[i], tuple(column[i].item() for column in columns))
-                    for i in self._block_winners(np, columns)
-                ]
-                engine.stats.incremental_combines += len(block)
-                accumulator.fold_winners(winners, evaluated=len(block))
-                continue
-            payloads, columns = self._resolve_block(engine, np, tables, block)
-            if rank and columns is not None:
-                accumulator.fold_winners(
-                    [
-                        (*block[i], payloads[i])
-                        for i in self._block_winners(np, columns)
-                    ],
-                    evaluated=len(block),
-                )
-            else:
-                for (option_id, indices), payload in zip(block, payloads):
-                    fold(option_id, indices, payload)
-
-    @staticmethod
-    def _block_winners(np, columns) -> list[int]:
-        """Lanes of one block's minimum-total and minimum-(penalty,
-        ha-cost) candidates, ascending.
-
-        Same float ops, same order, as the accumulator's scalar fold:
-        ha_cost = infra + labor, total = ha_cost + penalty.  Ascending
-        order keeps the fold's lowest-id tie-breaks exact.
-        """
-        infra, labor_cost = columns[_INFRA], columns[_LABOR]
-        penalty = columns[_PENALTY]
-        ha_cost = infra + labor_cost
-        best = int(np.argmin(ha_cost + penalty))
-        min_penalty_rows = np.flatnonzero(penalty == penalty.min())
-        if min_penalty_rows.shape[0] == 1:
-            lowest = int(min_penalty_rows[0])
-        else:
-            lowest = int(min_penalty_rows[np.argmin(ha_cost[min_penalty_rows])])
-        return sorted({best, lowest})
-
-    def _resolve_block(self, engine: "EvaluationEngine", np, tables, block):
-        """Probe one block per lane, vector-evaluate and admit the misses.
-
-        Returns ``(payloads, columns)``: every lane's payload in block
-        order, and the block's payload columns when every lane missed
-        (``None`` when some lane was a cache hit).
-        """
-        stats = engine.stats
-        stats.candidate_evaluations += len(block)
-        results = engine._results if engine.cache else {}
-        payloads = [results.get(indices) for _, indices in block]
-        misses = [
-            position
-            for position, payload in enumerate(payloads)
-            if payload is None
-        ]
-        stats.cache_hits += len(block) - len(misses)
-        if not misses:
-            return payloads, None
-        stats.incremental_combines += len(misses)
-        columns = self._evaluate_rows(
-            engine, np, tables, [block[position][1] for position in misses]
-        )
-        fresh = self._payloads(columns)
-        if len(misses) == len(block):
-            payloads = fresh
-        else:
-            columns = None
-            for position, payload in zip(misses, fresh):
-                payloads[position] = payload
-        if engine.cache:
-            admit = results.setdefault
-            for position in misses:
-                admit(block[position][1], payloads[position])
-        return payloads, columns
-
-    def _evaluate_rows(self, engine: "EvaluationEngine", np, tables, rows):
-        """One vector pass over a block's index rows, traced and guarded."""
-        tracer = engine.tracer
-        if tracer is None:
-            # Untraced hot path: one attribute load and this check per
-            # 1024-candidate block — no span/attrs construction at all.
-            span = _NULL_SPAN
-        else:
-            span = tracer.child_span(
-                "backend_chunk",
-                attrs={"backend": "vector", "rows": str(len(rows))},
-            )
-        try:
-            with span:
-                return self._vector_columns(engine, np, tables, rows)
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise EngineBackendError(
-                f"vector evaluation backend failed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-
-    @staticmethod
-    def _payloads(columns) -> list:
-        """Flat per-lane payloads from a block's payload columns.
-
-        ``tolist()`` converts float64 to Python floats bit-exactly;
-        zipping the columns builds each flat payload in C, with no
-        per-candidate Python loop or numpy scalar indexing.
-        """
-        return list(zip(*(column.tolist() for column in columns)))
-
-    def _vector_columns(self, engine, np, tables, index_rows):
-        """Eq. 1-5 columns for a block of candidate index rows.
-
-        Returns one array per :data:`Payload` position, in payload
-        order.  Mirrors :meth:`EvaluationEngine._payload` operation for
-        operation with the candidate axis vectorized: ``1.0 * x`` and
-        ``0.0 + x`` are exact in IEEE arithmetic, so seeding the
-        accumulators with ``ones``/``zeros`` reproduces the scalar
-        kernel's ``1.0``/``0.0`` starting values bit-for-bit.
-        """
-        n = engine.space.cluster_count
-        # np.array rejects ragged rows outright, so a single shape check
-        # on the converted block replaces a per-candidate len() loop.
-        try:
-            idx = np.array(index_rows, dtype=np.intp)
-        except ValueError as exc:
-            raise OptimizerError(
-                f"expected {n} choice indices per candidate: {exc}"
-            ) from exc
-        if idx.ndim != 2 or idx.shape[1] != n:
-            width = idx.shape[1] if idx.ndim == 2 else "ragged"
-            raise OptimizerError(
-                f"expected {n} choice indices, got {width}"
-            )
-        count = idx.shape[0]
-        cols = [idx[:, i] for i in range(n)]
-
-        up = np.ones(count)
-        for i in range(n):
-            up = up * tables[i][0][cols[i]]
-        # Running prefix products, as in the scalar kernel.
-        actives = [tables[i][1][cols[i]] for i in range(n)]
-        contributions = []
-        prefix = np.ones(count)
-        for i in range(n):
-            others_quiet = prefix
-            for j in range(i + 1, n):
-                others_quiet = others_quiet * actives[j]
-            contributions.append(tables[i][2][cols[i]] * others_quiet)
-            prefix = prefix * actives[i]
-        failover = np.zeros(count)
-        for contribution in contributions:
-            failover = failover + contribution
-        breakdown = 1.0 - up
-        uptime = 1.0 - (breakdown + failover)
-
-        infra = np.zeros(count)
-        labor_hours = np.zeros(count)
-        base = np.zeros(count)
-        for i in range(n):
-            infra = infra + tables[i][3][cols[i]]
-            labor_hours = labor_hours + tables[i][4][cols[i]]
-            base = base + tables[i][5][cols[i]]
-
-        # Contract math stays on the candidate axis too: slippage,
-        # penalty and labor-cost vectors come from the clauses' own
-        # ``*_vector`` methods, which perform the scalar helpers' float
-        # operations in the same order (see repro.sla.penalty).
-        contract = engine.problem.contract
-        slippage = contract.expected_slippage_hours_vector(uptime)
-        penalty = contract.penalty.monthly_penalty_vector(slippage)
-        labor_cost = engine.problem.labor_rate.monthly_cost_vector(labor_hours)
-        meets = contract.sla.is_met_by_vector(uptime)
-        return (
-            infra, labor_cost, penalty, base, uptime, slippage,
-            breakdown, failover, meets, *contributions,
-        )
-
-
-_BACKEND_TYPES = {
-    "serial": SerialBackend,
-    "vector": VectorBackend,
-}
-
-
 @dataclass
 class EvaluationEngine:
     """Evaluates candidates of one problem from per-cluster caches.
@@ -609,35 +233,14 @@ class EvaluationEngine:
         engine must not be evaluated from multiple threads
         concurrently (the broker's engine cache serializes
         through its entry locks).
-    backend:
-        Which of :data:`ENGINE_BACKENDS` drives :meth:`sweep` and
-        :meth:`evaluate_many` batches (``"serial"`` or ``"vector"``).
-        ``None`` resolves through :func:`resolve_backend` (environment
-        default, then serial).  Rebind a live engine with
-        :meth:`set_backend`; per-candidate :meth:`payload` and
-        :meth:`evaluate` calls always run unbatched regardless of
-        backend.
-    chunk_size:
-        The vector backend's gather width (candidates per numpy block).
     """
 
     problem: OptimizationProblem
     cache: bool = True
-    chunk_size: int = 1024
-    backend: str | None = None
     space: CandidateSpace = field(init=False)
     stats: EngineStats = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.chunk_size < 1:
-            raise OptimizerError(
-                f"chunk_size must be >= 1, got {self.chunk_size!r}"
-            )
-        self.backend = resolve_backend(self.backend)
-        #: Span recorder (see :mod:`repro.obs`); attached by the broker
-        #: session when tracing is on.  ``None`` disables chunk spans —
-        #: backends guard on a single `is not None` check per block.
-        self.tracer = None
         #: The shared :data:`ModelTable` this engine prices from and
         #: feeds, handed over by the broker's engine cache; ``None``
         #: recombines every result-cache miss.  Only ever bind a table
@@ -646,15 +249,14 @@ class EvaluationEngine:
         self.space = self.problem.space()
         self.stats = EngineStats()
         self._results: dict[tuple[int, ...], Payload] = {}
-        self._bind_backend(self.backend)
         self._profiles = self._precompute_profiles()
         # repro: lint-ok[REP001] integer row lengths, order-free
         self.stats.cluster_term_computations = sum(
             len(row) for row in self._profiles
         )
         # Hoisted once for _build_option, which runs per evaluated
-        # candidate on every backend: the bare system's name/cluster
-        # names and each cluster's per-choice profile names.
+        # candidate: the bare system's name/cluster names and each
+        # cluster's per-choice profile names.
         bare = self.space.bare_system
         self._bare_name = bare.name
         self._cluster_names = bare.cluster_names
@@ -663,8 +265,7 @@ class EvaluationEngine:
         )
         # The scalar kernel's inputs: one flat tuple of six floats per
         # (cluster, choice) — availability up, active-up and failover
-        # rate, then cost HA infra, HA labor hours and base infra (the
-        # vector backend's column tables hold the same values) — and
+        # rate, then cost HA infra, HA labor hours and base infra — and
         # the contract's bound methods.
         self._factor_rows = tuple(
             tuple(
@@ -685,28 +286,6 @@ class EvaluationEngine:
         self._monthly_penalty = contract.penalty.monthly_penalty
         self._meets_sla = contract.sla.is_met_by
         self._labor_cost = self.problem.labor_rate.monthly_cost
-
-    # -- backend binding ---------------------------------------------------
-
-    def _bind_backend(self, backend: str) -> None:
-        """Install ``backend``'s implementation."""
-        self.backend = backend
-        self._backend_impl = _BACKEND_TYPES[backend]()
-
-    def set_backend(self, backend: str | None) -> "EvaluationEngine":
-        """Rebind this engine to a different evaluation backend in place.
-
-        The per-(cluster, technology) term tables, the result cache
-        and the stats all survive the switch — rebinding a
-        warm cached engine costs zero cluster-term computations.  Not
-        safe to call concurrently with evaluation; callers sharing
-        engines across threads (the broker's engine cache) serialize
-        through their entry locks.
-        """
-        backend = resolve_backend(backend)
-        if backend != self.backend:
-            self._bind_backend(backend)
-        return self
 
     def _precompute_profiles(self) -> tuple[tuple[ChoiceProfile, ...], ...]:
         """Apply and factor every (cluster, technology) pairing once."""
@@ -807,9 +386,7 @@ class EvaluationEngine:
         (:meth:`_price`).  Otherwise the row is recombined from the
         cached per-cluster factor rows, and admitted to the table.
 
-        The recombination is the scalar twin of the vector backend's
-        columns, written out over plain floats: it performs the float
-        operations of
+        The recombination performs the float operations of
         :func:`~repro.availability.model.availability_values_from_terms`
         and :func:`~repro.cost.tco.tco_values_from_terms` in the same
         order, so its payloads are bit-identical to the full-topology
@@ -901,8 +478,7 @@ class EvaluationEngine:
         The availability factory reconstructs exactly what
         :func:`availability_from_terms` would have built — same values,
         same per-cluster fields — so forcing a lazy report is
-        bit-identical to eager evaluation regardless of which backend
-        computed the floats.
+        bit-identical to eager evaluation.
 
         Neither the candidate's :class:`SystemTopology`, its
         :class:`AvailabilityReport` nor its choice names are built here:
@@ -968,22 +544,14 @@ class EvaluationEngine:
     def evaluate_many(
         self, enumerated: Iterable[tuple[int, tuple[int, ...]]]
     ) -> Iterator[EvaluatedOption]:
-        """Evaluate ``(option_id, indices)`` pairs, preserving order.
+        """Evaluate ``(option_id, indices)`` pairs lazily, in order.
 
-        Delegates to the engine's evaluation backend: serial engines
-        evaluate inline; the vector backend gathers ``chunk_size``
-        blocks into numpy column arrays (the input is *not* drained
-        eagerly, so huge candidate streams stay O(chunk) in memory).
-        Both yield in submission order, so downstream consumers
-        (streaming results, option tables) see identical —
-        bit-identical — sequences regardless of backend.
-
-        Only the batch entry points fan out; the pruned and
-        branch-and-bound searches are inherently sequential (each
-        evaluation feeds the next pruning decision) and always evaluate
-        one candidate at a time.
+        The input is consumed one pair at a time, so huge candidate
+        streams stay O(1) in memory.
         """
-        return self._backend_impl.evaluate_stream(self, enumerated)
+        evaluate = self.evaluate
+        for option_id, indices in enumerated:
+            yield evaluate(option_id, indices)
 
     def evaluate_all(self) -> Iterator[EvaluatedOption]:
         """Stream every candidate of the space in paper order."""
@@ -1013,19 +581,18 @@ class EvaluationEngine:
         """Exhaustively evaluate the space into an optimization result.
 
         The engine-level entry point behind the brute-force strategy:
-        the backend folds every candidate of the space, in paper order,
+        every candidate's :meth:`payload` is folded, in paper order,
         into :meth:`accumulator`.  With ``keep_options=True`` the result
         holds the full option table; with ``keep_options=False`` it is
-        distilled to the two recommendations, and the vector backend
-        ranks whole blocks with numpy instead of folding every lane
-        (see :meth:`VectorBackend.sweep`).
+        distilled to the two recommendations.
         """
         accumulator = self.accumulator("brute-force", keep_options=keep_options)
-        self._backend_impl.sweep(
-            self,
-            enumerate(self.space.candidates_in_paper_order(), start=1),
-            accumulator,
-        )
+        payload = self.payload
+        fold = accumulator.fold
+        for option_id, indices in enumerate(
+            self.space.candidates_in_paper_order(), start=1
+        ):
+            fold(option_id, indices, payload(indices))
         return accumulator.finish()
 
 

@@ -254,26 +254,6 @@ class ResultAccumulator:
             self._min_penalty_ha_cost = ha_cost
             self._min_penalty_id = option_id
 
-    def fold_winners(self, winners: list[tuple], *, evaluated: int) -> None:
-        """Fold a block pre-ranked by a bulk-evaluating backend.
-
-        ``winners`` are the block's minimum-total and minimum-(penalty,
-        ha-cost) candidates as ``(option_id, indices, payload)``,
-        selected under exactly the tie-break rules :meth:`fold`
-        applies — so folding just the winners leaves the running
-        recommendations identical to folding every candidate, while
-        ``evaluated`` keeps the count honest.  Only meaningful in
-        distilled mode, where losing candidates carry no information.
-        """
-        if self.keep_options:
-            raise OptimizerError(
-                "fold_winners requires a distilled accumulator "
-                "(keep_options=False)"
-            )
-        self.count += evaluated - len(winners)
-        for winner in winners:
-            self.fold(*winner)
-
     def finish(self) -> "OptimizationResult":
         """Seal the accumulator into an :class:`OptimizationResult`."""
         if self.keep_options:

@@ -54,7 +54,6 @@ from repro.broker.envelope import ENVELOPE_SCHEMA_VERSION, ErrorEnvelope
 from repro.broker.service import BrokerService
 from repro.errors import BrokerError, ValidationError
 from repro.obs import clock
-from repro.optimizer.engine import resolve_backend
 from repro.server.core import (
     _PROMETHEUS,
     RequestCore,
@@ -209,9 +208,6 @@ class GatewayServer(HttpEdge):
     ) -> None:
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers!r}")
-        # The same REPRO_BACKEND check BrokerSession makes, before any
-        # worker spawns (workers inherit the variable).
-        resolve_backend(None)
         if not trace and slow_request_threshold is not None:
             raise ValidationError("slow_request_threshold requires trace=True")
         core_settings = dict(

@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 from repro.sla.penalty import LinearPenalty, PenaltyClause
 from repro.sla.sla import UptimeSLA
-from repro.sla.slippage import (
-    expected_slippage_hours_per_month,
-    expected_slippage_hours_per_month_vector,
-)
+from repro.sla.slippage import expected_slippage_hours_per_month
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,16 +39,6 @@ class Contract:
         """
         hours = self.expected_slippage_hours(uptime_probability)
         return self.penalty.monthly_penalty(hours)
-
-    def expected_slippage_hours_vector(self, uptime_probabilities):
-        """Vectorized :meth:`expected_slippage_hours` (float64 ndarray).
-
-        Each element is byte-identical to the scalar method of the same
-        uptime; the vector evaluation backend relies on that.
-        """
-        return expected_slippage_hours_per_month_vector(
-            uptime_probabilities, self.sla
-        )
 
     def describe(self) -> str:
         """E.g. ``98% uptime (<= 14.60 h/month down); $100.00/hour...``."""

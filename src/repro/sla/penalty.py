@@ -8,15 +8,6 @@ agnostic to penalty shape.
 
 All clauses map *slippage hours per month* (already net of the SLA
 allowance; always >= 0) to a monthly dollar amount.
-
-Every clause also answers :meth:`~PenaltyClause.monthly_penalty_vector`
-— the same mapping over a float64 array of slippage hours, one element
-per candidate.  The vector paths perform the *same float operations in
-the same order* as the scalar paths (explicit per-tier masks instead of
-``np.searchsorted`` binning, gather/scatter on the still-live lanes
-instead of data-dependent ``break``), so each element is byte-identical
-to the scalar result; the optimizer's vectorized evaluation backend
-relies on that to stay bit-identical to serial evaluation.
 """
 
 from __future__ import annotations
@@ -42,37 +33,10 @@ class PenaltyClause(abc.ABC):
     def describe(self) -> str:
         """Human-readable clause summary."""
 
-    def monthly_penalty_vector(self, slippage_hours):
-        """Vectorized :meth:`monthly_penalty` over a float64 array.
-
-        ``slippage_hours`` is a one-dimensional float64 ndarray (one
-        element per candidate); the result is a float64 ndarray whose
-        every element is byte-identical to the scalar
-        :meth:`monthly_penalty` of the same input.  This base
-        implementation loops over the scalar method so custom clause
-        subclasses stay correct without writing vector code; the
-        built-in shapes all override it with true vector math.
-        """
-        import numpy as np
-
-        return np.array(
-            [self.monthly_penalty(hours) for hours in slippage_hours.tolist()],
-            dtype=float,
-        )
-
     def _check_slippage(self, slippage_hours: float) -> None:
         if slippage_hours < 0.0:
             raise ValidationError(
                 f"slippage_hours must be >= 0, got {slippage_hours!r}; "
-                "slippage is computed net of the SLA allowance"
-            )
-
-    def _check_slippage_vector(self, slippage_hours) -> None:
-        """Array form of :meth:`_check_slippage` (same error contract)."""
-        if slippage_hours.size and bool((slippage_hours < 0.0).any()):
-            worst = float(slippage_hours.min())
-            raise ValidationError(
-                f"slippage_hours must be >= 0, got {worst!r}; "
                 "slippage is computed net of the SLA allowance"
             )
 
@@ -84,12 +48,6 @@ class NoPenalty(PenaltyClause):
     def monthly_penalty(self, slippage_hours: float) -> float:
         self._check_slippage(slippage_hours)
         return 0.0
-
-    def monthly_penalty_vector(self, slippage_hours):
-        import numpy as np
-
-        self._check_slippage_vector(slippage_hours)
-        return np.zeros(slippage_hours.shape, dtype=float)
 
     def describe(self) -> str:
         return "no penalty"
@@ -110,16 +68,6 @@ class LinearPenalty(PenaltyClause):
     def monthly_penalty(self, slippage_hours: float) -> float:
         self._check_slippage(slippage_hours)
         return self.rate_per_hour * slippage_hours
-
-    def monthly_penalty_vector(self, slippage_hours):
-        import numpy as np
-
-        self._check_slippage_vector(slippage_hours)
-        # Elementwise float64 multiply is the exact scalar operation.  It
-        # saturates to inf on overflow, like Python floats, so numpy's
-        # overflow warning is silenced rather than surfaced.
-        with np.errstate(over="ignore"):
-            return self.rate_per_hour * slippage_hours
 
     def describe(self) -> str:
         return f"${self.rate_per_hour:,.2f}/hour of slippage"
@@ -166,35 +114,6 @@ class TieredPenalty(PenaltyClause):
             total += remaining * self.tiers[-1][1]
         return total
 
-    def monthly_penalty_vector(self, slippage_hours):
-        import numpy as np
-
-        self._check_slippage_vector(slippage_hours)
-        # Gather/compute/scatter on the still-live lanes mirrors the
-        # scalar loop exactly: each lane sees min -> multiply-accumulate
-        # -> subtract in tier order and stops contributing once its
-        # remainder hits zero, so no dead lane ever computes (which a
-        # np.where over all lanes would, diverging for e.g. inf rates).
-        remaining = np.array(slippage_hours, dtype=float)
-        total = np.zeros(remaining.shape, dtype=float)
-        alive = np.arange(remaining.size)
-        # The multiply-accumulates saturate to inf on overflow, like the
-        # scalar loop's Python floats, so numpy's warning is silenced.
-        with np.errstate(over="ignore"):
-            for width, rate in self.tiers:
-                if not alive.size:
-                    break
-                lane_remaining = remaining[alive]
-                hours_in_tier = np.minimum(lane_remaining, width)
-                total[alive] += hours_in_tier * rate
-                lane_remaining = lane_remaining - hours_in_tier
-                remaining[alive] = lane_remaining
-                alive = alive[lane_remaining > 0.0]
-            if alive.size:
-                # Slippage beyond the last closed tier keeps the final rate.
-                total[alive] += remaining[alive] * self.tiers[-1][1]
-        return total
-
     def describe(self) -> str:
         parts = [f"{width:g}h@${rate:,.0f}" for width, rate in self.tiers]
         return "tiered: " + ", ".join(parts)
@@ -216,13 +135,6 @@ class CappedPenalty(PenaltyClause):
     def monthly_penalty(self, slippage_hours: float) -> float:
         self._check_slippage(slippage_hours)
         return min(self.inner.monthly_penalty(slippage_hours), self.monthly_cap)
-
-    def monthly_penalty_vector(self, slippage_hours):
-        import numpy as np
-
-        self._check_slippage_vector(slippage_hours)
-        inner = self.inner.monthly_penalty_vector(slippage_hours)
-        return np.minimum(inner, self.monthly_cap)
 
     def describe(self) -> str:
         return f"{self.inner.describe()}, capped at ${self.monthly_cap:,.2f}/month"
@@ -272,17 +184,6 @@ class ServiceCreditPenalty(PenaltyClause):
         for threshold, fraction in self.schedule:
             if slippage_hours >= threshold:
                 applicable = fraction
-        return applicable * self.monthly_contract_value
-
-    def monthly_penalty_vector(self, slippage_hours):
-        import numpy as np
-
-        self._check_slippage_vector(slippage_hours)
-        applicable = np.zeros(slippage_hours.shape, dtype=float)
-        for threshold, fraction in self.schedule:
-            # Successive overwrite: the highest satisfied threshold wins,
-            # exactly like the scalar walk over the schedule.
-            applicable = np.where(slippage_hours >= threshold, fraction, applicable)
         return applicable * self.monthly_contract_value
 
     def describe(self) -> str:

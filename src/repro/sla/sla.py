@@ -45,10 +45,6 @@ class UptimeSLA:
         """True when an expected uptime meets or exceeds the target."""
         return uptime_probability >= self.target_fraction
 
-    def is_met_by_vector(self, uptime_probabilities):
-        """Vectorized :meth:`is_met_by` over a float64 uptime array."""
-        return uptime_probabilities >= self.target_fraction
-
     def describe(self) -> str:
         """E.g. ``98.0% uptime (<= 14.60 h/month down)``."""
         return (

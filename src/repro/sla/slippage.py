@@ -32,26 +32,3 @@ def expected_slippage_hours_per_month(
         return 0.0
     return shortfall * MINUTES_PER_YEAR / (MONTHS_PER_YEAR * MINUTES_PER_HOUR)
 
-
-def expected_slippage_hours_per_month_vector(uptime_probabilities, sla: UptimeSLA):
-    """Vectorized :func:`expected_slippage_hours_per_month`.
-
-    Takes a one-dimensional float64 ndarray of uptimes; each element of
-    the result is byte-identical to the scalar function of the same
-    input (same subtract/multiply/divide sequence; the met-SLA clamp is
-    applied by mask instead of an early return).
-    """
-    import numpy as np
-
-    if uptime_probabilities.size and not bool(
-        ((uptime_probabilities >= 0.0) & (uptime_probabilities <= 1.0)).all()
-    ):
-        bad = uptime_probabilities[
-            ~((uptime_probabilities >= 0.0) & (uptime_probabilities <= 1.0))
-        ]
-        raise ValidationError(
-            f"uptime_probability must be in [0, 1], got {float(bad[0])!r}"
-        )
-    shortfall = sla.target_fraction - uptime_probabilities
-    hours = shortfall * MINUTES_PER_YEAR / (MONTHS_PER_YEAR * MINUTES_PER_HOUR)
-    return np.where(shortfall <= 0.0, 0.0, hours)

@@ -28,7 +28,6 @@ from repro.analysis.rules import (
     FloatAccumulationRule,
     ForkSafetyRule,
     LockDisciplineRule,
-    RegistryParityRule,
     ResourceLifecycleRule,
     WallClockRule,
     WireRoundTripRule,
@@ -524,116 +523,6 @@ class TestREP005WireRoundTrip:
     def test_plain_class_without_to_dict_ignored(self, tmp_path):
         code = "class Helper:\n    def run(self):\n        return 1\n"
         report = lint_snippet(tmp_path, code, WireRoundTripRule)
-        assert report.findings == ()
-
-
-class TestREP006RegistryParity:
-    def test_backend_registry_mismatch_flagged(self, tmp_path):
-        code = (
-            "ENGINE_BACKENDS = ('serial', 'turbo')\n"
-            "class SerialBackend:\n"
-            "    name = 'serial'\n"
-            "    def evaluate_stream(self, engine, items):\n"
-            "        pass\n"
-            "    def sweep(self, engine, items, accumulator):\n"
-            "        pass\n"
-            "    def close(self):\n"
-            "        pass\n"
-            "_BACKEND_TYPES = {'serial': SerialBackend}\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert rule_ids(report) == ["REP006"]
-        assert "turbo" in report.findings[0].message
-
-    def test_backend_missing_surface_flagged(self, tmp_path):
-        code = (
-            "ENGINE_BACKENDS = ('serial',)\n"
-            "class SerialBackend:\n"
-            "    name = 'serial'\n"
-            "_BACKEND_TYPES = {'serial': SerialBackend}\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert rule_ids(report) == ["REP006"]
-        assert "evaluate_stream" in report.findings[0].message
-
-    def test_backend_without_sweep_flagged(self, tmp_path):
-        code = (
-            "ENGINE_BACKENDS = ('serial',)\n"
-            "class SerialBackend:\n"
-            "    name = 'serial'\n"
-            "    def evaluate_stream(self, engine, items):\n"
-            "        pass\n"
-            "_BACKEND_TYPES = {'serial': SerialBackend}\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert rule_ids(report) == ["REP006"]
-        assert "['sweep']" in report.findings[0].message
-
-    def test_surface_inherited_from_in_module_base_clean(self, tmp_path):
-        code = (
-            "ENGINE_BACKENDS = ('thread',)\n"
-            "class _PooledBackend:\n"
-            "    def evaluate_stream(self, engine, items):\n"
-            "        pass\n"
-            "    def sweep(self, engine, items, accumulator):\n"
-            "        pass\n"
-            "    def close(self):\n"
-            "        pass\n"
-            "class ThreadBackend(_PooledBackend):\n"
-            "    name = 'thread'\n"
-            "_BACKEND_TYPES = {'thread': ThreadBackend}\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert report.findings == ()
-
-    def test_concrete_clause_without_vector_override_flagged(self, tmp_path):
-        code = (
-            "class PenaltyClause:\n"
-            "    def monthly_penalty(self, downtime):\n"
-            "        raise NotImplementedError\n"
-            "    def monthly_penalty_vector(self, values):\n"
-            "        return [self.monthly_penalty(v) for v in values]\n"
-            "class SquarePenalty(PenaltyClause):\n"
-            "    def monthly_penalty(self, downtime):\n"
-            "        return downtime * downtime\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert rule_ids(report) == ["REP006"]
-        assert "SquarePenalty" in report.findings[0].message
-
-    def test_scalar_fallback_marker_accepted(self, tmp_path):
-        code = (
-            "class PenaltyClause:\n"
-            "    def monthly_penalty(self, downtime):\n"
-            "        raise NotImplementedError\n"
-            "class RarePenalty(PenaltyClause):\n"
-            "    # repro: scalar-fallback cold path, not worth vectorizing\n"
-            "    def monthly_penalty(self, downtime):\n"
-            "        return 0.0\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert report.findings == ()
-
-    def test_abstract_intermediate_clause_skipped(self, tmp_path):
-        code = (
-            "import abc\n"
-            "class PenaltyClause:\n"
-            "    def monthly_penalty(self, downtime):\n"
-            "        raise NotImplementedError\n"
-            "class ShapedPenalty(PenaltyClause):\n"
-            "    @abc.abstractmethod\n"
-            "    def shape(self):\n"
-            "        ...\n"
-        )
-        report = lint_snippet(tmp_path, code, RegistryParityRule)
-        assert report.findings == ()
-
-    def test_real_engine_and_penalty_modules_clean(self):
-        report = run_lint(
-            [SRC / "repro" / "optimizer" / "engine.py",
-             SRC / "repro" / "sla" / "penalty.py"],
-            rules=[RegistryParityRule],
-        )
         assert report.findings == ()
 
 

@@ -12,6 +12,7 @@ from repro.broker.api import (
     BrokerSession,
     EngineCache,
     EngineKey,
+    _rate_card_key,
 )
 from repro.broker.envelope import (
     ErrorEnvelope,
@@ -33,7 +34,6 @@ from repro.cloud.providers import all_providers, metalcloud
 from repro.errors import (
     BrokerError,
     InsufficientTelemetryError,
-    OptimizerError,
     ValidationError,
 )
 from repro.optimizer.engine import EvaluationEngine
@@ -375,7 +375,7 @@ class TestEngineKeying:
             "metalcloud",
             base,
             contract,
-            card,
+            _rate_card_key(card),
             failover_minutes=failover or {"vm": 4.0},
             extended_catalog=False,
         )
@@ -910,13 +910,13 @@ class TestCompatibilityShim:
         ]
 
 
-class TestBackendSwitch:
-    """Engine-cache x evaluation-backend interaction.
+class TestRetiredBackendField:
+    """``RecommendationRequest.backend`` is validated, then ignored.
 
-    The backend is where the float math runs, never what it computes, so
-    it is excluded from :class:`EngineKey` — switching a warm session to
-    a different backend must hit the cached engines (rebinding them in
-    place) and do zero new cluster-term computations.
+    Every search runs the engine's one scalar kernel; the field stays
+    only for wire compatibility.  A request that differs only in its
+    backend is the same request: it hits the cached engines and does
+    zero new cluster-term computations or combines.
     """
 
     def test_backend_travels_in_request_envelopes(self, contract):
@@ -927,14 +927,20 @@ class TestBackendSwitch:
         envelope = RecommendEnvelope(request=request)
         assert RecommendEnvelope.from_json(envelope.to_json()) == envelope
 
+    def test_backend_key_is_optional_on_the_wire(self, contract):
+        request = three_tier_request(contract, strategy="brute-force")
+        payload = request_to_dict(request)
+        assert payload.pop("backend") is None
+        assert request_from_dict(payload) == request
+
     @pytest.mark.parametrize("backend", ["quantum", "process"])
     def test_invalid_backend_rejected_at_request(self, contract, backend):
         with pytest.raises(ValidationError, match="backend"):
             three_tier_request(contract, backend=backend)
 
-    def test_warm_cache_survives_backend_switch(self, observed_broker, contract):
-        """Acceptance: serving the same request on a different backend is
-        a cache hit and computes no new cluster terms."""
+    def test_backend_value_is_a_warm_hit(self, observed_broker, contract):
+        """Serving the same request under another backend value is a
+        cache hit and computes no new cluster terms."""
         request = three_tier_request(
             contract, strategy="brute-force", backend="serial"
         )
@@ -943,19 +949,15 @@ class TestBackendSwitch:
             stats = session.engine_cache.stats
             misses_cold, hits_cold = stats.misses, stats.hits
             terms_cold = session.engine_cache.cluster_term_computations()
-            for backend in ("vector", "serial"):
+            for backend in ("vector", None):
                 switched = session.recommend(
                     dataclasses.replace(request, backend=backend)
                 )
-                # EngineCacheStats: pure hits, zero new engines/terms.
                 assert stats.misses == misses_cold, backend
                 assert (
                     session.engine_cache.cluster_term_computations()
                     == terms_cold
                 ), backend
-                for engine in session.engine_cache.engines():
-                    assert engine.backend == backend
-                # Bit-identical reports either way.
                 for cold_rec, warm_rec in zip(
                     cold.recommendations, switched.recommendations
                 ):
@@ -964,7 +966,9 @@ class TestBackendSwitch:
                     ]
             assert stats.hits == hits_cold + 2 * len(cold.recommendations)
 
-    def test_warm_switch_does_no_new_combines(self, observed_broker, contract):
+    def test_backend_value_does_no_new_combines(
+        self, observed_broker, contract
+    ):
         request = three_tier_request(
             contract, strategy="brute-force", backend="serial"
         )
@@ -986,20 +990,6 @@ class TestBackendSwitch:
                     == prior.incremental_combines
                 )
 
-    def test_request_backend_beats_env_backend(
-        self, observed_broker, contract, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BACKEND", "vector")
-        with observed_broker.session() as session:
-            request = three_tier_request(
-                contract, strategy="brute-force", backend="serial"
-            )
-            session.recommend(request)
-            assert all(
-                engine.backend == "serial"
-                for engine in session.engine_cache.engines()
-            )
-
     @pytest.mark.parametrize(
         "open_session",
         [
@@ -1011,33 +1001,20 @@ class TestBackendSwitch:
     def test_session_takes_no_backend_parameter(
         self, observed_broker, open_session
     ):
-        # A request pins its backend, or REPRO_BACKEND names it; there
-        # is no third, per-session default.
         with pytest.raises(TypeError, match="backend"):
             open_session(observed_broker)
 
-    def test_bad_env_backend_fails_at_session_construction(
-        self, observed_broker, monkeypatch
-    ):
-        # The default is resolved once, so a misconfigured deployment
-        # fails here instead of as a client error on every request.
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
-            observed_broker.session()
-
-    def test_env_backend_is_read_once_per_session(
+    def test_backend_environment_variable_is_not_read(
         self, observed_broker, contract, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        # REPRO_BACKEND named the default backend; nothing reads it now,
+        # so even a value no backend ever had leaves sessions working.
+        monkeypatch.setenv("REPRO_BACKEND", "gpu")
         with observed_broker.session() as session:
-            monkeypatch.setenv("REPRO_BACKEND", "serial")
-            session.recommend(
+            report = session.recommend(
                 three_tier_request(contract, strategy="brute-force")
             )
-            assert all(
-                engine.backend == "vector"
-                for engine in session.engine_cache.engines()
-            )
+        assert report.recommendations
 
 
 class TestTtlEviction:

@@ -1,7 +1,7 @@
 """The per-engine replay memo: a warm hit that replays nothing.
 
-A cache entry stores a wire report section per (strategy, backend)
-once a wire serve was a pure replay, and later wire hits return it
+A cache entry stores a wire report section per strategy once a wire
+serve was a pure replay, and later wire hits return it
 without searching.  ``session.recommend()`` never reads or fills it:
 its callers read full option tables.  These tests pin what the memo
 must never change (the bytes of every report, ``engine_stats``
@@ -26,7 +26,6 @@ from repro.sla.contract import Contract
 from repro.topology import serialization
 
 STRATEGIES = ("pruned", "brute-force", "branch-and-bound")
-BACKENDS = ("serial", "vector")
 
 
 @pytest.fixture(scope="module")
@@ -101,10 +100,9 @@ class TestReplayCounting:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_memo_hits_equal_a_replay(self, observed_broker, strategy, backend):
-        req = request(strategy=strategy, backend=backend)
+    def test_memo_hits_equal_a_replay(self, observed_broker, strategy):
+        req = request(strategy=strategy)
         with observed_broker.session() as session:
             served = [report_bytes(session, req) for _ in range(4)]
             assert session.engine_cache.stats.replays == 6  # serves 3-4
@@ -114,6 +112,25 @@ class TestByteIdentity:
             assert session.engine_cache.stats.replays == 6
         assert served[1:] == [replayed] * 3
         assert served[0] != replayed  # the first serve built the terms
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_backend_value_shares_the_memo(self, observed_broker, strategy):
+        # The retired backend field is not part of the memo key: once a
+        # warm contract's report is memoized, a request that differs
+        # only in its backend value is answered from the memo.
+        with observed_broker.session() as session:
+            for _ in range(2):
+                memoized = report_bytes(
+                    session, request(strategy=strategy, backend="serial")
+                )
+            assert session.engine_cache.stats.replays == 0
+            for backend in ("vector", None):
+                assert report_bytes(
+                    session, request(strategy=strategy, backend=backend)
+                ) == memoized
+            assert session.engine_cache.stats.replays == 6
+            for memo in memos(session):
+                assert list(memo) == [strategy]
 
     def test_memo_hit_equals_a_fresh_session_replay(self, observed_broker):
         req = request(strategy="branch-and-bound")
@@ -173,16 +190,16 @@ class TestNotMemoized:
         self, observed_broker
     ):
         with observed_broker.session() as session:
-            serve(session, request(strategy="pruned", backend="serial"))
-            sweep = serve(session, request(strategy="brute-force", backend="serial"))
+            serve(session, request(strategy="pruned"))
+            sweep = serve(session, request(strategy="brute-force"))
             for section in sweep.providers:
                 assert section.engine_stats["incremental_combines"] > 0
             for memo in memos(session):
-                assert ("brute-force", "serial") not in memo
+                assert "brute-force" not in memo
             # Its repeat is a pure replay, and is memoized.
-            serve(session, request(strategy="brute-force", backend="serial"))
+            serve(session, request(strategy="brute-force"))
             for memo in memos(session):
-                assert list(memo) == [("brute-force", "serial")]
+                assert list(memo) == ["brute-force"]
 
     def test_memo_leaves_with_its_entry(self, observed_broker):
         first = request(providers=("metalcloud",))

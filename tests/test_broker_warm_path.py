@@ -19,6 +19,7 @@ import weakref
 
 import pytest
 
+from repro.broker import api
 from repro.broker.api import EngineCache, _WarmKey
 from repro.broker.envelope import RecommendEnvelope, ReportEnvelope
 from repro.broker.request import three_tier_request
@@ -32,7 +33,6 @@ from repro.server.ingest import ExposureRecord, ShardedIngestor
 from repro.sla.contract import Contract
 
 STRATEGIES = ("pruned", "brute-force", "branch-and-bound")
-BACKENDS = ("serial", "vector")
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +72,11 @@ def counters(session) -> tuple[int, int, int]:
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_fast_path_equals_the_executor_path(
-        self, observed_broker, strategy, backend
+        self, observed_broker, strategy
     ):
-        env = envelope(strategy=strategy, backend=backend)
+        env = envelope(strategy=strategy)
         with observed_broker.session() as session:
             session.recommend(env.request)
             expected = slow_bytes(session, env)  # a pure replay
@@ -159,6 +158,82 @@ class TestCounting:
             )
             assert session.replay_envelope(first) is not None
             assert session.replay_envelope(second) is None
+
+
+def _count_rate_card_keys(monkeypatch) -> list:
+    """Record every rate-card key the broker derives, by card."""
+    calls = []
+    derive = api._rate_card_key
+
+    def counted(card):
+        calls.append(card)
+        return derive(card)
+
+    monkeypatch.setattr(api, "_rate_card_key", counted)
+    return calls
+
+
+class TestKeyDerivation:
+    """Each provider's warm key, and the rate-card key inside it, is
+    derived once per request, whichever path serves it."""
+
+    @pytest.mark.parametrize(
+        "earlier, serve",
+        [
+            (0, lambda session, env: session.recommend_envelope(env)),
+            (1, lambda session, env: session.recommend_envelope(env)),
+            (2, lambda session, env: session.recommend_envelope(env)),
+            (0, lambda session, env: session.recommend(env.request)),
+            (
+                0,
+                lambda session, env: session.result_envelope(
+                    session.submit(env, wire=True)
+                ),
+            ),
+        ],
+        ids=["cold", "warm-unmemoized", "memoized", "full-tables", "wire-job"],
+    )
+    def test_one_rate_card_key_per_provider(
+        self, observed_broker, monkeypatch, earlier, serve
+    ):
+        env = envelope(Contract.linear(97.5, 130.0))
+        with observed_broker.session() as session:
+            for _ in range(earlier):
+                session.recommend_envelope(env)
+            calls = _count_rate_card_keys(monkeypatch)
+            serve(session, env)
+        cards = [
+            observed_broker.provider(name).rate_card
+            for name in sorted(observed_broker.providers)
+        ]
+        assert len(calls) == len(cards)
+        assert all(
+            sum(call is card for call in calls) == 1 for card in cards
+        )
+
+    def test_alias_keeps_the_generation_read_before_the_estimates(
+        self, monkeypatch
+    ):
+        """A mutation racing a cold serve files its state under the
+        older generation, so the next request misses the alias."""
+        broker = one_provider_broker()
+        env = envelope()
+        estimate = broker.reliability_estimates
+        raced = []
+
+        def racing_estimates(request, provider_name):
+            if not raced:
+                raced.append(broker.telemetry.generation)
+                broker.telemetry.record_failure("metalcloud", "vm")
+            return estimate(request, provider_name)
+
+        monkeypatch.setattr(broker, "reliability_estimates", racing_estimates)
+        with broker.session() as session:
+            session.recommend_envelope(env)
+            (alias,) = session.engine_cache._aliases
+            assert alias.fields[4] == raced[0] < broker.telemetry.generation
+            session.recommend_envelope(env)  # derives keys again: a hit
+            assert session.replay_envelope(env) is not None
 
 
 class TestNeverBlocks:
@@ -347,7 +422,7 @@ class TestBoundedAliases:
         cache = EngineCache(capacity=2)
         entry = cache.entry(("k", 1), object)
         cache.alias(key, entry)
-        assert cache.replay([key], ("pruned", "serial")) is None
+        assert cache.replay([key], "pruned") is None
         cache.entry(("k", 2), object)
         cache.entry(("k", 3), object)  # evicts the aliased entry
         assert not cache._aliases

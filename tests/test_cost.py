@@ -109,8 +109,8 @@ class TestOrderedSums:
 
     Shares like 0.1/0.2/0.3 round differently under a compensated sum
     (Python 3.12's builtin ``sum``), so every candidate's TCO fields
-    are checked against an explicit fold on the engine's serial and
-    vector backends and on the full-topology oracle.
+    are checked against an explicit fold on the engine, recombining and
+    pricing shared model-table rows, and on the full-topology oracle.
     """
 
     @staticmethod
@@ -144,7 +144,8 @@ class TestOrderedSums:
             total += value
         return total
 
-    def test_engine_vector_and_oracle_equal_a_left_fold(self):
+    def test_engine_table_and_oracle_equal_a_left_fold(self):
+        import dataclasses
         import math
 
         from repro.cost.tco import cluster_cost_terms
@@ -153,11 +154,16 @@ class TestOrderedSums:
 
         problem = self._problem()
         space = problem.space()
-        engines = [
-            EvaluationEngine(problem, backend=backend)
-            for backend in ("serial", "vector")
+        recombined = EvaluationEngine(problem)
+        priced = EvaluationEngine(problem)
+        feeder = EvaluationEngine(
+            dataclasses.replace(problem, contract=Contract.linear(95.0, 10.0))
+        )
+        feeder.model_table = priced.model_table = {}
+        list(feeder.evaluate_all())
+        tables = [
+            list(engine.evaluate_all()) for engine in (recombined, priced)
         ]
-        tables = [list(engine.evaluate_all()) for engine in engines]
         compensated_differs = False
         for position, indices in enumerate(space.candidates_in_paper_order()):
             terms = [

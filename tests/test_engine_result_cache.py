@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.broker.api import EngineCache
-from repro.broker.envelope import ReportEnvelope
+from repro.broker.envelope import RecommendEnvelope, ReportEnvelope
 from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
@@ -86,11 +86,14 @@ def _advisor_options(problem, engine):
 
 
 class TestPayloadsAreUntracked:
-    @pytest.mark.parametrize("backend", ["serial", "vector"])
-    def test_no_cached_value_is_gc_tracked(self, backend):
+    @pytest.mark.parametrize("distilled", [False, True])
+    def test_no_cached_value_is_gc_tracked(self, distilled):
         for problem in _problems():
-            engine = EvaluationEngine(problem, backend=backend)
-            options = list(engine.evaluate_all())
+            engine = EvaluationEngine(problem)
+            if distilled:
+                options = engine.sweep(keep_options=False).options
+            else:
+                options = list(engine.evaluate_all())
             pruned_optimize(problem, engine=engine)
             gc.collect()
             assert len(engine._results) == engine.space.size
@@ -105,15 +108,10 @@ class TestPayloadsAreUntracked:
         broker.observe_all(years=1.0, seed=5)
         cache = EngineCache()
         with broker.session(engine_cache=cache) as session:
-            for strategy, backend in (
-                ("brute-force", "vector"),
-                ("pruned", "serial"),
-                ("branch-and-bound", "serial"),
-            ):
+            for strategy in ("brute-force", "pruned", "branch-and-bound"):
                 session.recommend(three_tier_request(
                     Contract.linear(99.0, 250.0),
                     strategy=strategy,
-                    backend=backend,
                     extended_catalog=True,
                 ))
         engines = cache.engines()
@@ -127,10 +125,19 @@ class TestPayloadsAreUntracked:
 class TestHitEqualsMiss:
     """The same candidate under two ids equals the oracle either way."""
 
-    @pytest.mark.parametrize("backend", ["serial", "vector"])
-    def test_batch_backends(self, backend):
+    @pytest.mark.parametrize("shared_table", [False, True])
+    def test_evaluate_many(self, shared_table):
         for problem in _problems():
-            engine = EvaluationEngine(problem, backend=backend, chunk_size=5)
+            engine = EvaluationEngine(problem)
+            if shared_table:
+                # Misses are priced from rows another contract's engine
+                # recombined, instead of recombined here.
+                other = dataclasses.replace(
+                    problem, contract=Contract.linear(99.5, 1234.0)
+                )
+                feeder = EvaluationEngine(other)
+                feeder.model_table = engine.model_table = {}
+                list(feeder.evaluate_all())
             pairs = _paper_pairs(engine)
             shifted = [(option_id + ID_SHIFT, ix) for option_id, ix in pairs]
             misses = list(engine.evaluate_many(shifted))
@@ -206,27 +213,30 @@ def _without_engine_stats(envelope: ReportEnvelope) -> dict:
     return payload
 
 
+def _serve(session, request, wire: bool) -> ReportEnvelope:
+    """A request's report, by the wire fold or from the full tables."""
+    if wire:
+        return session.recommend_envelope(RecommendEnvelope(request=request))
+    return ReportEnvelope.from_report(session.recommend(request))
+
+
 class TestSearchSequenceOnOneSession:
     @pytest.mark.parametrize("extended", [False, True])
-    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    @pytest.mark.parametrize("wire", [False, True], ids=["tables", "wire"])
     def test_bytes_and_stats_match_fresh_searches(
-        self, observed_broker, backend, extended
+        self, observed_broker, wire, extended
     ):
         def request(strategy):
             return three_tier_request(
                 Contract.linear(98.0, 100.0),
                 providers=("metalcloud",),
                 strategy=strategy,
-                backend=backend,
                 extended_catalog=extended,
             )
 
         strategies = ("brute-force", "pruned", "branch-and-bound")
         with observed_broker.session(engine_cache=EngineCache()) as session:
-            chained = [
-                ReportEnvelope.from_report(session.recommend(request(s)))
-                for s in strategies
-            ]
+            chained = [_serve(session, request(s), wire) for s in strategies]
         for strategy, report, stats in zip(
             strategies, chained, _SEQUENCE_STATS[extended]
         ):

@@ -80,7 +80,7 @@ def contract_free(payload) -> tuple:
 
 
 def tabled(problem, table) -> EvaluationEngine:
-    engine = EvaluationEngine(problem, backend="serial")
+    engine = EvaluationEngine(problem)
     engine.model_table = table
     return engine
 
@@ -127,7 +127,7 @@ class TestPricedEqualsRecombined:
         ):
             problem = with_contract(base, target, clause)
             engine = tabled(problem, table)
-            plain = EvaluationEngine(problem, backend="serial")
+            plain = EvaluationEngine(problem)
             assert engine.model_key() == plain.model_key()
             for _ in range(repeats):
                 got = search(problem, engine=engine, keep_options=keep_options)
@@ -228,7 +228,6 @@ class TestCollector:
                     three_tier_request(
                         Contract.linear(target, 150.0),
                         strategy="brute-force",
-                        backend="serial",
                     )
                 )
             tables = list(session.engine_cache._tables.values())
@@ -360,12 +359,11 @@ class TestSubsetSkip:
             assert len(list(space.subset_candidates(subset))) == width
 
 
-@pytest.mark.parametrize("backend", ["serial", "vector"])
-def test_vector_serves_leave_the_table_alone(backend):
-    """Only the scalar kernel reads or feeds a table."""
+@pytest.mark.parametrize("keep_options", [False, True])
+def test_sweeps_fill_the_table(keep_options):
+    """Every sweep runs the scalar kernel, which feeds the table."""
     base = random_problem(17, clusters=3, choices_per_layer=3)
     table: dict = {}
     engine = tabled(with_contract(base, 99.0, CLAUSES[1]), table)
-    engine.set_backend(backend)
-    engine.sweep(keep_options=False)
-    assert len(table) == (engine.space.size if backend == "serial" else 0)
+    engine.sweep(keep_options=keep_options)
+    assert len(table) == engine.space.size

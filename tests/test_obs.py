@@ -158,7 +158,7 @@ class TestTracer:
     def test_child_span_without_active_trace_is_noop(self):
         store = TraceStore()
         tracer = Tracer(store)
-        with tracer.child_span("backend_chunk") as span:
+        with tracer.child_span("evaluate") as span:
             assert span is None
         assert len(store) == 0
 

@@ -3,12 +3,14 @@
 The engine's contract is strong: for *every* candidate of *any* problem,
 the incremental recombination of cached per-cluster terms must equal the
 full-topology evaluation to within 1e-12 (in practice: bit-identical),
-for all three strategies, with the result cache on or off, and with
-chunked evaluation on the vector backend.  These tests sweep
+for all three strategies, with the result cache on or off, and when
+rows are priced from a shared model table.  These tests sweep
 randomized registries and topologies plus the calibrated case study.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.optimizer.brute_force import (
 )
 from repro.optimizer.engine import EvaluationEngine, engine_for
 from repro.optimizer.pruned import pruned_optimize
+from repro.sla.contract import Contract
 from repro.workloads.case_study import case_study_problem
 from repro.workloads.generators import random_problem
 
@@ -91,16 +94,30 @@ class TestEngineMatchesDirectEvaluation:
                 direct = evaluate_candidate(problem, space, option_id, indices)
                 _assert_equivalent(direct, engine.evaluate(option_id, indices))
 
-    def test_parallel_equivalent(self):
+    def test_table_priced_engine_equivalent(self):
         for problem in (
             case_study_problem(),
             random_problem(7, clusters=4, choices_per_layer=3),
         ):
-            sequential = brute_force_optimize(problem)
-            engine = EvaluationEngine(problem, backend="vector", chunk_size=16)
-            parallel = brute_force_optimize(problem, engine=engine)
-            assert len(parallel.options) == len(sequential.options)
-            for direct, option in zip(sequential.options, parallel.options):
+            # A stricter contract over the same system fills the table;
+            # this engine then prices every row instead of recombining.
+            feeder = EvaluationEngine(
+                dataclasses.replace(
+                    problem, contract=Contract.linear(99.99, 777.0)
+                )
+            )
+            engine = EvaluationEngine(problem)
+            feeder.model_table = engine.model_table = {}
+            brute_force_optimize(feeder.problem, engine=feeder)
+            priced = brute_force_optimize(problem, engine=engine)
+            space = engine.space
+            assert len(priced.options) == space.size
+            for option, indices in zip(
+                priced.options, space.candidates_in_paper_order()
+            ):
+                direct = evaluate_candidate(
+                    problem, space, option.option_id, indices
+                )
                 _assert_equivalent(direct, option)
 
     def test_uncached_engine_equivalent(self):
@@ -124,10 +141,10 @@ class TestStrategiesThroughEngine:
             assert abs(result.best.tco.total - brute.best.tco.total) <= TOL
             assert result.best.choice_names == brute.best.choice_names
 
-    def test_parallel_strategies_on_random_problems(self):
+    def test_strategies_share_one_engine_on_random_problems(self):
         for seed in range(3):
             problem = random_problem(seed, clusters=4, choices_per_layer=2)
-            engine = EvaluationEngine(problem, backend="vector", chunk_size=8)
+            engine = EvaluationEngine(problem)
             brute = brute_force_optimize(problem, engine=engine)
             pruned = pruned_optimize(problem, engine=engine)
             bnb = branch_and_bound_optimize(problem, engine=engine)

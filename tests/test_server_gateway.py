@@ -29,7 +29,7 @@ from repro.broker.envelope import RecommendEnvelope
 from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
-from repro.errors import BrokerError, OptimizerError, ValidationError
+from repro.errors import BrokerError, ValidationError
 from repro.server import (
     IDEMPOTENCY_KEY_HEADER,
     REPLAY_HEADER,
@@ -410,15 +410,6 @@ class TestModeSelection:
         with pytest.raises(ValidationError, match="workers"):
             GatewayServer(observed_broker(), workers=0)
 
-    def test_bad_env_backend_fails_before_any_spawn(self, monkeypatch):
-        # Workers inherit REPRO_BACKEND, so the gateway checks it once
-        # before spawning any of them.
-        before = len(multiprocessing.active_children())
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
-            GatewayServer(observed_broker(), workers=1)
-        assert len(multiprocessing.active_children()) == before
-
     @pytest.mark.parametrize(
         "setting, error, pattern",
         [
@@ -466,8 +457,8 @@ class TestModeSelection:
         RequestCore.check_settings()
 
     def test_gateway_and_worker_spec_take_no_backend_option(self):
-        # Workers read REPRO_BACKEND from the environment they inherit;
-        # no backend travels in the spawn spec.
+        # There is one evaluation path; no backend travels in the
+        # spawn spec.
         names = [
             *inspect.signature(GatewayServer).parameters,
             *(field.name for field in dataclasses.fields(WorkerSpec)),

@@ -565,8 +565,8 @@ class TestConcurrentDuplicates:
     def test_racing_duplicate_submissions_yield_one_job(self):
         with start_in_thread(observed_broker(), shards=2) as server_handle:
             payload = RecommendEnvelope(
-                request(strategy="brute-force", backend="vector"),
-                idempotency_key="race-key-vector",
+                request(strategy="brute-force"),
+                idempotency_key="race-key-brute-force",
             ).to_json()
             barrier = threading.Barrier(2)
             outcomes: list[tuple[str, str | None]] = []

@@ -29,7 +29,6 @@ from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
 from repro.errors import (
     InsufficientTelemetryError,
-    OptimizerError,
     UnknownNameError,
     ValidationError,
 )
@@ -205,6 +204,7 @@ class TestErrorPaths:
             {"engine": "direct"},
             {"engine": "incremental"},
             {"backend": "process"},
+            {"backend": "gpu"},
         ],
     )
     def test_retired_backend_fields_are_structured_400(
@@ -563,26 +563,78 @@ class TestGracefulShutdown:
         handle.close()
 
 
-class TestStartupConfiguration:
-    def test_bad_env_backend_fails_before_serving(self, monkeypatch):
-        # Resolved once at construction: a misconfigured deployment
-        # never binds, rather than answering every recommend with 400.
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        with pytest.raises(OptimizerError, match="REPRO_BACKEND"):
-            start_in_thread(observed_broker())
+def _wire_body(strategy: str, backend: str | None, request_id: str) -> str:
+    """A recommend envelope's JSON; ``backend=None`` drops the key."""
+    payload = RecommendEnvelope(
+        request(strategy=strategy), request_id=request_id
+    ).to_dict()
+    if backend is None:
+        del payload["request"]["backend"]
+    else:
+        payload["request"]["backend"] = backend
+    return json.dumps(payload)
 
+
+def _serve_raw(wire, route: str, body: str) -> str:
+    """One envelope's report bytes from ``/v2/recommend`` or ``/v2/batch``."""
+    status, text = wire.request_raw("POST", route, body + "\n")
+    assert status == 200, text
+    return text.strip()
+
+
+class TestBackendWireField:
+    """The retired ``"backend"`` request key: ``"serial"``, ``"vector"``
+    or no key at all are the same request; anything else is a 400."""
+
+    @pytest.mark.parametrize("strategy", ["pruned", "brute-force"])
+    @pytest.mark.parametrize("route", ["/v2/recommend", "/v2/batch"])
+    def test_backend_values_give_identical_bytes(self, route, strategy):
+        served = []
+        for backend in (None, "serial", "vector"):
+            # A fresh server each time: every serve is a first service.
+            with start_in_thread(observed_broker()) as twin:
+                wire = ServerClient(twin.host, twin.port, timeout=30.0)
+                served.append(
+                    _serve_raw(wire, route, _wire_body(strategy, backend, "b"))
+                )
+        assert served[0] == served[1] == served[2]
+        assert ReportEnvelope.from_json(served[0]).request_id == "b"
+
+    @inprocess_only
+    @pytest.mark.parametrize(
+        "strategy", ["pruned", "brute-force", "branch-and-bound"]
+    )
+    def test_memoized_report_answers_every_backend_value(self, strategy):
+        with start_in_thread(observed_broker()) as twin:
+            wire = ServerClient(twin.host, twin.port, timeout=30.0)
+            for _ in range(2):  # first service, then a memoizing replay
+                memoized = _serve_raw(
+                    wire, "/v2/recommend", _wire_body(strategy, "serial", "m")
+                )
+            inline = ("repro_recommend_inline_total", ())
+            replays = ("repro_engine_replays_total", ())
+            before = wire.metrics()
+            for backend in ("vector", None):
+                assert _serve_raw(
+                    wire, "/v2/recommend", _wire_body(strategy, backend, "m")
+                ) == memoized
+            after = wire.metrics()
+        assert after[inline] == before[inline] + 2
+        assert after[replays] == before[replays] + 6  # 3 providers x 2
+
+
+class TestStartupConfiguration:
     @pytest.mark.parametrize("factory", [BrokerServer, RequestCore])
     def test_server_takes_no_backend_option(self, factory):
-        # A request pins its backend or REPRO_BACKEND names it; the
-        # server has no default of its own to configure.
+        # There is one evaluation path, so nothing to configure.
         parameters = inspect.signature(factory).parameters
         assert not [name for name in parameters if "backend" in name]
 
     def test_env_change_after_start_leaves_requests_served(
         self, monkeypatch
     ):
-        # The session read REPRO_BACKEND when it was built; a later
-        # change to the environment is not the client's fault.
+        # Nothing reads REPRO_BACKEND any more, so no value of it can
+        # fail a request.
         with start_in_thread(observed_broker()) as twin:
             monkeypatch.setenv("REPRO_BACKEND", "bogus")
             report = ServerClient(twin.host, twin.port).recommend(request())

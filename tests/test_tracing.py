@@ -2,7 +2,7 @@
 
 The propagation acceptance tests for ``repro.obs``: a traced request
 issued through :class:`ServerClient` must yield exactly one trace whose
-span tree covers transport -> session -> engine -> backend chunk, with
+span tree covers transport -> session -> engine cache -> search, with
 monotonic nested timings —
 retrievable via both ``GET /v2/traces/{id}`` and ``repro trace``.  Also
 pins the envelope's ``trace`` wire field, the disabled-tracing surface
@@ -96,19 +96,21 @@ class TestEnvelopeTraceField:
 
 class TestTracedRecommendPipeline:
     def test_client_to_worker_span_continuity(self):
-        """Acceptance: one trace spanning transport->session->engine->chunk."""
+        """Acceptance: one trace spanning transport->session->search."""
         with start_in_thread(
             observed_broker(), trace=True, max_workers=2
         ) as handle:
             client = ServerClient(handle.host, handle.port, trace=True)
-            client.recommend(request(strategy="brute-force", backend="vector"))
+            client.recommend(request(strategy="brute-force"))
             trace_id = client.last_trace_id
             assert trace_id is not None
             spans = client.trace_spans(trace_id)
 
         assert {s.trace_id for s in spans} == {trace_id}
         named = spans_by_name(spans)
-        for phase in ("request", "parse", "evaluate", "backend_chunk"):
+        for phase in (
+            "request", "parse", "key", "cache_lookup", "terms", "evaluate",
+        ):
             assert phase in named, f"missing {phase} spans: {sorted(named)}"
 
         # The tree is fully connected: every non-root parent is recorded.

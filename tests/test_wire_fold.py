@@ -37,18 +37,31 @@ from repro.optimizer.engine import EvaluationEngine
 from repro.optimizer.pruned import pruned_optimize
 from repro.optimizer.space import OptimizationProblem
 from repro.sla.contract import Contract
-from repro.sla.penalty import LinearPenalty, NoPenalty
+from repro.sla.penalty import (
+    CappedPenalty,
+    LinearPenalty,
+    NoPenalty,
+    TieredPenalty,
+)
 from repro.sla.sla import UptimeSLA
 from repro.topology.builder import TopologyBuilder
 from repro.topology.cluster import Layer
 from repro.topology.node import NodeSpec
 
+#: Penalty clauses of the served five-cluster contracts, by name.
+PENALTIES = {
+    "linear": LinearPenalty(420.0),
+    "tiered": TieredPenalty(((2.0, 150.0), (float("inf"), 600.0))),
+    "capped": CappedPenalty(LinearPenalty(420.0), monthly_cap=900.0),
+}
+
+#: (strategy, penalty) of the served five-cluster contracts.
 VARIANTS = (
-    ("pruned", "serial"),
-    ("pruned", "vector"),
-    ("branch-and-bound", "serial"),
-    ("brute-force", "serial"),
-    ("brute-force", "vector"),
+    ("pruned", "linear"),
+    ("pruned", "tiered"),
+    ("branch-and-bound", "linear"),
+    ("brute-force", "linear"),
+    ("brute-force", "capped"),
 )
 
 STRATEGIES = {
@@ -65,8 +78,8 @@ def broker() -> BrokerService:
     return served
 
 
-def five_tier(strategy: str, backend: str, penalty: float = 420.0):
-    """A five-cluster extended-catalog request: several vector blocks."""
+def five_tier(strategy: str, penalty: str = "linear"):
+    """A five-cluster extended-catalog request: 768 candidates."""
     return RecommendationRequest(
         system_name="five-tier",
         clusters=(
@@ -76,11 +89,10 @@ def five_tier(strategy: str, backend: str, penalty: float = 420.0):
             ClusterRequirement("blob", Layer.STORAGE, 1),
             ClusterRequirement("edge", Layer.NETWORK, 1),
         ),
-        contract=Contract.linear(99.5, penalty),
+        contract=Contract(sla=UptimeSLA(99.5), penalty=PENALTIES[penalty]),
         providers=("metalcloud", "stratus"),
         extended_catalog=True,
         strategy=strategy,
-        backend=backend,
     )
 
 
@@ -111,47 +123,44 @@ def assert_same_bytes(broker, requests, forget_aliases=False):
 
 
 class TestFoldEqualsFullTable:
-    @pytest.mark.parametrize("strategy,backend", VARIANTS)
-    def test_cold_engine(self, broker, strategy, backend):
-        assert_same_bytes(broker, [five_tier(strategy, backend)])
+    @pytest.mark.parametrize("strategy,penalty", VARIANTS)
+    def test_cold_engine(self, broker, strategy, penalty):
+        assert_same_bytes(broker, [five_tier(strategy, penalty)])
 
-    @pytest.mark.parametrize("strategy,backend", VARIANTS)
+    @pytest.mark.parametrize("strategy,penalty", VARIANTS)
     def test_engine_partly_warmed_by_another_strategy(
-        self, broker, strategy, backend
+        self, broker, strategy, penalty
     ):
-        # The pruned search caches a subset of the space, so a vector
-        # brute force then meets blocks that mix hits and misses, and
-        # all-miss blocks after them.
+        # The pruned search caches a subset of the space, so a later
+        # sweep mixes result-cache hits with misses.
         assert_same_bytes(
             broker,
-            [five_tier("pruned", "serial"), five_tier(strategy, backend)],
+            [five_tier("pruned", penalty), five_tier(strategy, penalty)],
         )
 
     @pytest.mark.parametrize("forget_aliases", [False, True])
-    @pytest.mark.parametrize("strategy,backend", VARIANTS)
-    def test_memo_hit(self, broker, strategy, backend, forget_aliases):
+    @pytest.mark.parametrize("strategy,penalty", VARIANTS)
+    def test_memo_hit(self, broker, strategy, penalty, forget_aliases):
         # Third wire serve: a memo hit, by the warm alias or (aliases
         # forgotten) after key derivation; the third table serve is a
         # search answered by the result cache.
         stats = assert_same_bytes(
-            broker, [five_tier(strategy, backend)] * 3, forget_aliases
+            broker, [five_tier(strategy, penalty)] * 3, forget_aliases
         )
         assert stats.replays == 2  # one memo hit per provider
 
     def test_three_tier_over_every_provider(self, broker):
         requests = [
-            three_tier_request(
-                Contract.linear(98.0, 100.0), strategy=strategy, backend=backend
-            )
-            for strategy, backend in VARIANTS
+            three_tier_request(Contract.linear(98.0, 100.0), strategy=strategy)
+            for strategy in STRATEGIES
         ]
         assert_same_bytes(broker, requests + requests)
 
 
 class TestOptionsAssembledPerWireRequest:
-    @pytest.mark.parametrize("strategy,backend", VARIANTS)
+    @pytest.mark.parametrize("strategy,penalty", VARIANTS)
     def test_cold_wire_serve_assembles_two_options_per_provider(
-        self, broker, monkeypatch, strategy, backend
+        self, broker, monkeypatch, strategy, penalty
     ):
         built = collections.Counter()
         build = EvaluationEngine._build_option
@@ -161,7 +170,7 @@ class TestOptionsAssembledPerWireRequest:
             return build(engine, option_id, indices, payload)
 
         monkeypatch.setattr(EvaluationEngine, "_build_option", counting_build)
-        request = five_tier(strategy, backend)
+        request = five_tier(strategy, penalty)
         with broker.session() as session:
             report = session.recommend_envelope(RecommendEnvelope(request))
             assert len(built) == len(report.providers) == 2
@@ -183,9 +192,9 @@ class TestWireJobs:
     """Jobs submitted with ``wire=True``, as the server's job and batch
     routes submit them, serve like ``recommend_envelope``."""
 
-    @pytest.mark.parametrize("strategy,backend", VARIANTS)
+    @pytest.mark.parametrize("strategy,penalty", VARIANTS)
     def test_wire_job_bytes_equal_table_job_bytes(
-        self, broker, monkeypatch, strategy, backend
+        self, broker, monkeypatch, strategy, penalty
     ):
         built = collections.Counter()
         build = EvaluationEngine._build_option
@@ -195,7 +204,7 @@ class TestWireJobs:
             return build(engine, option_id, indices, payload)
 
         monkeypatch.setattr(EvaluationEngine, "_build_option", counting_build)
-        envelope = RecommendEnvelope(five_tier(strategy, backend), request_id="j")
+        envelope = RecommendEnvelope(five_tier(strategy, penalty), request_id="j")
         with broker.session() as wire, broker.session() as table:
             wire_report = wire.result_envelope(wire.submit(envelope, wire=True))
             assert len(built) == 2
@@ -204,7 +213,7 @@ class TestWireJobs:
         assert wire_report.to_json() == table_report.to_json()
 
     def test_repeated_wire_jobs_answer_from_the_memo(self, broker):
-        envelope = RecommendEnvelope(five_tier("pruned", "serial"))
+        envelope = RecommendEnvelope(five_tier("pruned"))
         with broker.session() as session:
             reports = [
                 session.result_envelope(session.submit(envelope, wire=True))
@@ -304,36 +313,27 @@ class TestDistilledTieBreaks:
         costs=st.lists(st.sampled_from([0.0, 10.0]), min_size=2, max_size=2),
         hours=st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=2),
         target=st.sampled_from([None, 50.0, 97.0, 99.0]),
-        chunk_size=st.sampled_from([1, 4, 1024]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_fold_matches_full_table(
-        self, clusters, costs, hours, target, chunk_size
-    ):
+    def test_fold_matches_full_table(self, clusters, costs, hours, target):
         problem = tie_problem(clusters, costs, hours, target)
         for name, optimize in STRATEGIES.items():
             full = optimize(problem, engine=EvaluationEngine(problem))
-            for backend in ("serial", "vector"):
-                for cache in (True, False):
-                    engine = EvaluationEngine(
-                        problem, backend=backend, cache=cache,
-                        chunk_size=chunk_size,
-                    )
-                    if cache:
-                        # Part of the space cached: mixed vector blocks.
-                        pruned_optimize(problem, engine=engine)
-                    distilled = optimize(
-                        problem, engine=engine, keep_options=False
-                    )
-                    # Exactly the two recommendations are kept, so a
-                    # tie-break the result's properties would mask
-                    # still shows.
-                    assert [o.option_id for o in distilled.options] == sorted(
-                        {full.best.option_id, full.min_penalty_option.option_id}
-                    )
-                    assert distilled.evaluations == full.evaluations, name
-                    assert distilled.pruned == full.pruned
-                    assert signature(distilled.best) == signature(full.best)
-                    assert signature(distilled.min_penalty_option) == signature(
-                        full.min_penalty_option
-                    )
+            for cache in (True, False):
+                engine = EvaluationEngine(problem, cache=cache)
+                if cache:
+                    # Part of the space cached: hits mixed with misses.
+                    pruned_optimize(problem, engine=engine)
+                distilled = optimize(problem, engine=engine, keep_options=False)
+                # Exactly the two recommendations are kept, so a
+                # tie-break the result's properties would mask still
+                # shows.
+                assert [o.option_id for o in distilled.options] == sorted(
+                    {full.best.option_id, full.min_penalty_option.option_id}
+                )
+                assert distilled.evaluations == full.evaluations, name
+                assert distilled.pruned == full.pruned
+                assert signature(distilled.best) == signature(full.best)
+                assert signature(distilled.min_penalty_option) == signature(
+                    full.min_penalty_option
+                )

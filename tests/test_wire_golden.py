@@ -3,14 +3,17 @@
 A fixed corpus is served and each group's report bytes are hashed
 (SHA-256) against ``tests/data/wire_golden.json``:
 
-- the paper's case study, optimized by every strategy x backend, as
-  wire provider reports;
+- the paper's case study, optimized by every strategy, as wire
+  provider reports;
 - eight three-tier contracts like the ``warm-hits`` benchmark's, each
   served three times (first service, pure replay, memo hit);
 - thirty never-seen five-cluster, extended-catalog contracts like the
   ``cold-search`` benchmark's, for each of ``pruned``,
-  ``branch-and-bound``, brute force on the serial backend and brute
-  force on the vector backend.
+  ``branch-and-bound``, and brute force sent with the retired request
+  field ``"backend"`` set to ``"serial"`` and to ``"vector"``.
+
+Every search runs the one scalar kernel and the backend field changes
+nothing, so the two brute-force groups share their digests.
 
 Every float and ``engine_stats`` counter reaches the digest, so a change
 of summation order, tie-break or evaluation accounting shows here on
@@ -44,7 +47,7 @@ from repro.workloads.case_study import case_study_problem
 
 GOLDEN = Path(__file__).parent / "data" / "wire_golden.json"
 
-#: (strategy, backend) of every served group.
+#: (strategy, request backend field) of every served group.
 VARIANTS = (
     ("pruned", "serial"),
     ("branch-and-bound", "serial"),
@@ -120,9 +123,9 @@ def _served(broker: BrokerService, requests) -> str:
         )
 
 
-def case_study_digest(strategy: str, backend: str) -> str:
+def case_study_digest(strategy: str) -> str:
     problem = case_study_problem()
-    engine = EvaluationEngine(problem, backend=backend)
+    engine = EvaluationEngine(problem)
     result = _STRATEGY_FUNCTIONS[strategy](problem, engine=engine)
     report = ProviderReport.from_result(
         "case-study", result, engine_stats=engine.stats.to_dict()
@@ -148,9 +151,15 @@ def _group(strategy: str, backend: str) -> str:
 
 @pytest.mark.parametrize("strategy,backend", VARIANTS)
 def test_case_study_reports(golden, strategy, backend):
-    assert case_study_digest(strategy, backend) == golden["case-study"][
+    assert case_study_digest(strategy) == golden["case-study"][
         _group(strategy, backend)
     ]
+
+
+@pytest.mark.parametrize("corpus", ["case-study", "cold-search"])
+def test_backend_field_groups_share_a_digest(golden, corpus):
+    groups = golden[corpus]
+    assert groups["brute-force/serial"] == groups["brute-force/vector"]
 
 
 def test_warm_contract_reports(broker, golden):
@@ -171,7 +180,8 @@ def corpus_digests() -> dict:
     served.observe_all(years=OBSERVE_YEARS, seed=SEED)
     return {
         "case-study": {
-            _group(*variant): case_study_digest(*variant) for variant in VARIANTS
+            _group(strategy, backend): case_study_digest(strategy)
+            for strategy, backend in VARIANTS
         },
         "warm-hits": _served(
             served, [r for r in warm_requests() for _ in range(WARM_SERVES)]
