@@ -16,6 +16,10 @@ as jobs on the session's worker pool.
 E18 checks that a warm request's cost does not grow with observed
 telemetry history: key derivation reads memoized failover moments, so
 the median warm recommend after 20 years stays within 2x of 1 year.
+
+E26 checks that fresh contracts on one provider share one
+contract-free model: K cold brute-force contracts build the n*k
+profiles once, and each report equals a standalone engine's.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.broker.api import EngineCache
 from repro.broker.request import three_tier_request
 from repro.broker.service import BrokerService
 from repro.cloud.providers import all_providers
+from repro.optimizer.brute_force import brute_force_optimize
+from repro.optimizer.engine import EvaluationEngine
 from repro.sla.contract import Contract
 
 
@@ -147,9 +153,70 @@ def test_warm_latency_is_flat_in_history(emit):
     )
 
 
+#: Fresh contracts served in the shared-model leg.
+COLD_CONTRACTS = 6
+
+
+def _option_fields(option) -> tuple:
+    """An option's id, choices, verdict and TCO; ``repr`` keeps -0.0."""
+    return (
+        option.option_id,
+        option.choice_names,
+        option.meets_sla,
+        repr(option.tco),
+    )
+
+
+def cold_contracts_on_one_model(
+    broker: BrokerService, count: int = COLD_CONTRACTS
+) -> float:
+    """E26: ``count`` fresh contracts on one provider share one model.
+
+    Serves each contract once (brute force, so every candidate is
+    priced), asserts the session built one model that every engine
+    shares, and that each report's options equal, field for field,
+    a standalone :class:`EvaluationEngine`'s sweep for that contract.
+    Returns the median cold serve in seconds.
+    """
+    seconds = []
+    with broker.session(cache_capacity=count + 1) as session:
+        results = []
+        for index in range(count):
+            request = three_tier_request(
+                Contract.linear(97.0 + index / 2, 100.0 + 75.0 * index),
+                providers=("metalcloud",),
+                strategy="brute-force",
+            )
+            report, elapsed = _timed(lambda: session.recommend(request))
+            results.append(report.recommendations[0].result)
+            seconds.append(elapsed)
+        engines = session.engine_cache.engines()
+        models = session.metrics()["models_cached"]
+    assert models == 1, f"{count} contracts built {models} models"
+    assert len({id(engine.model) for engine in engines}) == 1
+    for result, engine in zip(results, engines, strict=True):
+        standalone = brute_force_optimize(
+            engine.problem, engine=EvaluationEngine(engine.problem)
+        )
+        assert [_option_fields(option) for option in result.options] == [
+            _option_fields(option) for option in standalone.options
+        ]
+    return statistics.median(seconds)
+
+
+def test_cold_contracts_share_one_model(emit):
+    """E26: one model build for K fresh contracts, standalone reports."""
+    median = cold_contracts_on_one_model(observed_broker(years=1.0, seed=7))
+    emit(
+        f"[E26] {COLD_CONTRACTS} cold contracts on one provider: one model, "
+        f"median serve {median * 1e3:.2f} ms"
+    )
+
+
 def _smoke() -> int:
     """Fast CI guard: warm cache reuse + bit-identical batched reports,
-    and warm latency flat in observed history (20 y within 2x of 1 y)."""
+    warm latency flat in observed history (20 y within 2x of 1 y), and
+    cold contracts on one provider sharing one model."""
     broker = observed_broker(years=1.0, seed=7)
     request = three_tier_request(Contract.linear(98.0, 100.0))
     with broker.session() as session:
@@ -175,6 +242,12 @@ def _smoke() -> int:
         f"({ratio:.2f}x)"
     )
     assert ratio <= 2.0, f"warm latency grows with history: {ratio:.2f}x"
+    median = cold_contracts_on_one_model(broker)
+    print(
+        f"[smoke] {COLD_CONTRACTS} cold contracts on one provider: one "
+        f"model, reports equal standalone engines; median "
+        f"{median * 1e3:.2f} ms"
+    )
     return 0
 
 

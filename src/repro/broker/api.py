@@ -10,9 +10,9 @@ module lifts that sharing across requests:
   variant) with LRU eviction, so repeated and similar requests reuse
   the per-(cluster, technology) term caches instead of recomputing
   them, and a repeated wire request replays its memoized report.  It
-  also keeps the contract-free model tables its engines share, so a
-  new contract over a known system prices each candidate instead of
-  recombining it;
+  also keeps one contract-free model per system, which its engines
+  share, so a new contract over a known system builds no profiles and
+  prices each candidate instead of recombining it;
 - :class:`BrokerSession` is the v2 facade: synchronous ``recommend``
   and an async ``submit`` / ``poll`` / ``result`` job lifecycle over a
   bounded worker pool.  Both serve each provider through one method,
@@ -53,11 +53,16 @@ from repro.errors import (
     ValidationError,
     unknown_name_message,
 )
-from repro.optimizer.engine import EngineStats, EvaluationEngine, ModelTable
+from repro.optimizer.engine import (
+    EngineStats,
+    EvaluationEngine,
+    EvaluationModel,
+    float_bits,
+)
 from repro.obs import clock
 from repro.obs.trace import SpanContext, Tracer, maybe_span, parse_traceparent
 from repro.optimizer.result import OptimizationResult
-from repro.optimizer.space import OptimizationProblem
+from repro.optimizer.space import CandidateSpace, OptimizationProblem
 from repro.sla.contract import Contract
 from repro.topology.system import SystemTopology
 
@@ -139,6 +144,8 @@ def _rate_card_key(card: RateCard) -> tuple:
     labor-hour norms and the labor rate — the full set of inputs the
     technology registry and TCO model read from the card.  The two
     price dicts are read on every request: they can change in place.
+    The labor rate enters as its bits: ``0.0 == -0.0``, yet they price
+    labor costs of different sign.
     """
     return (
         tuple(card.instance_types),
@@ -146,7 +153,7 @@ def _rate_card_key(card: RateCard) -> tuple:
         tuple(card.gateway_types),
         tuple(sorted(card.ha_addons.items())),
         tuple(sorted(card.ha_labor_hours.items())),
-        card.labor_rate_per_hour,
+        float_bits((card.labor_rate_per_hour,)),
     )
 
 
@@ -189,6 +196,10 @@ class EngineKey:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def model_key(self) -> tuple:
+        """The key of the engine's shared model: every input but the contract."""
+        return (self.provider, self.base_system, self.rate_card, self.variant)
 
     @classmethod
     def build(
@@ -370,12 +381,12 @@ class EngineCache:
     evicted entry takes its aliases with it: an alias never keeps an
     engine alive that the cache itself has let go.
 
-    The cache also owns an LRU of at most ``capacity`` model tables
-    (:data:`~repro.optimizer.engine.ModelTable`), keyed by
-    :meth:`~repro.optimizer.engine.EvaluationEngine.model_key`: engines
-    for different contracts over the same system and labor rate share
-    one table (see :meth:`model_table`).  An evicted table lives on in
-    the engines already bound to it.
+    The cache also owns an LRU of at most ``capacity`` shared models
+    (:class:`~repro.optimizer.engine.EvaluationModel`, each with its
+    :data:`~repro.optimizer.engine.ModelTable`), keyed by
+    :meth:`EngineKey.model_key`: engines for different contracts over
+    the same system share one model (see :meth:`model`).  An evicted
+    model lives on in the engines already bound to it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_CAPACITY) -> None:
@@ -384,7 +395,7 @@ class EngineCache:
         self.stats = EngineCacheStats()
         self._entries: OrderedDict[EngineKey, _CacheEntry] = OrderedDict()
         self._aliases: OrderedDict[object, _CacheEntry] = OrderedDict()
-        self._tables: OrderedDict[tuple, ModelTable] = OrderedDict()
+        self._models: OrderedDict[tuple, EvaluationModel] = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -433,23 +444,38 @@ class EngineCache:
                         raise
         return entry
 
-    def model_table(self, key: tuple) -> ModelTable:
-        """The shared model table under ``key``, made empty on first use.
+    def model(
+        self, key: tuple, factory: Callable[[], EvaluationModel]
+    ) -> EvaluationModel:
+        """The shared model under ``key``, built by ``factory`` on a miss.
 
-        ``key`` is an engine's
-        :meth:`~repro.optimizer.engine.EvaluationEngine.model_key`;
-        bind the table only to engines whose key equals it.
+        ``key`` is an :meth:`EngineKey.model_key`.  The factory runs
+        outside the cache's lock; when two threads build one key at
+        once, the first model published wins and both get it.
         """
+        models = self._models
         with self._lock:
-            tables = self._tables
-            table = tables.get(key)
-            if table is not None:
-                tables.move_to_end(key)
-                return table
-            table = tables[key] = {}
-            if len(tables) > self.capacity:
-                tables.popitem(last=False)
-            return table
+            model = models.get(key)
+            if model is not None:
+                models.move_to_end(key)
+                return model
+        built = factory()
+        with self._lock:
+            model = models.get(key)
+            if model is not None:
+                models.move_to_end(key)
+                return model
+            models[key] = built
+            if len(models) > self.capacity:
+                models.popitem(last=False)
+        return built
+
+    def model_sizes(self) -> tuple[int, int]:
+        """``(models cached, rows across their tables)``."""
+        with self._lock:
+            models = tuple(self._models.values())
+        # repro: lint-ok[REP001] integer row counts, order-free
+        return len(models), sum(len(model.table) for model in models)
 
     def count_replay(self) -> None:
         """Record one hit answered from an entry's replay memo."""
@@ -553,13 +579,13 @@ class EngineCache:
         )
 
     def clear(self) -> None:
-        """Drop every cached engine and model table (stats are retained)."""
+        """Drop every cached engine and model (stats are retained)."""
         with self._lock:
             for entry in self._entries.values():
                 entry.aliases.clear()
             self._entries.clear()
             self._aliases.clear()
-            self._tables.clear()
+            self._models.clear()
 
 
 @dataclass
@@ -780,10 +806,17 @@ class BrokerSession:
             )
         return served
 
-    def recommend_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
+    def recommend_envelope(
+        self,
+        envelope: RecommendEnvelope,
+        warm_keys: Mapping[str, _WarmKey] | None = None,
+    ) -> ReportEnvelope:
         """Wire-in, wire-out: serve a request envelope.
 
-        Tries :meth:`replay_envelope` first.  The slow path serves each
+        Tries :meth:`replay_envelope` first, unless ``warm_keys`` says
+        the caller already tried: they are the keys a failed
+        :meth:`replay` of this envelope returned, and the slow path
+        reuses them instead of deriving them again.  The slow path serves each
         provider from its entry's replay memo or by a distilled search
         that assembles only the two recommended options; both give the
         bytes ``ReportEnvelope.from_report(recommend(...))`` would, with
@@ -805,13 +838,18 @@ class BrokerSession:
                         "request_id": envelope.request_id or "",
                     },
                 ):
-                    return self._serve_envelope(envelope)
-        return self._serve_envelope(envelope)
+                    return self._serve_envelope(envelope, warm_keys)
+        return self._serve_envelope(envelope, warm_keys)
 
-    def _serve_envelope(self, envelope: RecommendEnvelope) -> ReportEnvelope:
-        report, warm_keys = self._replay(envelope)
-        if report is not None:
-            return report
+    def _serve_envelope(
+        self,
+        envelope: RecommendEnvelope,
+        warm_keys: Mapping[str, _WarmKey] | None,
+    ) -> ReportEnvelope:
+        if warm_keys is None:
+            report, warm_keys = self.replay(envelope)
+            if report is not None:
+                return report
         return self._wire_report(envelope, warm_keys)
 
     def _wire_report(
@@ -861,17 +899,17 @@ class BrokerSession:
         a server may call it on its event loop.  When a trace is
         active, a hit records one ``replay`` span.
         """
-        return self._replay(envelope)[0]
+        return self.replay(envelope)[0]
 
-    def _replay(
+    def replay(
         self, envelope: RecommendEnvelope
     ) -> tuple[ReportEnvelope | None, dict[str, _WarmKey]]:
         """:meth:`replay_envelope`, plus the warm keys it derived.
 
-        On a miss, :meth:`_wire_report` reuses the keys, so a request
-        derives each provider's key (and rate-card key) once.  The keys
-        hold the generation read here, before the slow path's
-        estimates.
+        On a miss, hand the keys to :meth:`recommend_envelope`, so the
+        request derives each provider's key (and rate-card key) once,
+        even when the miss is served on another thread.  The keys hold
+        the generation read here, before the slow path's estimates.
         """
         tracer = self.tracer
         started = clock.perf_counter() if tracer is not None else 0.0
@@ -1140,7 +1178,9 @@ class BrokerSession:
         session internals: engine-cache hit/miss/eviction counts (via
         :meth:`EngineCacheStats.to_dict`), how many engines are
         currently cached and their cumulative cluster-term precomputes,
-        and the job table broken down by lifecycle state.  The server's
+        how many shared models are cached and the rows across their
+        tables (the state behind every cold contract's estimate), and
+        the job table broken down by lifecycle state.  The server's
         ``/metrics`` endpoint exports exactly this dictionary.
         """
         statuses = {
@@ -1156,12 +1196,15 @@ class BrokerSession:
                 "retrieved": self._evicted_retrieved,
                 "ttl": self._evicted_ttl,
             }
+        models, rows = self.engine_cache.model_sizes()
         return {
             "engine_cache": self.engine_cache.stats.to_dict(),
             "engines_cached": len(self.engine_cache),
             "cluster_term_computations": (
                 self.engine_cache.cluster_term_computations()
             ),
+            "models_cached": models,
+            "model_rows": rows,
             "jobs": dict(statuses),
             "jobs_evicted": evicted,
             "job_queue_depth": statuses[JOB_PENDING] + statuses[JOB_RUNNING],
@@ -1224,27 +1267,33 @@ class BrokerSession:
                 extended_catalog=request.extended_catalog,
             )
 
-        def build_engine() -> EvaluationEngine:
+        def build_model() -> EvaluationModel:
             registry = registry_for_provider(
                 provider,
                 failover_minutes=failover_estimates,
                 extended=request.extended_catalog,
             )
-            problem = OptimizationProblem(
-                base_system=base_system,
-                registry=registry,
-                contract=request.contract,
-                labor_rate=LaborRate(provider.rate_card.labor_rate_per_hour),
+            return EvaluationModel(
+                CandidateSpace(base_system.strip_ha(), registry),
+                LaborRate(provider.rate_card.labor_rate_per_hour),
+                table={},
             )
+
+        def build_engine() -> EvaluationEngine:
             # The factory runs on the requesting thread under the entry
-            # lock, so this span nests inside cache_lookup — the n*k
-            # cluster-term precompute is exactly a cache miss's cost.
+            # lock, so this span nests inside cache_lookup: a cache
+            # miss binds the contract to the system's shared model, and
+            # only the system's first contract builds that model (the
+            # n*k cluster-term precompute).
             with maybe_span(tracer, "terms", attrs={"provider": provider_name}):
-                engine = EvaluationEngine(problem)
-            engine.model_table = self.engine_cache.model_table(
-                engine.model_key()
-            )
-            return engine
+                model = self.engine_cache.model(key.model_key(), build_model)
+                problem = OptimizationProblem(
+                    base_system=base_system,
+                    registry=model.space.registry,
+                    contract=request.contract,
+                    labor_rate=model.labor_rate,
+                )
+                return EvaluationEngine(problem, model=model)
 
         with maybe_span(
             tracer, "cache_lookup", attrs={"provider": provider_name}

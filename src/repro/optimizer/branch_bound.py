@@ -71,11 +71,11 @@ def branch_and_bound_optimize(
     pruned_leaves = 0
     assignment: list[int] = []
 
+    price = engine.price
+
     def penalty_lower_bound(up_product: float) -> float:
         """Lower-bound the penalty of any completion of the branch."""
-        optimistic_uptime = min(up_product, 1.0)
-        hours = problem.contract.expected_slippage_hours(optimistic_uptime)
-        return problem.contract.penalty.monthly_penalty(hours)
+        return price(min(up_product, 1.0))[1]
 
     def descend(depth: int, cost_so_far: float, up_product: float) -> None:
         nonlocal incumbent, pruned_leaves

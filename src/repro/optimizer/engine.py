@@ -18,17 +18,20 @@ structure instead: Eq. 1-5 factor into per-cluster terms, so the engine
    evaluate a candidate twice.
 
 Only three payload values depend on the contract: the slippage, the
-penalty and the SLA verdict.  The rest — the Eq. 1-4 availability
-terms and the Eq. 5 HA costs — are a function of the engine's factor
-rows and labor rate alone.  An engine may therefore share a **model
-table** (:data:`ModelTable`) with every engine whose
-:meth:`EvaluationEngine.model_key` is equal: a map from index tuple
-to the candidate's contract-free :data:`ModelRow`.  A result-cache
-miss whose row is in the table is *priced* — slippage, penalty and
-verdict from the row's uptime — instead of recombined, so a new
-contract over a known system costs one pricing pass per candidate.
-The broker's engine cache owns the tables; an engine built without
-one recombines every miss.
+penalty and the SLA verdict.  Everything else is fixed by the system,
+the catalog and the labor rate, so an engine is split in two.  Its
+contract-free half is an :class:`EvaluationModel`: the candidate space,
+the ``n * k`` profiles and factor rows, and optionally a **model
+table** (:data:`ModelTable`), a map from index tuple to the
+candidate's contract-free :data:`ModelRow`.  The engine itself binds a
+model to one contract: the contract's hoisted pricing function
+(:meth:`~repro.sla.contract.Contract.pricing`) and the result cache.
+A result-cache miss whose row is in the table is *priced* — slippage,
+penalty and verdict from the row's uptime — instead of recombined.
+The broker's engine cache keeps one model per system, so a new
+contract over a known system builds no profiles and costs one pricing
+pass per candidate.  An engine built without a model gets a private
+one with no table, and recombines every miss.
 
 Searches work on payloads, not options: :meth:`EvaluationEngine.payload`
 answers one candidate (from the cache, a table row or by
@@ -62,8 +65,8 @@ dropping the last reference frees it.
 An engine has **one consumer at a time**.  The broker's engine cache
 serializes every evaluation on a cached engine through the entry's
 lock, so cache and stats mutations take no lock of their own.  A model
-table is shared across engines and threads, and needs none either
-(see :data:`ModelTable`).
+and its table are shared across engines and threads, and need none
+either (see :class:`EvaluationModel` and :data:`ModelTable`).
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ from repro.availability.model import (
     ClusterTerms,
     cluster_availability_terms,
 )
+from repro.cost.rates import LaborRate
 from repro.cost.tco import (
     ClusterCostTerms,
     TCOBreakdown,
@@ -120,14 +124,14 @@ _BREAKDOWN, _FAILOVER, _MEETS_SLA, _CONTRIBUTIONS = 6, 7, 8, 9
 #: penalty and SLA verdict; floats only, so one collection untracks it.
 ModelRow = tuple[float, ...]
 
-#: Index tuple -> :data:`ModelRow`, shared by engines with equal
-#: :meth:`EvaluationEngine.model_key`.  Plain dict reads and writes are
+#: Index tuple -> :data:`ModelRow`, shared by the engines bound to one
+#: :class:`EvaluationModel`.  Plain dict reads and writes are
 #: atomic under the GIL, and equal keys give equal rows, so engines
 #: serving on different threads may share one table without a lock.
 ModelTable = dict[tuple[int, ...], ModelRow]
 
 
-def _float_bits(values: tuple[float, ...]) -> bytes:
+def float_bits(values: tuple[float, ...]) -> bytes:
     """The IEEE-754 bits of ``values``: equal bytes, identical floats.
 
     Float ``==`` treats ``0.0`` and ``-0.0`` as equal, yet they round
@@ -182,9 +186,10 @@ class EngineStats:
         Result-cache misses this engine answered, each by pricing a
         shared :data:`ModelRow` or by recombining the O(n) terms.
     cluster_term_computations:
-        Per-(cluster, technology) precomputations done at construction
-        (``n * k`` — the only cluster-level availability math the
-        engine ever runs).
+        The ``n * k`` per-(cluster, technology) precomputations of the
+        engine's :class:`EvaluationModel` — the only cluster-level
+        availability math the engine ever runs.  Engines sharing one
+        model each report its count, although it ran once.
     """
 
     candidate_evaluations: int = 0
@@ -215,9 +220,139 @@ class EngineStats:
         )
 
 
+class EvaluationModel:
+    """The contract-free half of an engine, shared by engines over one system.
+
+    Everything a candidate's Eq. 1-5 values need except the contract:
+    the candidate space, the ``n * k`` :class:`ChoiceProfile` rows, the
+    scalar kernel's factor rows, the names option assembly reads, an
+    optional shared :data:`ModelTable` and a memoized paper-order
+    candidate tuple.  A model holds no contract, no result cache and no
+    engine, so a cached model never keeps an engine alive.
+
+    The broker's engine cache keeps one model per system and binds each
+    new contract's engine to it, so a cold contract over a known system
+    applies no technology and factors no cluster.  Engines on
+    different threads may share one model: after construction only the
+    table (see :data:`ModelTable`) and the paper-order memo change, and
+    the memo is published by one attribute store of an equal tuple.
+    """
+
+    def __init__(
+        self,
+        space: CandidateSpace,
+        labor_rate: LaborRate,
+        *,
+        table: ModelTable | None = None,
+    ) -> None:
+        self.space = space
+        self.labor_rate = labor_rate
+        #: The shared :data:`ModelTable` of engines bound to this model;
+        #: ``None`` recombines every result-cache miss.
+        self.table = table
+        self.profiles = self._precompute_profiles()
+        # repro: lint-ok[REP001] integer row lengths, order-free
+        self.term_count = sum(len(row) for row in self.profiles)
+        # Hoisted once for option assembly, which runs per kept
+        # candidate: the bare system's name and cluster names and each
+        # cluster's per-choice profile names.
+        bare = space.bare_system
+        self.bare_name = bare.name
+        self.cluster_names = bare.cluster_names
+        self.choice_name_rows = tuple(
+            tuple(profile.name for profile in row) for row in self.profiles
+        )
+        # The scalar kernel's inputs: one flat tuple of six floats per
+        # (cluster, choice) — availability up, active-up and failover
+        # rate, then cost HA infra, HA labor hours and base infra.
+        self.factor_rows = tuple(
+            tuple(
+                (
+                    profile.availability.up_probability,
+                    profile.availability.active_up_probability,
+                    profile.availability.failover_rate,
+                    profile.cost.ha_infra_cost,
+                    profile.cost.ha_labor_hours,
+                    profile.cost.base_infra_cost,
+                )
+                for profile in row
+            )
+            for row in self.profiles
+        )
+        self._paper_order: tuple[tuple[int, ...], ...] | None = None
+
+    @classmethod
+    def for_problem(
+        cls, problem: OptimizationProblem, *, table: ModelTable | None = None
+    ) -> "EvaluationModel":
+        """The model of ``problem``'s system, catalog and labor rate."""
+        return cls(problem.space(), problem.labor_rate, table=table)
+
+    def _precompute_profiles(self) -> tuple[tuple[ChoiceProfile, ...], ...]:
+        """Apply and factor every (cluster, technology) pairing once."""
+        space = self.space
+        labor_rate = self.labor_rate
+        table = []
+        for i in range(space.cluster_count):
+            row = []
+            for index, technology in enumerate(space.choices_for(i)):
+                applied = space.applied_cluster(i, index)
+                row.append(
+                    ChoiceProfile(
+                        index=index,
+                        name=technology.name,
+                        applied=applied,
+                        availability=cluster_availability_terms(applied),
+                        cost=cluster_cost_terms(applied),
+                        ha_cost=applied.monthly_ha_infra_cost
+                        + labor_rate.monthly_cost(applied.monthly_ha_labor_hours),
+                    )
+                )
+            table.append(tuple(row))
+        return tuple(table)
+
+    def key(self) -> tuple:
+        """The inputs of every :data:`ModelRow`, compared bit for bit.
+
+        A row is a function of the factor rows (shape and values) and
+        the labor rate alone, so models with equal keys compute equal
+        rows whatever their engines' contracts.  Floats enter as their
+        bits (see :func:`float_bits`).
+        """
+        rows = self.factor_rows
+        labor_rate = self.labor_rate
+        return (
+            tuple(len(row) for row in rows),
+            float_bits(
+                tuple(
+                    value
+                    for row in rows
+                    for factors in row
+                    for value in factors
+                )
+            ),
+            labor_rate,
+            float_bits((labor_rate.dollars_per_hour,)),
+        )
+
+    def paper_order(self) -> tuple[tuple[int, ...], ...]:
+        """Every candidate's index tuple in paper order, built once.
+
+        Sweeps reuse the same tuple objects as result-cache and table
+        keys.  Holds ``k^n`` tuples: an engine that caches nothing
+        streams :meth:`CandidateSpace.candidates_in_paper_order`
+        instead.
+        """
+        order = self._paper_order
+        if order is None:
+            order = tuple(self.space.candidates_in_paper_order())
+            self._paper_order = order
+        return order
+
+
 @dataclass
 class EvaluationEngine:
-    """Evaluates candidates of one problem from per-cluster caches.
+    """Evaluates candidates of one problem against a contract-free model.
 
     Parameters
     ----------
@@ -233,111 +368,53 @@ class EvaluationEngine:
         engine must not be evaluated from multiple threads
         concurrently (the broker's engine cache serializes
         through its entry locks).
+    model:
+        The :class:`EvaluationModel` of the problem's system, catalog
+        and labor rate, shared with other engines; ``None`` builds a
+        private one without a table.  Binding an engine to a model
+        only hoists the contract's pricing.
     """
 
     problem: OptimizationProblem
     cache: bool = True
+    model: EvaluationModel | None = None
     space: CandidateSpace = field(init=False)
     stats: EngineStats = field(init=False)
 
     def __post_init__(self) -> None:
-        #: The shared :data:`ModelTable` this engine prices from and
-        #: feeds, handed over by the broker's engine cache; ``None``
-        #: recombines every result-cache miss.  Only ever bind a table
-        #: kept under this engine's :meth:`model_key`.
-        self.model_table: ModelTable | None = None
-        self.space = self.problem.space()
-        self.stats = EngineStats()
-        self._results: dict[tuple[int, ...], Payload] = {}
-        self._profiles = self._precompute_profiles()
-        # repro: lint-ok[REP001] integer row lengths, order-free
-        self.stats.cluster_term_computations = sum(
-            len(row) for row in self._profiles
-        )
-        # Hoisted once for _build_option, which runs per evaluated
-        # candidate: the bare system's name/cluster names and each
-        # cluster's per-choice profile names.
-        bare = self.space.bare_system
-        self._bare_name = bare.name
-        self._cluster_names = bare.cluster_names
-        self._choice_name_rows = tuple(
-            tuple(profile.name for profile in row) for row in self._profiles
-        )
-        # The scalar kernel's inputs: one flat tuple of six floats per
-        # (cluster, choice) — availability up, active-up and failover
-        # rate, then cost HA infra, HA labor hours and base infra — and
-        # the contract's bound methods.
-        self._factor_rows = tuple(
-            tuple(
-                (
-                    profile.availability.up_probability,
-                    profile.availability.active_up_probability,
-                    profile.availability.failover_rate,
-                    profile.cost.ha_infra_cost,
-                    profile.cost.ha_labor_hours,
-                    profile.cost.base_infra_cost,
-                )
-                for profile in row
+        model = self.model
+        if model is None:
+            model = self.model = EvaluationModel.for_problem(self.problem)
+        elif model.labor_rate != self.problem.labor_rate:
+            raise OptimizerError(
+                "model was built for a different labor rate; its rows "
+                "would price the wrong labor cost"
             )
-            for row in self._profiles
-        )
-        contract = self.problem.contract
-        self._slippage_hours = contract.expected_slippage_hours
-        self._monthly_penalty = contract.penalty.monthly_penalty
-        self._meets_sla = contract.sla.is_met_by
-        self._labor_cost = self.problem.labor_rate.monthly_cost
-
-    def _precompute_profiles(self) -> tuple[tuple[ChoiceProfile, ...], ...]:
-        """Apply and factor every (cluster, technology) pairing once."""
-        labor_rate = self.problem.labor_rate
-        table = []
-        for i in range(self.space.cluster_count):
-            row = []
-            for index, technology in enumerate(self.space.choices_for(i)):
-                applied = self.space.applied_cluster(i, index)
-                row.append(
-                    ChoiceProfile(
-                        index=index,
-                        name=technology.name,
-                        applied=applied,
-                        availability=cluster_availability_terms(applied),
-                        cost=cluster_cost_terms(applied),
-                        ha_cost=applied.monthly_ha_infra_cost
-                        + labor_rate.monthly_cost(applied.monthly_ha_labor_hours),
-                    )
-                )
-            table.append(tuple(row))
-        return tuple(table)
+        #: The :data:`ModelTable` this engine prices from and feeds,
+        #: its model's unless rebound; ``None`` recombines every
+        #: result-cache miss.  Only ever bind a table kept under this
+        #: engine's :meth:`model_key`.
+        self.model_table: ModelTable | None = model.table
+        self.space = model.space
+        # Every engine reports its model's n*k precompute as its own,
+        # shared or not, so per-request stats stay what they were when
+        # each engine factored its own clusters.
+        self.stats = EngineStats(cluster_term_computations=model.term_count)
+        self._results: dict[tuple[int, ...], Payload] = {}
+        self._factor_rows = model.factor_rows
+        self._labor_cost = model.labor_rate.monthly_cost
+        #: ``uptime -> (slippage, penalty, meets SLA)``, hoisted once
+        #: per engine (see :meth:`~repro.sla.contract.Contract.pricing`).
+        self.price = self.problem.contract.pricing()
 
     @property
     def profiles(self) -> tuple[tuple[ChoiceProfile, ...], ...]:
         """Per-cluster rows of cached (cluster, technology) profiles."""
-        return self._profiles
+        return self.model.profiles
 
     def model_key(self) -> tuple:
-        """The inputs of every :data:`ModelRow`, compared bit for bit.
-
-        A row is a function of the factor rows (shape and values) and
-        the labor rate alone, so engines with equal keys compute equal
-        rows and may share one :data:`ModelTable` whatever their
-        contracts.  Floats enter as their bits (see
-        :func:`_float_bits`).
-        """
-        rows = self._factor_rows
-        labor_rate = self.problem.labor_rate
-        return (
-            tuple(len(row) for row in rows),
-            _float_bits(
-                tuple(
-                    value
-                    for row in rows
-                    for factors in row
-                    for value in factors
-                )
-            ),
-            labor_rate,
-            _float_bits((labor_rate.dollars_per_hour,)),
-        )
+        """The model's :meth:`EvaluationModel.key`: equal keys, equal rows."""
+        return self.model.key()
 
     # -- evaluation --------------------------------------------------------
 
@@ -379,26 +456,25 @@ class EvaluationEngine:
         return payload
 
     def _payload(self, indices: tuple[int, ...]) -> Payload:
-        """O(n) Eq. 1-5 values: a priced table row, or a recombination.
-
-        With a :attr:`model_table` holding the candidate's row, only the
-        contract's slippage, penalty and verdict are computed
-        (:meth:`_price`).  Otherwise the row is recombined from the
-        cached per-cluster factor rows, and admitted to the table.
-
-        The recombination performs the float operations of
-        :func:`~repro.availability.model.availability_values_from_terms`
-        and :func:`~repro.cost.tco.tco_values_from_terms` in the same
-        order, so its payloads are bit-identical to the full-topology
-        oracle's values (the oracle tests pin it).  A priced row holds
-        those same floats, and pricing runs the same contract calls on
-        the same uptime, so both ways give the same payload.
-        """
+        """O(n) Eq. 1-5 values: a priced table row, or a recombination."""
         table = self.model_table
         if table is not None:
             row = table.get(indices)
             if row is not None:
-                return self._price(row)
+                return self._priced(row)
+        return self._recombine(indices)
+
+    def _recombine(self, indices: tuple[int, ...]) -> Payload:
+        """Recombine a candidate from its factor rows; feed the table.
+
+        Performs the float operations of
+        :func:`~repro.availability.model.availability_values_from_terms`
+        and :func:`~repro.cost.tco.tco_values_from_terms` in the same
+        order, so its payloads are bit-identical to the full-topology
+        oracle's values (the oracle tests pin it).  A priced row holds
+        those same floats, and pricing runs the same contract pricing
+        on the same uptime, so both ways give the same payload.
+        """
         rows = self._factor_rows
         if len(indices) != len(rows):
             raise OptimizerError(
@@ -425,8 +501,7 @@ class EvaluationEngine:
             failover += contribution
         breakdown = 1.0 - up
         uptime = 1.0 - (breakdown + failover)
-        slippage = self._slippage_hours(uptime)
-        penalty = self._monthly_penalty(slippage)
+        slippage, penalty, meets_sla = self.price(uptime)
         infra = 0.0
         labor_hours = 0.0
         base = 0.0
@@ -435,6 +510,7 @@ class EvaluationEngine:
             labor_hours += factors[4]
             base += factors[5]
         labor_cost = self._labor_cost(labor_hours)
+        table = self.model_table
         if table is not None:
             table[indices] = (
                 infra, labor_cost, base, uptime, breakdown, failover,
@@ -449,25 +525,20 @@ class EvaluationEngine:
             slippage,
             breakdown,
             failover,
-            self._meets_sla(uptime),
+            meets_sla,
             *contributions,
         )
 
-    def _price(self, row: ModelRow) -> Payload:
-        """A :data:`ModelRow` priced under this engine's contract."""
+    def _priced(self, row: ModelRow) -> Payload:
+        """A :data:`ModelRow` priced under this engine's contract.
+
+        :meth:`sweep` inlines this; keep the two in step.
+        """
         uptime = row[3]
-        slippage = self._slippage_hours(uptime)
+        slippage, penalty, meets_sla = self.price(uptime)
         return (
-            row[0],
-            row[1],
-            self._monthly_penalty(slippage),
-            row[2],
-            uptime,
-            slippage,
-            row[4],
-            row[5],
-            self._meets_sla(uptime),
-            *row[6:],
+            row[0], row[1], penalty, row[2], uptime, slippage,
+            row[4], row[5], meets_sla, *row[6:],
         )
 
     def _build_option(
@@ -486,15 +557,16 @@ class EvaluationEngine:
 
         A full option table runs this once per evaluated candidate, so
         the hot path stays minimal: the chosen-profile gather is
-        deferred into the lazy factories and the per-engine constants
+        deferred into the lazy factories and the per-model constants
         (system name, cluster names, per-choice name rows) are hoisted
-        to ``__post_init__``.  A distilled result runs it only for its
+        to :class:`EvaluationModel`.  A distilled result runs it only for its
         two recommendations.
         """
-        profiles = self._profiles
-        bare_name = self._bare_name
-        cluster_names = self._cluster_names
-        name_rows = self._choice_name_rows
+        model = self.model
+        profiles = model.profiles
+        bare_name = model.bare_name
+        cluster_names = model.cluster_names
+        name_rows = model.choice_name_rows
 
         def build_system() -> SystemTopology:
             return SystemTopology(
@@ -581,19 +653,64 @@ class EvaluationEngine:
         """Exhaustively evaluate the space into an optimization result.
 
         The engine-level entry point behind the brute-force strategy:
-        every candidate's :meth:`payload` is folded, in paper order,
-        into :meth:`accumulator`.  With ``keep_options=True`` the result
-        holds the full option table; with ``keep_options=False`` it is
-        distilled to the two recommendations.
+        every candidate is answered as :meth:`payload` answers it and
+        folded, in paper order, into :meth:`accumulator` (see
+        :meth:`_sweep_payloads`).  With ``keep_options=True`` the
+        result holds the full option table; with ``keep_options=False``
+        it is distilled to the two recommendations.
         """
         accumulator = self.accumulator("brute-force", keep_options=keep_options)
-        payload = self.payload
-        fold = accumulator.fold
-        for option_id, indices in enumerate(
-            self.space.candidates_in_paper_order(), start=1
-        ):
-            fold(option_id, indices, payload(indices))
+        accumulator.fold_all(self._sweep_payloads())
         return accumulator.finish()
+
+    def _sweep_payloads(
+        self,
+    ) -> Iterator[tuple[int, tuple[int, ...], Payload]]:
+        """``(option_id, indices, payload)`` for every candidate, in paper order.
+
+        One loop over the model's paper-order tuple: a result-cache hit,
+        else a table row priced inline (as :meth:`_priced` prices it),
+        else a recombination, each admitted to the result cache.  The
+        stats :meth:`payload` would count per candidate are added in
+        bulk.  An engine that caches nothing and has no table streams
+        the space instead, in O(1) memory.
+        """
+        results = self._results if self.cache else None
+        table = self.model_table
+        if results is None and table is None:
+            candidates = self.space.candidates_in_paper_order()
+        else:
+            candidates = self.model.paper_order()
+        price = self.price
+        recombine = self._recombine
+        evaluated = hits = 0
+        try:
+            for indices in candidates:
+                evaluated += 1
+                if results is not None:
+                    payload = results.get(indices)
+                    if payload is not None:
+                        hits += 1
+                        yield evaluated, indices, payload
+                        continue
+                row = None if table is None else table.get(indices)
+                if row is None:
+                    payload = recombine(indices)
+                else:
+                    uptime = row[3]
+                    slippage, penalty, meets_sla = price(uptime)
+                    payload = (
+                        row[0], row[1], penalty, row[2], uptime, slippage,
+                        row[4], row[5], meets_sla, *row[6:],
+                    )
+                if results is not None:
+                    results[indices] = payload
+                yield evaluated, indices, payload
+        finally:
+            stats = self.stats
+            stats.candidate_evaluations += evaluated
+            stats.cache_hits += hits
+            stats.incremental_combines += evaluated - hits
 
 
 def engine_for(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.availability.model import AvailabilityReport
 from repro.cost.tco import TCOBreakdown
@@ -168,7 +168,8 @@ class ResultAccumulator:
     """Single-pass distillation of evaluated candidates.
 
     Strategies :meth:`fold` each evaluated candidate as ``(option_id,
-    indices, payload)``.  The payload's layout belongs to the engine
+    indices, payload)``, or hand a whole stream to :meth:`fold_all`.
+    The payload's layout belongs to the engine
     (:data:`~repro.optimizer.engine.Payload`), which supplies both
     readers: ``costs`` maps a payload to its ``(ha_cost, penalty)``,
     and ``build`` turns a folded candidate into an
@@ -178,7 +179,7 @@ class ResultAccumulator:
     With ``keep_options=False`` only the two running recommendations
     are kept, so million-candidate sweeps hold O(1) candidates in
     memory, and :meth:`finish` assembles just those two options.
-    :meth:`fold` is the one home of the ``best`` /
+    :meth:`fold_all` is the one home of the ``best`` /
     ``min_penalty_option`` tie-breaking rules.
     """
 
@@ -212,47 +213,77 @@ class ResultAccumulator:
     def fold(
         self, option_id: int, indices: tuple[int, ...], payload: tuple
     ) -> None:
-        """Fold one evaluated candidate by its payload.
+        """Fold one evaluated candidate by its payload (see :meth:`fold_all`)."""
+        self.fold_all(((option_id, indices, payload),))
 
-        A distilled fold offers the candidate to both running
+    def fold_all(
+        self, candidates: Iterable[tuple[int, tuple[int, ...], tuple]]
+    ) -> None:
+        """Fold evaluated ``(option_id, indices, payload)`` candidates, in order.
+
+        A distilled fold offers each candidate to both running
         recommendations, mirroring :attr:`OptimizationResult.best`
         (least ``ha_cost + penalty``, then least id) and
         :attr:`OptimizationResult.min_penalty_option` (least penalty,
         then least ``ha_cost``, then least id), so a distilled result
         answers both recommendations identically.  The leaders' keys
-        are cached as scalars and the lexicographic compares are
-        spelled out: this runs once per candidate over 100k+ candidate
-        sweeps.
+        are held as local scalars and the lexicographic compares are
+        spelled out: a brute-force sweep folds its whole space through
+        one call.
         """
-        self.count += 1
+        count = self.count
         if self.keep_options:
-            self._kept.append(self._build(option_id, indices, payload))
+            build = self._build
+            kept = self._kept
+            for candidate in candidates:
+                count += 1
+                kept.append(build(*candidate))
+            self.count = count
             return
-        ha_cost, penalty = self._costs(payload)
-        total = ha_cost + penalty
-        if (
-            self._best is None
-            or total < self._best_total
-            or (total == self._best_total and option_id < self._best_id)
-        ):
-            self._best = (option_id, indices, payload)
-            self._best_total = total
-            self._best_id = option_id
-        if self._min_penalty is None or penalty < self._lowest_penalty:
-            self._lowest_penalty = penalty
-            self._min_penalty = (option_id, indices, payload)
-            self._min_penalty_ha_cost = ha_cost
-            self._min_penalty_id = option_id
-        elif penalty == self._lowest_penalty and (
-            ha_cost < self._min_penalty_ha_cost
-            or (
-                ha_cost == self._min_penalty_ha_cost
-                and option_id < self._min_penalty_id
-            )
-        ):
-            self._min_penalty = (option_id, indices, payload)
-            self._min_penalty_ha_cost = ha_cost
-            self._min_penalty_id = option_id
+        costs = self._costs
+        best = self._best
+        best_total = self._best_total
+        best_id = self._best_id
+        lowest_penalty = self._lowest_penalty
+        min_penalty = self._min_penalty
+        min_penalty_ha_cost = self._min_penalty_ha_cost
+        min_penalty_id = self._min_penalty_id
+        for candidate in candidates:
+            count += 1
+            option_id = candidate[0]
+            ha_cost, penalty = costs(candidate[2])
+            total = ha_cost + penalty
+            if (
+                best is None
+                or total < best_total
+                or (total == best_total and option_id < best_id)
+            ):
+                best = candidate
+                best_total = total
+                best_id = option_id
+            if min_penalty is None or penalty < lowest_penalty:
+                lowest_penalty = penalty
+                min_penalty = candidate
+                min_penalty_ha_cost = ha_cost
+                min_penalty_id = option_id
+            elif penalty == lowest_penalty and (
+                ha_cost < min_penalty_ha_cost
+                or (
+                    ha_cost == min_penalty_ha_cost
+                    and option_id < min_penalty_id
+                )
+            ):
+                min_penalty = candidate
+                min_penalty_ha_cost = ha_cost
+                min_penalty_id = option_id
+        self.count = count
+        self._best = best
+        self._best_total = best_total
+        self._best_id = best_id
+        self._lowest_penalty = lowest_penalty
+        self._min_penalty = min_penalty
+        self._min_penalty_ha_cost = min_penalty_ha_cost
+        self._min_penalty_id = min_penalty_id
 
     def finish(self) -> "OptimizationResult":
         """Seal the accumulator into an :class:`OptimizationResult`."""

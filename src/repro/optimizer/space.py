@@ -174,17 +174,22 @@ class CandidateSpace:
                     f"choice index {choice} out of range for cluster "
                     f"{self.bare_system.clusters[i].name!r} (k={counts[i]})"
                 )
-        if not self._subset_offsets:
+        offsets = self._subset_offsets
+        if not offsets:
+            # Filled aside and published by one store, so a thread
+            # sharing this space never reads a half-built map.
+            offsets = {}
             next_id = 1
             for subset, width in self.subsets_in_paper_order():
                 if width:
-                    self._subset_offsets[subset] = next_id
+                    offsets[subset] = next_id
                     next_id += width
+            self._subset_offsets = offsets
         clustered = tuple(i for i, choice in enumerate(indices) if choice != 0)
         rank = 0
         for position in clustered:
             rank = rank * (counts[position] - 1) + (indices[position] - 1)
-        return self._subset_offsets[clustered] + rank
+        return offsets[clustered] + rank
 
     def choice_names(self, indices: tuple[int, ...]) -> ChoiceNames:
         """Map an index vector to the per-cluster technology names."""

@@ -409,27 +409,29 @@ class RequestCore:
         :meth:`BrokerSession.replay_envelope` never blocks and does no
         search, so a request every provider has a memo for is answered
         on the event loop, without the two thread wake-ups of an
-        executor round trip.  Anything else goes to the executor.
+        executor round trip.  Anything else goes to the executor, with
+        the warm keys the failed replay derived.
         """
         if self.tracer is not None:
             return await self._traced_recommend(request)
         envelope = self._parse_envelope(request.body)
         try:
-            report = self._replay_inline(envelope)
+            report, warm_keys = self._replay_inline(envelope)
             if report is None:
                 report = await asyncio.get_running_loop().run_in_executor(
-                    None, self.session.recommend_envelope, envelope
+                    None, self.session.recommend_envelope, envelope, warm_keys
                 )
         except ReproError as exc:
             raise _HttpError(error_envelope_for(exc, envelope.request_id))
         return _json_response(200, report.to_json())
 
     def _replay_inline(self, envelope: RecommendEnvelope):
-        """The session's memoized report, counted when answered inline."""
-        report = self.session.replay_envelope(envelope)
+        """The session's memoized report (counted when answered inline)
+        and the warm keys its replay derived."""
+        report, warm_keys = self.session.replay(envelope)
         if report is not None:
             self.metrics.recommend_inline.inc()
-        return report
+        return report, warm_keys
 
     @staticmethod
     def _envelope_trace_parent(envelope: RecommendEnvelope) -> SpanContext | None:
@@ -487,7 +489,7 @@ class RequestCore:
             else parse_started
         )
         attrs = {"route": "recommend", "request_id": envelope.request_id or ""}
-        report = self._replay_inline(envelope)
+        report, warm_keys = self._replay_inline(envelope)
         if report is not None:
             replayed = clock.perf_counter()
             payload = report.to_json()
@@ -514,7 +516,7 @@ class RequestCore:
             self._record_parse(tracer, span, request, parse_started, parse_ended)
             try:
                 report = await asyncio.get_running_loop().run_in_executor(
-                    None, self._traced_session, span.context, envelope
+                    None, self._traced_session, span.context, envelope, warm_keys
                 )
             except ReproError as exc:
                 span.attrs["status"] = "error"
@@ -540,7 +542,9 @@ class RequestCore:
             self._record_ingress(tracer, root, request, started)
         tracer.record("parse", parent=root.context, start=started, end=ended)
 
-    def _traced_session(self, context: SpanContext, envelope: RecommendEnvelope):
+    def _traced_session(
+        self, context: SpanContext, envelope: RecommendEnvelope, warm_keys
+    ):
         """The session half of a traced miss; runs on the executor.
 
         Executor threads are reused and do not inherit the loop's
@@ -551,7 +555,7 @@ class RequestCore:
         assert tracer is not None
         token = tracer.activate(context)
         try:
-            return self.session.recommend_envelope(envelope)
+            return self.session.recommend_envelope(envelope, warm_keys)
         finally:
             tracer.restore(token)
 

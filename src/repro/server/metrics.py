@@ -541,6 +541,20 @@ class ServerMetrics(EdgeMetricsMixin):
         self.engines_cached.set_function(
             lambda: self._session_snapshot["engines_cached"]
         )
+        self.models_cached = reg.gauge(
+            "repro_models_cached",
+            "Contract-free models held by the engine cache.",
+        )
+        self.models_cached.set_function(
+            lambda: self._session_snapshot["models_cached"]
+        )
+        self.model_rows = reg.gauge(
+            "repro_model_rows",
+            "Candidate rows across the cached models' tables.",
+        )
+        self.model_rows.set_function(
+            lambda: self._session_snapshot["model_rows"]
+        )
         self.jobs = reg.gauge(
             "repro_jobs", "Session jobs by lifecycle status.", ("status",)
         )

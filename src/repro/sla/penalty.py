@@ -144,8 +144,9 @@ class CappedPenalty(PenaltyClause):
 class ServiceCreditPenalty(PenaltyClause):
     """Service credits: a fraction of the monthly contract value.
 
-    ``schedule`` maps slippage-hour thresholds to credit fractions; the
-    highest threshold not exceeding the observed slippage applies.  This
+    ``schedule`` maps slippage-hour thresholds (each > 0, increasing)
+    to credit fractions; the highest threshold not exceeding the
+    observed slippage applies, and none applies at 0 slippage.  This
     is how hyperscaler SLAs are written (e.g. "10% credit below 99.9%").
 
     Example: 10% credit after 2 slippage hours, 25% after 10::
@@ -167,6 +168,12 @@ class ServiceCreditPenalty(PenaltyClause):
         previous_threshold = -1.0
         previous_fraction = -1.0
         for threshold, fraction in self.schedule:
+            if not threshold > 0.0:
+                # A credit owed at 0 slippage would charge a system
+                # that meets its SLA.
+                raise ValidationError(
+                    f"schedule thresholds must be > 0 hours, got {threshold!r}"
+                )
             if threshold <= previous_threshold:
                 raise ValidationError("schedule thresholds must be increasing")
             if not 0.0 <= fraction <= 1.0:

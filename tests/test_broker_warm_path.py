@@ -236,6 +236,29 @@ class TestKeyDerivation:
             assert session.replay_envelope(env) is not None
 
 
+class TestServerKeyDerivation:
+    """The in-process server hands a failed inline replay's keys to the
+    executor, so a memo miss derives them once, like the session."""
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+    def test_one_rate_card_key_per_provider_per_request(
+        self, monkeypatch, trace
+    ):
+        broker = BrokerService(all_providers())
+        broker.observe_all(years=1.0, seed=23)
+        env = envelope(Contract.linear(97.75, 140.0))
+        with start_in_thread(broker, workers=0, trace=trace) as handle:
+            client = ServerClient(handle.host, handle.port)
+            calls = _count_rate_card_keys(monkeypatch)
+            counts = []
+            # Cold (builds engines), second (memoizes), third (inline).
+            for _ in range(3):
+                before = len(calls)
+                client.recommend(env)
+                counts.append(len(calls) - before)
+        assert counts == [len(broker.providers)] * 3
+
+
 class TestNeverBlocks:
     def test_held_entry_lock_returns_none_at_once(self, observed_broker):
         env = envelope()

@@ -192,25 +192,35 @@ class TestTableKeys:
             session.recommend(other)
             cache = session.engine_cache
             first, second = cache.engines()
+            assert first.model is second.model
             assert first.model_table is second.model_table
-            assert len(cache._tables) == 1
+            assert len(cache._models) == 1
             broker.telemetry.record_failover("metalcloud", "vm", 42.0)
             session.recommend(request)
             third = cache.engines()[-1]
             assert third.model_key() != first.model_key()
             assert third.model_table is not first.model_table
-            assert len(cache._tables) == 2
+            assert len(cache._models) == 2
 
     def test_table_lru_is_bounded(self):
+        """One model LRU, holding each model's table, bounded by capacity."""
         cache = EngineCache(capacity=2)
-        tables = [cache.model_table(("key", n)) for n in range(3)]
-        assert len(cache._tables) == 2
-        assert cache.model_table(("key", 2)) is tables[2]
-        assert cache.model_table(("key", 1)) is tables[1]
-        assert cache.model_table(("key", 0)) is not tables[0]
-        assert list(cache._tables) == [("key", 1), ("key", 0)]
+        built = []
+
+        def factory():
+            built.append(object())
+            return built[-1]
+
+        models = [cache.model(("key", n), factory) for n in range(3)]
+        assert len(cache._models) == 2
+        assert cache.model(("key", 2), factory) is models[2]
+        assert cache.model(("key", 1), factory) is models[1]
+        assert len(built) == 3
+        assert cache.model(("key", 0), factory) is not models[0]
+        assert len(built) == 4
+        assert list(cache._models) == [("key", 1), ("key", 0)]
         cache.clear()
-        assert not cache._tables
+        assert not cache._models
 
     def test_engines_outside_a_cache_have_no_table(self):
         engine = EvaluationEngine(random_problem(3))
@@ -230,7 +240,10 @@ class TestCollector:
                         strategy="brute-force",
                     )
                 )
-            tables = list(session.engine_cache._tables.values())
+            tables = [
+                model.table
+                for model in session.engine_cache._models.values()
+            ]
             gc.collect()
             rows = [row for table in tables for row in table.values()]
             assert rows

@@ -23,6 +23,8 @@ class FakeSession:
                 "hits": 3, "misses": 1, "evictions": 0, "replays": 2,
             },
             "engines_cached": 1,
+            "models_cached": 1,
+            "model_rows": 8,
             "jobs": {"pending": 0, "running": 0, "done": 2, "failed": 0},
             "job_queue_depth": 0,
             "jobs_evicted": {"retrieved": 0, "ttl": 0},
@@ -195,3 +197,10 @@ class TestServerMetricsNoPoolSamples:
     def test_pool_registry_argument_is_gone(self):
         with pytest.raises(TypeError, match="pool_registry"):
             ServerMetrics(FakeSession(), pool_registry=None)
+
+
+class TestServerMetricsModelGauges:
+    def test_render_exports_models_and_rows_from_the_session(self):
+        samples = parse_prometheus_text(ServerMetrics(FakeSession()).render())
+        assert samples[("repro_models_cached", ())] == 1
+        assert samples[("repro_model_rows", ())] == 8

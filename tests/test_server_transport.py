@@ -242,6 +242,26 @@ class TestErrorPaths:
                 ("extended_catalog",), "no", "extended_catalog",
                 id="extended-str",
             ),
+            pytest.param(
+                ("contract", "penalty"),
+                {
+                    "kind": "service-credit",
+                    "monthly_contract_value": 5000.0,
+                    "schedule": [[0.0, 0.1], [10.0, 0.25]],
+                },
+                "schedule thresholds",
+                id="credit-at-0h",
+            ),
+            pytest.param(
+                ("contract", "penalty"),
+                {
+                    "kind": "service-credit",
+                    "monthly_contract_value": 5000.0,
+                    "schedule": [[-1.0, 0.1], [10.0, 0.25]],
+                },
+                "schedule thresholds",
+                id="credit-at-negative",
+            ),
         ],
     )
     def test_malformed_request_fields_are_structured_400(

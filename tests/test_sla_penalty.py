@@ -134,6 +134,18 @@ class TestServiceCreditPenalty:
         with pytest.raises(ValidationError):
             ServiceCreditPenalty(1000.0, ())
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.0, -2.0, float("nan")])
+    def test_rejects_thresholds_that_charge_zero_slippage(self, threshold):
+        # A credit owed at 0 slippage would charge a system that meets
+        # its SLA; PenaltyClause promises 0 there.
+        with pytest.raises(ValidationError, match="> 0 hours"):
+            ServiceCreditPenalty(5000.0, ((threshold, 0.10), (10.0, 0.25)))
+
+    def test_smallest_positive_threshold_owes_nothing_at_zero(self):
+        clause = ServiceCreditPenalty(5000.0, ((5e-324, 0.10),))
+        assert clause.monthly_penalty(0.0) == 0.0
+        assert clause.monthly_penalty(5e-324) == pytest.approx(500.0)
+
 
 class TestMonotonicityContract:
     """Every clause must be non-decreasing (the pruning rule needs it)."""
